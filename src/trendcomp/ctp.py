@@ -13,6 +13,13 @@ dose against control.  Variant C tests it with the global Williams trend
 test on the segment, built from zero-padded contrasts so that every test
 reuses the one saturated fit.  The bottom segment {0, 1} is the single
 contrast D1 vs C in both variants.
+
+Every family used here (many-to-one, Williams, padded segments) has chain
+structure, so its adjusted p-values come from the exact route of
+:func:`trendcomp.contrasts.contrast_test`, with error below 1e-8 and no
+random numbers.  The ``seed``, ``abs_tol`` and ``max_points`` arguments
+act only on the quasi-Monte Carlo route, which these families never take;
+they are kept so that callers and reports keep their shape.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from .contrasts import (
 )
 from .data import DoseGroupData
 from .model import ModelFit, fit_saturated_logit
-from .mvn import DEFAULT_ABS_TOL, DEFAULT_MAX_POINTS, _as_seed_seq
+from .mvn import DEFAULT_ABS_TOL, DEFAULT_MAX_POINTS
 
 __all__ = [
     "CtpResult",
@@ -70,7 +77,11 @@ def dunnett_baseline(
     abs_tol: float = DEFAULT_ABS_TOL,
     max_points: int = DEFAULT_MAX_POINTS,
 ) -> TestReport:
-    """maxT-adjusted many-to-one comparisons without order restriction."""
+    """maxT-adjusted many-to-one comparisons without order restriction.
+
+    Integrated exactly; ``seed``, ``abs_tol`` and ``max_points`` act only
+    on the quasi-Monte Carlo route and leave the result unchanged.
+    """
     cm = dunnett_matrix(np.ones(fit.n_groups))
     return contrast_test(fit, cm, seed=seed, abs_tol=abs_tol, max_points=max_points)
 
@@ -87,7 +98,9 @@ def williams_baseline(
 
     ``n`` supplies the group sample sizes for the pooling weights, which
     the fit alone does not carry.  Returns the per-contrast report and
-    the global p, the smallest adjusted p-value of the family.
+    the global p, the smallest adjusted p-value of the family.  Integrated
+    exactly; ``seed``, ``abs_tol`` and ``max_points`` act only on the
+    quasi-Monte Carlo route and leave the result unchanged.
     """
     n = np.asarray(n, dtype=np.int64)
     if n.size != fit.n_groups:
@@ -100,7 +113,7 @@ def williams_baseline(
 def _segment_minima(
     fit: ModelFit,
     n: np.ndarray,
-    children,
+    seed,
     williams_report: TestReport,
     abs_tol: float,
     max_points: int,
@@ -111,7 +124,7 @@ def _segment_minima(
     S[0] = float(raw_pairwise_pvalues(fit)[0])
     for j in range(2, k):
         sub = pad_to_full(williams_matrix(n[: j + 1]), fit.n_groups)
-        rep = contrast_test(fit, sub, seed=children[j], abs_tol=abs_tol, max_points=max_points)
+        rep = contrast_test(fit, sub, seed=seed, abs_tol=abs_tol, max_points=max_points)
         S[j - 1] = rep.min_adjusted
     if k >= 2:
         S[k - 1] = williams_report.min_adjusted
@@ -130,17 +143,15 @@ def ctp_williams(
 
     The per-dose value is the running maximum of the segment p-values
     S_i..S_k, so it is non-increasing in dose and its top entry equals
-    the global Williams p exactly.
+    the global Williams p exactly.  Every segment family is integrated
+    exactly; ``seed``, ``abs_tol`` and ``max_points`` act only on the
+    quasi-Monte Carlo route and leave the result unchanged.
     """
     n = np.asarray(n, dtype=np.int64)
     if n.size != fit.n_groups:
         raise ValueError(f"got {n.size} sample sizes for {fit.n_groups} groups")
-    k = fit.n_groups - 1
-    children = _as_seed_seq(seed).spawn(k + 1)
-    report, _ = williams_baseline(
-        fit, n, seed=children[k], abs_tol=abs_tol, max_points=max_points
-    )
-    S = _segment_minima(fit, n, children, report, abs_tol, max_points)
+    report, _ = williams_baseline(fit, n, seed=seed, abs_tol=abs_tol, max_points=max_points)
+    S = _segment_minima(fit, n, seed, report, abs_tol, max_points)
     return np.maximum.accumulate(S[::-1])[::-1]
 
 
@@ -192,26 +203,22 @@ def closed_analysis(
 ) -> CtpResult:
     """Run Dunnett, Williams and both closed-test variants on one dataset.
 
-    A single saturated fit feeds every procedure.  Independent seed
-    streams are derived per contrast family from ``seed``, so the whole
-    result is reproducible from one integer.
+    A single saturated fit feeds every procedure.  Every adjusted p-value
+    is integrated exactly (error below 1e-8), so the result does not
+    depend on ``seed``, ``abs_tol`` or ``max_points``: they act only on the
+    quasi-Monte Carlo route, which these families never take, and
+    ``seed`` is recorded in the result as given.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     fit = fit_saturated_logit(data, boundary_policy=boundary_policy)
-    k = data.k
-    children = _as_seed_seq(seed).spawn(k + 1)
     dunnett_report = contrast_test(
-        fit,
-        dunnett_matrix(data.n),
-        seed=children[0],
-        abs_tol=abs_tol,
-        max_points=max_points,
+        fit, dunnett_matrix(data.n), seed=seed, abs_tol=abs_tol, max_points=max_points
     )
     williams_report, williams_global = williams_baseline(
-        fit, data.n, seed=children[k], abs_tol=abs_tol, max_points=max_points
+        fit, data.n, seed=seed, abs_tol=abs_tol, max_points=max_points
     )
-    S = _segment_minima(fit, data.n, children, williams_report, abs_tol, max_points)
+    S = _segment_minima(fit, data.n, seed, williams_report, abs_tol, max_points)
     p_c = np.maximum.accumulate(S[::-1])[::-1]
     for arr in (p_c,):
         arr.setflags(write=False)

@@ -1,5 +1,12 @@
 """Multivariate normal rectangle probabilities and maxT-adjusted p-values.
 
+This is the general route, for any correlation matrix: custom contrast
+families in :func:`trendcomp.contrasts.contrast_test` and every decision of
+the simulator.  The stock families of an analysis (many-to-one, Williams
+and the closed-test segments) have chain structure and are integrated
+exactly by :mod:`trendcomp.chains` instead; ``seed``, ``abs_tol`` and
+``max_points`` below act only on this route.
+
 The tail probability P(max_j T_j >= b) for T ~ N(0, R) is computed by
 randomized quasi-Monte Carlo: the correlation matrix is factorized with
 variable reordering (most restrictive variable first), the rectangle

@@ -1,0 +1,261 @@
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtr
+from scipy.stats import multivariate_normal
+
+from trendcomp import chains, contrasts
+from trendcomp.chains import chain_structure
+from trendcomp.contrasts import (
+    ContrastMatrix,
+    contrast_moments,
+    contrast_test,
+    dunnett_matrix,
+    pad_to_full,
+    williams_matrix,
+)
+from trendcomp.data import DoseGroupData
+from trendcomp.model import ModelFit, fit_saturated_logit
+from trendcomp.mvn import (
+    DEFAULT_MAX_POINTS,
+    MAX_DIMENSION,
+    CorrelationError,
+    MvnSpec,
+    _lower_orthant,
+    adjust_maxt,
+)
+
+
+def null_fit(var):
+    """A fit whose group log odds are all equal, so every statistic is 0."""
+    var = np.asarray(var, dtype=np.float64)
+    flags = np.zeros(var.size, dtype=bool)
+    return ModelFit(eta=np.zeros(var.size), var_eta=var, correction_applied=flags)
+
+
+def random_table(rng, k):
+    """Unbalanced group sizes; sometimes a group at 0 or n takes the haldane path."""
+    n = rng.integers(5, 61, size=k + 1)
+    y = rng.binomial(n, rng.uniform(0.05, 0.95, size=k + 1))
+    if rng.random() < 0.5:
+        g = int(rng.integers(0, k + 1))
+        y[g] = 0 if rng.random() < 0.5 else n[g]
+    if np.all(y == 0) or np.all(y == n):
+        y[0] = n[0] // 2
+    return DoseGroupData(labels=tuple(str(i) for i in range(k + 1)), n=n, y=y)
+
+
+def stock_family(rng, n):
+    """Dunnett, Williams or a zero-padded Williams segment family."""
+    k = n.size - 1
+    pick = int(rng.integers(0, 3))
+    if pick == 0:
+        return dunnett_matrix(n)
+    if pick == 1 or k < 3:
+        return williams_matrix(n)
+    j = int(rng.integers(2, k))
+    return pad_to_full(williams_matrix(n[: j + 1]), k + 1)
+
+
+@pytest.fixture
+def no_qmc(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("QMC route taken")
+
+    monkeypatch.setattr(contrasts, "adjust_maxt", refuse)
+
+
+@pytest.fixture
+def no_exact(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact route taken")
+
+    monkeypatch.setattr(contrasts, "chain_maxt", refuse)
+
+
+class TestChainStructure:
+    def test_dunnett_is_one_level_chains(self):
+        found = chain_structure(dunnett_matrix([10] * 5).coefficients)
+        assert len(found) == 4
+        assert all(len(c.levels) == 1 for c in found)
+
+    def test_williams_is_one_chain(self):
+        found = chain_structure(williams_matrix([12, 30, 25, 18]).coefficients)
+        assert len(found) == 1
+        assert found[0].levels == ((2,), (1, 2), (0, 1, 2))
+        assert found[0].rows == (2, 1, 0)
+
+    def test_equal_supports_share_a_level(self):
+        C = [[-1.0, 1.0, 0.0], [-2.0, 2.0, 0.0], [-1.0, 0.0, 1.0]]
+        found = chain_structure(C)
+        assert sorted(len(c.levels) for c in found) == [1, 1]
+
+    @pytest.mark.parametrize(
+        "C",
+        [
+            [[-1.0, 1.0, 0.0], [-0.5, -0.5, 1.0]],  # negative dose weight
+            [[-1.0, 0.5, 0.5, 0.0], [-1.0, 0.0, 0.5, 0.5]],  # overlap, not nested
+            [[-1.0, 0.0, 0.5, 0.5], [-1.0, 0.2, 0.2, 0.6]],  # nested, not proportional
+        ],
+    )
+    def test_rejected(self, C):
+        assert chain_structure(C) is None
+
+
+class TestOracles:
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_balanced_dunnett_at_zero(self, k, no_qmc):
+        # equicorrelation 1/2: P(all T < 0) = 1 / (k + 1)
+        report = contrast_test(null_fit(np.full(k + 1, 0.3)), dunnett_matrix([40] * (k + 1)))
+        np.testing.assert_allclose(report.correlation[0, 1], 0.5, atol=1e-12)
+        np.testing.assert_allclose(report.p_adjusted, 1.0 - 1.0 / (k + 1), atol=1e-12)
+
+    def test_two_row_chain_at_zero(self, no_qmc):
+        # P(T1 < 0, T2 < 0) = 1/4 + asin(rho) / (2 pi)
+        n = [20, 35, 50]
+        report = contrast_test(null_fit([0.2, 0.3, 0.15]), williams_matrix(n))
+        rho = report.correlation[0, 1]
+        expected = 1.0 - (0.25 + math.asin(rho) / (2.0 * math.pi))
+        np.testing.assert_allclose(report.p_adjusted, expected, atol=1e-12)
+
+    def test_two_row_chain_in_the_far_tail(self, no_qmc):
+        # a group at y = n drives rho to 0.993 and the adjusted p to 1.2e-4;
+        # P(max >= b) = 2 P(T > b) - P(T_1 < -b, T_2 < -b)
+        n = np.array([28, 15, 56, 9, 34, 15, 51])
+        data = DoseGroupData(labels=tuple("0123456"), n=n, y=[9, 7, 56, 5, 22, 7, 45])
+        report = contrast_test(fit_saturated_logit(data), pad_to_full(williams_matrix(n[:3]), 7))
+        rho = report.correlation[0, 1]
+        assert rho > 0.99
+        for p, b in zip(report.p_adjusted, report.statistic):
+            both = multivariate_normal.cdf(
+                [-b, -b], mean=[0.0, 0.0], cov=[[1.0, rho], [rho, 1.0]], abseps=1e-14, releps=1e-12
+            )
+            assert p == pytest.approx(2.0 * ndtr(-b) - both, rel=0, abs=1e-10)
+
+    def test_liarozole_high_precision(self, liarozole, no_qmc):
+        fit = fit_saturated_logit(liarozole)
+        np.testing.assert_allclose(
+            contrast_test(fit, dunnett_matrix(liarozole.n)).p_adjusted,
+            [0.1535203, 0.3623204, 0.0056458],
+            atol=1e-7,
+        )
+        np.testing.assert_allclose(
+            contrast_test(fit, williams_matrix(liarozole.n)).p_adjusted,
+            [0.0039287, 0.0486674, 0.0555869],
+            atol=1e-7,
+        )
+
+
+def qmc_first_passage(R, b, seed, abs_tol=1e-6):
+    """P(max_j T_j >= b) by the lattice rule, with its reported error.
+
+    Summed over i as P(T_i >= b, T_j < b for j < i), so the rare event
+    leads every term and the lattice samples the tail; applied to the
+    whole orthant at once, the rule can stop on its first stage with a
+    zero error estimate when no lattice point reaches the tail.
+    """
+    m = R.shape[0]
+    rng = np.random.default_rng(seed)
+    value = error = 0.0
+    for i in range(m):
+        sign = np.ones(i + 1)
+        sign[-1] = -1.0
+        corr = R[: i + 1, : i + 1] * np.outer(sign, sign)
+        v, e, _ = _lower_orthant(corr, b * sign, rng, abs_tol / m, DEFAULT_MAX_POINTS)
+        value += v
+        error += e
+    return value, error
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+@example(seed=78)  # rho 0.993: the whole-orthant rule stops on p_raw, 15% low
+@example(seed=9742969)
+def test_exact_matches_tight_qmc(seed):
+    rng = np.random.default_rng(seed)
+    data = random_table(rng, int(rng.integers(1, 9)))
+    fit = fit_saturated_logit(data)
+    cm = stock_family(rng, data.n)
+    report = contrast_test(fit, cm)
+    q = int(np.argmax(report.statistic))
+    value, error = qmc_first_passage(np.array(report.correlation), report.statistic[q], seed)
+    assert abs(report.p_adjusted[q] - value) <= error + 1e-6
+
+
+def test_doubling_nodes_moves_no_p(monkeypatch):
+    rng = np.random.default_rng(11)
+    tables = [random_table(rng, k) for k in (2, 5, 8)]
+    # unequal sizes and a haldane group make the widest spread of kernel widths
+    tables.append(
+        DoseGroupData(
+            labels=tuple("0123456"), n=[5, 20, 17, 14, 42, 53, 50], y=[1, 4, 8, 12, 24, 52, 38]
+        )
+    )
+    families = []
+    for data in tables:
+        fit = fit_saturated_logit(data)
+        k = data.k
+        fams = [dunnett_matrix(data.n), williams_matrix(data.n)]
+        fams += [pad_to_full(williams_matrix(data.n[: j + 1]), k + 1) for j in range(2, k)]
+        families += [(fit, cm, contrast_test(fit, cm).p_adjusted) for cm in fams]
+    monkeypatch.setattr(chains, "_NODES_PER_SD", 2 * chains._NODES_PER_SD)
+    monkeypatch.setattr(chains, "_OUTER_NODES_PER_SD", 2 * chains._OUTER_NODES_PER_SD)
+    for fit, cm, p in families:
+        np.testing.assert_allclose(contrast_test(fit, cm).p_adjusted, p, rtol=0, atol=1e-6)
+
+
+class TestRouteSelection:
+    @pytest.mark.parametrize(
+        "C",
+        [
+            [[-1.0, 1.0, 0.0, 0.0], [-0.5, -0.5, 0.0, 1.0]],
+            [[-1.0, 0.5, 0.5, 0.0], [-1.0, 0.0, 0.5, 0.5]],
+            [[-1.0, 0.0, 0.5, 0.5], [-1.0, 0.2, 0.2, 0.6]],
+        ],
+        ids=["negative-dose-weight", "overlap-not-nested", "nested-not-proportional"],
+    )
+    def test_custom_families_keep_qmc(self, C, liarozole, no_exact):
+        fit = fit_saturated_logit(liarozole)
+        cm = ContrastMatrix(names=("a", "b"), coefficients=C, kind="custom")
+        _, _, t, R = contrast_moments(cm.coefficients, fit.eta, fit.var_eta)
+        report = contrast_test(fit, cm, seed=5)
+        np.testing.assert_array_equal(report.p_adjusted, adjust_maxt(t, MvnSpec(R), seed=5))
+
+    def test_padded_segment_is_exact(self, liarozole, no_qmc):
+        fit = fit_saturated_logit(liarozole)
+        report = contrast_test(fit, pad_to_full(williams_matrix(liarozole.n[:3]), 4))
+        np.testing.assert_allclose(report.p_adjusted, [0.2667725, 0.1529404], atol=1e-6)
+
+    def test_single_dose_is_exact(self, no_qmc):
+        fit = fit_saturated_logit(DoseGroupData(labels=("c", "d"), n=[40, 40], y=[5, 14]))
+        report = contrast_test(fit, dunnett_matrix([40, 40]))
+        np.testing.assert_array_equal(report.p_adjusted, report.p_raw)
+
+    def test_selected_from_coefficients_not_kind(self, liarozole, no_qmc):
+        fit = fit_saturated_logit(liarozole)
+        stock = williams_matrix(liarozole.n)
+        relabeled = ContrastMatrix(
+            names=stock.names, coefficients=stock.coefficients, kind="custom"
+        )
+        np.testing.assert_array_equal(
+            contrast_test(fit, relabeled).p_adjusted, contrast_test(fit, stock).p_adjusted
+        )
+
+    def test_correlation_validated_on_exact_route(self, no_qmc):
+        k = MAX_DIMENSION + 1
+        with pytest.raises(CorrelationError, match="exceeds"):
+            contrast_test(null_fit(np.full(k + 1, 0.3)), dunnett_matrix([10] * (k + 1)))
+
+    def test_correlation_validated_on_qmc_route(self, no_exact):
+        k = MAX_DIMENSION + 1
+        C = np.zeros((k, k + 1))
+        for i in range(k):
+            C[i, 0] = -0.5
+            C[i, i + 1] = 1.0
+            C[i, (i + 1) % k + 1] = -0.5
+        cm = ContrastMatrix(names=tuple(map(str, range(k))), coefficients=C, kind="custom")
+        with pytest.raises(CorrelationError, match="exceeds"):
+            contrast_test(null_fit(np.full(k + 1, 0.3)), cm)

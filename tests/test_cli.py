@@ -50,7 +50,7 @@ class TestAnalyzeTable:
         ]
         assert lines[1].split() == ["50", "-", "0", "0.1535", "...", "0.2210", "0.1529"]
         assert lines[2].split() == ["75", "-", "0", "0.3623", "...", "0.2210", "0.1529"]
-        assert lines[3].split() == ["150", "-", "0", "0.0057", "0.0039", "0.0023", "0.0039"]
+        assert lines[3].split() == ["150", "-", "0", "0.0056", "0.0039", "0.0023", "0.0039"]
 
     def test_rerun_is_byte_identical(self, capsys, liarozole_csv):
         _, out1, _ = run_cli(capsys, "analyze", "--input", liarozole_csv)
@@ -66,7 +66,8 @@ class TestAnalyzeTable:
         # one dose: all four procedures reduce to the same raw one-sided p
         assert cells[3:] == [cells[3]] * 4
 
-    def test_seed_flag_only_moves_integration_noise(self, capsys, liarozole_csv):
+    def test_seed_flag_does_not_change_exact_results(self, capsys, liarozole_csv):
+        # every stock family takes the exact route, which draws no random numbers
         _, out1, _ = run_cli(
             capsys, "analyze", "--input", liarozole_csv,
             "--seed", "0", "--format", "json",
@@ -75,14 +76,9 @@ class TestAnalyzeTable:
             capsys, "analyze", "--input", liarozole_csv,
             "--seed", "123", "--format", "json",
         )
-        rows1 = json.loads(out1)["rows"]
-        rows2 = json.loads(out2)["rows"]
-        for r1, r2 in zip(rows1, rows2):
-            for key in ("dunnett", "williams", "ctp_pairwise", "ctp_williams"):
-                if r1[key] is None:
-                    assert r2[key] is None
-                else:
-                    assert r1[key] == pytest.approx(r2[key], abs=3e-4)
+        payload1, payload2 = json.loads(out1), json.loads(out2)
+        assert payload1["rows"] == payload2["rows"]
+        assert payload1["williams_family"] == payload2["williams_family"]
 
     def test_alpha_flag_accepted(self, capsys, liarozole_csv):
         code, out, _ = run_cli(
