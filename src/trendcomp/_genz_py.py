@@ -1,8 +1,9 @@
-"""Pure NumPy fallback for the lattice-rule integration kernel.
+"""Lattice-rule integration kernel of the quasi-Monte Carlo route.
 
-Mirrors the compiled extension operation for operation: same lattice, same
-clamps, same conditioning order.  Only the loop over lattice points is
-vectorized, so the two backends agree to within accumulation roundoff.
+Evaluates the sequential-conditioning integrand of a rectangle
+probability on shifted root-prime lattices, vectorized over the lattice
+points.  Only custom contrast families reach it; the stock families are
+integrated exactly by :mod:`trendcomp.chains`.
 """
 
 from __future__ import annotations

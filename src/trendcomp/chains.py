@@ -200,15 +200,17 @@ def chain_maxt(chains, t_values, std_err, var_eta) -> np.ndarray:
     """maxT-adjusted one-sided p-values p_q = 1 - P(all T_j < t_q), exactly.
 
     ``chains`` comes from :func:`chain_structure` on the contrast
-    coefficients; ``std_err`` are the contrast standard errors and
-    ``var_eta`` the group variances they were built from.  As on the QMC
+    coefficients; ``std_err`` are the m contrast standard errors and
+    ``var_eta`` the group variances they were built from.  ``t_values``
+    are the bounds to evaluate, any number of them: the family's
+    statistics, or only those a decision leaves open.  As on the QMC
     route each value is clipped into [p_raw_q, min(1, m * p_raw_q)], and a
     single contrast returns its raw normal tail.
     """
     t = np.asarray(t_values, dtype=np.float64)
     se = np.asarray(std_err, dtype=np.float64)
     v = np.asarray(var_eta, dtype=np.float64)
-    m = t.size
+    m = se.size
     p_raw = ndtr(-t)
     if m == 1:
         return p_raw.copy()
@@ -254,5 +256,5 @@ def chain_maxt(chains, t_values, std_err, var_eta) -> np.ndarray:
         for r, lvl, s in zip(chain.rows, chain.row_level, chain.row_scale):
             c[lvl] = np.minimum(c[lvl], (b * se[r] + alpha[r] * x) / s)
         inside *= _walk_probability(sigma, c)
-    lower = ndtr(-z_hi) + (inside.reshape(m, n_z) * zw).sum(axis=1)
+    lower = ndtr(-z_hi) + (inside.reshape(t.size, n_z) * zw).sum(axis=1)
     return np.clip(1.0 - lower, p_raw, np.minimum(1.0, m * p_raw))

@@ -1,7 +1,7 @@
 """Command-line front door: single-dataset analysis and simulation studies.
 
 Reports go to stdout, diagnostics to stderr.  Output carries no
-timestamps or hostnames, so a rerun with the same inputs and seed is
+timestamps or hostnames, so a rerun with the same inputs is
 byte-identical.  Exit codes: 0 success, 2 input that cannot be parsed,
 3 input that parses but cannot be analyzed numerically.
 """
@@ -46,19 +46,15 @@ class AnalysisRequest:
 
     input_path: str
     alpha: float = 0.05
-    seed: int = 0
     boundary_policy: str = "haldane"
     output_format: str = "table"
 
     def __post_init__(self):
         if not 0.0 < float(self.alpha) < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if int(self.seed) < 0:
-            raise ValueError("seed must be a nonnegative integer")
         if self.output_format not in ("table", "json"):
             raise ValueError("output format must be 'table' or 'json'")
         object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "seed", int(self.seed))
 
 
 def _analysis_rows(result: CtpResult) -> list:
@@ -104,7 +100,6 @@ def _render_analysis_json(result: CtpResult) -> str:
     payload = {
         "control": result.control_label,
         "alpha": result.alpha,
-        "seed": result.seed,
         "boundary_policy": result.boundary_policy,
         "correction_applied": [bool(b) for b in result.correction_applied],
         "rows": _analysis_rows(result),
@@ -120,10 +115,7 @@ def cmd_analyze(request: AnalysisRequest) -> str:
     """Run the closed analysis on a counts CSV and render the report."""
     data = read_counts_csv(request.input_path)
     result = closed_analysis(
-        data,
-        alpha=request.alpha,
-        boundary_policy=request.boundary_policy,
-        seed=request.seed,
+        data, alpha=request.alpha, boundary_policy=request.boundary_policy
     )
     if request.output_format == "json":
         return _render_analysis_json(result)
@@ -219,7 +211,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="closed analysis of one counts CSV")
     p_an.add_argument("--input", required=True, help="CSV with dose,n,responders columns")
     p_an.add_argument("--alpha", type=float, default=0.05)
-    p_an.add_argument("--seed", type=int, default=0)
     p_an.add_argument("--boundary", choices=("haldane", "reject"), default="haldane")
     p_an.add_argument("--format", choices=("table", "json"), default="table")
 
@@ -238,7 +229,6 @@ def main(argv=None) -> int:
             request = AnalysisRequest(
                 input_path=args.input,
                 alpha=args.alpha,
-                seed=args.seed,
                 boundary_policy=args.boundary,
                 output_format=args.format,
             )

@@ -15,8 +15,9 @@ the comparisons.
 :func:`contrast_test` picks the integration route from the coefficients.
 Families with chain structure (see :mod:`trendcomp.chains`), which covers
 many-to-one, Williams and every zero-padded Williams segment, get exact
-quadrature with error below 1e-8; any other family goes to the
-randomized quasi-Monte Carlo integrator of :mod:`trendcomp.mvn`.
+quadrature with error below 1e-8; the simulator decides these families
+by the same quadrature.  Any other family goes to the randomized
+quasi-Monte Carlo integrator of :mod:`trendcomp.mvn`.
 """
 
 from __future__ import annotations

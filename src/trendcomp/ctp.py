@@ -17,9 +17,8 @@ contrast D1 vs C in both variants.
 Every family used here (many-to-one, Williams, padded segments) has chain
 structure, so its adjusted p-values come from the exact route of
 :func:`trendcomp.contrasts.contrast_test`, with error below 1e-8 and no
-random numbers.  The ``seed``, ``abs_tol`` and ``max_points`` arguments
-act only on the quasi-Monte Carlo route, which these families never take;
-they are kept so that callers and reports keep their shape.
+random numbers.  :func:`closed_test` is the closure rule itself; the
+simulator applies it to its segment decisions as well.
 """
 
 from __future__ import annotations
@@ -39,11 +38,11 @@ from .contrasts import (
 )
 from .data import DoseGroupData
 from .model import ModelFit, fit_saturated_logit
-from .mvn import DEFAULT_ABS_TOL, DEFAULT_MAX_POINTS
 
 __all__ = [
     "CtpResult",
     "raw_pairwise_pvalues",
+    "closed_test",
     "ctp_pairwise",
     "ctp_williams",
     "dunnett_baseline",
@@ -59,6 +58,24 @@ def raw_pairwise_pvalues(fit: ModelFit) -> np.ndarray:
     return ndtr(-t)
 
 
+def closed_test(segment_p, k: int) -> np.ndarray:
+    """Per-dose closed-test p-values p_i = max(S_i, ..., S_k).
+
+    ``segment_p(j)`` returns S_j, the p-value of the segment hypothesis
+    on groups {0..j}.  Segments are visited from the top down; once the
+    running maximum reaches 1, the lower doses get 1 and their segments
+    are never evaluated.
+    """
+    p = np.ones(k)
+    running = 0.0
+    for j in range(k, 0, -1):
+        running = max(running, float(segment_p(j)))
+        if running >= 1.0:
+            break
+        p[j - 1] = running
+    return p
+
+
 def ctp_pairwise(fit: ModelFit) -> np.ndarray:
     """Variant P: closed test with pairwise contrasts.
 
@@ -67,92 +84,55 @@ def ctp_pairwise(fit: ModelFit) -> np.ndarray:
     top dose downward.  Exact given the fit; no integration involved.
     """
     raw = raw_pairwise_pvalues(fit)
-    return np.maximum.accumulate(raw[::-1])[::-1]
+    return closed_test(lambda j: raw[j - 1], raw.size)
 
 
-def dunnett_baseline(
-    fit: ModelFit,
-    *,
-    seed=0,
-    abs_tol: float = DEFAULT_ABS_TOL,
-    max_points: int = DEFAULT_MAX_POINTS,
-) -> TestReport:
-    """maxT-adjusted many-to-one comparisons without order restriction.
-
-    Integrated exactly; ``seed``, ``abs_tol`` and ``max_points`` act only
-    on the quasi-Monte Carlo route and leave the result unchanged.
-    """
-    cm = dunnett_matrix(np.ones(fit.n_groups))
-    return contrast_test(fit, cm, seed=seed, abs_tol=abs_tol, max_points=max_points)
+def dunnett_baseline(fit: ModelFit) -> TestReport:
+    """maxT-adjusted many-to-one comparisons without order restriction."""
+    return contrast_test(fit, dunnett_matrix(np.ones(fit.n_groups)))
 
 
-def williams_baseline(
-    fit: ModelFit,
-    n,
-    *,
-    seed=0,
-    abs_tol: float = DEFAULT_ABS_TOL,
-    max_points: int = DEFAULT_MAX_POINTS,
-):
+def williams_baseline(fit: ModelFit, n):
     """Global Williams trend test on all groups.
 
     ``n`` supplies the group sample sizes for the pooling weights, which
     the fit alone does not carry.  Returns the per-contrast report and
-    the global p, the smallest adjusted p-value of the family.  Integrated
-    exactly; ``seed``, ``abs_tol`` and ``max_points`` act only on the
-    quasi-Monte Carlo route and leave the result unchanged.
+    the global p, the smallest adjusted p-value of the family.
     """
     n = np.asarray(n, dtype=np.int64)
     if n.size != fit.n_groups:
         raise ValueError(f"got {n.size} sample sizes for {fit.n_groups} groups")
-    cm = williams_matrix(n)
-    report = contrast_test(fit, cm, seed=seed, abs_tol=abs_tol, max_points=max_points)
+    report = contrast_test(fit, williams_matrix(n))
     return report, report.min_adjusted
 
 
-def _segment_minima(
-    fit: ModelFit,
-    n: np.ndarray,
-    seed,
-    williams_report: TestReport,
-    abs_tol: float,
-    max_points: int,
-) -> np.ndarray:
-    """S_j for the segment chain: raw D1 p, subset Williams minima, global."""
+def _williams_closure(fit: ModelFit, n, williams_report: TestReport) -> np.ndarray:
+    """Variant C from the fit and the report of the global Williams family.
+
+    Segment {0..j} is tested by the Williams family on its groups,
+    zero-padded to the full design; the top segment is the global family
+    and the bottom one the single contrast D1 vs C.
+    """
     k = fit.n_groups - 1
-    S = np.empty(k)
-    S[0] = float(raw_pairwise_pvalues(fit)[0])
-    for j in range(2, k):
+
+    def segment_p(j):
+        if j == k:
+            return williams_report.min_adjusted
         sub = pad_to_full(williams_matrix(n[: j + 1]), fit.n_groups)
-        rep = contrast_test(fit, sub, seed=seed, abs_tol=abs_tol, max_points=max_points)
-        S[j - 1] = rep.min_adjusted
-    if k >= 2:
-        S[k - 1] = williams_report.min_adjusted
-    return S
+        return contrast_test(fit, sub).min_adjusted
+
+    return closed_test(segment_p, k)
 
 
-def ctp_williams(
-    fit: ModelFit,
-    n,
-    *,
-    seed=0,
-    abs_tol: float = DEFAULT_ABS_TOL,
-    max_points: int = DEFAULT_MAX_POINTS,
-) -> np.ndarray:
+def ctp_williams(fit: ModelFit, n) -> np.ndarray:
     """Variant C: closed test with subset Williams trend tests.
 
     The per-dose value is the running maximum of the segment p-values
     S_i..S_k, so it is non-increasing in dose and its top entry equals
-    the global Williams p exactly.  Every segment family is integrated
-    exactly; ``seed``, ``abs_tol`` and ``max_points`` act only on the
-    quasi-Monte Carlo route and leave the result unchanged.
+    the global Williams p exactly.
     """
-    n = np.asarray(n, dtype=np.int64)
-    if n.size != fit.n_groups:
-        raise ValueError(f"got {n.size} sample sizes for {fit.n_groups} groups")
-    report, _ = williams_baseline(fit, n, seed=seed, abs_tol=abs_tol, max_points=max_points)
-    S = _segment_minima(fit, n, seed, report, abs_tol, max_points)
-    return np.maximum.accumulate(S[::-1])[::-1]
+    report, _ = williams_baseline(fit, n)
+    return _williams_closure(fit, n, report)
 
 
 @dataclass(frozen=True)
@@ -167,7 +147,6 @@ class CtpResult:
     p_ctp_pairwise: np.ndarray
     p_ctp_williams: np.ndarray
     alpha: float
-    seed: int
     boundary_policy: str
     correction_applied: np.ndarray
     dunnett_report: TestReport
@@ -197,31 +176,19 @@ def closed_analysis(
     *,
     alpha: float = 0.05,
     boundary_policy: str = "haldane",
-    seed: int = 0,
-    abs_tol: float = DEFAULT_ABS_TOL,
-    max_points: int = DEFAULT_MAX_POINTS,
 ) -> CtpResult:
     """Run Dunnett, Williams and both closed-test variants on one dataset.
 
-    A single saturated fit feeds every procedure.  Every adjusted p-value
-    is integrated exactly (error below 1e-8), so the result does not
-    depend on ``seed``, ``abs_tol`` or ``max_points``: they act only on the
-    quasi-Monte Carlo route, which these families never take, and
-    ``seed`` is recorded in the result as given.
+    A single saturated fit feeds every procedure, and every adjusted
+    p-value is integrated exactly (error below 1e-8).
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     fit = fit_saturated_logit(data, boundary_policy=boundary_policy)
-    dunnett_report = contrast_test(
-        fit, dunnett_matrix(data.n), seed=seed, abs_tol=abs_tol, max_points=max_points
-    )
-    williams_report, williams_global = williams_baseline(
-        fit, data.n, seed=seed, abs_tol=abs_tol, max_points=max_points
-    )
-    S = _segment_minima(fit, data.n, seed, williams_report, abs_tol, max_points)
-    p_c = np.maximum.accumulate(S[::-1])[::-1]
-    for arr in (p_c,):
-        arr.setflags(write=False)
+    dunnett_report = contrast_test(fit, dunnett_matrix(data.n))
+    williams_report, williams_global = williams_baseline(fit, data.n)
+    p_c = _williams_closure(fit, data.n, williams_report)
+    p_c.setflags(write=False)
     return CtpResult(
         control_label=data.labels[0],
         dose_labels=data.labels[1:],
@@ -231,7 +198,6 @@ def closed_analysis(
         p_ctp_pairwise=ctp_pairwise(fit),
         p_ctp_williams=p_c,
         alpha=alpha,
-        seed=seed,
         boundary_policy=boundary_policy,
         correction_applied=fit.correction_applied,
         dunnett_report=dunnett_report,

@@ -1,35 +1,35 @@
 """Multivariate normal rectangle probabilities and maxT-adjusted p-values.
 
 This is the general route, for any correlation matrix: custom contrast
-families in :func:`trendcomp.contrasts.contrast_test` and every decision of
-the simulator.  The stock families of an analysis (many-to-one, Williams
-and the closed-test segments) have chain structure and are integrated
-exactly by :mod:`trendcomp.chains` instead; ``seed``, ``abs_tol`` and
-``max_points`` below act only on this route.
+families in :func:`trendcomp.contrasts.contrast_test`.  The stock families
+(many-to-one, Williams and the closed-test segments), in analysis and in
+simulation alike, have chain structure and are integrated exactly by
+:mod:`trendcomp.chains` instead; ``seed``, ``abs_tol`` and ``max_points``
+below act only on this route.
 
-The tail probability P(max_j T_j >= b) for T ~ N(0, R) is computed by
-randomized quasi-Monte Carlo: the correlation matrix is factorized with
-variable reordering (most restrictive variable first), the rectangle
-probability becomes an integral over the unit cube via sequential
-conditioning, and the integral is sampled on a root-prime lattice under a
-number of independent random shifts.  The spread of the per-shift means
-yields the reported error estimate; the point count grows geometrically
-until the estimate meets the requested absolute tolerance.
-
-The inner point loop is the hot path.  A compiled extension is used when
-available and a pure NumPy twin otherwise; selection happens at import and
-can be forced with the environment variable ``TRENDCOMP_BACKEND`` set to
-``cython`` or ``python``.
+The tail probability P(max_j T_j >= b) for T ~ N(0, R) is summed over
+first passages, P(T_i >= b, T_j < b for j < i), so the rare event leads
+every term and the integration samples the tail rather than the bulk.
+Each term is a rectangle probability computed by randomized quasi-Monte
+Carlo: the correlation matrix is factorized with variable reordering
+(most restrictive variable first), the rectangle probability becomes an
+integral over the unit cube via sequential conditioning, and the
+integral is sampled on a root-prime lattice under a number of
+independent random shifts.  The spread of the per-shift means yields the
+reported error estimate; the point count grows geometrically until the
+estimate meets the requested absolute tolerance.  The inner point loop
+is :func:`trendcomp._genz_py.qmc_shift_means`.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
+
+from . import _genz_py as _kernel
 
 __all__ = [
     "BACKEND",
@@ -43,28 +43,7 @@ __all__ = [
     "adjusted_p_below",
 ]
 
-_requested = os.environ.get("TRENDCOMP_BACKEND", "auto").strip().lower()
-if _requested in ("", "auto"):
-    try:
-        from . import _genz as _kernel
-
-        BACKEND = "cython"
-    except ImportError:
-        from . import _genz_py as _kernel
-
-        BACKEND = "python"
-elif _requested == "cython":
-    from . import _genz as _kernel
-
-    BACKEND = "cython"
-elif _requested == "python":
-    from . import _genz_py as _kernel
-
-    BACKEND = "python"
-else:
-    raise ImportError(
-        f"TRENDCOMP_BACKEND={_requested!r} not recognized; use 'auto', 'cython' or 'python'"
-    )
+BACKEND = "python"
 
 DEFAULT_ABS_TOL = 5e-5
 DEFAULT_MAX_POINTS = 8_000_000
@@ -236,6 +215,31 @@ def _lower_orthant(
         npts *= _STAGE_GROWTH
 
 
+def _upper_tail(corr: np.ndarray, bound: float, rng, abs_tol: float, max_points: int):
+    """P(max_j T_j >= bound) as a sum of first passages, with error and points.
+
+    Term i is P(T_i >= bound, T_j < bound for j < i), a lower orthant once
+    T_i is negated; each term gets an equal share of ``abs_tol``.
+    """
+    m = corr.shape[0]
+    value = error = 0.0
+    used = 0
+    for i in range(m):
+        sign = np.ones(i + 1)
+        sign[-1] = -1.0
+        v, e, n = _lower_orthant(
+            corr[: i + 1, : i + 1] * np.outer(sign, sign),
+            bound * sign,
+            rng,
+            abs_tol / m,
+            max_points,
+        )
+        value += v
+        error += e
+        used += n
+    return value, error, used
+
+
 def mvn_upper_orthant_complement(
     spec: MvnSpec,
     bound: float,
@@ -246,8 +250,8 @@ def mvn_upper_orthant_complement(
 ) -> TailProbability:
     """1 - P(T_1 < bound, ..., T_m < bound) for T ~ N(0, R).
 
-    Deterministic for a fixed ``seed``; the returned error estimate is a
-    three-standard-error bound on the quasi-Monte Carlo error (0 for the
+    Deterministic for a fixed ``seed``; the returned error estimate sums
+    the three-standard-error bounds of the first-passage terms (0 for the
     exact one-dimensional case).  The value is clipped into its exact
     envelope [p1, min(1, m * p1)], where p1 is the single-variable tail,
     so the one-variable lower bound and the Bonferroni upper bound hold by
@@ -257,11 +261,9 @@ def mvn_upper_orthant_complement(
     if not math.isfinite(bound):
         raise ValueError("bound must be finite")
     rng = np.random.default_rng(_as_seed_seq(seed))
-    value, err, used = _lower_orthant(
-        spec.correlation, np.full(spec.dimension, bound), rng, abs_tol, max_points
-    )
+    value, err, used = _upper_tail(spec.correlation, bound, rng, abs_tol, max_points)
     p1 = float(ndtr(-bound))
-    tail = min(max(1.0 - value, p1), 1.0, spec.dimension * p1)
+    tail = min(max(value, p1), 1.0, spec.dimension * p1)
     return TailProbability(value=tail, error=err, points=used)
 
 
@@ -291,14 +293,9 @@ def adjust_maxt(
     children = _as_seed_seq(seed).spawn(m)
     out = np.empty(m)
     for q in range(m):
-        value, _, _ = _lower_orthant(
-            spec.correlation,
-            np.full(m, t[q]),
-            np.random.default_rng(children[q]),
-            abs_tol,
-            max_points,
+        out[q], _, _ = _upper_tail(
+            spec.correlation, t[q], np.random.default_rng(children[q]), abs_tol, max_points
         )
-        out[q] = 1.0 - value
     return np.clip(out, p_raw, np.minimum(1.0, m * p_raw))
 
 

@@ -1,12 +1,15 @@
 """Monte Carlo estimation of per-pair power, any-pair power and FWER.
 
 Each replicate draws independent binomial counts, fits the saturated
-model and records which dose-level claims every procedure makes at the
-scenario alpha.  Decisions, not p-values, are accumulated: each maxT
-decision is settled from the exact envelope p_raw <= p_adj <= m * p_raw
-whenever possible and integrated at the scenario tolerance only in the
-borderline band, which keeps full scenarios fast without changing any
-decision relative to thresholding the adjusted p-values.
+model with :func:`trendcomp.model.fit_saturated_logit` and records which
+dose-level claims every procedure makes at the scenario alpha, by the
+same definitions :func:`trendcomp.ctp.closed_analysis` uses: the same
+contrast families, exact integration by :mod:`trendcomp.chains`, and the
+closure rule :func:`trendcomp.ctp.closed_test`.  Decisions, not p-values,
+are accumulated: each maxT decision is settled from the exact sandwich
+p_raw <= p_adj <= m * p_raw whenever possible and integrated only at the
+bounds the sandwich leaves open, so every claim equals thresholding the
+p-values of ``closed_analysis`` on the same table.
 
 The default boundary policy here is ``smooth`` (one pseudo-responder
 and one pseudo-non-responder added to every group), not the analysis
@@ -16,7 +19,8 @@ affected groups hands those replicates an outsized log-odds shift that
 inflates every rejection rate; smoothing all groups by the same rule
 keeps boundary replicates comparable with interior ones.
 
-Reproducibility contract: every replicate derives its generator from
+Reproducibility contract: replicate ``rep`` draws its table from the
+generator of ``SeedSequence(seed, spawn_key=(rep, 0))``, which depends on
 (scenario seed, replicate index) alone, and results reduce by integer
 count accumulation, so output is bit-identical for any parallelism
 level and any chunking of the replicate range.
@@ -33,9 +37,16 @@ import numpy as np
 import yaml
 from scipy.special import ndtr
 
+from .chains import chain_maxt, chain_structure
 from .contrasts import contrast_moments, dunnett_matrix, pad_to_full, williams_matrix
-from .model import BOUNDARY_POLICIES
-from .mvn import MvnSpec, adjusted_p_below
+from .ctp import closed_test
+from .data import DoseGroupData
+from .model import (
+    BOUNDARY_POLICIES,
+    BoundaryCountError,
+    NoInformationError,
+    fit_saturated_logit,
+)
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -50,7 +61,6 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 DEFAULT_REPLICATES = 5000
-DEFAULT_MVN_TOL = 1e-3
 
 _CHUNK = 512
 
@@ -69,7 +79,6 @@ class Scenario:
     alpha: float = 0.05
     seed: int = 0
     boundary_policy: str = "smooth"
-    mvn_tol: float = DEFAULT_MVN_TOL
     name: str = ""
 
     def __post_init__(self):
@@ -93,14 +102,11 @@ class Scenario:
             raise ValueError(
                 f"boundary_policy must be one of {BOUNDARY_POLICIES}, got {self.boundary_policy!r}"
             )
-        if not float(self.mvn_tol) > 0.0:
-            raise ValueError("mvn_tol must be positive")
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "replicates", int(self.replicates))
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "mvn_tol", float(self.mvn_tol))
         object.__setattr__(self, "name", str(self.name))
 
     @property
@@ -166,7 +172,6 @@ class ScenarioResult:
             "alpha": sc.alpha,
             "seed": sc.seed,
             "boundary_policy": sc.boundary_policy,
-            "mvn_tol": sc.mvn_tol,
             "rates": {
                 "dunnett": {
                     "per_dose": [float(v) for v in self.rate_dunnett],
@@ -190,32 +195,20 @@ class ScenarioResult:
         }
 
 
-def _decide_family_rows(t, R, alpha, seed_entropy, tol, want_row0):
-    """(row-0 decision, any-row decision) for one maxT family.
+def _below(family, t, std_err, var_eta, alpha) -> np.ndarray:
+    """Whether the maxT-adjusted p-value at each bound in ``t`` is below alpha.
 
-    Rows are settled individually against alpha; evaluation stops once a
-    rejection is found, which cannot change the any-row result.  Rows are
-    visited in decreasing statistic order so likely rejections come first.
+    ``family`` holds the chains of the contrast family.  The exact sandwich
+    p_raw <= p_adj <= m * p_raw settles most bounds; :func:`chain_maxt`
+    integrates the rest, so the answer equals thresholding the adjusted
+    p-values of :func:`trendcomp.contrasts.contrast_test`.
     """
-    spec = MvnSpec(R)
-    row0 = None
-    if want_row0:
-        row0 = adjusted_p_below(
-            spec, float(t[0]), alpha,
-            seed=np.random.SeedSequence(seed_entropy, spawn_key=(0,)), abs_tol=tol,
-        )
-        if row0:
-            return True, True
-        order = 1 + np.argsort(-t[1:], kind="stable")
-    else:
-        order = np.argsort(-t, kind="stable")
-    for r in order:
-        if adjusted_p_below(
-            spec, float(t[r]), alpha,
-            seed=np.random.SeedSequence(seed_entropy, spawn_key=(int(r),)), abs_tol=tol,
-        ):
-            return row0, True
-    return row0, False
+    p_raw = ndtr(-t)
+    below = std_err.size * p_raw < alpha
+    open_ = ~below & (p_raw < alpha)
+    if open_.any():
+        below[open_] = chain_maxt(family, t[open_], std_err, var_eta) < alpha
+    return below
 
 
 def _run_chunk(sc: Scenario, start: int, count: int) -> np.ndarray:
@@ -226,15 +219,17 @@ def _run_chunk(sc: Scenario, start: int, count: int) -> np.ndarray:
     """
     k = sc.k
     n = np.asarray(sc.n, dtype=np.int64)
-    pi = np.asarray(sc.pi, dtype=np.float64)
-    alpha, tol = sc.alpha, sc.mvn_tol
-    policy = sc.boundary_policy
+    labels = tuple(str(i) for i in range(k + 1))
+    alpha = sc.alpha
     C_dun = dunnett_matrix(n).coefficients
-    # segment j uses the Williams family on groups {0..j}, zero-padded
+    # segment j uses the Williams family on groups {0..j}, zero-padded;
+    # segment k is the global Williams family
     C_seg = {
         j: pad_to_full(williams_matrix(n[: j + 1]), k + 1).coefficients
-        for j in range(2, k + 1)
+        for j in range(1, k + 1)
     }
+    chains_dun = chain_structure(C_dun)
+    chains_seg = {j: chain_structure(C) for j, C in C_seg.items()}
     counts = np.zeros(3 * k + 7, dtype=np.int64)
     i_dany, i_wtop, i_wany = k, k + 1, k + 2
     i_p0, i_pany = k + 3, 2 * k + 3
@@ -242,85 +237,47 @@ def _run_chunk(sc: Scenario, start: int, count: int) -> np.ndarray:
     i_bnd, i_deg = 3 * k + 5, 3 * k + 6
 
     for rep in range(start, start + count):
-        rep_ss = np.random.SeedSequence(sc.seed, spawn_key=(rep,))
-        draw_ss, mvn_ss = rep_ss.spawn(2)
-        y = np.random.default_rng(draw_ss).binomial(n, pi)
-        at_boundary = (y == 0) | (y == n)
-        if np.all(y == 0) or np.all(y == n):
+        draw = np.random.default_rng(np.random.SeedSequence(sc.seed, spawn_key=(rep, 0)))
+        data = DoseGroupData(labels=labels, n=n, y=draw.binomial(n, sc.pi))
+        try:
+            fit = fit_saturated_logit(data, boundary_policy=sc.boundary_policy)
+        except NoInformationError:
             counts[i_deg] += 1
             continue
-        if at_boundary.any():
+        except BoundaryCountError:
+            # policy "reject": the replicate cannot be analyzed, no claims
             counts[i_bnd] += 1
-            if policy == "reject":
-                # replicate cannot be analyzed, no claims
-                continue
-        if policy == "smooth":
-            yc = y + 1.0
-            nc = n + 2.0
-        elif at_boundary.any():
-            yc = np.where(at_boundary, y + 0.5, y.astype(np.float64))
-            nc = np.where(at_boundary, n + 1.0, n.astype(np.float64))
-        else:
-            yc = y.astype(np.float64)
-            nc = n.astype(np.float64)
-        eta = np.log(yc / (nc - yc))
-        var_eta = 1.0 / yc + 1.0 / (nc - yc)
-        mvn_seeds = mvn_ss.generate_state(2 * k, dtype=np.uint64)
+            continue
+        if fit.correction_applied.any():
+            counts[i_bnd] += 1
+        eta, var_eta = fit.eta, fit.var_eta
 
-        _, _, t_d, R_d = contrast_moments(C_dun, eta, var_eta)
+        _, se_d, t_d, _ = contrast_moments(C_dun, eta, var_eta)
+        dunnett = _below(chains_dun, t_d, se_d, var_eta, alpha)
+        counts[:k] += dunnett
+        counts[i_dany] += dunnett.any()
+
         p_raw = ndtr(-t_d)
+        pairwise = closed_test(lambda j: p_raw[j - 1], k) < alpha
+        counts[i_p0 : i_p0 + k] += pairwise
+        counts[i_pany] += pairwise.any()
 
-        # Dunnett: one banded decision per dose, union for the any rate
-        spec_d = MvnSpec(R_d)
-        d_any = False
-        for i in range(k):
-            if adjusted_p_below(
-                spec_d, float(t_d[i]), alpha, seed=int(mvn_seeds[i]), abs_tol=tol
-            ):
-                counts[i] += 1
-                d_any = True
-        if d_any:
-            counts[i_dany] += 1
+        # a family rejects iff its largest statistic's adjusted p is below alpha
+        _, se_w, t_w, _ = contrast_moments(C_seg[k], eta, var_eta)
+        w_top, w_any = _below(chains_seg[k], t_w[[0, t_w.argmax()]], se_w, var_eta, alpha)
+        counts[i_wtop] += w_top
+        counts[i_wany] += w_any
 
-        # P variant: running maximum of raw p-values, no integration
-        p_chain = np.maximum.accumulate(p_raw[::-1])[::-1]
-        dec_p = p_chain < alpha
-        counts[i_p0 : i_p0 + k] += dec_p
-        if dec_p.any():
-            counts[i_pany] += 1
+        def segment_p(j):
+            if j == k:
+                return 0.0 if w_any else 1.0
+            _, se, t, _ = contrast_moments(C_seg[j], eta, var_eta)
+            rejects = _below(chains_seg[j], t.max(keepdims=True), se, var_eta, alpha)[0]
+            return 0.0 if rejects else 1.0
 
-        # Williams family doubles as the top segment S_k
-        if k == 1:
-            w_top = w_any = s_top = bool(p_raw[0] < alpha)
-        else:
-            _, _, t_w, R_w = contrast_moments(C_seg[k], eta, var_eta)
-            w_top, w_any = _decide_family_rows(
-                t_w, R_w, alpha, int(mvn_seeds[2 * k - 1]), tol, want_row0=True
-            )
-            s_top = w_any
-        if w_top:
-            counts[i_wtop] += 1
-        if w_any:
-            counts[i_wany] += 1
-
-        # C variant: walk the segment chain downward while it rejects
-        j_star = None
-        if s_top:
-            j_star = k
-            for j in range(k - 1, 0, -1):
-                if j == 1:
-                    ok = bool(p_raw[0] < alpha)
-                else:
-                    _, _, t_s, R_s = contrast_moments(C_seg[j], eta, var_eta)
-                    _, ok = _decide_family_rows(
-                        t_s, R_s, alpha, int(mvn_seeds[k + j - 1]), tol, want_row0=False
-                    )
-                if not ok:
-                    break
-                j_star = j
-        if j_star is not None:
-            counts[i_c0 + j_star - 1 : i_c0 + k] += 1
-            counts[i_cany] += 1
+        claims = closed_test(segment_p, k) < alpha
+        counts[i_c0 : i_c0 + k] += claims
+        counts[i_cany] += claims.any()
     return counts
 
 
@@ -426,7 +383,7 @@ def load_study(path) -> list:
         raise StudyConfigError("config.defaults: must be a mapping")
     _check_keys(
         defaults,
-        {"n", "replicates", "alpha", "boundary_policy", "mvn_tol"},
+        {"n", "replicates", "alpha", "boundary_policy"},
         "config.defaults",
     )
     entries = _cfg_get(raw, "scenarios", "config", required=True)
@@ -440,7 +397,7 @@ def load_study(path) -> list:
             raise StudyConfigError(f"{where}: must be a mapping")
         _check_keys(
             entry,
-            {"name", "pi", "n", "replicates", "alpha", "boundary_policy", "mvn_tol", "seed"},
+            {"name", "pi", "n", "replicates", "alpha", "boundary_policy", "seed"},
             where,
         )
         merged = dict(defaults)
@@ -466,7 +423,6 @@ def load_study(path) -> list:
                     alpha=merged.get("alpha", 0.05),
                     seed=seed,
                     boundary_policy=merged.get("boundary_policy", "smooth"),
-                    mvn_tol=merged.get("mvn_tol", DEFAULT_MVN_TOL),
                     name=str(merged.get("name") or f"scenario-{i}"),
                 )
             )

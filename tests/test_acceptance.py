@@ -193,7 +193,8 @@ def test_criterion_5_structural_properties(record):
         data = DoseGroupData(
             labels=tuple(str(i) for i in range(k + 1)), n=n, y=y
         )
-        result = closed_analysis(data, seed=int(rng.integers(2**31)), abs_tol=2e-3)
+        rng.integers(2**31)  # keeps the stream of tables this suite has always drawn
+        result = closed_analysis(data)
         fit = fit_saturated_logit(data)
         raw = raw_pairwise_pvalues(fit)
         for rep in (result.dunnett_report, result.williams_report):

@@ -20,12 +20,11 @@ from trendcomp.contrasts import (
 from trendcomp.data import DoseGroupData
 from trendcomp.model import ModelFit, fit_saturated_logit
 from trendcomp.mvn import (
-    DEFAULT_MAX_POINTS,
     MAX_DIMENSION,
     CorrelationError,
     MvnSpec,
-    _lower_orthant,
     adjust_maxt,
+    mvn_upper_orthant_complement,
 )
 
 
@@ -149,30 +148,9 @@ class TestOracles:
         )
 
 
-def qmc_first_passage(R, b, seed, abs_tol=1e-6):
-    """P(max_j T_j >= b) by the lattice rule, with its reported error.
-
-    Summed over i as P(T_i >= b, T_j < b for j < i), so the rare event
-    leads every term and the lattice samples the tail; applied to the
-    whole orthant at once, the rule can stop on its first stage with a
-    zero error estimate when no lattice point reaches the tail.
-    """
-    m = R.shape[0]
-    rng = np.random.default_rng(seed)
-    value = error = 0.0
-    for i in range(m):
-        sign = np.ones(i + 1)
-        sign[-1] = -1.0
-        corr = R[: i + 1, : i + 1] * np.outer(sign, sign)
-        v, e, _ = _lower_orthant(corr, b * sign, rng, abs_tol / m, DEFAULT_MAX_POINTS)
-        value += v
-        error += e
-    return value, error
-
-
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
-@example(seed=78)  # rho 0.993: the whole-orthant rule stops on p_raw, 15% low
+@example(seed=78)  # rho 0.993, p 1.2e-4: far in the tail of the lattice rule
 @example(seed=9742969)
 def test_exact_matches_tight_qmc(seed):
     rng = np.random.default_rng(seed)
@@ -181,8 +159,10 @@ def test_exact_matches_tight_qmc(seed):
     cm = stock_family(rng, data.n)
     report = contrast_test(fit, cm)
     q = int(np.argmax(report.statistic))
-    value, error = qmc_first_passage(np.array(report.correlation), report.statistic[q], seed)
-    assert abs(report.p_adjusted[q] - value) <= error + 1e-6
+    tail = mvn_upper_orthant_complement(
+        MvnSpec(report.correlation), report.statistic[q], seed=seed, abs_tol=1e-6
+    )
+    assert abs(report.p_adjusted[q] - tail.value) <= tail.error + 1e-6
 
 
 def test_doubling_nodes_moves_no_p(monkeypatch):

@@ -23,17 +23,12 @@ class TestAnalysisRequest:
     def test_defaults(self):
         req = AnalysisRequest(input_path="x.csv")
         assert req.alpha == 0.05
-        assert req.seed == 0
         assert req.boundary_policy == "haldane"
         assert req.output_format == "table"
 
     def test_alpha_validated(self):
         with pytest.raises(ValueError, match="alpha"):
             AnalysisRequest(input_path="x.csv", alpha=1.5)
-
-    def test_seed_validated(self):
-        with pytest.raises(ValueError, match="seed"):
-            AnalysisRequest(input_path="x.csv", seed=-3)
 
     def test_format_validated(self):
         with pytest.raises(ValueError, match="format"):
@@ -66,20 +61,6 @@ class TestAnalyzeTable:
         # one dose: all four procedures reduce to the same raw one-sided p
         assert cells[3:] == [cells[3]] * 4
 
-    def test_seed_flag_does_not_change_exact_results(self, capsys, liarozole_csv):
-        # every stock family takes the exact route, which draws no random numbers
-        _, out1, _ = run_cli(
-            capsys, "analyze", "--input", liarozole_csv,
-            "--seed", "0", "--format", "json",
-        )
-        _, out2, _ = run_cli(
-            capsys, "analyze", "--input", liarozole_csv,
-            "--seed", "123", "--format", "json",
-        )
-        payload1, payload2 = json.loads(out1), json.loads(out2)
-        assert payload1["rows"] == payload2["rows"]
-        assert payload1["williams_family"] == payload2["williams_family"]
-
     def test_alpha_flag_accepted(self, capsys, liarozole_csv):
         code, out, _ = run_cli(
             capsys, "analyze", "--input", liarozole_csv, "--alpha", "0.1"
@@ -97,6 +78,7 @@ class TestAnalyzeJson:
         assert payload["alpha"] == 0.05
         assert payload["boundary_policy"] == "haldane"
         assert payload["correction_applied"] == [False] * 4
+        assert "seed" not in payload
         rows = payload["rows"]
         assert [r["dose"] for r in rows] == ["50", "75", "150"]
         assert rows[0]["williams"] is None
@@ -218,6 +200,7 @@ class TestSimulateCommand:
         assert res["name"] == "tiny"
         assert res["replicates"] == 120
         assert res["seed"] == 3
+        assert "mvn_tol" not in res
         assert len(res["rates"]["dunnett"]["per_dose"]) == 2
         assert "elapsed" not in res
 

@@ -18,7 +18,7 @@ from trendcomp.model import fit_saturated_logit
 
 @pytest.fixture(scope="module")
 def result(liarozole):
-    return closed_analysis(liarozole, seed=0, abs_tol=1e-5)
+    return closed_analysis(liarozole)
 
 
 class TestFrozenValues:
@@ -86,19 +86,19 @@ class TestChainStructure:
             assert chain[i] == pytest.approx(raw[i:].max())
 
     def test_chains_non_increasing(self, liarozole):
-        result = closed_analysis(liarozole, seed=2)
+        result = closed_analysis(liarozole)
         assert np.all(np.diff(result.p_ctp_pairwise) <= 0.0)
         assert np.all(np.diff(result.p_ctp_williams) <= 0.0)
 
     def test_williams_chain_top_equals_global(self, liarozole):
-        result = closed_analysis(liarozole, seed=2)
+        result = closed_analysis(liarozole)
         assert result.p_ctp_williams[-1] == pytest.approx(
             result.p_williams_global, abs=1e-12
         )
 
     def test_single_dose_everything_coincides(self):
         data = DoseGroupData(labels=("c", "d"), n=[40, 40], y=[5, 14])
-        result = closed_analysis(data, seed=0)
+        result = closed_analysis(data)
         fit = fit_saturated_logit(data)
         raw = raw_pairwise_pvalues(fit)
         np.testing.assert_allclose(result.p_dunnett, raw, atol=1e-12)
@@ -110,21 +110,17 @@ class TestChainStructure:
 class TestStandaloneFunctions:
     def test_standalones_match_closed_analysis(self, liarozole):
         fit = fit_saturated_logit(liarozole)
-        result = closed_analysis(liarozole, seed=0, abs_tol=1e-4)
+        result = closed_analysis(liarozole)
         np.testing.assert_array_equal(
             ctp_pairwise(fit), result.p_ctp_pairwise
         )
-        np.testing.assert_allclose(
-            ctp_williams(fit, liarozole.n, seed=0, abs_tol=1e-4),
-            result.p_ctp_williams,
-            atol=3e-4,
+        np.testing.assert_array_equal(
+            ctp_williams(fit, liarozole.n), result.p_ctp_williams
         )
-        rep = dunnett_baseline(fit, seed=0, abs_tol=1e-4)
-        np.testing.assert_allclose(
-            rep.p_adjusted, result.p_dunnett, atol=3e-4
-        )
-        _, global_p = williams_baseline(fit, liarozole.n, seed=0, abs_tol=1e-4)
-        assert global_p == pytest.approx(result.p_williams_global, abs=3e-4)
+        rep = dunnett_baseline(fit)
+        np.testing.assert_array_equal(rep.p_adjusted, result.p_dunnett)
+        _, global_p = williams_baseline(fit, liarozole.n)
+        assert global_p == result.p_williams_global
 
     def test_williams_baseline_size_check(self, liarozole):
         fit = fit_saturated_logit(liarozole)
@@ -139,8 +135,8 @@ class TestStandaloneFunctions:
 
 class TestBoundaryPolicies:
     def test_policies_give_different_results(self, liarozole):
-        a = closed_analysis(liarozole, seed=0, boundary_policy="haldane")
-        b = closed_analysis(liarozole, seed=0, boundary_policy="smooth")
+        a = closed_analysis(liarozole, boundary_policy="haldane")
+        b = closed_analysis(liarozole, boundary_policy="smooth")
         assert a.boundary_policy == "haldane"
         assert b.boundary_policy == "smooth"
         # interior counts, so haldane applies no correction but smooth shifts all
@@ -148,9 +144,8 @@ class TestBoundaryPolicies:
         assert not np.allclose(a.p_ctp_pairwise, b.p_ctp_pairwise)
 
     def test_result_records_inputs(self, liarozole):
-        result = closed_analysis(liarozole, alpha=0.1, seed=17)
+        result = closed_analysis(liarozole, alpha=0.1)
         assert result.alpha == 0.1
-        assert result.seed == 17
         assert result.control_label == "0"
         assert result.dose_labels == ("50", "75", "150")
         assert result.k == 3
@@ -158,7 +153,7 @@ class TestBoundaryPolicies:
 
 class TestCtpResultValidation:
     def _kwargs(self, liarozole):
-        result = closed_analysis(liarozole, seed=0)
+        result = closed_analysis(liarozole)
         return {
             "control_label": result.control_label,
             "dose_labels": result.dose_labels,
@@ -168,7 +163,6 @@ class TestCtpResultValidation:
             "p_ctp_pairwise": result.p_ctp_pairwise,
             "p_ctp_williams": result.p_ctp_williams,
             "alpha": result.alpha,
-            "seed": result.seed,
             "boundary_policy": result.boundary_policy,
             "correction_applied": result.correction_applied,
             "dunnett_report": result.dunnett_report,
@@ -212,7 +206,7 @@ def test_random_datasets_respect_chain_laws(seed):
     data = DoseGroupData(
         labels=tuple(str(i) for i in range(k + 1)), n=n, y=y
     )
-    result = closed_analysis(data, seed=seed, abs_tol=1e-3)
+    result = closed_analysis(data)
     fit = fit_saturated_logit(data)
     raw = raw_pairwise_pvalues(fit)
     assert np.all(result.p_dunnett >= raw - 1e-12)

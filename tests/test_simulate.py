@@ -3,11 +3,15 @@ import textwrap
 import numpy as np
 import pytest
 
+from trendcomp.ctp import closed_analysis
+from trendcomp.data import DoseGroupData
+from trendcomp.model import NoInformationError
 from trendcomp.simulate import (
     SCHEMA_VERSION,
     Scenario,
     ScenarioResult,
     StudyConfigError,
+    _run_chunk,
     load_study,
     run_scenario,
     run_study,
@@ -59,8 +63,11 @@ class TestScenarioValidation:
             Scenario(pi=(0.1, 0.2), n=(10, 10), boundary_policy="drop")
 
     def test_mvn_tol_positive(self):
-        with pytest.raises(ValueError, match="mvn_tol"):
-            Scenario(pi=(0.1, 0.2), n=(10, 10), mvn_tol=0.0)
+        # Decisions are exact, so the QMC tolerance is gone: no value, zero or
+        # positive, is accepted, and the error names the field.
+        for tol in (0.0, 1e-3):
+            with pytest.raises(TypeError, match="mvn_tol"):
+                Scenario(pi=(0.1, 0.2), n=(10, 10), mvn_tol=tol)
 
 
 class TestRunScenario:
@@ -166,6 +173,46 @@ class TestRunScenario:
     def test_run_study_type_checked(self):
         with pytest.raises(TypeError, match="Scenario"):
             run_study([{"pi": (0.1, 0.2)}])
+
+
+def analysis_counts(sc: Scenario, rep: int) -> np.ndarray:
+    """Replicate ``rep`` redrawn from the seed contract, claimed by closed_analysis.
+
+    Same layout as the decision counts of one simulated replicate.
+    """
+    k = sc.k
+    n = np.asarray(sc.n)
+    draw = np.random.default_rng(np.random.SeedSequence(sc.seed, spawn_key=(rep, 0)))
+    data = DoseGroupData(labels=tuple(map(str, range(k + 1))), n=n, y=draw.binomial(n, sc.pi))
+    out = np.zeros(3 * k + 7, dtype=np.int64)
+    try:
+        res = closed_analysis(data, alpha=sc.alpha, boundary_policy=sc.boundary_policy)
+    except NoInformationError:
+        out[-1] = 1
+        return out
+    dunnett = res.p_dunnett < sc.alpha
+    pairwise = res.p_ctp_pairwise < sc.alpha
+    williams = res.p_ctp_williams < sc.alpha
+    out[:k], out[k] = dunnett, dunnett.any()
+    out[k + 1] = res.p_williams_rows[0] < sc.alpha
+    out[k + 2] = res.p_williams_global < sc.alpha
+    out[k + 3 : 2 * k + 3], out[2 * k + 3] = pairwise, pairwise.any()
+    out[2 * k + 4 : 3 * k + 4], out[3 * k + 4] = williams, williams.any()
+    out[3 * k + 5] = res.correction_applied.any()
+    return out
+
+
+@pytest.mark.parametrize(
+    "pi", [(0.05, 0.10, 0.20, 0.30), (0.10, 0.10, 0.10, 0.10)], ids=["power", "null"]
+)
+def test_simulate_claims_what_analyze_claims(pi):
+    sc = Scenario(pi=pi, n=(50,) * 4, replicates=250, seed=5)
+    disagree = [
+        rep
+        for rep in range(sc.replicates)
+        if not np.array_equal(_run_chunk(sc, rep, 1), analysis_counts(sc, rep))
+    ]
+    assert disagree == []
 
 
 class TestScenarioResultValidation:
@@ -344,17 +391,19 @@ class TestLoadStudy:
             load_study(p)
 
     def test_unknown_scenario_field_named(self, tmp_path):
-        p = self._write(
-            tmp_path,
-            """
-            schema_version: 1
-            master_seed: 0
-            scenarios:
-              - {pi: [0.1, 0.2], n: [5, 5], power: 0.8}
-            """,
-        )
-        with pytest.raises(StudyConfigError, match=r"scenarios\[0\]\.power"):
-            load_study(p)
+        # mvn_tol was a scenario field while simulate integrated by QMC
+        for field in ("power", "mvn_tol"):
+            p = self._write(
+                tmp_path,
+                f"""
+                schema_version: 1
+                master_seed: 0
+                scenarios:
+                  - {{pi: [0.1, 0.2], n: [5, 5], {field}: 0.8}}
+                """,
+            )
+            with pytest.raises(StudyConfigError, match=rf"scenarios\[0\]\.{field}"):
+                load_study(p)
 
     def test_missing_pi_named(self, tmp_path):
         p = self._write(
