@@ -18,7 +18,7 @@ from .ctp import CtpResult, closed_analysis
 from .data import DataFormatError, read_counts_csv
 from .model import BoundaryCountError, NoInformationError
 from .mvn import CorrelationError
-from .simulate import load_study, run_study
+from .simulate import SCHEMA_VERSION, load_study, run_study
 
 __all__ = [
     "AnalysisRequest",
@@ -179,7 +179,7 @@ def _join_num(values) -> str:
 
 def _render_study_json(results) -> str:
     payload = {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "results": [res.to_dict() for res in results],
     }
     return json.dumps(payload, indent=2) + "\n"

@@ -15,10 +15,10 @@ reuses the one saturated fit.  The bottom segment {0, 1} is the single
 contrast D1 vs C in both variants.
 
 Every family used here (many-to-one, Williams, padded segments) has chain
-structure, so its adjusted p-values come from the exact route of
-:func:`trendcomp.contrasts.contrast_test`, with error below 1e-8 and no
-random numbers.  :func:`closed_test` is the closure rule itself; the
-simulator applies it to its segment decisions as well.
+structure, so its adjusted p-values come from the exact quadrature of
+:mod:`trendcomp.chains`, with error below 1e-8 and no random numbers.
+:func:`closed_test` is the closure rule; the simulator shares variant C's
+segment families and segment test with :func:`closed_analysis`.
 """
 
 from __future__ import annotations
@@ -28,12 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
+from .chains import chain_maxt, chain_structure
 from .contrasts import (
     TestReport,
     contrast_moments,
     contrast_test,
     dunnett_matrix,
-    pad_to_full,
     williams_matrix,
 )
 from .data import DoseGroupData
@@ -53,9 +53,7 @@ __all__ = [
 
 def raw_pairwise_pvalues(fit: ModelFit) -> np.ndarray:
     """Unadjusted one-sided p-values of each dose-vs-control contrast."""
-    cm = dunnett_matrix(np.ones(fit.n_groups))
-    _, _, t, _ = contrast_moments(cm.coefficients, fit.eta, fit.var_eta)
-    return ndtr(-t)
+    return ndtr((fit.eta[0] - fit.eta[1:]) / np.sqrt(fit.var_eta[1:] + fit.var_eta[0]))
 
 
 def closed_test(segment_p, k: int) -> np.ndarray:
@@ -106,20 +104,35 @@ def williams_baseline(fit: ModelFit, n):
     return report, report.min_adjusted
 
 
-def _williams_closure(fit: ModelFit, n, williams_report: TestReport) -> np.ndarray:
-    """Variant C from the fit and the report of the global Williams family.
+def _segment_families(n) -> dict:
+    """Coefficients and chains of variant C's family for segment j = 1..k.
 
-    Segment {0..j} is tested by the Williams family on its groups,
-    zero-padded to the full design; the top segment is the global family
-    and the bottom one the single contrast D1 vs C.
+    That is the Williams family on groups {0..j}, zero-padded to the full
+    design: the global family for j = k, the contrast D1 vs C for j = 1.
     """
-    k = fit.n_groups - 1
+    k = len(n) - 1
+    segments = {}
+    for j in range(1, k + 1):
+        C = np.pad(williams_matrix(n[: j + 1]).coefficients, ((0, 0), (0, k - j)))
+        segments[j] = (C, chain_structure(C))
+    return segments
+
+
+def _williams_closure(fit: ModelFit, segments: dict, top: float, maxt) -> np.ndarray:
+    """Variant C over ``segments`` from :func:`_segment_families`.
+
+    ``top`` is the value of the global family.  A lower segment gets
+    ``maxt(chains, t, std_err, var_eta)`` at its largest statistic only:
+    the adjusted p falls as the bound rises, so that is the family minimum.
+    """
+    k = len(segments)
 
     def segment_p(j):
         if j == k:
-            return williams_report.min_adjusted
-        sub = pad_to_full(williams_matrix(n[: j + 1]), fit.n_groups)
-        return contrast_test(fit, sub).min_adjusted
+            return top
+        C, chains = segments[j]
+        _, se, t, _ = contrast_moments(C, fit.eta, fit.var_eta)
+        return maxt(chains, t.max(keepdims=True), se, fit.var_eta)[0]
 
     return closed_test(segment_p, k)
 
@@ -131,8 +144,8 @@ def ctp_williams(fit: ModelFit, n) -> np.ndarray:
     S_i..S_k, so it is non-increasing in dose and its top entry equals
     the global Williams p exactly.
     """
-    report, _ = williams_baseline(fit, n)
-    return _williams_closure(fit, n, report)
+    _, global_p = williams_baseline(fit, n)
+    return _williams_closure(fit, _segment_families(n), global_p, chain_maxt)
 
 
 @dataclass(frozen=True)
@@ -185,9 +198,9 @@ def closed_analysis(
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     fit = fit_saturated_logit(data, boundary_policy=boundary_policy)
-    dunnett_report = contrast_test(fit, dunnett_matrix(data.n))
+    dunnett_report = dunnett_baseline(fit)
     williams_report, williams_global = williams_baseline(fit, data.n)
-    p_c = _williams_closure(fit, data.n, williams_report)
+    p_c = _williams_closure(fit, _segment_families(data.n), williams_global, chain_maxt)
     p_c.setflags(write=False)
     return CtpResult(
         control_label=data.labels[0],

@@ -38,8 +38,8 @@ class DoseGroupData:
 
     def __post_init__(self):
         labels = tuple(str(lab) for lab in self.labels)
-        n = np.asarray(self.n, dtype=np.int64)
-        y = np.asarray(self.y, dtype=np.int64)
+        n = _counts(self.n, "n")
+        y = _counts(self.y, "y")
         if n.ndim != 1 or y.ndim != 1:
             raise ValueError("n and y must be one-dimensional")
         if not (len(labels) == n.size == y.size):
@@ -64,6 +64,16 @@ class DoseGroupData:
     def k(self) -> int:
         """Number of dose groups (groups minus the control)."""
         return len(self.labels) - 1
+
+
+def _counts(values, name: str) -> np.ndarray:
+    """``values`` as int64; anything but integers and integral floats raises."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "iu" and not (
+        a.dtype.kind == "f" and np.all(np.isfinite(a) & (a == np.trunc(a)))
+    ):
+        raise ValueError(f"{name} must hold integers, got {values!r}")
+    return np.asarray(a, dtype=np.int64)
 
 
 def read_counts_csv(path: str | Path) -> DoseGroupData:

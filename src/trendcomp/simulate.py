@@ -3,13 +3,14 @@
 Each replicate draws independent binomial counts, fits the saturated
 model with :func:`trendcomp.model.fit_saturated_logit` and records which
 dose-level claims every procedure makes at the scenario alpha, by the
-same definitions :func:`trendcomp.ctp.closed_analysis` uses: the same
-contrast families, exact integration by :mod:`trendcomp.chains`, and the
-closure rule :func:`trendcomp.ctp.closed_test`.  Decisions, not p-values,
-are accumulated: each maxT decision is settled from the exact sandwich
-p_raw <= p_adj <= m * p_raw whenever possible and integrated only at the
-bounds the sandwich leaves open, so every claim equals thresholding the
-p-values of ``closed_analysis`` on the same table.
+same definitions :func:`trendcomp.ctp.closed_analysis` uses: the
+many-to-one family, :func:`trendcomp.ctp.ctp_pairwise`, and variant C's
+segment families and closure from :mod:`trendcomp.ctp`, integrated
+exactly by :mod:`trendcomp.chains`.  Decisions, not p-values, are
+accumulated: each maxT decision is settled from the exact sandwich
+p_raw <= p_adj <= m * p_raw whenever possible and integrated only at
+the bounds it leaves open, one per lower segment, so every claim
+equals thresholding the p-values of ``closed_analysis`` on the same table.
 
 The default boundary policy here is ``smooth`` (one pseudo-responder
 and one pseudo-non-responder added to every group), not the analysis
@@ -28,9 +29,10 @@ level and any chunking of the replicate range.
 
 from __future__ import annotations
 
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,8 +40,8 @@ import yaml
 from scipy.special import ndtr
 
 from .chains import chain_maxt, chain_structure
-from .contrasts import contrast_moments, dunnett_matrix, pad_to_full, williams_matrix
-from .ctp import closed_test
+from .contrasts import contrast_moments, dunnett_matrix
+from .ctp import _segment_families, _williams_closure, ctp_pairwise
 from .data import DoseGroupData
 from .model import (
     BOUNDARY_POLICIES,
@@ -60,13 +62,28 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-DEFAULT_REPLICATES = 5000
-
 _CHUNK = 512
 
 
 class StudyConfigError(ValueError):
     """A study configuration file is malformed or inconsistent."""
+
+
+def _probability(value, name: str) -> float:
+    """``value`` as a float strictly inside (0, 1); else raise, naming ``name``."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and 0.0 < value < 1.0:
+        return float(value)
+    raise ValueError(f"{name} must be a number strictly in (0, 1), got {value!r}")
+
+
+def _integer(value, name: str, minimum: int) -> int:
+    """``value`` as an int >= ``minimum``; bools and fractions raise, naming ``name``."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer()
+    )
+    if integral and not isinstance(value, bool) and value >= minimum:
+        return int(value)
+    raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -75,38 +92,28 @@ class Scenario:
 
     pi: tuple
     n: tuple
-    replicates: int = DEFAULT_REPLICATES
+    replicates: int = 5000
     alpha: float = 0.05
     seed: int = 0
     boundary_policy: str = "smooth"
     name: str = ""
 
     def __post_init__(self):
-        pi = tuple(float(p) for p in self.pi)
-        n = tuple(int(v) for v in self.n)
+        pi = tuple(_probability(p, "pi") for p in self.pi)
+        n = tuple(_integer(v, "n", 1) for v in self.n)
         if len(pi) < 2:
             raise ValueError("pi needs a control group and at least one dose group")
         if len(pi) != len(n):
             raise ValueError(f"pi has {len(pi)} entries but n has {len(n)}")
-        if any(not 0.0 < p < 1.0 for p in pi):
-            raise ValueError("every pi must lie strictly in (0, 1)")
-        if any(v < 1 for v in n):
-            raise ValueError("every group size must be >= 1")
-        if int(self.replicates) < 1:
-            raise ValueError("replicates must be >= 1")
-        if not 0.0 < float(self.alpha) < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-        if int(self.seed) < 0:
-            raise ValueError("seed must be a nonnegative integer")
         if self.boundary_policy not in BOUNDARY_POLICIES:
             raise ValueError(
                 f"boundary_policy must be one of {BOUNDARY_POLICIES}, got {self.boundary_policy!r}"
             )
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "replicates", int(self.replicates))
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "replicates", _integer(self.replicates, "replicates", 1))
+        object.__setattr__(self, "alpha", _probability(self.alpha, "alpha"))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", 0))
         object.__setattr__(self, "name", str(self.name))
 
     @property
@@ -222,14 +229,14 @@ def _run_chunk(sc: Scenario, start: int, count: int) -> np.ndarray:
     labels = tuple(str(i) for i in range(k + 1))
     alpha = sc.alpha
     C_dun = dunnett_matrix(n).coefficients
-    # segment j uses the Williams family on groups {0..j}, zero-padded;
-    # segment k is the global Williams family
-    C_seg = {
-        j: pad_to_full(williams_matrix(n[: j + 1]), k + 1).coefficients
-        for j in range(1, k + 1)
-    }
     chains_dun = chain_structure(C_dun)
-    chains_seg = {j: chain_structure(C) for j, C in C_seg.items()}
+    segments = _segment_families(n)
+    C_top, chains_top = segments[k]
+
+    def decide(chains, t, std_err, var_eta):
+        # 0 where the adjusted p is below alpha, else 1: the same claims at alpha
+        return np.where(_below(chains, t, std_err, var_eta, alpha), 0.0, 1.0)
+
     counts = np.zeros(3 * k + 7, dtype=np.int64)
     i_dany, i_wtop, i_wany = k, k + 1, k + 2
     i_p0, i_pany = k + 3, 2 * k + 3
@@ -257,25 +264,17 @@ def _run_chunk(sc: Scenario, start: int, count: int) -> np.ndarray:
         counts[:k] += dunnett
         counts[i_dany] += dunnett.any()
 
-        p_raw = ndtr(-t_d)
-        pairwise = closed_test(lambda j: p_raw[j - 1], k) < alpha
+        pairwise = ctp_pairwise(fit) < alpha
         counts[i_p0 : i_p0 + k] += pairwise
         counts[i_pany] += pairwise.any()
 
         # a family rejects iff its largest statistic's adjusted p is below alpha
-        _, se_w, t_w, _ = contrast_moments(C_seg[k], eta, var_eta)
-        w_top, w_any = _below(chains_seg[k], t_w[[0, t_w.argmax()]], se_w, var_eta, alpha)
+        _, se_w, t_w, _ = contrast_moments(C_top, eta, var_eta)
+        w_top, w_any = _below(chains_top, t_w[[0, t_w.argmax()]], se_w, var_eta, alpha)
         counts[i_wtop] += w_top
         counts[i_wany] += w_any
 
-        def segment_p(j):
-            if j == k:
-                return 0.0 if w_any else 1.0
-            _, se, t, _ = contrast_moments(C_seg[j], eta, var_eta)
-            rejects = _below(chains_seg[j], t.max(keepdims=True), se, var_eta, alpha)[0]
-            return 0.0 if rejects else 1.0
-
-        claims = closed_test(segment_p, k) < alpha
+        claims = _williams_closure(fit, segments, 0.0 if w_any else 1.0, decide) < alpha
         counts[i_c0 : i_c0 + k] += claims
         counts[i_cany] += claims.any()
     return counts
@@ -335,18 +334,21 @@ def run_study(scenarios, parallelism: int = 1):
     return [run_scenario(sc, parallelism) for sc in scenarios]
 
 
-def _cfg_get(mapping, key, where, required=False, default=None):
-    if key in mapping:
-        return mapping[key]
-    if required:
+def _required(mapping, key, where):
+    if key not in mapping:
         raise StudyConfigError(f"{where}.{key}: required field is missing")
-    return default
+    return mapping[key]
 
 
 def _check_keys(mapping, allowed, where):
     for key in mapping:
         if key not in allowed:
             raise StudyConfigError(f"{where}.{key}: unknown field")
+
+
+_SCENARIO_KEYS = frozenset(f.name for f in fields(Scenario))
+# pi, seed and name describe one scenario; the other fields may be shared
+_DEFAULT_KEYS = _SCENARIO_KEYS - {"pi", "seed", "name"}
 
 
 def load_study(path) -> list:
@@ -370,23 +372,19 @@ def load_study(path) -> list:
     if not isinstance(raw, dict):
         raise StudyConfigError("config root must be a mapping")
     _check_keys(raw, {"schema_version", "master_seed", "defaults", "scenarios"}, "config")
-    version = _cfg_get(raw, "schema_version", "config", required=True)
-    if version != SCHEMA_VERSION:
+    version = _required(raw, "schema_version", "config")
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
         raise StudyConfigError(
             f"config.schema_version: expected {SCHEMA_VERSION}, got {version!r}"
         )
-    master_seed = _cfg_get(raw, "master_seed", "config", required=True)
-    if not isinstance(master_seed, int) or master_seed < 0:
+    master_seed = _required(raw, "master_seed", "config")
+    if not isinstance(master_seed, int) or isinstance(master_seed, bool) or master_seed < 0:
         raise StudyConfigError("config.master_seed: must be a nonnegative integer")
-    defaults = _cfg_get(raw, "defaults", "config", default={})
+    defaults = raw.get("defaults", {})
     if not isinstance(defaults, dict):
         raise StudyConfigError("config.defaults: must be a mapping")
-    _check_keys(
-        defaults,
-        {"n", "replicates", "alpha", "boundary_policy"},
-        "config.defaults",
-    )
-    entries = _cfg_get(raw, "scenarios", "config", required=True)
+    _check_keys(defaults, _DEFAULT_KEYS, "config.defaults")
+    entries = _required(raw, "scenarios", "config")
     if not isinstance(entries, list) or not entries:
         raise StudyConfigError("config.scenarios: must be a non-empty list")
 
@@ -395,37 +393,16 @@ def load_study(path) -> list:
         where = f"scenarios[{i}]"
         if not isinstance(entry, dict):
             raise StudyConfigError(f"{where}: must be a mapping")
-        _check_keys(
-            entry,
-            {"name", "pi", "n", "replicates", "alpha", "boundary_policy", "seed"},
-            where,
-        )
-        merged = dict(defaults)
-        merged.update(entry)
-        pi = _cfg_get(merged, "pi", where, required=True)
-        n = _cfg_get(merged, "n", where, required=True)
-        if "seed" in entry:
-            seed = entry["seed"]
-            if not isinstance(seed, int) or seed < 0:
-                raise StudyConfigError(f"{where}.seed: must be a nonnegative integer")
-        else:
-            seed = int(
-                np.random.SeedSequence(master_seed, spawn_key=(i,)).generate_state(
-                    1, dtype=np.uint64
-                )[0]
-            )
+        _check_keys(entry, _SCENARIO_KEYS, where)
+        merged = {**defaults, **entry}
+        for f in fields(Scenario):
+            if f.default is MISSING:
+                _required(merged, f.name, where)
+        state = np.random.SeedSequence(master_seed, spawn_key=(i,)).generate_state(1, np.uint64)
+        merged.setdefault("seed", int(state[0]))
+        merged["name"] = merged.get("name") or f"scenario-{i}"
         try:
-            scenarios.append(
-                Scenario(
-                    pi=tuple(pi) if isinstance(pi, (list, tuple)) else pi,
-                    n=tuple(n) if isinstance(n, (list, tuple)) else n,
-                    replicates=merged.get("replicates", DEFAULT_REPLICATES),
-                    alpha=merged.get("alpha", 0.05),
-                    seed=seed,
-                    boundary_policy=merged.get("boundary_policy", "smooth"),
-                    name=str(merged.get("name") or f"scenario-{i}"),
-                )
-            )
+            scenarios.append(Scenario(**merged))
         except (TypeError, ValueError) as exc:
             raise StudyConfigError(f"{where}: {exc}") from exc
     return scenarios

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from trendcomp.chains import chain_maxt
+from trendcomp.contrasts import contrast_test, pad_to_full, williams_matrix
 from trendcomp.ctp import (
     CtpResult,
+    _segment_families,
+    _williams_closure,
     closed_analysis,
     ctp_pairwise,
     ctp_williams,
@@ -216,3 +220,31 @@ def test_random_datasets_respect_chain_laws(seed):
     assert result.p_ctp_williams[-1] == pytest.approx(
         result.p_williams_global, abs=1e-12
     )
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_segment_test_is_the_family_minimum(seed):
+    # Each lower segment is tested at its largest statistic alone; that one
+    # bound must give the smallest adjusted p of the whole padded family.
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 7))
+    n = rng.integers(5, 61, size=k + 1)
+    y = rng.binomial(n, rng.uniform(0.05, 0.95, size=k + 1))
+    edge = rng.random(k + 1) < 0.2
+    y[edge] = np.where(rng.random(k + 1) < 0.5, 0, n)[edge]
+    assume(not (np.all(y == 0) or np.all(y == n)))
+    data = DoseGroupData(labels=tuple(str(i) for i in range(k + 1)), n=n, y=y)
+    fit = fit_saturated_logit(data, boundary_policy="haldane")
+    segment_p = []
+
+    def maxt(chains, t, std_err, var_eta):
+        segment_p.append(chain_maxt(chains, t, std_err, var_eta)[0])
+        return np.zeros(1)  # keeps the closure visiting every segment
+
+    _williams_closure(fit, _segment_families(n), 0.0, maxt)
+    family_min = [
+        contrast_test(fit, pad_to_full(williams_matrix(n[: j + 1]), k + 1)).min_adjusted
+        for j in range(k - 1, 0, -1)
+    ]
+    np.testing.assert_allclose(segment_p, family_min, rtol=0, atol=1e-8)

@@ -38,6 +38,25 @@ class TestDoseGroupData:
         with pytest.raises(ValueError, match="equal length"):
             DoseGroupData(labels=("c", "d"), n=[10, 10, 10], y=[1, 2, 3])
 
+    def test_rejects_non_integral_counts(self):
+        # sizes and counts used to be truncated: n=[34.9, 20] became [34, 20]
+        for n, y, field in (
+            ([34.9, 20], [2, 7], "n"),
+            ([34, 20], [2.5, 7], "y"),
+            ([34, 20], [np.nan, 7], "y"),
+            ([True, True], [0, 1], "n"),
+        ):
+            with pytest.raises(ValueError, match=rf"^{field} must hold integers"):
+                DoseGroupData(labels=("a", "b"), n=n, y=y)
+
+    def test_integral_floats_and_numpy_integers_accepted(self):
+        data = DoseGroupData(
+            labels=("a", "b"), n=np.array([34, 20], dtype=np.int32), y=[2.0, 7.0]
+        )
+        assert data.n.dtype == data.y.dtype == np.int64
+        assert data.n.tolist() == [34, 20]
+        assert data.y.tolist() == [2, 7]
+
 
 class TestReadCountsCsv:
     def test_reads_file_in_row_order(self, liarozole_csv):

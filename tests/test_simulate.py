@@ -2,6 +2,7 @@ import textwrap
 
 import numpy as np
 import pytest
+import yaml
 
 from trendcomp.ctp import closed_analysis
 from trendcomp.data import DoseGroupData
@@ -68,6 +69,29 @@ class TestScenarioValidation:
         for tol in (0.0, 1e-3):
             with pytest.raises(TypeError, match="mvn_tol"):
                 Scenario(pi=(0.1, 0.2), n=(10, 10), mvn_tol=tol)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n", (10.7, 10)),
+            ("n", (True, 10)),
+            ("replicates", 2.9),
+            ("replicates", True),
+            ("replicates", "300"),
+            ("alpha", "0.1"),
+            ("seed", False),
+            ("seed", 1.5),
+        ],
+    )
+    def test_bools_strings_and_fractions_rejected(self, field, value):
+        kwargs = {"pi": (0.1, 0.2), "n": (10, 10), field: value}
+        with pytest.raises(ValueError, match=rf"^{field} must be"):
+            Scenario(**kwargs)
+
+    def test_integral_floats_accepted(self):
+        sc = Scenario(pi=(0.1, 0.2), n=(10.0, np.int64(10)), replicates=300.0, seed=np.uint64(4))
+        assert (sc.n, sc.replicates, sc.seed) == ((10, 10), 300, 4)
+        assert all(type(v) is int for v in (*sc.n, sc.replicates, sc.seed))
 
 
 class TestRunScenario:
@@ -430,6 +454,29 @@ class TestLoadStudy:
             """,
         )
         with pytest.raises(StudyConfigError, match=r"scenarios\[0\].*replicates"):
+            load_study(p)
+
+    @pytest.mark.parametrize(
+        "line, named",
+        [
+            ("schema_version: true", r"config\.schema_version"),
+            ("master_seed: true", r"config\.master_seed"),
+            ("seed: false", r"scenarios\[0\]: seed"),
+            ("n: [10.7, 10]", r"scenarios\[0\]: n "),
+            ("replicates: 2.9", r"scenarios\[0\]: replicates"),
+            ("replicates: '300'", r"scenarios\[0\]: replicates"),
+            ("alpha: '0.1'", r"scenarios\[0\]: alpha"),
+        ],
+    )
+    def test_wrong_yaml_types_named(self, tmp_path, line, named):
+        # each was once coerced: true read as 1, 10.7 as 10, '300' as 300
+        ((key, value),) = yaml.safe_load(line).items()
+        config = {"schema_version": 1, "master_seed": 0}
+        scenario = {"pi": [0.1, 0.2], "n": [10, 10]}
+        (config if key in config else scenario)[key] = value
+        p = tmp_path / "study.yaml"
+        p.write_text(yaml.safe_dump({**config, "scenarios": [scenario]}))
+        with pytest.raises(StudyConfigError, match=named):
             load_study(p)
 
     def test_empty_scenarios_rejected(self, tmp_path):
