@@ -192,7 +192,9 @@ def cmd_simulate(config_path: str, parallelism: int = 1, output_format: str = "t
     for res in results:
         print(
             f"{res.scenario.name}: {res.scenario.replicates} replicates "
-            f"in {res.elapsed:.1f}s ({res.n_boundary} boundary, "
+            f"in {res.elapsed:.1f}s, "
+            f"{res.scenario.replicates / max(res.elapsed, 1e-9):.0f} replicates/s "
+            f"({res.n_boundary} boundary, "
             f"{res.n_degenerate} degenerate)",
             file=sys.stderr,
         )

@@ -169,22 +169,31 @@ def contrast_moments(coefficients: np.ndarray, eta: np.ndarray, var_eta: np.ndar
     """Estimates, standard errors, statistics and correlation of contrasts.
 
     Works directly from per-group means and variances, which is all the
-    diagonal covariance of a saturated fit requires.  Returns the tuple
-    (estimate, std_err, statistic, correlation).
+    diagonal covariance of a saturated fit requires.  ``eta`` and
+    ``var_eta`` may carry leading replicate axes before the group axis;
+    the results then carry them too.  Returns the tuple (estimate,
+    std_err, statistic, correlation).
+
+    Estimates and variances are elementwise products summed over the
+    group axis, which gives every table the same floats whatever the
+    number of tables it is batched with.
     """
     C = np.asarray(coefficients, dtype=np.float64)
-    est = C @ eta
-    var = (C * C) @ var_eta
+    eta = np.asarray(eta, dtype=np.float64)[..., None, :]
+    var_eta = np.asarray(var_eta, dtype=np.float64)[..., None, :]
+    est = np.sum(C * eta, axis=-1)
+    var = np.sum((C * C) * var_eta, axis=-1)
     if np.any(var <= 0.0):
-        bad = int(np.argmin(var))
+        bad = int(np.argmin(var)) % C.shape[0]
         raise ContrastError(f"contrast row {bad} has zero variance")
     se = np.sqrt(var)
     t = est / se
     cov = (C * var_eta) @ C.T
-    R = cov / np.outer(se, se)
-    R = 0.5 * (R + R.T)
+    R = cov / (se[..., :, None] * se[..., None, :])
+    R = 0.5 * (R + np.swapaxes(R, -1, -2))
     np.clip(R, -1.0, 1.0, out=R)
-    np.fill_diagonal(R, 1.0)
+    diag = np.arange(C.shape[0])
+    R[..., diag, diag] = 1.0
     return est, se, t, R
 
 

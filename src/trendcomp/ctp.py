@@ -19,6 +19,10 @@ structure, so its adjusted p-values come from the exact quadrature of
 :mod:`trendcomp.chains`, with error below 1e-8 and no random numbers.
 :func:`closed_test` is the closure rule; the simulator shares variant C's
 segment families and segment test with :func:`closed_analysis`.
+:func:`raw_pairwise_pvalues`, :func:`ctp_pairwise` and the variant C
+closure also take a fit with a leading replicate axis and then run over
+its rows, so the simulator decides a chunk of replicates in one call of
+the code that analyzes one table.
 """
 
 from __future__ import annotations
@@ -53,24 +57,30 @@ __all__ = [
 
 def raw_pairwise_pvalues(fit: ModelFit) -> np.ndarray:
     """Unadjusted one-sided p-values of each dose-vs-control contrast."""
-    return ndtr((fit.eta[0] - fit.eta[1:]) / np.sqrt(fit.var_eta[1:] + fit.var_eta[0]))
+    eta, var = fit.eta, fit.var_eta
+    return ndtr((eta[..., :1] - eta[..., 1:]) / np.sqrt(var[..., 1:] + var[..., :1]))
 
 
-def closed_test(segment_p, k: int) -> np.ndarray:
-    """Per-dose closed-test p-values p_i = max(S_i, ..., S_k).
+def closed_test(top, segment_p, k: int) -> np.ndarray:
+    """Per-dose closed-test p-values p_i = max(S_i, ..., S_k), one row per table.
 
-    ``segment_p(j)`` returns S_j, the p-value of the segment hypothesis
-    on groups {0..j}.  Segments are visited from the top down; once the
-    running maximum reaches 1, the lower doses get 1 and their segments
-    are never evaluated.
+    ``top`` holds S_k, the p-value of the global hypothesis {0..k}, for
+    each table.  ``segment_p(j, rows)`` returns S_j, the p-value of the
+    segment hypothesis on groups {0..j}, for the tables indexed by
+    ``rows``.  Segments are visited from the top down, each only for the
+    tables whose running maximum is still below 1; once it reaches 1, the
+    lower doses of that table get 1.
     """
-    p = np.ones(k)
-    running = 0.0
-    for j in range(k, 0, -1):
-        running = max(running, float(segment_p(j)))
-        if running >= 1.0:
+    running = np.array(top, dtype=np.float64).reshape(-1)
+    p = np.ones((running.size, k))
+    p[:, k - 1] = running
+    rows = np.flatnonzero(running < 1.0)
+    for j in range(k - 1, 0, -1):
+        if rows.size == 0:
             break
-        p[j - 1] = running
+        running[rows] = np.maximum(running[rows], segment_p(j, rows))
+        p[rows, j - 1] = running[rows]
+        rows = rows[running[rows] < 1.0]
     return p
 
 
@@ -80,9 +90,10 @@ def ctp_pairwise(fit: ModelFit) -> np.ndarray:
     Segment {0..j} is tested by the raw p of D_j vs C, so the per-dose
     value is the running maximum of the raw pairwise p-values from the
     top dose downward.  Exact given the fit; no integration involved.
+    A fit with a leading replicate axis gets one row per replicate.
     """
     raw = raw_pairwise_pvalues(fit)
-    return closed_test(lambda j: raw[j - 1], raw.size)
+    return np.maximum.accumulate(raw[..., ::-1], axis=-1)[..., ::-1]
 
 
 def dunnett_baseline(fit: ModelFit) -> TestReport:
@@ -118,23 +129,32 @@ def _segment_families(n) -> dict:
     return segments
 
 
-def _williams_closure(fit: ModelFit, segments: dict, top: float, maxt) -> np.ndarray:
+def _williams_closure(fit: ModelFit, segments: dict, top, maxt) -> np.ndarray:
     """Variant C over ``segments`` from :func:`_segment_families`.
 
-    ``top`` is the value of the global family.  A lower segment gets
-    ``maxt(chains, t, std_err, var_eta)`` at its largest statistic only:
-    the adjusted p falls as the bound rises, so that is the family minimum.
+    ``fit`` holds one table or a leading axis of them, and ``top`` the
+    value of the global family for each.  The lower segments go to
+    :func:`closed_test` a batch of tables at a time: each table gets
+    ``maxt(chains, t, std_err, var_eta)`` at its largest statistic only,
+    with ``t`` one bound per table and ``std_err``, ``var_eta`` one row
+    per table.  The adjusted p falls as the bound rises, so that bound
+    gives the family minimum.
     """
     k = len(segments)
+    eta = fit.eta.reshape(-1, fit.n_groups)
+    var = fit.var_eta.reshape(-1, fit.n_groups)
 
-    def segment_p(j):
-        if j == k:
-            return top
+    def segment_p(j, rows):
         C, chains = segments[j]
-        _, se, t, _ = contrast_moments(C, fit.eta, fit.var_eta)
-        return maxt(chains, t.max(keepdims=True), se, fit.var_eta)[0]
+        _, se, t, _ = contrast_moments(C, eta[rows], var[rows])
+        return maxt(chains, t.max(axis=-1), se, var[rows])
 
-    return closed_test(segment_p, k)
+    return closed_test(top, segment_p, k).reshape(fit.eta.shape[:-1] + (k,))
+
+
+def _one_table_maxt(chains, t, std_err, var_eta) -> np.ndarray:
+    """:func:`chain_maxt` as the ``maxt`` of a closure over one table."""
+    return chain_maxt(chains, t, std_err[0], var_eta[0])
 
 
 def ctp_williams(fit: ModelFit, n) -> np.ndarray:
@@ -145,7 +165,7 @@ def ctp_williams(fit: ModelFit, n) -> np.ndarray:
     the global Williams p exactly.
     """
     _, global_p = williams_baseline(fit, n)
-    return _williams_closure(fit, _segment_families(n), global_p, chain_maxt)
+    return _williams_closure(fit, _segment_families(n), global_p, _one_table_maxt)
 
 
 @dataclass(frozen=True)
@@ -200,7 +220,7 @@ def closed_analysis(
     fit = fit_saturated_logit(data, boundary_policy=boundary_policy)
     dunnett_report = dunnett_baseline(fit)
     williams_report, williams_global = williams_baseline(fit, data.n)
-    p_c = _williams_closure(fit, _segment_families(data.n), williams_global, chain_maxt)
+    p_c = _williams_closure(fit, _segment_families(data.n), williams_global, _one_table_maxt)
     p_c.setflags(write=False)
     return CtpResult(
         control_label=data.labels[0],

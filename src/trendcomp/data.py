@@ -67,11 +67,17 @@ class DoseGroupData:
 
 
 def _counts(values, name: str) -> np.ndarray:
-    """``values`` as int64; anything but integers and integral floats raises."""
+    """``values`` as int64; anything but integers and integral floats raises.
+
+    Booleans raise too, also one inside a list of integers, which NumPy
+    would otherwise cast to 0 or 1.
+    """
     a = np.asarray(values)
-    if a.dtype.kind not in "iu" and not (
+    integral = a.dtype.kind in "iu" or (
         a.dtype.kind == "f" and np.all(np.isfinite(a) & (a == np.trunc(a)))
-    ):
+    )
+    boolean = any(isinstance(v, (bool, np.bool_)) for v in np.asarray(values, dtype=object).flat)
+    if boolean or not integral:
         raise ValueError(f"{name} must hold integers, got {values!r}")
     return np.asarray(a, dtype=np.int64)
 

@@ -1,16 +1,18 @@
 """Monte Carlo estimation of per-pair power, any-pair power and FWER.
 
-Each replicate draws independent binomial counts, fits the saturated
-model with :func:`trendcomp.model.fit_saturated_logit` and records which
-dose-level claims every procedure makes at the scenario alpha, by the
-same definitions :func:`trendcomp.ctp.closed_analysis` uses: the
-many-to-one family, :func:`trendcomp.ctp.ctp_pairwise`, and variant C's
-segment families and closure from :mod:`trendcomp.ctp`, integrated
-exactly by :mod:`trendcomp.chains`.  Decisions, not p-values, are
-accumulated: each maxT decision is settled from the exact sandwich
-p_raw <= p_adj <= m * p_raw whenever possible and integrated only at
-the bounds it leaves open, one per lower segment, so every claim
-equals thresholding the p-values of ``closed_analysis`` on the same table.
+Each replicate draws independent binomial counts from its own seeded
+generator.  A chunk of replicates is then decided at once, one row per
+replicate, by the same definitions :func:`trendcomp.ctp.closed_analysis`
+uses on one table: the closed form of :mod:`trendcomp.model`,
+:func:`trendcomp.contrasts.contrast_moments` for the many-to-one
+family, :func:`trendcomp.ctp.ctp_pairwise`, and variant C's segment
+families and closure from :mod:`trendcomp.ctp`, integrated exactly by
+:mod:`trendcomp.chains`.  Decisions, not p-values, are accumulated: the
+exact sandwich p_raw <= p_adj <= m * p_raw settles the maxT decisions of
+the whole chunk in bulk, and :func:`trendcomp.chains.chain_maxt`
+integrates only the bounds it leaves open, table by table, one bound
+per lower segment, so every claim equals thresholding the p-values of
+``closed_analysis`` on the same table.
 
 The default boundary policy here is ``smooth`` (one pseudo-responder
 and one pseudo-non-responder added to every group), not the analysis
@@ -22,9 +24,10 @@ keeps boundary replicates comparable with interior ones.
 
 Reproducibility contract: replicate ``rep`` draws its table from the
 generator of ``SeedSequence(seed, spawn_key=(rep, 0))``, which depends on
-(scenario seed, replicate index) alone, and results reduce by integer
-count accumulation, so output is bit-identical for any parallelism
-level and any chunking of the replicate range.
+(scenario seed, replicate index) alone; every row of a chunk is computed
+with the same floats whatever rows share its chunk; and results reduce
+by integer count accumulation.  So output is bit-identical for any
+parallelism level and any chunking of the replicate range.
 """
 
 from __future__ import annotations
@@ -42,13 +45,8 @@ from scipy.special import ndtr
 from .chains import chain_maxt, chain_structure
 from .contrasts import contrast_moments, dunnett_matrix
 from .ctp import _segment_families, _williams_closure, ctp_pairwise
-from .data import DoseGroupData
-from .model import (
-    BOUNDARY_POLICIES,
-    BoundaryCountError,
-    NoInformationError,
-    fit_saturated_logit,
-)
+from .model import BOUNDARY_POLICIES, ModelFit, _saturated_logit
+from .mvn import MAX_DIMENSION
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -103,6 +101,12 @@ class Scenario:
         n = tuple(_integer(v, "n", 1) for v in self.n)
         if len(pi) < 2:
             raise ValueError("pi needs a control group and at least one dose group")
+        if len(pi) - 1 > MAX_DIMENSION:
+            # analyze cannot test more contrasts than the MVN layer accepts
+            raise ValueError(
+                f"pi has {len(pi)} entries, but at most {MAX_DIMENSION} dose groups "
+                "can be analyzed"
+            )
         if len(pi) != len(n):
             raise ValueError(f"pi has {len(pi)} entries but n has {len(n)}")
         if self.boundary_policy not in BOUNDARY_POLICIES:
@@ -205,28 +209,36 @@ class ScenarioResult:
 def _below(family, t, std_err, var_eta, alpha) -> np.ndarray:
     """Whether the maxT-adjusted p-value at each bound in ``t`` is below alpha.
 
-    ``family`` holds the chains of the contrast family.  The exact sandwich
-    p_raw <= p_adj <= m * p_raw settles most bounds; :func:`chain_maxt`
-    integrates the rest, so the answer equals thresholding the adjusted
-    p-values of :func:`trendcomp.contrasts.contrast_test`.
+    ``family`` holds the chains of the contrast family.  Row r of ``t``
+    holds bounds of table r, whose contrast standard errors and group
+    variances are row r of ``std_err`` and ``var_eta``.  The exact sandwich
+    p_raw <= p_adj <= m * p_raw settles most bounds of the whole batch at
+    once; :func:`chain_maxt` integrates the rest, one call per table on
+    the bounds of that table it left open, so the answer equals
+    thresholding the adjusted p-values of
+    :func:`trendcomp.contrasts.contrast_test`.
     """
     p_raw = ndtr(-t)
-    below = std_err.size * p_raw < alpha
+    below = std_err.shape[-1] * p_raw < alpha
     open_ = ~below & (p_raw < alpha)
-    if open_.any():
-        below[open_] = chain_maxt(family, t[open_], std_err, var_eta) < alpha
+    for r in np.flatnonzero(open_.any(axis=1)):
+        bounds = open_[r]
+        below[r, bounds] = chain_maxt(family, t[r, bounds], std_err[r], var_eta[r]) < alpha
     return below
 
 
 def _run_chunk(sc: Scenario, start: int, count: int) -> np.ndarray:
     """Integer decision counts over replicates [start, start+count).
 
+    Only the draw runs replicate by replicate.  The fit, the contrast
+    moments, the sandwich decisions and the closure each take the whole
+    chunk at once, as rows of one array.
+
     Layout: [D_1..D_k, D_any, W_top, W_any, P_1..P_k, P_any,
     C_1..C_k, C_any, n_boundary, n_degenerate].
     """
     k = sc.k
     n = np.asarray(sc.n, dtype=np.int64)
-    labels = tuple(str(i) for i in range(k + 1))
     alpha = sc.alpha
     C_dun = dunnett_matrix(n).coefficients
     chains_dun = chain_structure(C_dun)
@@ -235,49 +247,36 @@ def _run_chunk(sc: Scenario, start: int, count: int) -> np.ndarray:
 
     def decide(chains, t, std_err, var_eta):
         # 0 where the adjusted p is below alpha, else 1: the same claims at alpha
-        return np.where(_below(chains, t, std_err, var_eta, alpha), 0.0, 1.0)
+        return np.where(_below(chains, t[:, None], std_err, var_eta, alpha)[:, 0], 0.0, 1.0)
 
-    counts = np.zeros(3 * k + 7, dtype=np.int64)
-    i_dany, i_wtop, i_wany = k, k + 1, k + 2
-    i_p0, i_pany = k + 3, 2 * k + 3
-    i_c0, i_cany = 2 * k + 4, 3 * k + 4
-    i_bnd, i_deg = 3 * k + 5, 3 * k + 6
+    y = np.empty((count, k + 1), dtype=np.int64)
+    for i in range(count):
+        draw = np.random.default_rng(np.random.SeedSequence(sc.seed, spawn_key=(start + i, 0)))
+        y[i] = draw.binomial(n, sc.pi)
+    # no_info tables are degenerate; refused ones ("reject") make no claims
+    eta, var_eta, at_boundary, no_info, refused = _saturated_logit(y, n, sc.boundary_policy)
+    fitted = ~(no_info | refused)
+    fit = ModelFit(eta[fitted], var_eta[fitted], correction_applied=at_boundary[fitted])
 
-    for rep in range(start, start + count):
-        draw = np.random.default_rng(np.random.SeedSequence(sc.seed, spawn_key=(rep, 0)))
-        data = DoseGroupData(labels=labels, n=n, y=draw.binomial(n, sc.pi))
-        try:
-            fit = fit_saturated_logit(data, boundary_policy=sc.boundary_policy)
-        except NoInformationError:
-            counts[i_deg] += 1
-            continue
-        except BoundaryCountError:
-            # policy "reject": the replicate cannot be analyzed, no claims
-            counts[i_bnd] += 1
-            continue
-        if fit.correction_applied.any():
-            counts[i_bnd] += 1
-        eta, var_eta = fit.eta, fit.var_eta
+    _, se_d, t_d, _ = contrast_moments(C_dun, fit.eta, fit.var_eta)
+    dunnett = _below(chains_dun, t_d, se_d, fit.var_eta, alpha)
+    pairwise = ctp_pairwise(fit) < alpha
+    # a family rejects iff its largest statistic's adjusted p is below alpha
+    _, se_w, t_w, _ = contrast_moments(C_top, fit.eta, fit.var_eta)
+    top_and_max = np.stack([t_w[:, 0], t_w.max(axis=1)], axis=1)
+    w_top, w_any = _below(chains_top, top_and_max, se_w, fit.var_eta, alpha).T
+    claims = _williams_closure(fit, segments, np.where(w_any, 0.0, 1.0), decide) < alpha
 
-        _, se_d, t_d, _ = contrast_moments(C_dun, eta, var_eta)
-        dunnett = _below(chains_dun, t_d, se_d, var_eta, alpha)
-        counts[:k] += dunnett
-        counts[i_dany] += dunnett.any()
+    def tally(claimed):
+        # per-dose counts, then the count of tables with any claim
+        return [*claimed.sum(axis=0), claimed.any(axis=1).sum()]
 
-        pairwise = ctp_pairwise(fit) < alpha
-        counts[i_p0 : i_p0 + k] += pairwise
-        counts[i_pany] += pairwise.any()
-
-        # a family rejects iff its largest statistic's adjusted p is below alpha
-        _, se_w, t_w, _ = contrast_moments(C_top, eta, var_eta)
-        w_top, w_any = _below(chains_top, t_w[[0, t_w.argmax()]], se_w, var_eta, alpha)
-        counts[i_wtop] += w_top
-        counts[i_wany] += w_any
-
-        claims = _williams_closure(fit, segments, 0.0 if w_any else 1.0, decide) < alpha
-        counts[i_c0 : i_c0 + k] += claims
-        counts[i_cany] += claims.any()
-    return counts
+    n_boundary = np.sum(at_boundary.any(axis=1) & ~no_info)
+    return np.array(
+        [*tally(dunnett), w_top.sum(), w_any.sum(), *tally(pairwise), *tally(claims),
+         n_boundary, no_info.sum()],
+        dtype=np.int64,
+    )
 
 
 def _chunk_worker(args) -> np.ndarray:

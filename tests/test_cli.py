@@ -1,4 +1,5 @@
 import json
+import re
 import textwrap
 
 import pytest
@@ -188,6 +189,7 @@ class TestSimulateCommand:
         for cell in cells[3:]:
             assert 0.0 <= float(cell) <= 1.0
         assert "tiny: 120 replicates" in err
+        assert re.search(r"tiny: 120 replicates in \d+\.\ds, \d+ replicates/s \(", err)
 
     def test_json_output(self, capsys, study_config):
         code, out, _ = run_cli(

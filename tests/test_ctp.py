@@ -242,7 +242,7 @@ def test_segment_test_is_the_family_minimum(seed):
         segment_p.append(chain_maxt(chains, t, std_err, var_eta)[0])
         return np.zeros(1)  # keeps the closure visiting every segment
 
-    _williams_closure(fit, _segment_families(n), 0.0, maxt)
+    _williams_closure(fit, _segment_families(n), 0.0, lambda c, t, se, v: maxt(c, t, se[0], v[0]))
     family_min = [
         contrast_test(fit, pad_to_full(williams_matrix(n[: j + 1]), k + 1)).min_adjusted
         for j in range(k - 1, 0, -1)

@@ -49,6 +49,16 @@ class TestDoseGroupData:
             with pytest.raises(ValueError, match=rf"^{field} must hold integers"):
                 DoseGroupData(labels=("a", "b"), n=n, y=y)
 
+    def test_rejects_booleans_among_counts(self):
+        # NumPy casts a list holding a bool to int64: n=[True, 20] became [1, 20]
+        for n, y, field in (
+            ([True, 20], [1, 3], "n"),
+            ([20, 20], [True, 3], "y"),
+            ([np.True_, 20], [1, 3], "n"),
+        ):
+            with pytest.raises(ValueError, match=rf"^{field} must hold integers"):
+                DoseGroupData(labels=("a", "b"), n=n, y=y)
+
     def test_integral_floats_and_numpy_integers_accepted(self):
         data = DoseGroupData(
             labels=("a", "b"), n=np.array([34, 20], dtype=np.int32), y=[2.0, 7.0]

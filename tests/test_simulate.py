@@ -6,7 +6,8 @@ import yaml
 
 from trendcomp.ctp import closed_analysis
 from trendcomp.data import DoseGroupData
-from trendcomp.model import NoInformationError
+from trendcomp.model import BoundaryCountError, NoInformationError
+from trendcomp.mvn import MAX_DIMENSION
 from trendcomp.simulate import (
     SCHEMA_VERSION,
     Scenario,
@@ -87,6 +88,13 @@ class TestScenarioValidation:
         kwargs = {"pi": (0.1, 0.2), "n": (10, 10), field: value}
         with pytest.raises(ValueError, match=rf"^{field} must be"):
             Scenario(**kwargs)
+
+    def test_more_dose_groups_than_analyze_supports(self):
+        # analyze rejects k > MAX_DIMENSION, so simulate must not claim on such tables
+        groups = MAX_DIMENSION + 1
+        assert Scenario(pi=(0.1,) * groups, n=(10,) * groups).k == MAX_DIMENSION
+        with pytest.raises(ValueError, match=r"^pi has 34 entries, but at most 32 dose groups"):
+            Scenario(pi=(0.1,) * 34, n=(10,) * 34)
 
     def test_integral_floats_accepted(self):
         sc = Scenario(pi=(0.1, 0.2), n=(10.0, np.int64(10)), replicates=300.0, seed=np.uint64(4))
@@ -214,6 +222,10 @@ def analysis_counts(sc: Scenario, rep: int) -> np.ndarray:
     except NoInformationError:
         out[-1] = 1
         return out
+    except BoundaryCountError:
+        # policy "reject": a boundary replicate with no claims
+        out[-2] = 1
+        return out
     dunnett = res.p_dunnett < sc.alpha
     pairwise = res.p_ctp_pairwise < sc.alpha
     williams = res.p_ctp_williams < sc.alpha
@@ -227,16 +239,49 @@ def analysis_counts(sc: Scenario, rep: int) -> np.ndarray:
 
 
 @pytest.mark.parametrize(
-    "pi", [(0.05, 0.10, 0.20, 0.30), (0.10, 0.10, 0.10, 0.10)], ids=["power", "null"]
+    "pi, policy",
+    [
+        ((0.05, 0.10, 0.20, 0.30), "smooth"),
+        ((0.10, 0.10, 0.10, 0.10), "smooth"),
+        ((0.05, 0.10, 0.20, 0.30), "haldane"),
+        ((0.05, 0.10, 0.20, 0.30), "reject"),
+        ((0.02, 0.02, 0.02, 0.02), "haldane"),
+    ],
+    ids=["power", "null", "power-haldane", "power-reject", "degenerate-haldane"],
 )
-def test_simulate_claims_what_analyze_claims(pi):
-    sc = Scenario(pi=pi, n=(50,) * 4, replicates=250, seed=5)
+def test_simulate_claims_what_analyze_claims(pi, policy):
+    sc = Scenario(pi=pi, n=(50,) * 4, replicates=250, seed=5, boundary_policy=policy)
     disagree = [
         rep
         for rep in range(sc.replicates)
         if not np.array_equal(_run_chunk(sc, rep, 1), analysis_counts(sc, rep))
     ]
     assert disagree == []
+
+
+@pytest.mark.parametrize(
+    "sc, covered",
+    [
+        (Scenario(pi=(0.05, 0.1, 0.2, 0.3), n=(50,) * 4, replicates=300, seed=13), 3),
+        (Scenario(pi=(0.1,) * 4, n=(50, 40, 50, 60), replicates=300, seed=14), None),
+        (Scenario(pi=(0.03, 0.2, 0.6), n=(12, 8, 10), replicates=300, seed=15,
+                  boundary_policy="reject"), -2),
+        (Scenario(pi=(0.02,) * 3, n=(10, 10, 10), replicates=300, seed=16,
+                  boundary_policy="haldane"), -1),
+        (Scenario(pi=(0.1, 0.4), n=(20, 20), replicates=300, seed=17), 1),
+    ],
+    ids=["power", "null", "reject", "degenerate", "k1"],
+)
+def test_counts_do_not_depend_on_chunking(sc, covered):
+    # a chunk decides its replicates together; no replicate may see its neighbours
+    R = sc.replicates
+    whole = _run_chunk(sc, 0, R)
+    uneven = sum(_run_chunk(sc, a, b - a) for a, b in ((0, 1), (1, 138), (138, R)))
+    singles = sum(_run_chunk(sc, rep, 1) for rep in range(R))
+    np.testing.assert_array_equal(uneven, whole)
+    np.testing.assert_array_equal(singles, whole)
+    if covered is not None:  # D_any, n_boundary or n_degenerate: the case the row is for
+        assert whole[covered] > 0
 
 
 class TestScenarioResultValidation:
@@ -466,6 +511,11 @@ class TestLoadStudy:
             ("replicates: 2.9", r"scenarios\[0\]: replicates"),
             ("replicates: '300'", r"scenarios\[0\]: replicates"),
             ("alpha: '0.1'", r"scenarios\[0\]: alpha"),
+            pytest.param(
+                "pi: [" + ", ".join(["0.1"] * 34) + "]",
+                r"scenarios\[0\]: pi has 34 entries",
+                id="pi: 34 entries",
+            ),
         ],
     )
     def test_wrong_yaml_types_named(self, tmp_path, line, named):
