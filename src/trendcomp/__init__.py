@@ -21,10 +21,7 @@ from .ctp import (
     CtpResult,
     closed_analysis,
     ctp_pairwise,
-    ctp_williams,
-    dunnett_baseline,
     raw_pairwise_pvalues,
-    williams_baseline,
 )
 from .data import DataFormatError, DoseGroupData, read_counts_csv
 from .model import (
@@ -78,8 +75,6 @@ __all__ = [
     "contrast_moments",
     "contrast_test",
     "ctp_pairwise",
-    "ctp_williams",
-    "dunnett_baseline",
     "dunnett_matrix",
     "fit_saturated_logit",
     "load_study",
@@ -90,7 +85,6 @@ __all__ = [
     "run_scenario",
     "run_study",
     "single_contrast",
-    "williams_baseline",
     "williams_matrix",
     "__version__",
 ]

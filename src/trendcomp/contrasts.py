@@ -15,9 +15,13 @@ the comparisons.
 :func:`contrast_test` picks the integration route from the coefficients.
 Families with chain structure (see :mod:`trendcomp.chains`), which covers
 many-to-one, Williams and every zero-padded Williams segment, get exact
-quadrature with error below 1e-8; the simulator decides these families
-by the same quadrature.  Any other family goes to the randomized
-quasi-Monte Carlo integrator of :mod:`trendcomp.mvn`.
+quadrature with error below 1e-8 and no correlation validation: their
+correlation is built from group variances, so it is positive
+semidefinite by construction.  The simulator decides these families by
+the same quadrature.  Any other family goes to the randomized
+quasi-Monte Carlo integrator of :mod:`trendcomp.mvn` at its default
+tolerance, after :class:`trendcomp.mvn.MvnSpec` validates the
+correlation.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from scipy.special import ndtr
 
 from .chains import chain_maxt, chain_structure
 from .model import ModelFit
-from .mvn import DEFAULT_ABS_TOL, DEFAULT_MAX_POINTS, MvnSpec, adjust_maxt
+from .mvn import MAX_DIMENSION, CorrelationError, MvnSpec, adjust_maxt
 
 __all__ = [
     "ContrastError",
@@ -215,32 +219,31 @@ class TestReport:
         return float(self.p_adjusted.min())
 
 
-def contrast_test(
-    fit: ModelFit,
-    contrasts: ContrastMatrix,
-    *,
-    seed=0,
-    abs_tol: float = DEFAULT_ABS_TOL,
-    max_points: int = DEFAULT_MAX_POINTS,
-) -> TestReport:
+def contrast_test(fit: ModelFit, contrasts: ContrastMatrix) -> TestReport:
     """Run a one-sided maxT test of the given contrasts on a fitted model.
 
     A family with chain structure (every stock family) is integrated
     exactly, with error below 1e-8 and no random numbers.  Any other
-    family is integrated by quasi-Monte Carlo, and only then do ``seed``,
-    ``abs_tol`` and ``max_points`` take effect.  The correlation is
-    validated by :class:`MvnSpec` on both routes.
+    family is integrated by quasi-Monte Carlo at the defaults of
+    :func:`trendcomp.mvn.adjust_maxt`, and only that route validates the
+    correlation with :class:`MvnSpec`.  More than ``MAX_DIMENSION``
+    contrasts raise :class:`CorrelationError` on both routes.
     """
     if contrasts.n_groups != fit.eta.size:
         raise ContrastError(
             f"contrast matrix has {contrasts.n_groups} columns "
             f"but the fit has {fit.eta.size} groups"
         )
+    return _maxt_test(fit, contrasts, chain_structure(contrasts.coefficients))
+
+
+def _maxt_test(fit: ModelFit, contrasts: ContrastMatrix, chains) -> TestReport:
+    """:func:`contrast_test` of a family whose ``chains`` are known, None if it has none."""
+    if contrasts.n_rows > MAX_DIMENSION:
+        raise CorrelationError(f"dimension {contrasts.n_rows} exceeds supported {MAX_DIMENSION}")
     est, se, t, R = contrast_moments(contrasts.coefficients, fit.eta, fit.var_eta)
-    spec = MvnSpec(R)
-    chains = chain_structure(contrasts.coefficients)
     if chains is None:
-        p_adj = adjust_maxt(t, spec, seed=seed, abs_tol=abs_tol, max_points=max_points)
+        p_adj = adjust_maxt(t, MvnSpec(R))
     else:
         p_adj = chain_maxt(chains, t, se, fit.var_eta)
     for arr in (est, se, t, R, p_adj):

@@ -1,4 +1,4 @@
-"""Closed testing for ordered binomial comparisons, plus the two baselines.
+"""Closed testing for ordered binomial comparisons, and the stock families.
 
 Under a monotone order restriction the closure over the per-dose
 hypotheses H_i collapses to a chain of nested top segments: dose i is
@@ -14,11 +14,14 @@ test on the segment, built from zero-padded contrasts so that every test
 reuses the one saturated fit.  The bottom segment {0, 1} is the single
 contrast D1 vs C in both variants.
 
-Every family used here (many-to-one, Williams, padded segments) has chain
-structure, so its adjusted p-values come from the exact quadrature of
-:mod:`trendcomp.chains`, with error below 1e-8 and no random numbers.
-:func:`closed_test` is the closure rule; the simulator shares variant C's
-segment families and segment test with :func:`closed_analysis`.
+:func:`_stock_families` is the one place the stock families are defined:
+the many-to-one (Dunnett) family and variant C's k segment families, the
+top one being the global Williams family, each with its chains.  Every
+one has chain structure, so its adjusted p-values come from the exact
+quadrature of :mod:`trendcomp.chains`, with error below 1e-8 and no
+random numbers.  :func:`closed_test` is the closure rule; the simulator
+shares the family table and variant C's segment test with
+:func:`closed_analysis`.
 :func:`raw_pairwise_pvalues`, :func:`ctp_pairwise` and the variant C
 closure also take a fit with a leading replicate axis and then run over
 its rows, so the simulator decides a chunk of replicates in one call of
@@ -35,9 +38,10 @@ from scipy.special import ndtr
 from .chains import chain_maxt, chain_structure
 from .contrasts import (
     TestReport,
+    _maxt_test,
     contrast_moments,
-    contrast_test,
     dunnett_matrix,
+    pad_to_full,
     williams_matrix,
 )
 from .data import DoseGroupData
@@ -48,9 +52,6 @@ __all__ = [
     "raw_pairwise_pvalues",
     "closed_test",
     "ctp_pairwise",
-    "ctp_williams",
-    "dunnett_baseline",
-    "williams_baseline",
     "closed_analysis",
 ]
 
@@ -96,41 +97,25 @@ def ctp_pairwise(fit: ModelFit) -> np.ndarray:
     return np.maximum.accumulate(raw[..., ::-1], axis=-1)[..., ::-1]
 
 
-def dunnett_baseline(fit: ModelFit) -> TestReport:
-    """maxT-adjusted many-to-one comparisons without order restriction."""
-    return contrast_test(fit, dunnett_matrix(np.ones(fit.n_groups)))
+def _stock_families(n) -> tuple:
+    """The many-to-one family and variant C's segment families for sizes ``n``.
 
-
-def williams_baseline(fit: ModelFit, n):
-    """Global Williams trend test on all groups.
-
-    ``n`` supplies the group sample sizes for the pooling weights, which
-    the fit alone does not carry.  Returns the per-contrast report and
-    the global p, the smallest adjusted p-value of the family.
-    """
-    n = np.asarray(n, dtype=np.int64)
-    if n.size != fit.n_groups:
-        raise ValueError(f"got {n.size} sample sizes for {fit.n_groups} groups")
-    report = contrast_test(fit, williams_matrix(n))
-    return report, report.min_adjusted
-
-
-def _segment_families(n) -> dict:
-    """Coefficients and chains of variant C's family for segment j = 1..k.
-
-    That is the Williams family on groups {0..j}, zero-padded to the full
-    design: the global family for j = k, the contrast D1 vs C for j = 1.
+    Returns ``(dunnett, segments)``.  ``segments[j]`` for j = 1..k is the
+    Williams family on groups {0..j}, zero-padded to the full design: the
+    global family for j = k, the contrast D1 vs C for j = 1.  Each family
+    is a pair of its :class:`ContrastMatrix` and its chains.
     """
     k = len(n) - 1
+    dunnett = dunnett_matrix(n)
     segments = {}
     for j in range(1, k + 1):
-        C = np.pad(williams_matrix(n[: j + 1]).coefficients, ((0, 0), (0, k - j)))
-        segments[j] = (C, chain_structure(C))
-    return segments
+        cm = pad_to_full(williams_matrix(n[: j + 1]), k + 1)
+        segments[j] = (cm, chain_structure(cm.coefficients))
+    return (dunnett, chain_structure(dunnett.coefficients)), segments
 
 
 def _williams_closure(fit: ModelFit, segments: dict, top, maxt) -> np.ndarray:
-    """Variant C over ``segments`` from :func:`_segment_families`.
+    """Variant C over ``segments`` from :func:`_stock_families`.
 
     ``fit`` holds one table or a leading axis of them, and ``top`` the
     value of the global family for each.  The lower segments go to
@@ -145,8 +130,8 @@ def _williams_closure(fit: ModelFit, segments: dict, top, maxt) -> np.ndarray:
     var = fit.var_eta.reshape(-1, fit.n_groups)
 
     def segment_p(j, rows):
-        C, chains = segments[j]
-        _, se, t, _ = contrast_moments(C, eta[rows], var[rows])
+        cm, chains = segments[j]
+        _, se, t, _ = contrast_moments(cm.coefficients, eta[rows], var[rows])
         return maxt(chains, t.max(axis=-1), se, var[rows])
 
     return closed_test(top, segment_p, k).reshape(fit.eta.shape[:-1] + (k,))
@@ -155,17 +140,6 @@ def _williams_closure(fit: ModelFit, segments: dict, top, maxt) -> np.ndarray:
 def _one_table_maxt(chains, t, std_err, var_eta) -> np.ndarray:
     """:func:`chain_maxt` as the ``maxt`` of a closure over one table."""
     return chain_maxt(chains, t, std_err[0], var_eta[0])
-
-
-def ctp_williams(fit: ModelFit, n) -> np.ndarray:
-    """Variant C: closed test with subset Williams trend tests.
-
-    The per-dose value is the running maximum of the segment p-values
-    S_i..S_k, so it is non-increasing in dose and its top entry equals
-    the global Williams p exactly.
-    """
-    _, global_p = williams_baseline(fit, n)
-    return _williams_closure(fit, _segment_families(n), global_p, _one_table_maxt)
 
 
 @dataclass(frozen=True)
@@ -218,9 +192,11 @@ def closed_analysis(
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     fit = fit_saturated_logit(data, boundary_policy=boundary_policy)
-    dunnett_report = dunnett_baseline(fit)
-    williams_report, williams_global = williams_baseline(fit, data.n)
-    p_c = _williams_closure(fit, _segment_families(data.n), williams_global, _one_table_maxt)
+    dunnett, segments = _stock_families(data.n)
+    dunnett_report = _maxt_test(fit, *dunnett)
+    williams_report = _maxt_test(fit, *segments[data.k])
+    williams_global = williams_report.min_adjusted
+    p_c = _williams_closure(fit, segments, williams_global, _one_table_maxt)
     p_c.setflags(write=False)
     return CtpResult(
         control_label=data.labels[0],

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -87,12 +88,13 @@ def read_counts_csv(path: str | Path) -> DoseGroupData:
 
     Rows are taken in file order as the dose order (control first) unless an
     optional numeric ``order`` column is present, in which case rows are
-    stably sorted by it.  Dose labels are opaque strings and are never
-    sorted lexically.
+    stably sorted by it; its values must be finite.  Dose labels are opaque
+    strings and are never sorted lexically.
     """
     path = Path(path)
     try:
-        fh = path.open(newline="", encoding="utf-8")
+        # utf-8-sig drops the byte-order mark of spreadsheet "CSV UTF-8" exports
+        fh = path.open(newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
     with fh:
@@ -130,6 +132,10 @@ def read_counts_csv(path: str | Path) -> DoseGroupData:
                     order_val = float(str(record.get("order", "")).strip())
                 except (TypeError, ValueError):
                     raise DataFormatError("non-numeric order value", line=line) from None
+                if not math.isfinite(order_val):
+                    raise DataFormatError(
+                        f"order value must be finite, got {order_val}", line=line
+                    )
             rows.append((order_val, dose, n_i, y_i))
     if len(rows) < 2:
         raise DataFormatError("need at least two data rows (control plus one dose)")

@@ -3,16 +3,16 @@
 Each replicate draws independent binomial counts from its own seeded
 generator.  A chunk of replicates is then decided at once, one row per
 replicate, by the same definitions :func:`trendcomp.ctp.closed_analysis`
-uses on one table: the closed form of :mod:`trendcomp.model`,
-:func:`trendcomp.contrasts.contrast_moments` for the many-to-one
-family, :func:`trendcomp.ctp.ctp_pairwise`, and variant C's segment
-families and closure from :mod:`trendcomp.ctp`, integrated exactly by
-:mod:`trendcomp.chains`.  Decisions, not p-values, are accumulated: the
-exact sandwich p_raw <= p_adj <= m * p_raw settles the maxT decisions of
-the whole chunk in bulk, and :func:`trendcomp.chains.chain_maxt`
-integrates only the bounds it leaves open, table by table, one bound
-per lower segment, so every claim equals thresholding the p-values of
-``closed_analysis`` on the same table.
+uses on one table: the closed form of :mod:`trendcomp.model`, the
+many-to-one and segment families of ``trendcomp.ctp._stock_families``
+with their chains, :func:`trendcomp.contrasts.contrast_moments`,
+:func:`trendcomp.ctp.ctp_pairwise` and variant C's closure, integrated
+exactly by :mod:`trendcomp.chains`.  Decisions, not p-values, are
+accumulated: the exact sandwich p_raw <= p_adj <= m * p_raw settles the
+maxT decisions of the whole chunk in bulk, and
+:func:`trendcomp.chains.chain_maxt` integrates only the bounds it leaves
+open, table by table, one bound per lower segment, so every claim equals
+thresholding the p-values of ``closed_analysis`` on the same table.
 
 The default boundary policy here is ``smooth`` (one pseudo-responder
 and one pseudo-non-responder added to every group), not the analysis
@@ -42,9 +42,9 @@ import numpy as np
 import yaml
 from scipy.special import ndtr
 
-from .chains import chain_maxt, chain_structure
-from .contrasts import contrast_moments, dunnett_matrix
-from .ctp import _segment_families, _williams_closure, ctp_pairwise
+from .chains import chain_maxt
+from .contrasts import contrast_moments
+from .ctp import _stock_families, _williams_closure, ctp_pairwise
 from .model import BOUNDARY_POLICIES, ModelFit, _saturated_logit
 from .mvn import MAX_DIMENSION
 
@@ -240,10 +240,8 @@ def _run_chunk(sc: Scenario, start: int, count: int) -> np.ndarray:
     k = sc.k
     n = np.asarray(sc.n, dtype=np.int64)
     alpha = sc.alpha
-    C_dun = dunnett_matrix(n).coefficients
-    chains_dun = chain_structure(C_dun)
-    segments = _segment_families(n)
-    C_top, chains_top = segments[k]
+    (cm_dun, chains_dun), segments = _stock_families(n)
+    cm_top, chains_top = segments[k]
 
     def decide(chains, t, std_err, var_eta):
         # 0 where the adjusted p is below alpha, else 1: the same claims at alpha
@@ -258,11 +256,11 @@ def _run_chunk(sc: Scenario, start: int, count: int) -> np.ndarray:
     fitted = ~(no_info | refused)
     fit = ModelFit(eta[fitted], var_eta[fitted], correction_applied=at_boundary[fitted])
 
-    _, se_d, t_d, _ = contrast_moments(C_dun, fit.eta, fit.var_eta)
+    _, se_d, t_d, _ = contrast_moments(cm_dun.coefficients, fit.eta, fit.var_eta)
     dunnett = _below(chains_dun, t_d, se_d, fit.var_eta, alpha)
     pairwise = ctp_pairwise(fit) < alpha
     # a family rejects iff its largest statistic's adjusted p is below alpha
-    _, se_w, t_w, _ = contrast_moments(C_top, fit.eta, fit.var_eta)
+    _, se_w, t_w, _ = contrast_moments(cm_top.coefficients, fit.eta, fit.var_eta)
     top_and_max = np.stack([t_w[:, 0], t_w.max(axis=1)], axis=1)
     w_top, w_any = _below(chains_top, top_and_max, se_w, fit.var_eta, alpha).T
     claims = _williams_closure(fit, segments, np.where(w_any, 0.0, 1.0), decide) < alpha

@@ -1,6 +1,7 @@
 import json
 import re
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -68,6 +69,14 @@ class TestAnalyzeTable:
         )
         assert code == EXIT_OK
 
+    def test_byte_order_mark_gives_same_report(self, capsys, liarozole_csv, tmp_path):
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + Path(liarozole_csv).read_bytes())
+        _, plain, _ = run_cli(capsys, "analyze", "--input", liarozole_csv)
+        code, marked, _ = run_cli(capsys, "analyze", "--input", str(p))
+        assert code == EXIT_OK
+        assert marked == plain
+
 
 class TestAnalyzeJson:
     def test_json_matches_table_numbers(self, capsys, liarozole_csv):
@@ -132,6 +141,15 @@ class TestAnalyzeErrors:
         p.write_text("dose,n,responders\n0,20,0\n1,20,0\n")
         code, _, err = run_cli(capsys, "analyze", "--input", str(p))
         assert code == EXIT_NUMERIC
+
+    def test_too_many_dose_groups_is_numeric_error(self, capsys, tmp_path):
+        # 33 dose groups: one contrast more than the MVN layer supports
+        p = tmp_path / "wide.csv"
+        p.write_text("dose,n,responders\n" + "".join(f"{i},20,{1 + i % 5}\n" for i in range(34)))
+        code, out, err = run_cli(capsys, "analyze", "--input", str(p))
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert "exceeds" in err
 
     def test_unknown_boundary_rejected_by_argparse(self, capsys):
         with pytest.raises(SystemExit) as exc:

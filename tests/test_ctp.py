@@ -4,17 +4,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trendcomp.chains import chain_maxt
-from trendcomp.contrasts import contrast_test, pad_to_full, williams_matrix
+from trendcomp.contrasts import contrast_test, dunnett_matrix, pad_to_full, williams_matrix
 from trendcomp.ctp import (
     CtpResult,
-    _segment_families,
+    _stock_families,
     _williams_closure,
     closed_analysis,
     ctp_pairwise,
-    ctp_williams,
-    dunnett_baseline,
     raw_pairwise_pvalues,
-    williams_baseline,
 )
 from trendcomp.data import DoseGroupData
 from trendcomp.model import fit_saturated_logit
@@ -69,7 +66,7 @@ class TestFrozenValues:
         from trendcomp.contrasts import contrast_test, pad_to_full, williams_matrix
 
         sub = pad_to_full(williams_matrix(liarozole.n[:3]), 4)
-        rep = contrast_test(fit, sub, seed=0, abs_tol=1e-5)
+        rep = contrast_test(fit, sub)
         np.testing.assert_allclose(
             rep.p_adjusted, [0.2667725, 0.1529404], atol=2e-4
         )
@@ -112,29 +109,24 @@ class TestChainStructure:
 
 
 class TestStandaloneFunctions:
-    def test_standalones_match_closed_analysis(self, liarozole):
-        fit = fit_saturated_logit(liarozole)
-        result = closed_analysis(liarozole)
-        np.testing.assert_array_equal(
-            ctp_pairwise(fit), result.p_ctp_pairwise
-        )
-        np.testing.assert_array_equal(
-            ctp_williams(fit, liarozole.n), result.p_ctp_williams
-        )
-        rep = dunnett_baseline(fit)
-        np.testing.assert_array_equal(rep.p_adjusted, result.p_dunnett)
-        _, global_p = williams_baseline(fit, liarozole.n)
-        assert global_p == result.p_williams_global
-
-    def test_williams_baseline_size_check(self, liarozole):
-        fit = fit_saturated_logit(liarozole)
-        with pytest.raises(ValueError, match="sample sizes"):
-            williams_baseline(fit, [10, 10])
-
-    def test_ctp_williams_size_check(self, liarozole):
-        fit = fit_saturated_logit(liarozole)
-        with pytest.raises(ValueError, match="sample sizes"):
-            ctp_williams(fit, [10, 10, 10])
+    def test_standalones_match_closed_analysis(self):
+        # the public entry for custom families gives the stock families' values
+        for n, y, policy in (
+            ([34, 35, 36, 34], [2, 6, 4, 13], "haldane"),  # liarozole
+            ([20, 15, 30, 25, 18], [0, 3, 30, 9, 18], "haldane"),
+            ([20, 15, 30, 25, 18], [0, 3, 30, 9, 18], "smooth"),
+            ([40, 35], [0, 9], "haldane"),
+            ([40, 40], [5, 14], "haldane"),
+        ):
+            data = DoseGroupData(labels=tuple(map(str, range(len(n)))), n=n, y=y)
+            fit = fit_saturated_logit(data, boundary_policy=policy)
+            result = closed_analysis(data, boundary_policy=policy)
+            np.testing.assert_array_equal(ctp_pairwise(fit), result.p_ctp_pairwise)
+            dunnett = contrast_test(fit, dunnett_matrix(data.n))
+            williams = contrast_test(fit, williams_matrix(data.n))
+            np.testing.assert_array_equal(dunnett.p_adjusted, result.p_dunnett)
+            np.testing.assert_array_equal(williams.p_adjusted, result.p_williams_rows)
+            assert williams.min_adjusted == result.p_williams_global
 
 
 class TestBoundaryPolicies:
@@ -242,7 +234,7 @@ def test_segment_test_is_the_family_minimum(seed):
         segment_p.append(chain_maxt(chains, t, std_err, var_eta)[0])
         return np.zeros(1)  # keeps the closure visiting every segment
 
-    _williams_closure(fit, _segment_families(n), 0.0, lambda c, t, se, v: maxt(c, t, se[0], v[0]))
+    _williams_closure(fit, _stock_families(n)[1], 0.0, lambda c, t, se, v: maxt(c, t, se[0], v[0]))
     family_min = [
         contrast_test(fit, pad_to_full(williams_matrix(n[: j + 1]), k + 1)).min_adjusted
         for j in range(k - 1, 0, -1)

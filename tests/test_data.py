@@ -95,6 +95,17 @@ class TestReadCountsCsv:
         assert data.labels == ("control", "low", "high")
         assert data.y.tolist() == [1, 2, 6]
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_order_rejected_with_line(self, tmp_path, value):
+        # a nan order sorted dose 150 ahead of the control without an error
+        path = write(
+            tmp_path,
+            f"dose,n,responders,order\n150,34,13,4\n50,35,6,{value}\n0,34,2,1\n75,36,4,3\n",
+        )
+        with pytest.raises(DataFormatError, match="order value must be finite") as err:
+            read_counts_csv(path)
+        assert err.value.line == 3
+
     def test_missing_column_reports_line_1(self, tmp_path):
         path = write(tmp_path, "dose,n\nctrl,20\n")
         with pytest.raises(DataFormatError, match="line 1.*responders"):
