@@ -14,7 +14,6 @@ from .contrasts import (
     contrast_test,
     dunnett_matrix,
     pad_to_full,
-    single_contrast,
     williams_matrix,
 )
 from .ctp import (
@@ -84,7 +83,6 @@ __all__ = [
     "read_counts_csv",
     "run_scenario",
     "run_study",
-    "single_contrast",
     "williams_matrix",
     "__version__",
 ]

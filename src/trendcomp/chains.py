@@ -67,15 +67,18 @@ class Chain:
     """Rows of one chain: nested dose supports, proportional weights.
 
     ``levels`` holds the distinct supports from smallest to largest as
-    tuples of dose columns, ``base`` the dose weights of the largest
-    support.  Row ``rows[i]`` has control coefficient ``-row_control[i]``,
-    sits on level ``row_level[i]``, and its dose weights equal
-    ``row_scale[i] * base`` on that level's support.
+    tuples of dose columns.  Row ``rows[i]`` has control coefficient
+    ``-row_control[i]`` and sits on level ``row_level[i]``; on that
+    level's support its dose weights are ``row_scale[i]`` times those of
+    the chain's widest row.  Row l of ``increments`` holds the squared
+    widest-row weights of the doses that level l adds to the level below,
+    and 0 elsewhere, so ``increments @ var_eta[1:]`` gives the variances
+    of the walk's increments.
     """
 
     rows: tuple
     levels: tuple
-    base: np.ndarray
+    increments: np.ndarray
     row_control: tuple
     row_level: tuple
     row_scale: tuple
@@ -104,9 +107,13 @@ def chain_structure(coefficients) -> tuple | None:
             return None
     chains = []
     for group in groups:
-        base = W[group[0]].copy()
-        base.setflags(write=False)
+        base = W[group[0]]
         levels = sorted({supports[r] for r in group}, key=len)
+        increments = np.zeros((len(levels), W.shape[1]))
+        for lvl, (below, cols) in enumerate(zip([frozenset(), *levels], levels)):
+            new = sorted(cols - below)
+            increments[lvl, new] = base[new] ** 2
+        increments.setflags(write=False)
         row_scale = []
         for r in group:
             cols = sorted(supports[r])
@@ -118,7 +125,7 @@ def chain_structure(coefficients) -> tuple | None:
             Chain(
                 rows=tuple(group),
                 levels=tuple(tuple(sorted(s)) for s in levels),
-                base=base,
+                increments=increments,
                 row_control=tuple(float(-C[r, 0]) for r in group),
                 row_level=tuple(levels.index(supports[r]) for r in group),
                 row_scale=tuple(row_scale),
@@ -199,9 +206,10 @@ def _node_count(nodes: float) -> int:
 def chain_maxt(chains, t_values, std_err, var_eta) -> np.ndarray:
     """maxT-adjusted one-sided p-values p_q = 1 - P(all T_j < t_q), exactly.
 
-    ``chains`` comes from :func:`chain_structure` on the contrast
-    coefficients; ``std_err`` are the m contrast standard errors and
-    ``var_eta`` the group variances they were built from.  ``t_values``
+    ``chains`` are the family's
+    :attr:`~trendcomp.contrasts.ContrastMatrix.chains`; ``std_err`` are
+    the m contrast standard errors and ``var_eta`` the group variances
+    they were built from.  ``t_values``
     are the bounds to evaluate, any number of them: the family's
     statistics, or only those a decision leaves open.  As on the QMC
     route each value is clipped into [p_raw_q, min(1, m * p_raw_q)], and a
@@ -220,14 +228,7 @@ def chain_maxt(chains, t_values, std_err, var_eta) -> np.ndarray:
     walks = []
     row_width = np.empty(m)  # z-scale over which row r's constraint switches on
     for chain in chains:
-        base = chain.base
-        level_var = []
-        prev = ()
-        for cols in chain.levels:
-            new = sorted(set(cols) - set(prev))
-            level_var.append(float(np.sum(base[new] ** 2 * v[1:][new])))
-            prev = cols
-        sigma = np.sqrt(np.array(level_var))
+        sigma = np.sqrt(chain.increments @ v[1:])
         level_sd = np.sqrt(np.cumsum(sigma * sigma))
         for r, a, lvl, s in zip(chain.rows, chain.row_control, chain.row_level, chain.row_scale):
             alpha[r] = a

@@ -12,21 +12,23 @@ multivariate normal law of the standardized contrasts with the correlation
 implied by the fit, so adjusted p-values account for the dependence among
 the comparisons.
 
-:func:`contrast_test` picks the integration route from the coefficients.
-Families with chain structure (see :mod:`trendcomp.chains`), which covers
-many-to-one, Williams and every zero-padded Williams segment, get exact
-quadrature with error below 1e-8 and no correlation validation: their
-correlation is built from group variances, so it is positive
-semidefinite by construction.  The simulator decides these families by
-the same quadrature.  Any other family goes to the randomized
-quasi-Monte Carlo integrator of :mod:`trendcomp.mvn` at its default
-tolerance, after :class:`trendcomp.mvn.MvnSpec` validates the
-correlation.
+:func:`contrast_test` picks the integration route from the family's
+:attr:`ContrastMatrix.chains`, found once per matrix from its
+coefficients.  Families with chain structure (see
+:mod:`trendcomp.chains`), which covers many-to-one, Williams and every
+zero-padded Williams segment, get exact quadrature with error below 1e-8
+and no correlation validation: their correlation is built from group
+variances, so it is positive semidefinite by construction.  The
+simulator decides these families by the same quadrature.  Any other
+family goes to the randomized quasi-Monte Carlo integrator of
+:mod:`trendcomp.mvn` at its default tolerance, after
+:class:`trendcomp.mvn.MvnSpec` validates the correlation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtr
@@ -41,7 +43,6 @@ __all__ = [
     "TestReport",
     "dunnett_matrix",
     "williams_matrix",
-    "single_contrast",
     "pad_to_full",
     "contrast_moments",
     "contrast_test",
@@ -56,7 +57,11 @@ class ContrastError(ValueError):
 
 @dataclass(frozen=True)
 class ContrastMatrix:
-    """Named rows of contrast coefficients over the treatment groups."""
+    """Named rows of contrast coefficients over the treatment groups.
+
+    :attr:`chains` is derived from the coefficients on first use and kept,
+    so each family's structure is found once however often it is tested.
+    """
 
     names: tuple
     coefficients: np.ndarray
@@ -96,6 +101,11 @@ class ContrastMatrix:
     @property
     def n_groups(self) -> int:
         return self.coefficients.shape[1]
+
+    @cached_property
+    def chains(self) -> tuple | None:
+        """The chains of the family (:func:`trendcomp.chains.chain_structure`), or None."""
+        return chain_structure(self.coefficients)
 
 
 def dunnett_matrix(n) -> ContrastMatrix:
@@ -140,16 +150,6 @@ def williams_matrix(n) -> ContrastMatrix:
         C[q - 1, lo:] = n[lo:] / total
         names.append(f"D{lo}:{k}-C" if lo < k else f"D{k}-C")
     return ContrastMatrix(names=tuple(names), coefficients=C, kind="williams")
-
-
-def single_contrast(n_groups: int, i: int) -> ContrastMatrix:
-    """The single comparison of dose ``i`` against the control."""
-    if not 1 <= i <= n_groups - 1:
-        raise ContrastError(f"dose index {i} out of range 1..{n_groups - 1}")
-    C = np.zeros((1, n_groups))
-    C[0, 0] = -1.0
-    C[0, i] = 1.0
-    return ContrastMatrix(names=(f"D{i}-C",), coefficients=C, kind="pairwise")
 
 
 def pad_to_full(cm: ContrastMatrix, n_groups: int) -> ContrastMatrix:
@@ -234,18 +234,13 @@ def contrast_test(fit: ModelFit, contrasts: ContrastMatrix) -> TestReport:
             f"contrast matrix has {contrasts.n_groups} columns "
             f"but the fit has {fit.eta.size} groups"
         )
-    return _maxt_test(fit, contrasts, chain_structure(contrasts.coefficients))
-
-
-def _maxt_test(fit: ModelFit, contrasts: ContrastMatrix, chains) -> TestReport:
-    """:func:`contrast_test` of a family whose ``chains`` are known, None if it has none."""
     if contrasts.n_rows > MAX_DIMENSION:
         raise CorrelationError(f"dimension {contrasts.n_rows} exceeds supported {MAX_DIMENSION}")
     est, se, t, R = contrast_moments(contrasts.coefficients, fit.eta, fit.var_eta)
-    if chains is None:
+    if contrasts.chains is None:
         p_adj = adjust_maxt(t, MvnSpec(R))
     else:
-        p_adj = chain_maxt(chains, t, se, fit.var_eta)
+        p_adj = chain_maxt(contrasts.chains, t, se, fit.var_eta)
     for arr in (est, se, t, R, p_adj):
         arr.setflags(write=False)
     p_raw = ndtr(-t)

@@ -16,12 +16,12 @@ contrast D1 vs C in both variants.
 
 :func:`_stock_families` is the one place the stock families are defined:
 the many-to-one (Dunnett) family and variant C's k segment families, the
-top one being the global Williams family, each with its chains.  Every
-one has chain structure, so its adjusted p-values come from the exact
-quadrature of :mod:`trendcomp.chains`, with error below 1e-8 and no
-random numbers.  :func:`closed_test` is the closure rule; the simulator
-shares the family table and variant C's segment test with
-:func:`closed_analysis`.
+top one being the global Williams family.  Each is a plain
+:class:`ContrastMatrix` that carries its chains.  Every one has chain
+structure, so its adjusted p-values come from the exact quadrature of
+:mod:`trendcomp.chains`, with error below 1e-8 and no random numbers.
+The simulator shares the family table and variant C's closure,
+:func:`_williams_closure`, with :func:`closed_analysis`.
 :func:`raw_pairwise_pvalues`, :func:`ctp_pairwise` and the variant C
 closure also take a fit with a leading replicate axis and then run over
 its rows, so the simulator decides a chunk of replicates in one call of
@@ -35,11 +35,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .chains import chain_maxt, chain_structure
+from .chains import chain_maxt
 from .contrasts import (
     TestReport,
-    _maxt_test,
     contrast_moments,
+    contrast_test,
     dunnett_matrix,
     pad_to_full,
     williams_matrix,
@@ -50,7 +50,6 @@ from .model import ModelFit, fit_saturated_logit
 __all__ = [
     "CtpResult",
     "raw_pairwise_pvalues",
-    "closed_test",
     "ctp_pairwise",
     "closed_analysis",
 ]
@@ -60,29 +59,6 @@ def raw_pairwise_pvalues(fit: ModelFit) -> np.ndarray:
     """Unadjusted one-sided p-values of each dose-vs-control contrast."""
     eta, var = fit.eta, fit.var_eta
     return ndtr((eta[..., :1] - eta[..., 1:]) / np.sqrt(var[..., 1:] + var[..., :1]))
-
-
-def closed_test(top, segment_p, k: int) -> np.ndarray:
-    """Per-dose closed-test p-values p_i = max(S_i, ..., S_k), one row per table.
-
-    ``top`` holds S_k, the p-value of the global hypothesis {0..k}, for
-    each table.  ``segment_p(j, rows)`` returns S_j, the p-value of the
-    segment hypothesis on groups {0..j}, for the tables indexed by
-    ``rows``.  Segments are visited from the top down, each only for the
-    tables whose running maximum is still below 1; once it reaches 1, the
-    lower doses of that table get 1.
-    """
-    running = np.array(top, dtype=np.float64).reshape(-1)
-    p = np.ones((running.size, k))
-    p[:, k - 1] = running
-    rows = np.flatnonzero(running < 1.0)
-    for j in range(k - 1, 0, -1):
-        if rows.size == 0:
-            break
-        running[rows] = np.maximum(running[rows], segment_p(j, rows))
-        p[rows, j - 1] = running[rows]
-        rows = rows[running[rows] < 1.0]
-    return p
 
 
 def ctp_pairwise(fit: ModelFit) -> np.ndarray:
@@ -102,39 +78,43 @@ def _stock_families(n) -> tuple:
 
     Returns ``(dunnett, segments)``.  ``segments[j]`` for j = 1..k is the
     Williams family on groups {0..j}, zero-padded to the full design: the
-    global family for j = k, the contrast D1 vs C for j = 1.  Each family
-    is a pair of its :class:`ContrastMatrix` and its chains.
+    global family for j = k, the contrast D1 vs C for j = 1.
     """
     k = len(n) - 1
-    dunnett = dunnett_matrix(n)
-    segments = {}
-    for j in range(1, k + 1):
-        cm = pad_to_full(williams_matrix(n[: j + 1]), k + 1)
-        segments[j] = (cm, chain_structure(cm.coefficients))
-    return (dunnett, chain_structure(dunnett.coefficients)), segments
+    segments = {j: pad_to_full(williams_matrix(n[: j + 1]), k + 1) for j in range(1, k + 1)}
+    return dunnett_matrix(n), segments
 
 
 def _williams_closure(fit: ModelFit, segments: dict, top, maxt) -> np.ndarray:
-    """Variant C over ``segments`` from :func:`_stock_families`.
+    """Variant C: per-dose closed-test p-values p_i = max(S_i, ..., S_k).
 
-    ``fit`` holds one table or a leading axis of them, and ``top`` the
-    value of the global family for each.  The lower segments go to
-    :func:`closed_test` a batch of tables at a time: each table gets
-    ``maxt(chains, t, std_err, var_eta)`` at its largest statistic only,
-    with ``t`` one bound per table and ``std_err``, ``var_eta`` one row
-    per table.  The adjusted p falls as the bound rises, so that bound
-    gives the family minimum.
+    ``fit`` holds one table or a leading axis of them, ``segments`` comes
+    from :func:`_stock_families`, and ``top`` holds S_k, the value of the
+    global family, for each table.  The lower segments are visited from
+    the top down, each only for the tables whose running maximum is still
+    below 1; once it reaches 1, the lower doses of that table get 1.
+    Segment j gives S_j = ``maxt(chains, t, std_err, var_eta)`` at each
+    table's largest statistic only, with ``t`` one bound per table and
+    ``std_err``, ``var_eta`` one row per table.  The adjusted p falls as
+    the bound rises, so that bound gives the family minimum.
     """
     k = len(segments)
     eta = fit.eta.reshape(-1, fit.n_groups)
     var = fit.var_eta.reshape(-1, fit.n_groups)
-
-    def segment_p(j, rows):
-        cm, chains = segments[j]
-        _, se, t, _ = contrast_moments(cm.coefficients, eta[rows], var[rows])
-        return maxt(chains, t.max(axis=-1), se, var[rows])
-
-    return closed_test(top, segment_p, k).reshape(fit.eta.shape[:-1] + (k,))
+    running = np.array(top, dtype=np.float64).reshape(-1)
+    p = np.ones((running.size, k))
+    p[:, k - 1] = running
+    rows = np.flatnonzero(running < 1.0)
+    for j in range(k - 1, 0, -1):
+        if rows.size == 0:
+            break
+        segment = segments[j]
+        _, se, t, _ = contrast_moments(segment.coefficients, eta[rows], var[rows])
+        s_j = maxt(segment.chains, t.max(axis=-1), se, var[rows])
+        running[rows] = np.maximum(running[rows], s_j)
+        p[rows, j - 1] = running[rows]
+        rows = rows[running[rows] < 1.0]
+    return p.reshape(fit.eta.shape[:-1] + (k,))
 
 
 def _one_table_maxt(chains, t, std_err, var_eta) -> np.ndarray:
@@ -193,8 +173,8 @@ def closed_analysis(
         raise ValueError("alpha must lie in (0, 1)")
     fit = fit_saturated_logit(data, boundary_policy=boundary_policy)
     dunnett, segments = _stock_families(data.n)
-    dunnett_report = _maxt_test(fit, *dunnett)
-    williams_report = _maxt_test(fit, *segments[data.k])
+    dunnett_report = contrast_test(fit, dunnett)
+    williams_report = contrast_test(fit, segments[data.k])
     williams_global = williams_report.min_adjusted
     p_c = _williams_closure(fit, segments, williams_global, _one_table_maxt)
     p_c.setflags(write=False)

@@ -47,6 +47,9 @@ class DoseGroupData:
             raise ValueError("labels, n and y must have equal length")
         if len(labels) < 2:
             raise ValueError("need at least two groups (control plus one dose)")
+        repeated = sorted({lab for lab in labels if labels.count(lab) > 1})
+        if repeated:
+            raise ValueError(f"dose label(s) {', '.join(map(repr, repeated))} used more than once")
         if np.any(n < 1):
             raise ValueError("every group size must be >= 1")
         if np.any(y < 0) or np.any(y > n):
@@ -89,7 +92,8 @@ def read_counts_csv(path: str | Path) -> DoseGroupData:
     Rows are taken in file order as the dose order (control first) unless an
     optional numeric ``order`` column is present, in which case rows are
     stably sorted by it; its values must be finite.  Dose labels are opaque
-    strings and are never sorted lexically.
+    strings and are never sorted lexically.  Every row must have as many
+    fields as the header, and no column may be named twice.
     """
     path = Path(path)
     try:
@@ -98,25 +102,36 @@ def read_counts_csv(path: str | Path) -> DoseGroupData:
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
     with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise DataFormatError("empty file, expected a dose,n,responders header", line=1)
-        fields = [f.strip().lower() for f in reader.fieldnames]
+        fields = [f.strip().lower() for f in header]
+        # unnamed columns, such as the one a trailing comma leaves, are never read
+        repeated = sorted({f for f in fields if f and fields.count(f) > 1})
+        if repeated:
+            raise DataFormatError(f"column(s) {', '.join(repeated)} named more than once", line=1)
         missing = [c for c in REQUIRED_COLUMNS if c not in fields]
         if missing:
             raise DataFormatError(f"missing column(s) {', '.join(missing)}", line=1)
         has_order = "order" in fields
         rows = []
-        for record in reader:
+        for values in reader:
+            if not values:
+                continue  # blank line
             line = reader.line_num
-            record = {(k.strip().lower() if k else k): v for k, v in record.items()}
-            dose = (record.get("dose") or "").strip()
+            if len(values) != len(fields):
+                raise DataFormatError(
+                    f"row has {len(values)} fields but the header has {len(fields)}", line=line
+                )
+            record = dict(zip(fields, values))
+            dose = record["dose"].strip()
             if not dose:
                 raise DataFormatError("empty dose label", line=line)
             try:
-                n_i = int(str(record.get("n", "")).strip())
-                y_i = int(str(record.get("responders", "")).strip())
-            except (TypeError, ValueError):
+                n_i = int(record["n"])
+                y_i = int(record["responders"])
+            except ValueError:
                 raise DataFormatError(
                     f"non-integer n or responders in row for dose {dose!r}", line=line
                 ) from None
@@ -129,8 +144,8 @@ def read_counts_csv(path: str | Path) -> DoseGroupData:
             order_val = 0.0
             if has_order:
                 try:
-                    order_val = float(str(record.get("order", "")).strip())
-                except (TypeError, ValueError):
+                    order_val = float(record["order"])
+                except ValueError:
                     raise DataFormatError("non-numeric order value", line=line) from None
                 if not math.isfinite(order_val):
                     raise DataFormatError(

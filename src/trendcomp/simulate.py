@@ -4,8 +4,8 @@ Each replicate draws independent binomial counts from its own seeded
 generator.  A chunk of replicates is then decided at once, one row per
 replicate, by the same definitions :func:`trendcomp.ctp.closed_analysis`
 uses on one table: the closed form of :mod:`trendcomp.model`, the
-many-to-one and segment families of ``trendcomp.ctp._stock_families``
-with their chains, :func:`trendcomp.contrasts.contrast_moments`,
+many-to-one and segment families of ``trendcomp.ctp._stock_families``,
+each carrying its chains, :func:`trendcomp.contrasts.contrast_moments`,
 :func:`trendcomp.ctp.ctp_pairwise` and variant C's closure, integrated
 exactly by :mod:`trendcomp.chains`.  Decisions, not p-values, are
 accumulated: the exact sandwich p_raw <= p_adj <= m * p_raw settles the
@@ -206,24 +206,24 @@ class ScenarioResult:
         }
 
 
-def _below(family, t, std_err, var_eta, alpha) -> np.ndarray:
+def _below(chains, t, std_err, var_eta, alpha) -> np.ndarray:
     """Whether the maxT-adjusted p-value at each bound in ``t`` is below alpha.
 
-    ``family`` holds the chains of the contrast family.  Row r of ``t``
-    holds bounds of table r, whose contrast standard errors and group
-    variances are row r of ``std_err`` and ``var_eta``.  The exact sandwich
-    p_raw <= p_adj <= m * p_raw settles most bounds of the whole batch at
-    once; :func:`chain_maxt` integrates the rest, one call per table on
-    the bounds of that table it left open, so the answer equals
-    thresholding the adjusted p-values of
-    :func:`trendcomp.contrasts.contrast_test`.
+    ``chains`` are the :attr:`~trendcomp.contrasts.ContrastMatrix.chains`
+    of the contrast family.  Row r of ``t`` holds bounds of table r, whose
+    contrast standard errors and group variances are row r of ``std_err``
+    and ``var_eta``.  The exact sandwich p_raw <= p_adj <= m * p_raw
+    settles most bounds of the whole batch at once; :func:`chain_maxt`
+    integrates the rest, one call per table on the bounds of that table
+    it left open, so the answer equals thresholding the adjusted p-values
+    of :func:`trendcomp.contrasts.contrast_test`.
     """
     p_raw = ndtr(-t)
     below = std_err.shape[-1] * p_raw < alpha
     open_ = ~below & (p_raw < alpha)
     for r in np.flatnonzero(open_.any(axis=1)):
         bounds = open_[r]
-        below[r, bounds] = chain_maxt(family, t[r, bounds], std_err[r], var_eta[r]) < alpha
+        below[r, bounds] = chain_maxt(chains, t[r, bounds], std_err[r], var_eta[r]) < alpha
     return below
 
 
@@ -240,8 +240,8 @@ def _run_chunk(sc: Scenario, start: int, count: int) -> np.ndarray:
     k = sc.k
     n = np.asarray(sc.n, dtype=np.int64)
     alpha = sc.alpha
-    (cm_dun, chains_dun), segments = _stock_families(n)
-    cm_top, chains_top = segments[k]
+    dunnett, segments = _stock_families(n)
+    top = segments[k]
 
     def decide(chains, t, std_err, var_eta):
         # 0 where the adjusted p is below alpha, else 1: the same claims at alpha
@@ -256,13 +256,13 @@ def _run_chunk(sc: Scenario, start: int, count: int) -> np.ndarray:
     fitted = ~(no_info | refused)
     fit = ModelFit(eta[fitted], var_eta[fitted], correction_applied=at_boundary[fitted])
 
-    _, se_d, t_d, _ = contrast_moments(cm_dun.coefficients, fit.eta, fit.var_eta)
-    dunnett = _below(chains_dun, t_d, se_d, fit.var_eta, alpha)
+    _, se_d, t_d, _ = contrast_moments(dunnett.coefficients, fit.eta, fit.var_eta)
+    dunnett_claims = _below(dunnett.chains, t_d, se_d, fit.var_eta, alpha)
     pairwise = ctp_pairwise(fit) < alpha
     # a family rejects iff its largest statistic's adjusted p is below alpha
-    _, se_w, t_w, _ = contrast_moments(cm_top.coefficients, fit.eta, fit.var_eta)
+    _, se_w, t_w, _ = contrast_moments(top.coefficients, fit.eta, fit.var_eta)
     top_and_max = np.stack([t_w[:, 0], t_w.max(axis=1)], axis=1)
-    w_top, w_any = _below(chains_top, top_and_max, se_w, fit.var_eta, alpha).T
+    w_top, w_any = _below(top.chains, top_and_max, se_w, fit.var_eta, alpha).T
     claims = _williams_closure(fit, segments, np.where(w_any, 0.0, 1.0), decide) < alpha
 
     def tally(claimed):
@@ -271,7 +271,7 @@ def _run_chunk(sc: Scenario, start: int, count: int) -> np.ndarray:
 
     n_boundary = np.sum(at_boundary.any(axis=1) & ~no_info)
     return np.array(
-        [*tally(dunnett), w_top.sum(), w_any.sum(), *tally(pairwise), *tally(claims),
+        [*tally(dunnett_claims), w_top.sum(), w_any.sum(), *tally(pairwise), *tally(claims),
          n_boundary, no_info.sum()],
         dtype=np.int64,
     )

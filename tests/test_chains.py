@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -91,6 +92,37 @@ class TestChainStructure:
         C = [[-1.0, 1.0, 0.0], [-2.0, 2.0, 0.0], [-1.0, 0.0, 1.0]]
         found = chain_structure(C)
         assert sorted(len(c.levels) for c in found) == [1, 1]
+
+    def test_increments_hold_the_squared_weights_each_level_adds(self):
+        (chain,) = chain_structure(williams_matrix([12, 30, 25, 18]).coefficients)
+        w = np.array([30.0, 25.0, 18.0]) / 73.0
+        np.testing.assert_array_equal(
+            chain.increments,
+            [[0.0, 0.0, w[2] ** 2], [0.0, w[1] ** 2, 0.0], [w[0] ** 2, 0.0, 0.0]],
+        )
+
+    @pytest.mark.parametrize(
+        "cm",
+        [
+            dunnett_matrix([10] * 5),
+            williams_matrix([12, 30, 25, 18]),
+            pad_to_full(williams_matrix([12, 30, 25]), 5),
+        ],
+        ids=["dunnett", "williams", "padded-segment"],
+    )
+    def test_matrix_carries_its_chains(self, cm):
+        found = chain_structure(cm.coefficients)
+        assert len(cm.chains) == len(found)
+        for mine, theirs in zip(cm.chains, found):
+            np.testing.assert_array_equal(mine.increments, theirs.increments)
+            assert dataclasses.replace(mine, increments=None) == dataclasses.replace(
+                theirs, increments=None
+            )
+        assert cm.chains is cm.chains  # found once, then kept
+
+    def test_custom_family_carries_no_chains(self):
+        C = [[-1.0, 0.5, 0.5, 0.0], [-1.0, 0.0, 0.5, 0.5]]  # overlap, not nested
+        assert ContrastMatrix(names=("a", "b"), coefficients=C, kind="custom").chains is None
 
     @pytest.mark.parametrize(
         "C",

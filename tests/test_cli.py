@@ -127,6 +127,14 @@ class TestAnalyzeErrors:
         assert code == EXIT_PARSE
         assert "error:" in err
 
+    def test_repeated_dose_label_is_parse_error(self, capsys, tmp_path):
+        p = tmp_path / "twice.csv"
+        p.write_text("dose,n,responders\n0,34,2\n50,35,6\n50,36,4\n150,34,13\n")
+        code, out, err = run_cli(capsys, "analyze", "--input", str(p))
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert "'50'" in err
+
     def test_reject_policy_boundary_is_numeric_error(self, capsys, tmp_path):
         p = tmp_path / "zero.csv"
         p.write_text("dose,n,responders\n0,20,0\n1,20,8\n")

@@ -10,7 +10,6 @@ from trendcomp.contrasts import (
     contrast_test,
     dunnett_matrix,
     pad_to_full,
-    single_contrast,
     williams_matrix,
 )
 from trendcomp.model import fit_saturated_logit
@@ -77,17 +76,6 @@ class TestWilliamsMatrix:
 
 
 class TestHelpers:
-    def test_single_contrast(self):
-        cm = single_contrast(4, 2)
-        np.testing.assert_array_equal(cm.coefficients, [[-1.0, 0.0, 1.0, 0.0]])
-        assert cm.names == ("D2-C",)
-
-    def test_single_contrast_range(self):
-        with pytest.raises(ContrastError):
-            single_contrast(4, 4)
-        with pytest.raises(ContrastError):
-            single_contrast(4, 0)
-
     def test_pad_to_full(self):
         cm = williams_matrix([10, 10, 10])
         padded = pad_to_full(cm, 5)

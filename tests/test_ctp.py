@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from trendcomp import contrasts
 from trendcomp.chains import chain_maxt
 from trendcomp.contrasts import contrast_test, dunnett_matrix, pad_to_full, williams_matrix
 from trendcomp.ctp import (
@@ -240,3 +241,14 @@ def test_segment_test_is_the_family_minimum(seed):
         for j in range(k - 1, 0, -1)
     ]
     np.testing.assert_allclose(segment_p, family_min, rtol=0, atol=1e-8)
+
+
+def test_closed_analysis_finds_each_family_s_chains_once(monkeypatch):
+    # chains depend on the coefficients alone, so no maxT call may find them again
+    calls = []
+    find = contrasts.chain_structure
+    monkeypatch.setattr(contrasts, "chain_structure", lambda C: calls.append(C) or find(C))
+    data = DoseGroupData(labels=tuple("01234"), n=[30] * 5, y=[3, 4, 6, 9, 14])
+    result = closed_analysis(data)
+    assert np.all(result.p_ctp_williams < 1.0)  # the closure visited every segment
+    assert 0 < len(calls) <= data.k + 1

@@ -34,6 +34,11 @@ class TestDoseGroupData:
         with pytest.raises(ValueError, match=">= 1"):
             DoseGroupData(labels=("c", "d"), n=[0, 10], y=[0, 3])
 
+    def test_rejects_repeated_label(self):
+        # two groups labelled 50 gave two "50 - 0" rows with different p-values
+        with pytest.raises(ValueError, match="'50'.*more than once"):
+            DoseGroupData(labels=("0", "50", "50", "150"), n=[34, 35, 36, 34], y=[2, 6, 4, 13])
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="equal length"):
             DoseGroupData(labels=("c", "d"), n=[10, 10, 10], y=[1, 2, 3])
@@ -105,6 +110,39 @@ class TestReadCountsCsv:
         with pytest.raises(DataFormatError, match="order value must be finite") as err:
             read_counts_csv(path)
         assert err.value.line == 3
+
+    def test_repeated_label_in_file_rejected(self, tmp_path):
+        path = write(tmp_path, "dose,n,responders\n0,34,2\n50,35,6\n50,36,4\n150,34,13\n")
+        with pytest.raises(ValueError, match="'50'.*more than once"):
+            read_counts_csv(path)
+
+    def test_surplus_fields_rejected_with_line(self, tmp_path):
+        # the row used to be read as n=35, y=6, its last two fields dropped
+        path = write(tmp_path, "dose,n,responders\n0,34,2\n50,35,6,1,2\n150,34,13\n")
+        with pytest.raises(DataFormatError, match="5 fields but the header has 3") as err:
+            read_counts_csv(path)
+        assert err.value.line == 3
+
+    def test_missing_fields_rejected_with_line(self, tmp_path):
+        path = write(tmp_path, "dose,n,responders,order\n0,34,2,1\n50,35,6,2\n150,34,13\n")
+        with pytest.raises(DataFormatError, match="3 fields but the header has 4") as err:
+            read_counts_csv(path)
+        assert err.value.line == 4
+
+    @pytest.mark.parametrize("header", ["dose,n,n,responders", "dose,n,responders, N "])
+    def test_repeated_column_reports_line_1(self, tmp_path, header):
+        # the last n column used to win, moving the Dunnett p at dose 150 to 0.0115
+        path = write(tmp_path, f"{header}\n0,34,34,2\n50,35,35,6\n")
+        with pytest.raises(DataFormatError, match="column.* n named more than once") as err:
+            read_counts_csv(path)
+        assert err.value.line == 1
+
+    def test_trailing_commas_read_as_before(self, tmp_path, liarozole_csv):
+        path = write(tmp_path, "dose,n,responders,\n0,34,2,\n50,35,6,\n75,36,4,\n150,34,13,\n")
+        data, expected = read_counts_csv(path), read_counts_csv(liarozole_csv)
+        assert data.labels == expected.labels
+        assert data.n.tolist() == expected.n.tolist()
+        assert data.y.tolist() == expected.y.tolist()
 
     def test_missing_column_reports_line_1(self, tmp_path):
         path = write(tmp_path, "dose,n\nctrl,20\n")
