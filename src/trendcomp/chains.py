@@ -32,7 +32,9 @@ resolve.  Ranges are cut at ``_TAIL_SD`` standard deviations and at
 ``_EPS`` probability, which drops a few times 1e-12 at most.  Doubling
 every node count moves none of the 12196 p-values of the 1000 random
 tables of the acceptance suite by more than 3e-9, so the error is below
-1e-8.
+1e-8.  Very unequal group variances make that ratio, and so the rule,
+huge; a rule of more than ``_MAX_NODES`` nodes raises
+:class:`ContrastError` before any array is built.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-__all__ = ["Chain", "chain_structure", "chain_maxt"]
+__all__ = ["ContrastError", "Chain", "chain_structure", "chain_maxt"]
 
 # ranges end this many standard deviations out; P(Z < -7) = 1.3e-12
 _TAIL_SD = 7.0
@@ -53,6 +55,8 @@ _TAIL_SD = 7.0
 _NODES_PER_SD = 1.7
 _OUTER_NODES_PER_SD = 5.0
 _MIN_NODES = 16
+# largest rule built; 16 times the largest any acceptance or benchmark table needs
+_MAX_NODES = 4096
 # probability below which a constraint counts as certain to fail or hold
 _EPS = 1e-13
 _Q_LO = float(ndtri(_EPS))
@@ -60,6 +64,14 @@ _Q_LO = float(ndtri(_EPS))
 _CHUNK_ENTRIES = 1 << 17
 _PROPORTIONAL_RTOL = 1e-9
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+class ContrastError(ValueError):
+    """A contrast matrix or its sampling moments are unusable.
+
+    The quadrature here raises it for a rule above the node cap.
+    :mod:`trendcomp.contrasts` imports this module and re-exports the class.
+    """
 
 
 @dataclass(frozen=True)
@@ -198,8 +210,14 @@ def _node_count(nodes: float) -> int:
     """At least ``nodes`` and ``_MIN_NODES``, rounded up to a multiple of 8.
 
     The rounding keeps the number of distinct rules, and so the work of
-    building them, small.
+    building them, small.  More than ``_MAX_NODES`` raises
+    :class:`ContrastError`.
     """
+    if not nodes <= _MAX_NODES:
+        raise ContrastError(
+            f"exact integration needs a rule of {nodes:.0f} nodes, above the cap of "
+            f"{_MAX_NODES}; the group variances are too unequal"
+        )
     return 8 * max(_MIN_NODES // 8, math.ceil(nodes / 8.0))
 
 

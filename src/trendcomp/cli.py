@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .contrasts import ContrastError
 from .ctp import CtpResult, closed_analysis
@@ -21,7 +20,6 @@ from .mvn import CorrelationError
 from .simulate import SCHEMA_VERSION, load_study, run_study
 
 __all__ = [
-    "AnalysisRequest",
     "EXIT_OK",
     "EXIT_PARSE",
     "EXIT_NUMERIC",
@@ -38,23 +36,6 @@ _PARSE_ERRORS = (DataFormatError,)
 _NUMERIC_ERRORS = (BoundaryCountError, NoInformationError, CorrelationError, ContrastError)
 
 _NO_ENTRY = "..."
-
-
-@dataclass(frozen=True)
-class AnalysisRequest:
-    """Validated arguments of the analyze command."""
-
-    input_path: str
-    alpha: float = 0.05
-    boundary_policy: str = "haldane"
-    output_format: str = "table"
-
-    def __post_init__(self):
-        if not 0.0 < float(self.alpha) < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-        if self.output_format not in ("table", "json"):
-            raise ValueError("output format must be 'table' or 'json'")
-        object.__setattr__(self, "alpha", float(self.alpha))
 
 
 def _analysis_rows(result: CtpResult) -> list:
@@ -99,7 +80,6 @@ def _render_analysis_table(result: CtpResult) -> str:
 def _render_analysis_json(result: CtpResult) -> str:
     payload = {
         "control": result.control_label,
-        "alpha": result.alpha,
         "boundary_policy": result.boundary_policy,
         "correction_applied": [bool(b) for b in result.correction_applied],
         "rows": _analysis_rows(result),
@@ -111,13 +91,12 @@ def _render_analysis_json(result: CtpResult) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def cmd_analyze(request: AnalysisRequest) -> str:
+def cmd_analyze(
+    input_path: str, boundary_policy: str = "haldane", output_format: str = "table"
+) -> str:
     """Run the closed analysis on a counts CSV and render the report."""
-    data = read_counts_csv(request.input_path)
-    result = closed_analysis(
-        data, alpha=request.alpha, boundary_policy=request.boundary_policy
-    )
-    if request.output_format == "json":
+    result = closed_analysis(read_counts_csv(input_path), boundary_policy=boundary_policy)
+    if output_format == "json":
         return _render_analysis_json(result)
     return _render_analysis_table(result)
 
@@ -212,7 +191,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="closed analysis of one counts CSV")
     p_an.add_argument("--input", required=True, help="CSV with dose,n,responders columns")
-    p_an.add_argument("--alpha", type=float, default=0.05)
     p_an.add_argument("--boundary", choices=("haldane", "reject"), default="haldane")
     p_an.add_argument("--format", choices=("table", "json"), default="table")
 
@@ -228,13 +206,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "analyze":
-            request = AnalysisRequest(
-                input_path=args.input,
-                alpha=args.alpha,
-                boundary_policy=args.boundary,
-                output_format=args.format,
+            report = cmd_analyze(
+                args.input, boundary_policy=args.boundary, output_format=args.format
             )
-            report = cmd_analyze(request)
         else:
             if args.parallelism < 1:
                 parser.error("--parallelism must be >= 1")

@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import ndtr
 
-from .chains import chain_maxt, chain_structure
+from .chains import ContrastError, chain_maxt, chain_structure
 from .model import ModelFit
 from .mvn import MAX_DIMENSION, CorrelationError, MvnSpec, adjust_maxt
 
@@ -51,10 +51,6 @@ __all__ = [
 _ROW_SUM_TOL = 1e-12
 
 
-class ContrastError(ValueError):
-    """A contrast matrix or its sampling moments are unusable."""
-
-
 @dataclass(frozen=True)
 class ContrastMatrix:
     """Named rows of contrast coefficients over the treatment groups.
@@ -65,7 +61,6 @@ class ContrastMatrix:
 
     names: tuple
     coefficients: np.ndarray
-    kind: str
 
     def __post_init__(self):
         C = np.array(self.coefficients, dtype=np.float64)
@@ -92,7 +87,6 @@ class ContrastMatrix:
         C.setflags(write=False)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "coefficients", C)
-        object.__setattr__(self, "kind", str(self.kind))
 
     @property
     def n_rows(self) -> int:
@@ -123,7 +117,7 @@ def dunnett_matrix(n) -> ContrastMatrix:
         C[i - 1, 0] = -1.0
         C[i - 1, i] = 1.0
         names.append(f"D{i}-C")
-    return ContrastMatrix(names=tuple(names), coefficients=C, kind="dunnett")
+    return ContrastMatrix(names=tuple(names), coefficients=C)
 
 
 def williams_matrix(n) -> ContrastMatrix:
@@ -149,7 +143,7 @@ def williams_matrix(n) -> ContrastMatrix:
         C[q - 1, 0] = -1.0
         C[q - 1, lo:] = n[lo:] / total
         names.append(f"D{lo}:{k}-C" if lo < k else f"D{k}-C")
-    return ContrastMatrix(names=tuple(names), coefficients=C, kind="williams")
+    return ContrastMatrix(names=tuple(names), coefficients=C)
 
 
 def pad_to_full(cm: ContrastMatrix, n_groups: int) -> ContrastMatrix:
@@ -166,7 +160,7 @@ def pad_to_full(cm: ContrastMatrix, n_groups: int) -> ContrastMatrix:
         return cm
     C = np.zeros((cm.n_rows, n_groups))
     C[:, : cm.n_groups] = cm.coefficients
-    return ContrastMatrix(names=cm.names, coefficients=C, kind=cm.kind)
+    return ContrastMatrix(names=cm.names, coefficients=C)
 
 
 def contrast_moments(coefficients: np.ndarray, eta: np.ndarray, var_eta: np.ndarray):

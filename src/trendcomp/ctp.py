@@ -133,7 +133,6 @@ class CtpResult:
     p_williams_global: float
     p_ctp_pairwise: np.ndarray
     p_ctp_williams: np.ndarray
-    alpha: float
     boundary_policy: str
     correction_applied: np.ndarray
     dunnett_report: TestReport
@@ -150,27 +149,19 @@ class CtpResult:
         for name in ("p_ctp_pairwise", "p_ctp_williams"):
             if np.any(np.diff(getattr(self, name)) > 0.0):
                 raise ValueError(f"{name} must be non-increasing in dose")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
 
     @property
     def k(self) -> int:
         return len(self.dose_labels)
 
 
-def closed_analysis(
-    data: DoseGroupData,
-    *,
-    alpha: float = 0.05,
-    boundary_policy: str = "haldane",
-) -> CtpResult:
+def closed_analysis(data: DoseGroupData, *, boundary_policy: str = "haldane") -> CtpResult:
     """Run Dunnett, Williams and both closed-test variants on one dataset.
 
     A single saturated fit feeds every procedure, and every adjusted
-    p-value is integrated exactly (error below 1e-8).
+    p-value is integrated exactly (error below 1e-8).  No significance
+    level is taken: a claim at any level is a p-value below it.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
     fit = fit_saturated_logit(data, boundary_policy=boundary_policy)
     dunnett, segments = _stock_families(data.n)
     dunnett_report = contrast_test(fit, dunnett)
@@ -186,7 +177,6 @@ def closed_analysis(
         p_williams_global=williams_global,
         p_ctp_pairwise=ctp_pairwise(fit),
         p_ctp_williams=p_c,
-        alpha=alpha,
         boundary_policy=boundary_policy,
         correction_applied=fit.correction_applied,
         dunnett_report=dunnett_report,

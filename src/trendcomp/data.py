@@ -93,7 +93,8 @@ def read_counts_csv(path: str | Path) -> DoseGroupData:
     optional numeric ``order`` column is present, in which case rows are
     stably sorted by it; its values must be finite.  Dose labels are opaque
     strings and are never sorted lexically.  Every row must have as many
-    fields as the header, and no column may be named twice.
+    fields as the header, and no column may be named twice.  A row whose
+    fields are all blank, such as ``,,``, is skipped like an empty line.
     """
     path = Path(path)
     try:
@@ -117,8 +118,8 @@ def read_counts_csv(path: str | Path) -> DoseGroupData:
         has_order = "order" in fields
         rows = []
         for values in reader:
-            if not values:
-                continue  # blank line
+            if not any(v.strip() for v in values):
+                continue  # blank line, or a row of empty fields as spreadsheets write
             line = reader.line_num
             if len(values) != len(fields):
                 raise DataFormatError(

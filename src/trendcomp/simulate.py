@@ -277,10 +277,6 @@ def _run_chunk(sc: Scenario, start: int, count: int) -> np.ndarray:
     )
 
 
-def _chunk_worker(args) -> np.ndarray:
-    return _run_chunk(*args)
-
-
 def run_scenario(sc: Scenario, parallelism: int = 1) -> ScenarioResult:
     """Estimate all rates for one scenario.
 
@@ -292,18 +288,13 @@ def run_scenario(sc: Scenario, parallelism: int = 1) -> ScenarioResult:
         raise ValueError("parallelism must be >= 1")
     t0 = time.perf_counter()
     k = sc.k
-    tasks = [
-        (sc, start, min(_CHUNK, sc.replicates - start))
-        for start in range(0, sc.replicates, _CHUNK)
-    ]
-    counts = np.zeros(3 * k + 7, dtype=np.int64)
-    if parallelism == 1 or len(tasks) == 1:
-        for task in tasks:
-            counts += _run_chunk(*task)
+    starts = range(0, sc.replicates, _CHUNK)
+    chunks = ([sc] * len(starts), starts, [min(_CHUNK, sc.replicates - s) for s in starts])
+    if parallelism == 1 or len(starts) == 1:
+        counts = sum(map(_run_chunk, *chunks))
     else:
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            for vec in pool.map(_chunk_worker, tasks):
-                counts += vec
+            counts = sum(pool.map(_run_chunk, *chunks))
     reps = float(sc.replicates)
     rate = counts / reps
     return ScenarioResult(

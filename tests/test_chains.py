@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 from scipy.stats import multivariate_normal
 
-from trendcomp import chains, contrasts
+import trendcomp
+from trendcomp import chains, closed_analysis, contrasts
 from trendcomp.chains import chain_structure
 from trendcomp.contrasts import (
     ContrastMatrix,
@@ -122,7 +124,7 @@ class TestChainStructure:
 
     def test_custom_family_carries_no_chains(self):
         C = [[-1.0, 0.5, 0.5, 0.0], [-1.0, 0.0, 0.5, 0.5]]  # overlap, not nested
-        assert ContrastMatrix(names=("a", "b"), coefficients=C, kind="custom").chains is None
+        assert ContrastMatrix(names=("a", "b"), coefficients=C).chains is None
 
     @pytest.mark.parametrize(
         "C",
@@ -219,6 +221,29 @@ def test_doubling_nodes_moves_no_p(monkeypatch):
         np.testing.assert_allclose(contrast_test(fit, cm).p_adjusted, p, rtol=0, atol=1e-6)
 
 
+class TestNodeCap:
+    """Very unequal group variances would need a rule far above the cap."""
+
+    def test_unequal_table_raises_at_once(self):
+        data = DoseGroupData(
+            labels=tuple("0123"), n=[100000, 3, 100000, 100000], y=[50000, 1, 50000, 50000]
+        )
+        start = time.perf_counter()
+        with pytest.raises(contrasts.ContrastError, match="nodes, above the cap of 4096"):
+            closed_analysis(data)
+        assert time.perf_counter() - start < 1.0
+
+    def test_huge_variance_raises_at_once(self):
+        fit = null_fit([0.08, 0.08, 1.25e9])
+        start = time.perf_counter()
+        with pytest.raises(contrasts.ContrastError, match="cap of 4096"):
+            contrast_test(fit, williams_matrix([10, 10, 10]))
+        assert time.perf_counter() - start < 1.0
+
+    def test_one_error_class(self):
+        assert chains.ContrastError is contrasts.ContrastError is trendcomp.ContrastError
+
+
 class TestRouteSelection:
     @pytest.mark.parametrize(
         "C",
@@ -231,7 +256,7 @@ class TestRouteSelection:
     )
     def test_custom_families_keep_qmc(self, C, liarozole, no_exact):
         fit = fit_saturated_logit(liarozole)
-        cm = ContrastMatrix(names=("a", "b"), coefficients=C, kind="custom")
+        cm = ContrastMatrix(names=("a", "b"), coefficients=C)
         _, _, t, R = contrast_moments(cm.coefficients, fit.eta, fit.var_eta)
         report = contrast_test(fit, cm)
         np.testing.assert_array_equal(report.p_adjusted, adjust_maxt(t, MvnSpec(R)))
@@ -246,14 +271,12 @@ class TestRouteSelection:
         report = contrast_test(fit, dunnett_matrix([40, 40]))
         np.testing.assert_array_equal(report.p_adjusted, report.p_raw)
 
-    def test_selected_from_coefficients_not_kind(self, liarozole, no_qmc):
+    def test_selected_from_coefficients(self, liarozole, no_qmc):
         fit = fit_saturated_logit(liarozole)
         stock = williams_matrix(liarozole.n)
-        relabeled = ContrastMatrix(
-            names=stock.names, coefficients=stock.coefficients, kind="custom"
-        )
+        rebuilt = ContrastMatrix(names=stock.names, coefficients=stock.coefficients.tolist())
         np.testing.assert_array_equal(
-            contrast_test(fit, relabeled).p_adjusted, contrast_test(fit, stock).p_adjusted
+            contrast_test(fit, rebuilt).p_adjusted, contrast_test(fit, stock).p_adjusted
         )
 
     def test_correlation_validated_on_exact_route(self, no_qmc):
@@ -268,6 +291,6 @@ class TestRouteSelection:
             C[i, 0] = -0.5
             C[i, i + 1] = 1.0
             C[i, (i + 1) % k + 1] = -0.5
-        cm = ContrastMatrix(names=tuple(map(str, range(k))), coefficients=C, kind="custom")
+        cm = ContrastMatrix(names=tuple(map(str, range(k))), coefficients=C)
         with pytest.raises(CorrelationError, match="exceeds"):
             contrast_test(null_fit(np.full(k + 1, 0.3)), cm)

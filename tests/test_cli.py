@@ -9,7 +9,6 @@ from trendcomp.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_PARSE,
-    AnalysisRequest,
     cmd_analyze,
     main,
 )
@@ -19,22 +18,6 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-class TestAnalysisRequest:
-    def test_defaults(self):
-        req = AnalysisRequest(input_path="x.csv")
-        assert req.alpha == 0.05
-        assert req.boundary_policy == "haldane"
-        assert req.output_format == "table"
-
-    def test_alpha_validated(self):
-        with pytest.raises(ValueError, match="alpha"):
-            AnalysisRequest(input_path="x.csv", alpha=1.5)
-
-    def test_format_validated(self):
-        with pytest.raises(ValueError, match="format"):
-            AnalysisRequest(input_path="x.csv", output_format="xml")
 
 
 class TestAnalyzeTable:
@@ -63,11 +46,14 @@ class TestAnalyzeTable:
         # one dose: all four procedures reduce to the same raw one-sided p
         assert cells[3:] == [cells[3]] * 4
 
-    def test_alpha_flag_accepted(self, capsys, liarozole_csv):
-        code, out, _ = run_cli(
-            capsys, "analyze", "--input", liarozole_csv, "--alpha", "0.1"
-        )
-        assert code == EXIT_OK
+    @pytest.mark.parametrize("blank", ["   \n", ",,\n"], ids=["spaces", "commas"])
+    def test_blank_row_is_skipped(self, capsys, liarozole_csv, tmp_path, blank):
+        p = tmp_path / "blank.csv"
+        p.write_text(Path(liarozole_csv).read_text() + blank)
+        _, plain, _ = run_cli(capsys, "analyze", "--input", liarozole_csv)
+        code, out, err = run_cli(capsys, "analyze", "--input", str(p))
+        assert (code, err) == (EXIT_OK, "")
+        assert out == plain
 
     def test_byte_order_mark_gives_same_report(self, capsys, liarozole_csv, tmp_path):
         p = tmp_path / "bom.csv"
@@ -85,7 +71,7 @@ class TestAnalyzeJson:
         )
         payload = json.loads(out)
         assert payload["control"] == "0"
-        assert payload["alpha"] == 0.05
+        assert "alpha" not in payload
         assert payload["boundary_policy"] == "haldane"
         assert payload["correction_applied"] == [False] * 4
         assert "seed" not in payload
@@ -159,9 +145,27 @@ class TestAnalyzeErrors:
         assert out == ""
         assert "exceeds" in err
 
+    def test_node_cap_is_numeric_error(self, capsys, tmp_path):
+        # group variances about 1e5 apart need a quadrature rule above the cap
+        p = tmp_path / "unequal.csv"
+        p.write_text("dose,n,responders\n0,100000,50000\n1,3,1\n2,100000,50000\n3,100000,50000\n")
+        code, out, err = run_cli(capsys, "analyze", "--input", str(p))
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert "cap of 4096" in err
+
     def test_unknown_boundary_rejected_by_argparse(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "--input", "x.csv", "--boundary", "smooth"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flag", [("--format", "xml"), ("--alpha", "0.1")], ids=["format-xml", "alpha"]
+    )
+    def test_option_rejected_by_argparse(self, capsys, flag):
+        # analyze reports p-values and takes no significance level
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--input", "x.csv", *flag])
         assert exc.value.code == 2
 
     def test_missing_subcommand(self, capsys):
@@ -172,7 +176,7 @@ class TestAnalyzeErrors:
 
 class TestCmdAnalyzeApi:
     def test_returns_rendered_string(self, liarozole_csv):
-        report = cmd_analyze(AnalysisRequest(input_path=liarozole_csv))
+        report = cmd_analyze(liarozole_csv)
         assert report.startswith("comparison")
         assert report.endswith("\n")
 
@@ -245,6 +249,17 @@ class TestSimulateCommand:
         code, _, err = run_cli(capsys, "simulate", "--config", str(p))
         assert code == EXIT_PARSE
         assert "error:" in err
+
+    def test_node_cap_is_numeric_error(self, capsys, tmp_path):
+        p = tmp_path / "unequal.yaml"
+        p.write_text(
+            "schema_version: 1\nmaster_seed: 7\nscenarios:\n"
+            "  - {n: [100000, 3, 100000, 100000], pi: [0.5, 0.2, 0.5, 0.5], replicates: 20}\n"
+        )
+        code, out, err = run_cli(capsys, "simulate", "--config", str(p))
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert "cap of 4096" in err
 
     def test_missing_config_is_parse_error(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "simulate", "--config", str(tmp_path / "no.yaml"))

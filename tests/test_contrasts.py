@@ -18,7 +18,6 @@ from trendcomp.model import fit_saturated_logit
 class TestDunnettMatrix:
     def test_shape_and_names(self):
         cm = dunnett_matrix([50, 50, 50, 50])
-        assert cm.kind == "dunnett"
         assert cm.names == ("D1-C", "D2-C", "D3-C")
         expected = np.array(
             [
@@ -45,7 +44,6 @@ class TestDunnettMatrix:
 class TestWilliamsMatrix:
     def test_names_highest_dose_first(self):
         cm = williams_matrix([50, 50, 50, 50])
-        assert cm.kind == "williams"
         assert cm.names == ("D3-C", "D2:3-C", "D1:3-C")
 
     def test_balanced_weights(self):
@@ -96,19 +94,19 @@ class TestHelpers:
 class TestContrastMatrixValidation:
     def test_rows_must_sum_to_zero(self):
         with pytest.raises(ContrastError, match="sum to"):
-            ContrastMatrix(names=("a",), coefficients=[[1.0, 1.0]], kind="x")
+            ContrastMatrix(names=("a",), coefficients=[[1.0, 1.0]])
 
     def test_rows_need_both_signs(self):
         with pytest.raises(ContrastError, match="positive and one negative"):
-            ContrastMatrix(names=("a",), coefficients=[[0.0, 0.0]], kind="x")
+            ContrastMatrix(names=("a",), coefficients=[[0.0, 0.0]])
 
     def test_name_count_must_match(self):
         with pytest.raises(ContrastError, match="names"):
-            ContrastMatrix(names=("a", "b"), coefficients=[[-1.0, 1.0]], kind="x")
+            ContrastMatrix(names=("a", "b"), coefficients=[[-1.0, 1.0]])
 
     def test_coefficients_must_be_finite(self):
         with pytest.raises(ContrastError, match="finite"):
-            ContrastMatrix(names=("a",), coefficients=[[-np.inf, np.inf]], kind="x")
+            ContrastMatrix(names=("a",), coefficients=[[-np.inf, np.inf]])
 
     def test_coefficients_frozen(self):
         cm = dunnett_matrix([10, 10])

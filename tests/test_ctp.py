@@ -141,8 +141,7 @@ class TestBoundaryPolicies:
         assert not np.allclose(a.p_ctp_pairwise, b.p_ctp_pairwise)
 
     def test_result_records_inputs(self, liarozole):
-        result = closed_analysis(liarozole, alpha=0.1)
-        assert result.alpha == 0.1
+        result = closed_analysis(liarozole)
         assert result.control_label == "0"
         assert result.dose_labels == ("50", "75", "150")
         assert result.k == 3
@@ -159,7 +158,6 @@ class TestCtpResultValidation:
             "p_williams_global": result.p_williams_global,
             "p_ctp_pairwise": result.p_ctp_pairwise,
             "p_ctp_williams": result.p_ctp_williams,
-            "alpha": result.alpha,
             "boundary_policy": result.boundary_policy,
             "correction_applied": result.correction_applied,
             "dunnett_report": result.dunnett_report,
@@ -182,12 +180,6 @@ class TestCtpResultValidation:
         kw = self._kwargs(liarozole)
         kw["p_dunnett"] = np.array([0.5, 0.2])
         with pytest.raises(ValueError, match="one entry per dose"):
-            CtpResult(**kw)
-
-    def test_rejects_bad_alpha(self, liarozole):
-        kw = self._kwargs(liarozole)
-        kw["alpha"] = 1.0
-        with pytest.raises(ValueError, match="alpha"):
             CtpResult(**kw)
 
 

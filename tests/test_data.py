@@ -166,6 +166,12 @@ class TestReadCountsCsv:
         with pytest.raises(DataFormatError, match="empty dose label"):
             read_counts_csv(path)
 
+    def test_partly_blank_row_keeps_its_error(self, tmp_path, liarozole_csv):
+        with open(liarozole_csv) as fh:
+            path = write(tmp_path, fh.read() + ",34,2\n")
+        with pytest.raises(DataFormatError, match="line 6: empty dose label"):
+            read_counts_csv(path)
+
     def test_single_data_row_rejected(self, tmp_path):
         path = write(tmp_path, "dose,n,responders\nctrl,20,3\n")
         with pytest.raises(DataFormatError, match="at least two data rows"):

@@ -218,7 +218,7 @@ def analysis_counts(sc: Scenario, rep: int) -> np.ndarray:
     data = DoseGroupData(labels=tuple(map(str, range(k + 1))), n=n, y=draw.binomial(n, sc.pi))
     out = np.zeros(3 * k + 7, dtype=np.int64)
     try:
-        res = closed_analysis(data, alpha=sc.alpha, boundary_policy=sc.boundary_policy)
+        res = closed_analysis(data, boundary_policy=sc.boundary_policy)
     except NoInformationError:
         out[-1] = 1
         return out
