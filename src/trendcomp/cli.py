@@ -174,7 +174,9 @@ def cmd_simulate(config_path: str, parallelism: int = 1, output_format: str = "t
             f"in {res.elapsed:.1f}s, "
             f"{res.scenario.replicates / max(res.elapsed, 1e-9):.0f} replicates/s "
             f"({res.n_boundary} boundary, "
-            f"{res.n_degenerate} degenerate)",
+            f"{res.n_degenerate} degenerate; maxT bounds settled by the sandwich "
+            f"{res.n_sandwich}, by second-order bounds {res.n_second_order}, "
+            f"integrated {res.n_integrated})",
             file=sys.stderr,
         )
     if output_format == "json":

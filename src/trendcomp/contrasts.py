@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import ndtr
 
-from .chains import ContrastError, chain_maxt, chain_structure
+from .chains import ContrastError, _equal_fields, chain_maxt, chain_structure
 from .model import ModelFit
 from .mvn import MAX_DIMENSION, CorrelationError, MvnSpec, adjust_maxt
 
@@ -57,7 +57,10 @@ class ContrastMatrix:
 
     :attr:`chains` is derived from the coefficients on first use and kept,
     so each family's structure is found once however often it is tested.
+    Matrices compare by value.
     """
+
+    __eq__ = _equal_fields
 
     names: tuple
     coefficients: np.ndarray
@@ -195,7 +198,7 @@ def contrast_moments(coefficients: np.ndarray, eta: np.ndarray, var_eta: np.ndar
     return est, se, t, R
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TestReport:
     """Per-contrast results of a maxT multiple-contrast test."""
 

@@ -31,6 +31,8 @@ the code that analyzes one table.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 from scipy.special import ndtr
@@ -78,14 +80,21 @@ def _stock_families(n) -> tuple:
 
     Returns ``(dunnett, segments)``.  ``segments[j]`` for j = 1..k is the
     Williams family on groups {0..j}, zero-padded to the full design: the
-    global family for j = k, the contrast D1 vs C for j = 1.
+    global family for j = k, the contrast D1 vs C for j = 1.  Built once
+    per process for each tuple of sizes; ``segments`` is a read-only
+    mapping and every family is frozen, so all callers share them.
     """
+    return _families_of_sizes(tuple(int(v) for v in n))
+
+
+@lru_cache(maxsize=64)
+def _families_of_sizes(n: tuple) -> tuple:
     k = len(n) - 1
     segments = {j: pad_to_full(williams_matrix(n[: j + 1]), k + 1) for j in range(1, k + 1)}
-    return dunnett_matrix(n), segments
+    return dunnett_matrix(n), MappingProxyType(segments)
 
 
-def _williams_closure(fit: ModelFit, segments: dict, top, maxt) -> np.ndarray:
+def _williams_closure(fit: ModelFit, segments, top, maxt) -> np.ndarray:
     """Variant C: per-dose closed-test p-values p_i = max(S_i, ..., S_k).
 
     ``fit`` holds one table or a leading axis of them, ``segments`` comes

@@ -8,11 +8,17 @@ many-to-one and segment families of ``trendcomp.ctp._stock_families``,
 each carrying its chains, :func:`trendcomp.contrasts.contrast_moments`,
 :func:`trendcomp.ctp.ctp_pairwise` and variant C's closure, integrated
 exactly by :mod:`trendcomp.chains`.  Decisions, not p-values, are
-accumulated: the exact sandwich p_raw <= p_adj <= m * p_raw settles the
-maxT decisions of the whole chunk in bulk, and
-:func:`trendcomp.chains.chain_maxt` integrates only the bounds it leaves
-open, table by table, one bound per lower segment, so every claim equals
-thresholding the p-values of ``closed_analysis`` on the same table.
+accumulated, and each maxT decision passes up to three stages.  The exact
+sandwich p_raw <= p_adj <= m * p_raw settles most bounds of the whole
+chunk in bulk.  The second-order bounds of
+:func:`trendcomp.chains.chain_bounds`, also over the whole chunk, settle
+most of the rest: a bound counts as settled only when its bracket lies
+more than ``_MARGIN`` (1e-7, ten times the quadrature's error) clear of
+alpha.  :func:`trendcomp.chains.chain_maxt` integrates what is still
+open, table by table, one bound per lower segment.  So every claim equals
+thresholding the p-values of ``closed_analysis`` on the same table.  How
+many bounds each stage settled is counted per scenario and reported on
+stderr, not in :meth:`ScenarioResult.to_dict`.
 
 The default boundary policy here is ``smooth`` (one pseudo-responder
 and one pseudo-non-responder added to every group), not the analysis
@@ -42,7 +48,7 @@ import numpy as np
 import yaml
 from scipy.special import ndtr
 
-from .chains import chain_maxt
+from .chains import chain_bounds, chain_maxt
 from .contrasts import contrast_moments
 from .ctp import _stock_families, _williams_closure, ctp_pairwise
 from .model import BOUNDARY_POLICIES, ModelFit, _saturated_logit
@@ -61,6 +67,9 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 _CHUNK = 512
+# second-order bounds settle a decision only this far clear of alpha: ten
+# times the quadrature's error, so it is the decision the quadrature makes
+_MARGIN = 1e-7
 
 
 class StudyConfigError(ValueError):
@@ -134,7 +143,11 @@ class ScenarioResult:
     dose at all.  For the Williams procedure ``rate_williams_top`` is the
     decision of its highest-dose contrast row and ``rate_williams_any``
     the decision of the global trend test.  ``elapsed`` is wall time in
-    seconds and deliberately stays out of :meth:`to_dict`.
+    seconds.  ``n_sandwich``, ``n_second_order`` and ``n_integrated``
+    count the maxT bounds decided by the first-order sandwich, by the
+    second-order bounds and by the quadrature.  Timing and these counts
+    describe how the rates were computed, not what they are, so they stay
+    out of :meth:`to_dict`.
     """
 
     scenario: Scenario
@@ -149,6 +162,9 @@ class ScenarioResult:
     n_boundary: int
     n_degenerate: int
     elapsed: float = field(compare=False)
+    n_sandwich: int = 0
+    n_second_order: int = 0
+    n_integrated: int = 0
 
     def __post_init__(self):
         k = self.scenario.k
@@ -206,46 +222,70 @@ class ScenarioResult:
         }
 
 
-def _below(chains, t, std_err, var_eta, alpha) -> np.ndarray:
+def _below(chains, t, std_err, var_eta, alpha, routes) -> np.ndarray:
     """Whether the maxT-adjusted p-value at each bound in ``t`` is below alpha.
 
     ``chains`` are the :attr:`~trendcomp.contrasts.ContrastMatrix.chains`
     of the contrast family.  Row r of ``t`` holds bounds of table r, whose
     contrast standard errors and group variances are row r of ``std_err``
-    and ``var_eta``.  The exact sandwich p_raw <= p_adj <= m * p_raw
-    settles most bounds of the whole batch at once; :func:`chain_maxt`
-    integrates the rest, one call per table on the bounds of that table
-    it left open, so the answer equals thresholding the adjusted p-values
-    of :func:`trendcomp.contrasts.contrast_test`.
+    and ``var_eta``.  Three stages decide: the exact sandwich
+    p_raw <= p_adj <= m * p_raw, then the second-order bounds of
+    :func:`chain_bounds` on the bounds the sandwich left open, settling
+    only those more than ``_MARGIN`` clear of alpha, then
+    :func:`chain_maxt`, one call per table on the bounds still open.  So
+    the answer equals thresholding the adjusted p-values of
+    :func:`trendcomp.contrasts.contrast_test`.  The number of bounds each
+    stage decided is added to ``routes``.
     """
     p_raw = ndtr(-t)
     below = std_err.shape[-1] * p_raw < alpha
     open_ = ~below & (p_raw < alpha)
-    for r in np.flatnonzero(open_.any(axis=1)):
-        bounds = open_[r]
-        below[r, bounds] = chain_maxt(chains, t[r, bounds], std_err[r], var_eta[r]) < alpha
+    r, b = np.nonzero(open_)
+    if r.size:
+        lower, upper = chain_bounds(chains, t[r, b, None], std_err[r], var_eta[r])
+        below[r, b] = upper[:, 0] < alpha - _MARGIN
+        open_[r, b] = ~below[r, b] & (lower[:, 0] <= alpha + _MARGIN)
+    for row in np.flatnonzero(open_.any(axis=1)):
+        bounds = open_[row]
+        below[row, bounds] = chain_maxt(chains, t[row, bounds], std_err[row], var_eta[row]) < alpha
+    integrated = np.count_nonzero(open_)
+    routes += [t.size - r.size, r.size - integrated, integrated]
     return below
 
 
 def _run_chunk(sc: Scenario, start: int, count: int) -> np.ndarray:
     """Integer decision counts over replicates [start, start+count).
 
-    Only the draw runs replicate by replicate.  The fit, the contrast
-    moments, the sandwich decisions and the closure each take the whole
-    chunk at once, as rows of one array.
-
     Layout: [D_1..D_k, D_any, W_top, W_any, P_1..P_k, P_any,
-    C_1..C_k, C_any, n_boundary, n_degenerate].
+    C_1..C_k, C_any, n_boundary, n_degenerate], the counts
+    :func:`_count_chunk` gives without the three counts of how they
+    were decided.
+    """
+    return _count_chunk(sc, start, count)[:-3]
+
+
+def _count_chunk(sc: Scenario, start: int, count: int) -> np.ndarray:
+    """The decision counts of :func:`_run_chunk`, then how they were decided.
+
+    Only the draw runs replicate by replicate.  The fit, the contrast
+    moments, the sandwich and second-order decisions and the closure each
+    take the whole chunk at once, as rows of one array.
+
+    Layout: the decision counts, then n_sandwich, n_second_order and
+    n_integrated, the maxT bounds decided by each stage of
+    :func:`_below`.
     """
     k = sc.k
     n = np.asarray(sc.n, dtype=np.int64)
     alpha = sc.alpha
     dunnett, segments = _stock_families(n)
     top = segments[k]
+    routes = np.zeros(3, dtype=np.int64)
 
     def decide(chains, t, std_err, var_eta):
         # 0 where the adjusted p is below alpha, else 1: the same claims at alpha
-        return np.where(_below(chains, t[:, None], std_err, var_eta, alpha)[:, 0], 0.0, 1.0)
+        claims = _below(chains, t[:, None], std_err, var_eta, alpha, routes)
+        return np.where(claims[:, 0], 0.0, 1.0)
 
     y = np.empty((count, k + 1), dtype=np.int64)
     for i in range(count):
@@ -257,12 +297,12 @@ def _run_chunk(sc: Scenario, start: int, count: int) -> np.ndarray:
     fit = ModelFit(eta[fitted], var_eta[fitted], correction_applied=at_boundary[fitted])
 
     _, se_d, t_d, _ = contrast_moments(dunnett.coefficients, fit.eta, fit.var_eta)
-    dunnett_claims = _below(dunnett.chains, t_d, se_d, fit.var_eta, alpha)
+    dunnett_claims = _below(dunnett.chains, t_d, se_d, fit.var_eta, alpha, routes)
     pairwise = ctp_pairwise(fit) < alpha
     # a family rejects iff its largest statistic's adjusted p is below alpha
     _, se_w, t_w, _ = contrast_moments(top.coefficients, fit.eta, fit.var_eta)
     top_and_max = np.stack([t_w[:, 0], t_w.max(axis=1)], axis=1)
-    w_top, w_any = _below(top.chains, top_and_max, se_w, fit.var_eta, alpha).T
+    w_top, w_any = _below(top.chains, top_and_max, se_w, fit.var_eta, alpha, routes).T
     claims = _williams_closure(fit, segments, np.where(w_any, 0.0, 1.0), decide) < alpha
 
     def tally(claimed):
@@ -272,7 +312,7 @@ def _run_chunk(sc: Scenario, start: int, count: int) -> np.ndarray:
     n_boundary = np.sum(at_boundary.any(axis=1) & ~no_info)
     return np.array(
         [*tally(dunnett_claims), w_top.sum(), w_any.sum(), *tally(pairwise), *tally(claims),
-         n_boundary, no_info.sum()],
+         n_boundary, no_info.sum(), *routes],
         dtype=np.int64,
     )
 
@@ -291,10 +331,10 @@ def run_scenario(sc: Scenario, parallelism: int = 1) -> ScenarioResult:
     starts = range(0, sc.replicates, _CHUNK)
     chunks = ([sc] * len(starts), starts, [min(_CHUNK, sc.replicates - s) for s in starts])
     if parallelism == 1 or len(starts) == 1:
-        counts = sum(map(_run_chunk, *chunks))
+        counts = sum(map(_count_chunk, *chunks))
     else:
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            counts = sum(pool.map(_run_chunk, *chunks))
+            counts = sum(pool.map(_count_chunk, *chunks))
     reps = float(sc.replicates)
     rate = counts / reps
     return ScenarioResult(
@@ -310,6 +350,9 @@ def run_scenario(sc: Scenario, parallelism: int = 1) -> ScenarioResult:
         n_boundary=int(counts[3 * k + 5]),
         n_degenerate=int(counts[3 * k + 6]),
         elapsed=time.perf_counter() - t0,
+        n_sandwich=int(counts[3 * k + 7]),
+        n_second_order=int(counts[3 * k + 8]),
+        n_integrated=int(counts[3 * k + 9]),
     )
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import time
 
@@ -113,14 +112,18 @@ class TestChainStructure:
         ids=["dunnett", "williams", "padded-segment"],
     )
     def test_matrix_carries_its_chains(self, cm):
-        found = chain_structure(cm.coefficients)
-        assert len(cm.chains) == len(found)
-        for mine, theirs in zip(cm.chains, found):
-            np.testing.assert_array_equal(mine.increments, theirs.increments)
-            assert dataclasses.replace(mine, increments=None) == dataclasses.replace(
-                theirs, increments=None
-            )
+        assert cm.chains == chain_structure(cm.coefficients)
         assert cm.chains is cm.chains  # found once, then kept
+
+    def test_matrices_and_chains_compare_by_value(self):
+        cm = williams_matrix([10, 10, 10])
+        assert cm == williams_matrix([10, 10, 10])
+        assert cm != williams_matrix([10, 10, 11])
+        assert cm != dunnett_matrix([10, 10, 10])
+        assert cm.chains == williams_matrix([10, 10, 10]).chains
+        assert cm.chains != williams_matrix([10, 10, 11]).chains
+        renamed = ContrastMatrix(names=("a", "b"), coefficients=cm.coefficients)
+        assert renamed != cm
 
     def test_custom_family_carries_no_chains(self):
         C = [[-1.0, 0.5, 0.5, 0.0], [-1.0, 0.0, 0.5, 0.5]]  # overlap, not nested
@@ -197,6 +200,57 @@ def test_exact_matches_tight_qmc(seed):
         MvnSpec(report.correlation), report.statistic[q], seed=seed, abs_tol=1e-6
     )
     assert abs(report.p_adjusted[q] - tail.value) <= tail.error + 1e-6
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_second_order_bounds_bracket_the_exact_p(seed):
+    # 1e-8 is the quadrature's own error: on two-row families, where both
+    # bounds are exact, chain_maxt sits up to 2.3e-9 from scipy's value
+    rng = np.random.default_rng(seed)
+    data = random_table(rng, int(rng.integers(1, 9)))
+    fit = fit_saturated_logit(data)
+    cm = stock_family(rng, data.n)
+    _, se, t, _ = contrast_moments(cm.coefficients, fit.eta, fit.var_eta)
+    bounds = np.concatenate([t, rng.uniform(0.0, 4.5, size=4)])
+    lower, upper = chains.chain_bounds(cm.chains, bounds[None], se[None], fit.var_eta[None])
+    p = chains.chain_maxt(cm.chains, bounds, se, fit.var_eta)
+    assert np.all(lower[0] <= upper[0])
+    assert np.all(lower[0] - 1e-8 <= p)
+    assert np.all(p <= upper[0] + 1e-8)
+
+
+@pytest.mark.parametrize("family", [dunnett_matrix, williams_matrix])
+def test_two_row_bounds_are_the_bivariate_tail(family):
+    rng = np.random.default_rng(5)
+    n = rng.integers(5, 61, size=3)
+    var = rng.uniform(0.02, 0.6, size=(4, 3))
+    cm = family(n)
+    _, se, _, R = contrast_moments(cm.coefficients, np.zeros(3), var)
+    t = np.array([[-0.5, 0.0, 1.0, 1.9, 2.4, 3.3, 4.2]] * 4)
+    lower, upper = chains.chain_bounds(cm.chains, t, se, var)
+    for r in range(4):
+        for q, b in enumerate(t[r]):
+            below = multivariate_normal.cdf(
+                [b, b], mean=[0.0, 0.0], cov=R[r], abseps=1e-14, releps=1e-12
+            )
+            assert lower[r, q] == pytest.approx(1.0 - below, rel=0, abs=1e-9)
+            assert upper[r, q] == pytest.approx(1.0 - below, rel=0, abs=1e-9)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 8])
+def test_chain_correlation_is_the_contrast_correlation(k):
+    # six tables at once; variances spread over three decades, as boundary groups give
+    rng = np.random.default_rng(k)
+    n = rng.integers(5, 61, size=k + 1)
+    var = 10.0 ** rng.uniform(-2.0, 1.0, size=(6, k + 1))
+    families = [dunnett_matrix(n), williams_matrix(n)]
+    families += [pad_to_full(williams_matrix(n[: j + 1]), k + 1) for j in range(1, k)]
+    for cm in families:
+        _, se, _, R = contrast_moments(cm.coefficients, np.zeros_like(var), var)
+        np.testing.assert_allclose(
+            chains._chain_correlation(cm.chains, se, var), R, rtol=0, atol=1e-12
+        )
 
 
 def test_doubling_nodes_moves_no_p(monkeypatch):

@@ -220,6 +220,11 @@ class TestSimulateCommand:
             assert 0.0 <= float(cell) <= 1.0
         assert "tiny: 120 replicates" in err
         assert re.search(r"tiny: 120 replicates in \d+\.\ds, \d+ replicates/s \(", err)
+        assert re.search(
+            r"maxT bounds settled by the sandwich \d+, by second-order bounds \d+, "
+            r"integrated \d+\)",
+            err,
+        )
 
     def test_json_output(self, capsys, study_config):
         code, out, _ = run_cli(
@@ -251,15 +256,28 @@ class TestSimulateCommand:
         assert "error:" in err
 
     def test_node_cap_is_numeric_error(self, capsys, tmp_path):
+        # bounds the second-order bounds leave open go to a rule above the cap
+        p = tmp_path / "unequal.yaml"
+        p.write_text(
+            "schema_version: 1\nmaster_seed: 7\nscenarios:\n"
+            "  - {n: [100000, 3, 100000, 100000], pi: [0.5, 0.5, 0.504, 0.504], replicates: 20}\n"
+        )
+        code, out, err = run_cli(capsys, "simulate", "--config", str(p))
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert "cap of 4096" in err
+
+    def test_bounds_settle_a_design_too_unequal_to_integrate(self, capsys, tmp_path):
+        # integrating any of its open bounds would need a rule above the node cap
         p = tmp_path / "unequal.yaml"
         p.write_text(
             "schema_version: 1\nmaster_seed: 7\nscenarios:\n"
             "  - {n: [100000, 3, 100000, 100000], pi: [0.5, 0.2, 0.5, 0.5], replicates: 20}\n"
         )
         code, out, err = run_cli(capsys, "simulate", "--config", str(p))
-        assert code == EXIT_NUMERIC
-        assert out == ""
-        assert "cap of 4096" in err
+        assert code == EXIT_OK
+        assert out.startswith("scenario ")
+        assert re.search(r"by second-order bounds [1-9]\d*, integrated 0\)", err)
 
     def test_missing_config_is_parse_error(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "simulate", "--config", str(tmp_path / "no.yaml"))

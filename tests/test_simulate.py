@@ -7,6 +7,7 @@ import yaml
 from trendcomp.ctp import closed_analysis
 from trendcomp.data import DoseGroupData
 from trendcomp.model import BoundaryCountError, NoInformationError
+from trendcomp import simulate
 from trendcomp.mvn import MAX_DIMENSION
 from trendcomp.simulate import (
     SCHEMA_VERSION,
@@ -282,6 +283,32 @@ def test_counts_do_not_depend_on_chunking(sc, covered):
     np.testing.assert_array_equal(singles, whole)
     if covered is not None:  # D_any, n_boundary or n_degenerate: the case the row is for
         assert whole[covered] > 0
+
+
+class TestDecisionRoutes:
+    """How many maxT bounds each stage of the decision settled."""
+
+    def test_second_order_bounds_settle_most_open_bounds(self):
+        res = run_scenario(Scenario(pi=(0.05, 0.1, 0.2, 0.3), n=(50,) * 4, replicates=1000, seed=3))
+        sandwich_open = res.n_second_order + res.n_integrated
+        assert sandwich_open > 0
+        assert res.n_integrated <= 0.2 * sandwich_open
+
+    def test_routes_do_not_depend_on_parallelism_or_chunking(self, monkeypatch):
+        sc = Scenario(pi=(0.05, 0.1, 0.2, 0.3), n=(50,) * 4, replicates=600, seed=13)
+
+        def routes(res):
+            return res.n_sandwich, res.n_second_order, res.n_integrated
+
+        serial = routes(run_scenario(sc))
+        assert routes(run_scenario(sc, parallelism=2)) == serial
+        monkeypatch.setattr(simulate, "_CHUNK", 77)
+        assert routes(run_scenario(sc)) == serial
+
+    def test_every_bound_of_a_one_dose_design_is_settled_by_the_sandwich(self):
+        res = run_scenario(Scenario(pi=(0.1, 0.3), n=(20, 20), replicates=100, seed=2))
+        assert res.n_second_order == res.n_integrated == 0
+        assert res.n_sandwich > 0
 
 
 class TestScenarioResultValidation:
