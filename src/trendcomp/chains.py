@@ -36,13 +36,9 @@ tables of the acceptance suite by more than 3e-9, so the error is below
 huge; a rule of more than ``_MAX_NODES`` nodes raises
 :class:`ContrastError` before any array is built.
 
-:func:`chain_bounds` brackets the same p-values in closed form, for many
-tables at once, so a caller that only needs to compare p with a level
-can skip the quadrature when the bracket lies clear of that level.  The
-rows' correlation follows from the chain fields, every pair of rows has
-an exact bivariate tail at a common bound through Owen's T, and the
-second-order bounds of Hunter (1976, J. Appl. Prob. 13:597; upper) and
-Dawson & Sankoff (1967, JASA 62:823; lower) combine those tails.
+A caller that only needs to compare p with a level can first bracket it
+with :func:`trendcomp.mvn.maxt_bounds`, which needs the rows'
+correlation only, not their chains.
 """
 
 from __future__ import annotations
@@ -52,9 +48,9 @@ from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import ndtr, ndtri, owens_t
+from scipy.special import ndtr, ndtri
 
-__all__ = ["ContrastError", "Chain", "chain_structure", "chain_maxt", "chain_bounds"]
+__all__ = ["ContrastError", "Chain", "chain_structure", "chain_maxt"]
 
 # ranges end this many standard deviations out; P(Z < -7) = 1.3e-12
 _TAIL_SD = 7.0
@@ -83,12 +79,12 @@ class ContrastError(ValueError):
 
 
 def _equal_fields(a, b):
-    """Dataclass equality that compares array fields by value."""
+    """Dataclass equality over the fields that compare, arrays by value."""
     if type(a) is not type(b):
         return NotImplemented
     return all(
         np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
-        for x, y in ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+        for x, y in ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a) if f.compare)
     )
 
 
@@ -297,61 +293,3 @@ def chain_maxt(chains, t_values, std_err, var_eta) -> np.ndarray:
         inside *= _walk_probability(sigma, c)
     lower = ndtr(-z_hi) + (inside.reshape(t.size, n_z) * zw).sum(axis=1)
     return np.clip(1.0 - lower, p_raw, np.minimum(1.0, m * p_raw))
-
-
-def _chain_correlation(chains, std_err, var_eta) -> np.ndarray:
-    """The rows' correlation matrix for each table, from the chain fields alone.
-
-    Every pair of rows shares the control variance v_0, scaled by both
-    control coefficients; two rows of one chain also share the walk
-    variance of the lower of their two levels, scaled by both row scales.
-    Tables sit on the leading axis of ``std_err`` and ``var_eta``.
-    """
-    control = np.empty(std_err.shape[-1])
-    for chain in chains:
-        control[list(chain.rows)] = chain.row_control
-    cov = np.multiply.outer(var_eta[:, 0], np.outer(control, control))
-    for chain in chains:
-        rows = np.array(chain.rows)
-        level = np.array(chain.row_level)
-        walk = np.cumsum(np.sum(var_eta[:, None, 1:] * chain.increments, axis=-1), axis=-1)
-        shared = walk[:, np.minimum.outer(level, level)]
-        cov[:, rows[:, None], rows] += np.outer(chain.row_scale, chain.row_scale) * shared
-    return np.clip(cov / (std_err[:, :, None] * std_err[:, None, :]), -1.0, 1.0)
-
-
-def chain_bounds(chains, t, std_err, var_eta) -> tuple:
-    """Lower and upper bounds on the maxT-adjusted p-values of many tables.
-
-    Tables sit on the leading axis: row r of ``t`` holds bounds of table
-    r, whose contrast standard errors and group variances are row r of
-    ``std_err`` and ``var_eta``.  Returns ``(lower, upper)``, each shaped
-    like ``t``, with lower <= P(max_j T_j >= t) <= upper exactly.
-
-    At a common bound t every row has the tail p = Phi(-t), so S1 = m p,
-    and rows i, j with correlation rho have the pair tail
-    P(T_i > t, T_j > t) = Phi(-t) - 2 T(t, sqrt((1 - rho) / (1 + rho))),
-    T being Owen's T; S2 sums the pair tails.  Pair tails are clamped at
-    0, which keeps both bounds valid.  The upper bound is S1 minus the
-    pair tails along a spanning tree (Hunter), the heavier of two: the
-    star about the best centre and the path through the rows in order.
-    The lower bound is the larger of p and the Dawson-Sankoff bound
-    2 S1 / (k + 1) - 2 S2 / (k (k + 1)) with k = 1 + floor(2 S2 / S1).
-    With two rows both bounds are exact.
-    """
-    t = np.asarray(t, dtype=np.float64)
-    se = np.asarray(std_err, dtype=np.float64)
-    m = se.shape[-1]
-    i, j = np.triu_indices(m, 1)
-    rho = _chain_correlation(chains, se, np.asarray(var_eta, dtype=np.float64))[:, i, j]
-    p_raw = ndtr(-t)
-    slope = np.sqrt((1.0 - rho) / (1.0 + rho))[:, None, :]
-    pair = np.maximum(p_raw[..., None] - 2.0 * owens_t(t[..., None], slope), 0.0)
-    s1 = m * p_raw
-    s2 = pair.sum(axis=-1)
-    star = np.max([pair[..., (i == c) | (j == c)].sum(axis=-1) for c in range(m)], axis=0)
-    path = pair[..., j == i + 1].sum(axis=-1)
-    upper = s1 - np.maximum(star, path)
-    k = 1.0 + np.floor(np.divide(2.0 * s2, s1, out=np.zeros_like(s1), where=s1 > 0.0))
-    lower = np.maximum(p_raw, 2.0 * s1 / (k + 1.0) - 2.0 * s2 / (k * (k + 1.0)))
-    return lower, upper

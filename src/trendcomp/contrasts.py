@@ -198,9 +198,11 @@ def contrast_moments(coefficients: np.ndarray, eta: np.ndarray, var_eta: np.ndar
     return est, se, t, R
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class TestReport:
-    """Per-contrast results of a maxT multiple-contrast test."""
+    """Per-contrast results of a maxT multiple-contrast test, compared by value."""
+
+    __eq__ = _equal_fields
 
     contrasts: ContrastMatrix
     estimate: np.ndarray

@@ -37,7 +37,7 @@ from types import MappingProxyType
 import numpy as np
 from scipy.special import ndtr
 
-from .chains import chain_maxt
+from .chains import _equal_fields, chain_maxt
 from .contrasts import (
     TestReport,
     contrast_moments,
@@ -102,10 +102,10 @@ def _williams_closure(fit: ModelFit, segments, top, maxt) -> np.ndarray:
     global family, for each table.  The lower segments are visited from
     the top down, each only for the tables whose running maximum is still
     below 1; once it reaches 1, the lower doses of that table get 1.
-    Segment j gives S_j = ``maxt(chains, t, std_err, var_eta)`` at each
-    table's largest statistic only, with ``t`` one bound per table and
-    ``std_err``, ``var_eta`` one row per table.  The adjusted p falls as
-    the bound rises, so that bound gives the family minimum.
+    Segment j gives S_j = ``maxt(chains, t, std_err, var_eta, R)`` at each
+    table's largest statistic only, with ``t`` one bound per table and the
+    rest one entry per table.  The adjusted p falls as the bound rises, so
+    that bound gives the family minimum.
     """
     k = len(segments)
     eta = fit.eta.reshape(-1, fit.n_groups)
@@ -118,22 +118,24 @@ def _williams_closure(fit: ModelFit, segments, top, maxt) -> np.ndarray:
         if rows.size == 0:
             break
         segment = segments[j]
-        _, se, t, _ = contrast_moments(segment.coefficients, eta[rows], var[rows])
-        s_j = maxt(segment.chains, t.max(axis=-1), se, var[rows])
+        _, se, t, R = contrast_moments(segment.coefficients, eta[rows], var[rows])
+        s_j = maxt(segment.chains, t.max(axis=-1), se, var[rows], R)
         running[rows] = np.maximum(running[rows], s_j)
         p[rows, j - 1] = running[rows]
         rows = rows[running[rows] < 1.0]
     return p.reshape(fit.eta.shape[:-1] + (k,))
 
 
-def _one_table_maxt(chains, t, std_err, var_eta) -> np.ndarray:
-    """:func:`chain_maxt` as the ``maxt`` of a closure over one table."""
+def _one_table_maxt(chains, t, std_err, var_eta, correlation) -> np.ndarray:
+    """:func:`chain_maxt` as the ``maxt`` of a closure over one table; needs no correlation."""
     return chain_maxt(chains, t, std_err[0], var_eta[0])
 
 
 @dataclass(frozen=True)
 class CtpResult:
-    """All four procedures on one dataset, one row per dose."""
+    """All four procedures on one dataset, one row per dose; compared by value."""
+
+    __eq__ = _equal_fields
 
     control_label: str
     dose_labels: tuple

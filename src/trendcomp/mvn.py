@@ -5,7 +5,8 @@ families in :func:`trendcomp.contrasts.contrast_test`.  The stock families
 (many-to-one, Williams and the closed-test segments), in analysis and in
 simulation alike, have chain structure and are integrated exactly by
 :mod:`trendcomp.chains` instead; ``seed``, ``abs_tol`` and ``max_points``
-below act only on this route.
+below act only on this route.  :func:`maxt_bounds` brackets maxT-adjusted
+p-values in closed form, for any correlation and many tables at once.
 
 The tail probability P(max_j T_j >= b) for T ~ N(0, R) is summed over
 first passages, P(T_i >= b, T_j < b for j < i), so the rare event leads
@@ -27,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, owens_t
 
 from . import _genz_py as _kernel
 
@@ -40,6 +41,7 @@ __all__ = [
     "TailProbability",
     "mvn_upper_orthant_complement",
     "adjust_maxt",
+    "maxt_bounds",
     "adjusted_p_below",
 ]
 
@@ -297,6 +299,44 @@ def adjust_maxt(
             spec.correlation, t[q], np.random.default_rng(children[q]), abs_tol, max_points
         )
     return np.clip(out, p_raw, np.minimum(1.0, m * p_raw))
+
+
+def maxt_bounds(t, correlation) -> tuple:
+    """Lower and upper bounds on maxT-adjusted p-values, for many tables at once.
+
+    Row r of ``t`` holds bounds of table r, whose statistics have the
+    correlation ``correlation[r]``.  Returns ``(lower, upper)``, each
+    shaped like ``t``, with lower <= P(max_j T_j >= t) <= upper exactly.
+
+    At a common bound t every row has the tail p = Phi(-t), so S1 = m p,
+    and rows i, j with correlation rho have the pair tail
+    P(T_i > t, T_j > t) = Phi(-t) - 2 T(t, sqrt((1 - rho) / (1 + rho))),
+    T being Owen's T, whose slope is infinite at rho = -1.  S2 sums the
+    pair tails, clamped at 0, which keeps both bounds valid.  The upper
+    bound is S1 minus the pair tails along a spanning tree (Hunter 1976,
+    J. Appl. Prob. 13:597), the heavier of two: the star about the best
+    centre and the path through the rows in order.  The lower bound is
+    the larger of p and that of Dawson & Sankoff (1967, JASA 62:823),
+    2 S1 / (k + 1) - 2 S2 / (k (k + 1)) with k = 1 + floor(2 S2 / S1).
+    With two rows both bounds are exact.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    R = np.asarray(correlation, dtype=np.float64)
+    m = R.shape[-1]
+    i, j = np.triu_indices(m, 1)
+    rho = R[:, i, j]
+    p_raw = ndtr(-t)
+    ratio = np.divide(1.0 - rho, 1.0 + rho, out=np.full_like(rho, np.inf), where=rho > -1.0)
+    slope = np.sqrt(ratio)[:, None, :]
+    pair = np.maximum(p_raw[..., None] - 2.0 * owens_t(t[..., None], slope), 0.0)
+    s1 = m * p_raw
+    s2 = pair.sum(axis=-1)
+    star = np.max([pair[..., (i == c) | (j == c)].sum(axis=-1) for c in range(m)], axis=0)
+    path = pair[..., j == i + 1].sum(axis=-1)
+    upper = s1 - np.maximum(star, path)
+    k = 1.0 + np.floor(np.divide(2.0 * s2, s1, out=np.zeros_like(s1), where=s1 > 0.0))
+    lower = np.maximum(p_raw, 2.0 * s1 / (k + 1.0) - 2.0 * s2 / (k * (k + 1.0)))
+    return lower, upper
 
 
 def adjusted_p_below(

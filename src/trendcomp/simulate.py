@@ -1,24 +1,25 @@
 """Monte Carlo estimation of per-pair power, any-pair power and FWER.
 
 Each replicate draws independent binomial counts from its own seeded
-generator.  A chunk of replicates is then decided at once, one row per
-replicate, by the same definitions :func:`trendcomp.ctp.closed_analysis`
-uses on one table: the closed form of :mod:`trendcomp.model`, the
-many-to-one and segment families of ``trendcomp.ctp._stock_families``,
-each carrying its chains, :func:`trendcomp.contrasts.contrast_moments`,
+generator (:func:`_draw`).  A chunk of replicates is then decided at once
+by :func:`_decide`, one row per replicate, with the same definitions
+:func:`trendcomp.ctp.closed_analysis` uses on one table: the closed form
+of :mod:`trendcomp.model`, the many-to-one and segment families of
+``trendcomp.ctp._stock_families``, each carrying its chains,
+:func:`trendcomp.contrasts.contrast_moments`,
 :func:`trendcomp.ctp.ctp_pairwise` and variant C's closure, integrated
 exactly by :mod:`trendcomp.chains`.  Decisions, not p-values, are
 accumulated, and each maxT decision passes up to three stages.  The exact
 sandwich p_raw <= p_adj <= m * p_raw settles most bounds of the whole
-chunk in bulk.  The second-order bounds of
-:func:`trendcomp.chains.chain_bounds`, also over the whole chunk, settle
-most of the rest: a bound counts as settled only when its bracket lies
-more than ``_MARGIN`` (1e-7, ten times the quadrature's error) clear of
-alpha.  :func:`trendcomp.chains.chain_maxt` integrates what is still
-open, table by table, one bound per lower segment.  So every claim equals
-thresholding the p-values of ``closed_analysis`` on the same table.  How
-many bounds each stage settled is counted per scenario and reported on
-stderr, not in :meth:`ScenarioResult.to_dict`.
+chunk in bulk.  The second-order bounds of :func:`trendcomp.mvn.maxt_bounds`,
+from the correlation ``contrast_moments`` returns and also over the whole
+chunk, settle most of the rest: a bound counts as settled only when its
+bracket lies more than ``_MARGIN`` (1e-7, ten times the quadrature's
+error) clear of alpha.  :func:`trendcomp.chains.chain_maxt` integrates
+what is still open, table by table, one bound per lower segment.  So
+every claim equals thresholding the p-values of ``closed_analysis`` on
+the same table.  How many bounds each stage settled is counted per
+scenario and reported on stderr, not in :meth:`ScenarioResult.to_dict`.
 
 The default boundary policy here is ``smooth`` (one pseudo-responder
 and one pseudo-non-responder added to every group), not the analysis
@@ -48,11 +49,11 @@ import numpy as np
 import yaml
 from scipy.special import ndtr
 
-from .chains import chain_bounds, chain_maxt
+from .chains import _equal_fields, chain_maxt
 from .contrasts import contrast_moments
 from .ctp import _stock_families, _williams_closure, ctp_pairwise
 from .model import BOUNDARY_POLICIES, ModelFit, _saturated_logit
-from .mvn import MAX_DIMENSION
+from .mvn import MAX_DIMENSION, maxt_bounds
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -147,8 +148,10 @@ class ScenarioResult:
     count the maxT bounds decided by the first-order sandwich, by the
     second-order bounds and by the quadrature.  Timing and these counts
     describe how the rates were computed, not what they are, so they stay
-    out of :meth:`to_dict`.
+    out of :meth:`to_dict`.  Results compare by value, timing aside.
     """
+
+    __eq__ = _equal_fields
 
     scenario: Scenario
     rate_dunnett: np.ndarray
@@ -222,18 +225,18 @@ class ScenarioResult:
         }
 
 
-def _below(chains, t, std_err, var_eta, alpha, routes) -> np.ndarray:
+def _below(chains, t, std_err, var_eta, correlation, alpha, routes) -> np.ndarray:
     """Whether the maxT-adjusted p-value at each bound in ``t`` is below alpha.
 
     ``chains`` are the :attr:`~trendcomp.contrasts.ContrastMatrix.chains`
     of the contrast family.  Row r of ``t`` holds bounds of table r, whose
-    contrast standard errors and group variances are row r of ``std_err``
-    and ``var_eta``.  Three stages decide: the exact sandwich
-    p_raw <= p_adj <= m * p_raw, then the second-order bounds of
-    :func:`chain_bounds` on the bounds the sandwich left open, settling
-    only those more than ``_MARGIN`` clear of alpha, then
-    :func:`chain_maxt`, one call per table on the bounds still open.  So
-    the answer equals thresholding the adjusted p-values of
+    contrast standard errors, group variances and contrast correlation
+    are row r of ``std_err``, ``var_eta`` and ``correlation``.  Three
+    stages decide: the exact sandwich p_raw <= p_adj <= m * p_raw, then
+    the second-order bounds of :func:`maxt_bounds` on the bounds the
+    sandwich left open, settling only those more than ``_MARGIN`` clear of
+    alpha, then :func:`chain_maxt`, one call per table on the bounds still
+    open.  So the answer equals thresholding the adjusted p-values of
     :func:`trendcomp.contrasts.contrast_test`.  The number of bounds each
     stage decided is added to ``routes``.
     """
@@ -242,7 +245,7 @@ def _below(chains, t, std_err, var_eta, alpha, routes) -> np.ndarray:
     open_ = ~below & (p_raw < alpha)
     r, b = np.nonzero(open_)
     if r.size:
-        lower, upper = chain_bounds(chains, t[r, b, None], std_err[r], var_eta[r])
+        lower, upper = maxt_bounds(t[r, b, None], correlation[r])
         below[r, b] = upper[:, 0] < alpha - _MARGIN
         open_[r, b] = ~below[r, b] & (lower[:, 0] <= alpha + _MARGIN)
     for row in np.flatnonzero(open_.any(axis=1)):
@@ -253,27 +256,26 @@ def _below(chains, t, std_err, var_eta, alpha, routes) -> np.ndarray:
     return below
 
 
-def _run_chunk(sc: Scenario, start: int, count: int) -> np.ndarray:
-    """Integer decision counts over replicates [start, start+count).
+def _draw(sc: Scenario, start: int, count: int) -> np.ndarray:
+    """The tables of replicates [start, start+count), one row each, seeded by contract."""
+    y = np.empty((count, sc.k + 1), dtype=np.int64)
+    for i in range(count):
+        draw = np.random.default_rng(np.random.SeedSequence(sc.seed, spawn_key=(start + i, 0)))
+        y[i] = draw.binomial(sc.n, sc.pi)
+    return y
+
+
+def _decide(sc: Scenario, y: np.ndarray) -> np.ndarray:
+    """Integer decision counts over the tables ``y``, then how they were decided.
+
+    ``y`` holds one table of counts per row.  The fit, the contrast
+    moments, the sandwich and second-order decisions and the closure each
+    take all rows at once.
 
     Layout: [D_1..D_k, D_any, W_top, W_any, P_1..P_k, P_any,
-    C_1..C_k, C_any, n_boundary, n_degenerate], the counts
-    :func:`_count_chunk` gives without the three counts of how they
-    were decided.
-    """
-    return _count_chunk(sc, start, count)[:-3]
-
-
-def _count_chunk(sc: Scenario, start: int, count: int) -> np.ndarray:
-    """The decision counts of :func:`_run_chunk`, then how they were decided.
-
-    Only the draw runs replicate by replicate.  The fit, the contrast
-    moments, the sandwich and second-order decisions and the closure each
-    take the whole chunk at once, as rows of one array.
-
-    Layout: the decision counts, then n_sandwich, n_second_order and
-    n_integrated, the maxT bounds decided by each stage of
-    :func:`_below`.
+    C_1..C_k, C_any, n_boundary, n_degenerate, n_sandwich,
+    n_second_order, n_integrated], the last three counting the maxT
+    bounds decided by each stage of :func:`_below`.
     """
     k = sc.k
     n = np.asarray(sc.n, dtype=np.int64)
@@ -282,27 +284,23 @@ def _count_chunk(sc: Scenario, start: int, count: int) -> np.ndarray:
     top = segments[k]
     routes = np.zeros(3, dtype=np.int64)
 
-    def decide(chains, t, std_err, var_eta):
+    def decide(chains, t, std_err, var_eta, correlation):
         # 0 where the adjusted p is below alpha, else 1: the same claims at alpha
-        claims = _below(chains, t[:, None], std_err, var_eta, alpha, routes)
+        claims = _below(chains, t[:, None], std_err, var_eta, correlation, alpha, routes)
         return np.where(claims[:, 0], 0.0, 1.0)
 
-    y = np.empty((count, k + 1), dtype=np.int64)
-    for i in range(count):
-        draw = np.random.default_rng(np.random.SeedSequence(sc.seed, spawn_key=(start + i, 0)))
-        y[i] = draw.binomial(n, sc.pi)
     # no_info tables are degenerate; refused ones ("reject") make no claims
     eta, var_eta, at_boundary, no_info, refused = _saturated_logit(y, n, sc.boundary_policy)
     fitted = ~(no_info | refused)
     fit = ModelFit(eta[fitted], var_eta[fitted], correction_applied=at_boundary[fitted])
 
-    _, se_d, t_d, _ = contrast_moments(dunnett.coefficients, fit.eta, fit.var_eta)
-    dunnett_claims = _below(dunnett.chains, t_d, se_d, fit.var_eta, alpha, routes)
+    _, se_d, t_d, R_d = contrast_moments(dunnett.coefficients, fit.eta, fit.var_eta)
+    dunnett_claims = _below(dunnett.chains, t_d, se_d, fit.var_eta, R_d, alpha, routes)
     pairwise = ctp_pairwise(fit) < alpha
     # a family rejects iff its largest statistic's adjusted p is below alpha
-    _, se_w, t_w, _ = contrast_moments(top.coefficients, fit.eta, fit.var_eta)
+    _, se_w, t_w, R_w = contrast_moments(top.coefficients, fit.eta, fit.var_eta)
     top_and_max = np.stack([t_w[:, 0], t_w.max(axis=1)], axis=1)
-    w_top, w_any = _below(top.chains, top_and_max, se_w, fit.var_eta, alpha, routes).T
+    w_top, w_any = _below(top.chains, top_and_max, se_w, fit.var_eta, R_w, alpha, routes).T
     claims = _williams_closure(fit, segments, np.where(w_any, 0.0, 1.0), decide) < alpha
 
     def tally(claimed):
@@ -315,6 +313,11 @@ def _count_chunk(sc: Scenario, start: int, count: int) -> np.ndarray:
          n_boundary, no_info.sum(), *routes],
         dtype=np.int64,
     )
+
+
+def _count_chunk(sc: Scenario, start: int, count: int) -> np.ndarray:
+    """The counts of :func:`_decide` over replicates [start, start+count)."""
+    return _decide(sc, _draw(sc, start, count))
 
 
 def run_scenario(sc: Scenario, parallelism: int = 1) -> ScenarioResult:

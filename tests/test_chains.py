@@ -26,6 +26,7 @@ from trendcomp.mvn import (
     CorrelationError,
     MvnSpec,
     adjust_maxt,
+    maxt_bounds,
     mvn_upper_orthant_complement,
 )
 
@@ -211,9 +212,9 @@ def test_second_order_bounds_bracket_the_exact_p(seed):
     data = random_table(rng, int(rng.integers(1, 9)))
     fit = fit_saturated_logit(data)
     cm = stock_family(rng, data.n)
-    _, se, t, _ = contrast_moments(cm.coefficients, fit.eta, fit.var_eta)
+    _, se, t, R = contrast_moments(cm.coefficients, fit.eta, fit.var_eta)
     bounds = np.concatenate([t, rng.uniform(0.0, 4.5, size=4)])
-    lower, upper = chains.chain_bounds(cm.chains, bounds[None], se[None], fit.var_eta[None])
+    lower, upper = maxt_bounds(bounds[None], R[None])
     p = chains.chain_maxt(cm.chains, bounds, se, fit.var_eta)
     assert np.all(lower[0] <= upper[0])
     assert np.all(lower[0] - 1e-8 <= p)
@@ -226,9 +227,9 @@ def test_two_row_bounds_are_the_bivariate_tail(family):
     n = rng.integers(5, 61, size=3)
     var = rng.uniform(0.02, 0.6, size=(4, 3))
     cm = family(n)
-    _, se, _, R = contrast_moments(cm.coefficients, np.zeros(3), var)
+    _, _, _, R = contrast_moments(cm.coefficients, np.zeros(3), var)
     t = np.array([[-0.5, 0.0, 1.0, 1.9, 2.4, 3.3, 4.2]] * 4)
-    lower, upper = chains.chain_bounds(cm.chains, t, se, var)
+    lower, upper = maxt_bounds(t, R)
     for r in range(4):
         for q, b in enumerate(t[r]):
             below = multivariate_normal.cdf(
@@ -236,21 +237,6 @@ def test_two_row_bounds_are_the_bivariate_tail(family):
             )
             assert lower[r, q] == pytest.approx(1.0 - below, rel=0, abs=1e-9)
             assert upper[r, q] == pytest.approx(1.0 - below, rel=0, abs=1e-9)
-
-
-@pytest.mark.parametrize("k", [1, 2, 5, 8])
-def test_chain_correlation_is_the_contrast_correlation(k):
-    # six tables at once; variances spread over three decades, as boundary groups give
-    rng = np.random.default_rng(k)
-    n = rng.integers(5, 61, size=k + 1)
-    var = 10.0 ** rng.uniform(-2.0, 1.0, size=(6, k + 1))
-    families = [dunnett_matrix(n), williams_matrix(n)]
-    families += [pad_to_full(williams_matrix(n[: j + 1]), k + 1) for j in range(1, k)]
-    for cm in families:
-        _, se, _, R = contrast_moments(cm.coefficients, np.zeros_like(var), var)
-        np.testing.assert_allclose(
-            chains._chain_correlation(cm.chains, se, var), R, rtol=0, atol=1e-12
-        )
 
 
 def test_doubling_nodes_moves_no_p(monkeypatch):

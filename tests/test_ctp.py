@@ -140,6 +140,17 @@ class TestBoundaryPolicies:
         assert not a.correction_applied.any()
         assert not np.allclose(a.p_ctp_pairwise, b.p_ctp_pairwise)
 
+    def test_results_compare_by_value(self, liarozole):
+        result = closed_analysis(liarozole)
+        again = closed_analysis(liarozole)
+        assert result == again
+        assert result.dunnett_report == again.dunnett_report
+        other = closed_analysis(
+            DoseGroupData(labels=liarozole.labels, n=liarozole.n, y=[2, 6, 5, 13])
+        )
+        assert result != other
+        assert result.williams_report != other.williams_report
+
     def test_result_records_inputs(self, liarozole):
         result = closed_analysis(liarozole)
         assert result.control_label == "0"
@@ -223,11 +234,11 @@ def test_segment_test_is_the_family_minimum(seed):
     fit = fit_saturated_logit(data, boundary_policy="haldane")
     segment_p = []
 
-    def maxt(chains, t, std_err, var_eta):
-        segment_p.append(chain_maxt(chains, t, std_err, var_eta)[0])
+    def maxt(chains, t, std_err, var_eta, correlation):
+        segment_p.append(chain_maxt(chains, t, std_err[0], var_eta[0])[0])
         return np.zeros(1)  # keeps the closure visiting every segment
 
-    _williams_closure(fit, _stock_families(n)[1], 0.0, lambda c, t, se, v: maxt(c, t, se[0], v[0]))
+    _williams_closure(fit, _stock_families(n)[1], 0.0, maxt)
     family_min = [
         contrast_test(fit, pad_to_full(williams_matrix(n[: j + 1]), k + 1)).min_adjusted
         for j in range(k - 1, 0, -1)

@@ -13,6 +13,7 @@ from trendcomp.mvn import (
     TailProbability,
     adjust_maxt,
     adjusted_p_below,
+    maxt_bounds,
     mvn_upper_orthant_complement,
 )
 
@@ -206,6 +207,30 @@ class TestAdjustMaxt:
     def test_nonfinite_statistic(self):
         with pytest.raises(ValueError, match="finite"):
             adjust_maxt([np.nan, 0.0], equicorr(2, 0.2))
+
+
+class TestMaxtBounds:
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_bounds_bracket_qmc_on_any_correlation(self, seed):
+        # no chain structure: random signs make about half the correlations negative
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(2, 7))
+        sign = rng.choice([-1.0, 1.0], size=m)
+        R = random_correlation(rng, m) * np.outer(sign, sign)
+        bound = rng.uniform(0.5, 3.5)
+        (lower,), (upper,) = maxt_bounds([[bound]], R[None])
+        tail = mvn_upper_orthant_complement(MvnSpec(R), bound, seed=seed, abs_tol=1e-6)
+        slack = tail.error + 1e-6
+        assert lower[0] - slack <= tail.value <= upper[0] + slack
+
+    def test_opposite_rows_have_the_exact_tail(self):
+        # rho = -1: T_2 = -T_1, so P(max >= t) is 2 Phi(-t) for t > 0 and 1 for t <= 0
+        t = np.array([[-1.3, -0.2, 0.0, 0.4, 2.5]])
+        lower, upper = maxt_bounds(t, np.array([[[1.0, -1.0], [-1.0, 1.0]]]))
+        want = np.where(t > 0.0, 2.0 * ndtr(-t), 1.0)
+        np.testing.assert_allclose(lower, want, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(upper, want, rtol=0, atol=1e-15)
 
 
 class TestAdjustedPBelow:

@@ -1,4 +1,5 @@
 import textwrap
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from trendcomp.simulate import (
     Scenario,
     ScenarioResult,
     StudyConfigError,
-    _run_chunk,
+    _count_chunk,
+    _decide,
     load_study,
     run_scenario,
     run_study,
@@ -184,6 +186,13 @@ class TestRunScenario:
         assert r_smooth.n_boundary == r_haldane.n_boundary
         assert r_smooth.rate_dunnett_any != r_haldane.rate_dunnett_any
 
+    def test_results_compare_by_value(self):
+        sc = Scenario(pi=(0.1, 0.2, 0.4), n=(20, 20, 20), replicates=50, seed=3)
+        res = run_scenario(sc)
+        # wall time is not part of the result's value
+        assert res == replace(run_scenario(sc), elapsed=res.elapsed + 1.0)
+        assert res != run_scenario(replace(sc, seed=4))
+
     def test_parallelism_validated(self):
         with pytest.raises(ValueError, match="parallelism"):
             run_scenario(SMALL, parallelism=0)
@@ -208,15 +217,19 @@ class TestRunScenario:
             run_study([{"pi": (0.1, 0.2)}])
 
 
-def analysis_counts(sc: Scenario, rep: int) -> np.ndarray:
-    """Replicate ``rep`` redrawn from the seed contract, claimed by closed_analysis.
+def contract_table(sc: Scenario, rep: int) -> np.ndarray:
+    """The counts of replicate ``rep``, redrawn from the seed contract."""
+    draw = np.random.default_rng(np.random.SeedSequence(sc.seed, spawn_key=(rep, 0)))
+    return draw.binomial(np.asarray(sc.n), sc.pi)
+
+
+def analysis_counts(sc: Scenario, y) -> np.ndarray:
+    """The table ``y`` claimed by closed_analysis at the scenario's alpha and policy.
 
     Same layout as the decision counts of one simulated replicate.
     """
     k = sc.k
-    n = np.asarray(sc.n)
-    draw = np.random.default_rng(np.random.SeedSequence(sc.seed, spawn_key=(rep, 0)))
-    data = DoseGroupData(labels=tuple(map(str, range(k + 1))), n=n, y=draw.binomial(n, sc.pi))
+    data = DoseGroupData(labels=tuple(map(str, range(k + 1))), n=np.asarray(sc.n), y=y)
     out = np.zeros(3 * k + 7, dtype=np.int64)
     try:
         res = closed_analysis(data, boundary_policy=sc.boundary_policy)
@@ -255,9 +268,66 @@ def test_simulate_claims_what_analyze_claims(pi, policy):
     disagree = [
         rep
         for rep in range(sc.replicates)
-        if not np.array_equal(_run_chunk(sc, rep, 1), analysis_counts(sc, rep))
+        if not np.array_equal(
+            _count_chunk(sc, rep, 1)[:-3], analysis_counts(sc, contract_table(sc, rep))
+        )
     ]
     assert disagree == []
+
+
+@pytest.mark.parametrize(
+    "pi, n, y, policy",
+    [
+        ((0.1, 0.2, 0.3), (10, 10, 10), (0, 0, 0), "smooth"),
+        ((0.1, 0.2, 0.3), (10, 10, 10), (0, 3, 9), "reject"),
+        ((0.1, 0.2, 0.3), (10, 10, 10), (1, 4, 10), "haldane"),
+        ((0.1, 0.4), (20, 20), (2, 11), "smooth"),
+    ],
+    ids=["degenerate", "refused", "group-at-n", "k1"],
+)
+def test_decide_claims_what_analyze_claims_on_edge_tables(pi, n, y, policy):
+    sc = Scenario(pi=pi, n=n, boundary_policy=policy)
+    np.testing.assert_array_equal(_decide(sc, np.array([y]))[:-3], analysis_counts(sc, y))
+
+
+# Decision and route counts of replicates 10-209: any change to the seeded
+# draw, the fit, a decision stage or the quadrature that moves a count fails here.
+PINNED_COUNTS = [
+    (
+        Scenario(pi=(0.1, 0.4), n=(20, 20), seed=21),
+        [137, 137, 137, 137, 137, 137, 137, 137, 28, 0, 600, 0, 0],
+    ),
+    (
+        Scenario(pi=(0.05, 0.1, 0.2, 0.3), n=(50,) * 4, seed=22),
+        [11, 98, 179, 180, 184, 190, 24, 144, 189, 189, 28, 141, 190, 190, 17, 0, 1165, 136, 30],
+    ),
+    (
+        Scenario(pi=(0.02, 0.05, 0.1, 0.25), n=(15,) * 4, seed=23, boundary_policy="haldane"),
+        [0, 0, 13, 13, 21, 21, 0, 0, 51, 51, 0, 0, 21, 21, 181, 0, 894, 85, 42],
+    ),
+    (
+        Scenario(pi=(0.03, 0.2, 0.5, 0.6), n=(12, 8, 10, 10), seed=24, boundary_policy="reject"),
+        [0, 18, 29, 38, 36, 47, 1, 23, 36, 36, 3, 35, 47, 47, 150, 0, 279, 48, 5],
+    ),
+    (
+        Scenario(pi=(0.05, 0.05, 0.1, 0.2, 0.25, 0.3, 0.35), n=(10, 20, 30, 15, 25, 35, 12),
+                 seed=25),
+        [0, 0, 0, 0, 4, 12, 16, 34, 42, 0, 0, 0, 1, 15, 71, 71, 0, 0, 0, 1, 17, 42, 42, 142, 0,
+         1376, 184, 100],
+    ),
+    (
+        Scenario(pi=(0.1,) * 4 + (0.3,) * 3, n=(20,) * 7, seed=26, boundary_policy="haldane"),
+        [0, 0, 0, 29, 32, 19, 68, 48, 83, 0, 0, 0, 22, 40, 81, 81, 0, 0, 1, 31, 62, 83, 83, 86, 0,
+         1285, 360, 132],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "sc, counts", PINNED_COUNTS, ids=[f"k{sc.k}-{sc.boundary_policy}" for sc, _ in PINNED_COUNTS]
+)
+def test_counts_are_pinned(sc, counts):
+    assert _count_chunk(sc, 10, 200).tolist() == counts
 
 
 @pytest.mark.parametrize(
@@ -266,9 +336,9 @@ def test_simulate_claims_what_analyze_claims(pi, policy):
         (Scenario(pi=(0.05, 0.1, 0.2, 0.3), n=(50,) * 4, replicates=300, seed=13), 3),
         (Scenario(pi=(0.1,) * 4, n=(50, 40, 50, 60), replicates=300, seed=14), None),
         (Scenario(pi=(0.03, 0.2, 0.6), n=(12, 8, 10), replicates=300, seed=15,
-                  boundary_policy="reject"), -2),
+                  boundary_policy="reject"), -5),
         (Scenario(pi=(0.02,) * 3, n=(10, 10, 10), replicates=300, seed=16,
-                  boundary_policy="haldane"), -1),
+                  boundary_policy="haldane"), -4),
         (Scenario(pi=(0.1, 0.4), n=(20, 20), replicates=300, seed=17), 1),
     ],
     ids=["power", "null", "reject", "degenerate", "k1"],
@@ -276,9 +346,9 @@ def test_simulate_claims_what_analyze_claims(pi, policy):
 def test_counts_do_not_depend_on_chunking(sc, covered):
     # a chunk decides its replicates together; no replicate may see its neighbours
     R = sc.replicates
-    whole = _run_chunk(sc, 0, R)
-    uneven = sum(_run_chunk(sc, a, b - a) for a, b in ((0, 1), (1, 138), (138, R)))
-    singles = sum(_run_chunk(sc, rep, 1) for rep in range(R))
+    whole = _count_chunk(sc, 0, R)
+    uneven = sum(_count_chunk(sc, a, b - a) for a, b in ((0, 1), (1, 138), (138, R)))
+    singles = sum(_count_chunk(sc, rep, 1) for rep in range(R))
     np.testing.assert_array_equal(uneven, whole)
     np.testing.assert_array_equal(singles, whole)
     if covered is not None:  # D_any, n_boundary or n_degenerate: the case the row is for
