@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from trendcomp import cli
 from trendcomp.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
@@ -282,6 +283,19 @@ class TestSimulateCommand:
     def test_missing_config_is_parse_error(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "simulate", "--config", str(tmp_path / "no.yaml"))
         assert code == EXIT_PARSE
+
+    def test_replicates_above_the_cap_is_parse_error(self, capsys, tmp_path, monkeypatch):
+        # were the config accepted, 2**32 + 1 replicates would run for days
+        monkeypatch.setattr(cli, "run_study", lambda *a, **kw: pytest.fail("study ran"))
+        p = tmp_path / "study.yaml"
+        p.write_text(
+            "schema_version: 1\nmaster_seed: 0\nscenarios:\n"
+            "  - {pi: [0.1, 0.2], n: [5, 5], replicates: 4294967297}\n"
+        )
+        code, out, err = run_cli(capsys, "simulate", "--config", str(p))
+        assert code == EXIT_PARSE == 2
+        assert out == ""
+        assert "scenarios[0]: replicates must be at most 2**32" in err
 
     def test_zero_parallelism_rejected(self, capsys, study_config):
         with pytest.raises(SystemExit) as exc:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import yaml
 
+from trendcomp.contrasts import ContrastError
 from trendcomp.ctp import closed_analysis
 from trendcomp.data import DoseGroupData
 from trendcomp.model import BoundaryCountError, NoInformationError
@@ -17,6 +18,8 @@ from trendcomp.simulate import (
     StudyConfigError,
     _count_chunk,
     _decide,
+    _draw,
+    _states,
     load_study,
     run_scenario,
     run_study,
@@ -54,6 +57,12 @@ class TestScenarioValidation:
     def test_replicates_positive(self):
         with pytest.raises(ValueError, match="replicates"):
             Scenario(pi=(0.1, 0.2), n=(10, 10), replicates=0)
+
+    def test_replicates_capped_at_one_word_spawn_keys(self):
+        # replicate 2**32 would hash a two-word spawn key
+        assert Scenario(pi=(0.1, 0.2), n=(10, 10), replicates=2**32).replicates == 2**32
+        with pytest.raises(ValueError, match=r"^replicates must be at most 2\*\*32"):
+            Scenario(pi=(0.1, 0.2), n=(10, 10), replicates=2**32 + 1)
 
     def test_alpha_range(self):
         with pytest.raises(ValueError, match="alpha"):
@@ -223,6 +232,47 @@ def contract_table(sc: Scenario, rep: int) -> np.ndarray:
     return draw.binomial(np.asarray(sc.n), sc.pi)
 
 
+@pytest.mark.parametrize(
+    "seed",
+    [0, 2**32 - 1, 2**32 + 5, 2**63 - 1, 2**70 + 12345, 2**200 + 7],
+    ids=["1-word-0", "1-word-max", "2-words", "2-words-max", "3-words", "7-words"],
+)
+def test_states_are_the_seed_sequence_states(seed):
+    reps = [0, 1, 2**31, 2**32 - 1]
+    expected = [
+        np.random.SeedSequence(seed, spawn_key=(rep, 0)).generate_state(4, np.uint64)
+        for rep in reps
+    ]
+    states = _states(seed, np.array(reps, dtype=np.uint64))
+    assert states.dtype == np.uint64
+    np.testing.assert_array_equal(states, expected)
+
+
+@pytest.mark.parametrize(
+    "sc",
+    [
+        Scenario(pi=(0.05, 0.1, 0.2, 0.3), n=(50,) * 4, seed=31),
+        Scenario(pi=(0.03, 0.2, 0.5, 0.6), n=(12, 8, 10, 10), seed=2**40 + 3),
+        Scenario(pi=(0.1, 0.4), n=(20, 20), seed=0),
+        # n * min(p, 1 - p) > 30: numpy draws these by BTPE, not by inversion
+        Scenario(pi=(0.5, 0.5, 0.45), n=(200, 200, 200), seed=32),
+    ],
+    ids=["balanced", "unbalanced", "k1", "btpe"],
+)
+def test_draw_is_the_contract_draw(sc):
+    expected = [contract_table(sc, rep) for rep in range(1000, 1300)]
+    np.testing.assert_array_equal(_draw(sc, 1000, 300), expected)
+
+
+def test_draw_keeps_the_stream_of_a_derived_seed(tmp_path):
+    p = tmp_path / "study.yaml"
+    p.write_text("schema_version: 1\nmaster_seed: 4\nscenarios:\n  - {pi: [0.1, 0.3], n: [40, 40]}\n")
+    (sc,) = load_study(p)
+    assert sc.seed >= 2**32  # two words
+    expected = [contract_table(sc, rep) for rep in range(7, 207)]
+    np.testing.assert_array_equal(_draw(sc, 7, 200), expected)
+
+
 def analysis_counts(sc: Scenario, y) -> np.ndarray:
     """The table ``y`` claimed by closed_analysis at the scenario's alpha and policy.
 
@@ -379,6 +429,14 @@ class TestDecisionRoutes:
         res = run_scenario(Scenario(pi=(0.1, 0.3), n=(20, 20), replicates=100, seed=2))
         assert res.n_second_order == res.n_integrated == 0
         assert res.n_sandwich > 0
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_quadrature_outside_its_bracket_raises(self, monkeypatch, p):
+        # a quadrature failure must not pass silently as a decision
+        sc = Scenario(pi=(0.05, 0.1, 0.2, 0.3), n=(50,) * 4, seed=22)
+        monkeypatch.setattr(simulate, "chain_maxt", lambda chains, t, *args: np.full(t.shape, p))
+        with pytest.raises(ContrastError, match="outside its second-order bracket"):
+            _count_chunk(sc, 10, 200)
 
 
 class TestScenarioResultValidation:
