@@ -18,23 +18,27 @@ in x, so
 
 a one-dimensional outer integral of a product of walk probabilities.  A
 walk of length one is a normal CDF; longer walks are integrated level by
-level, the density of the walk at each level carried on Gauss-Legendre
-nodes below that level's threshold (Genz & Bretz 2009, LNS 195; Miwa,
-Hayter & Kuriki 2003, JRSS-B 65:223).  The outer integral runs only over
-the control values where some row is neither almost sure to fail nor
-almost sure to hold; above that band the integrand is the normal density
-alone and is integrated in closed form.
+level (Genz & Bretz 2009, LNS 195; Miwa, Hayter & Kuriki 2003, JRSS-B
+65:223).  The first level needs no nodes: given W_1, W_0 is normal, so
+level 1 carries the density of W_1 times one normal CDF.  From there the
+density of the walk is carried on Gauss-Legendre nodes below each level's
+threshold, one kernel between consecutive levels, and the last level is
+closed with a normal CDF; a walk of two or three levels builds no kernel.
+The outer integral runs only over the control values where some row is
+neither almost sure to fail nor almost sure to hold; above that band the
+integrand is the normal density alone and is integrated in closed form.
 
 The walk densities and every transition kernel are entire functions, so
 the rules converge faster than any power of the node count.  Node counts
-scale with the ratio of the range to the narrowest kernel it has to
-resolve.  Ranges are cut at ``_TAIL_SD`` standard deviations and at
-``_EPS`` probability, which drops a few times 1e-12 at most.  Doubling
+scale with the ratio of the range to the narrowest kernel or density it
+has to resolve.  Ranges are cut at ``_TAIL_SD`` standard deviations and
+at ``_EPS`` probability, which drops a few times 1e-12 at most.  Doubling
 every node count moves none of the 12196 p-values of the 1000 random
-tables of the acceptance suite by more than 3e-9, so the error is below
-1e-8.  Very unequal group variances make that ratio, and so the rule,
-huge; a rule of more than ``_MAX_NODES`` nodes raises
-:class:`ContrastError` before any array is built.
+tables of the acceptance suite by more than 1e-10, nor any of 60 tables
+with k from 7 to 12, so the error is below 1e-9.  Very unequal group
+variances make that ratio, and so the rule, huge; a rule of more than
+``_MAX_NODES`` nodes raises :class:`ContrastError` before any array is
+built.
 
 A caller that only needs to compare p with a level can first bracket it
 with :func:`trendcomp.mvn.maxt_bounds`, which needs the rows'
@@ -58,6 +62,10 @@ _TAIL_SD = 7.0
 # for the walk levels and for the outer integral over the control
 _NODES_PER_SD = 1.7
 _OUTER_NODES_PER_SD = 5.0
+# and per standard deviation of a walk level's own density, which sets the
+# rule where every kernel is about as wide: 32 nodes over the 14 sds of a
+# whole normal density integrate it to 1e-14, the 24 of 1.7 per sd to 3e-9
+_DENSITY_NODES_PER_SD = 2.3
 _MIN_NODES = 16
 # largest rule built; 16 times the largest any acceptance or benchmark table needs
 _MAX_NODES = 4096
@@ -164,10 +172,28 @@ def chain_structure(coefficients) -> tuple | None:
 
 @lru_cache(maxsize=128)
 def _gauss_legendre(n: int):
-    """Nodes on [0, 1] and weights summing to 1, read-only."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    x = 0.5 * (x + 1.0)
-    w = 0.5 * w
+    """Nodes on [0, 1] and weights summing to 1, read-only, for even ``n``.
+
+    Newton's method on the Legendre recurrence from Tricomi's estimates of
+    the positive roots, mirrored for the negative ones: O(n^2) work, where
+    the eigenvalue route of ``numpy.polynomial.legendre.leggauss`` is
+    O(n^3) and takes seconds for a rule near the cap.  Newton stops once
+    no root moves by 1e-15, after three or four steps for n from 16 to 4096.
+    """
+    k = np.arange(n // 2, 0, -1)
+    x = np.cos(np.pi * (4 * k - 1) / (4 * n + 2)) * (1.0 - (n - 1) / (8.0 * n**3))
+    for _ in range(6):
+        p_prev, p = np.ones_like(x), x
+        for j in range(1, n):
+            p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+        slope = n * (p_prev - x * p) / (1.0 - x * x)
+        step = p / slope
+        x = x - step
+        if np.max(np.abs(step)) < 1e-15:
+            break
+    half = 1.0 / ((1.0 - x * x) * slope * slope)
+    x = 0.5 * (1.0 + np.concatenate([-x[::-1], x]))
+    w = np.concatenate([half[::-1], half])
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
@@ -184,31 +210,47 @@ def _walk_probability(sigma: np.ndarray, c: np.ndarray) -> np.ndarray:
     """P(W_l < c_l for every level l) for a walk with increment sds ``sigma``.
 
     ``c`` has one row of thresholds per level and one column per batch
-    entry.  The density of the walk at each level lives on Gauss-Legendre
-    nodes between ``-_TAIL_SD`` standard deviations and the level's
-    threshold, enough of them to resolve the narrower of the kernels into
-    and out of the level; the last level is closed with a normal CDF.
-    Batch entries are taken in chunks of similar thresholds, and each
-    chunk gets the nodes its widest range needs.
+    entry.  The first level is integrated in closed form: given W_1 = u,
+    W_0 is normal with mean a u and sd s, so level 1 carries the density
+    of W_1 times P(W_0 < c_0 | W_1 = u), one normal CDF.  From level 1 on
+    the density of the walk lives on Gauss-Legendre nodes between
+    ``-_TAIL_SD`` standard deviations and the level's threshold, enough
+    of them to resolve that density and the narrower of the kernels into
+    and out of the level.  The last level is closed with a normal CDF;
+    in a walk of two levels it is level 1 itself.  Batch entries are
+    taken in chunks of similar thresholds, and each chunk gets the nodes
+    its widest range needs.
     """
     L = sigma.size
     if L == 1:
         return ndtr(c[0] / sigma[0])
-    spread = _TAIL_SD * np.sqrt(np.cumsum(sigma * sigma))
-    per_unit = _NODES_PER_SD / np.minimum(sigma[:-1], sigma[1:])
-    top = np.minimum(c[:-1], spread[:-1, None])
-    full = [_node_count(2.0 * spread[i] * per_unit[i]) for i in range(L - 1)]
-    chunk = max(1, _CHUNK_ENTRIES // max(a * b for a, b in zip(full, full[1:] + [1])))
+    var = np.cumsum(sigma * sigma)
+    spread = _TAIL_SD * np.sqrt(var)
+    # Levels 1 .. last carry nodes, each enough to resolve its own density
+    # and its own increment and the next, or the increment alone on a last
+    # level.  The CDF factor of level 1 switches over s / a >= sigma_1, so
+    # that rule resolves it.
+    last = max(1, L - 2)
+    per_unit = np.maximum(
+        _NODES_PER_SD / np.minimum(sigma[1:], np.append(sigma[2:], sigma[-1])),
+        _DENSITY_NODES_PER_SD / np.sqrt(var[1:]),
+    )[:last]
+    top = np.minimum(c[1 : last + 1], spread[1 : last + 1, None])
+    full = [_node_count(2.0 * spread[i + 1] * per_unit[i]) for i in range(last)]
+    chunk = max(1, _CHUNK_ENTRIES // max(p * q for p, q in zip(full, full[1:] + [1])))
+    a = var[0] / var[1]
+    s = sigma[0] * sigma[1] / math.sqrt(var[1])
     order = np.argsort(c[-1], kind="stable")
     out = np.empty(c.shape[1])
     for start in range(0, order.size, chunk):
         idx = order[start : start + chunk]
         hi = top[:, idx]
-        n = [_node_count((hi[i].max() + spread[i]) * per_unit[i]) for i in range(L - 1)]
-        u, w = _nodes(n[0], -spread[0], hi[0])
-        mass = w * np.exp(-0.5 * (u / sigma[0]) ** 2) * (_INV_SQRT_2PI / sigma[0])
-        for lvl in range(1, L - 1):
-            u_next, w_next = _nodes(n[lvl], -spread[lvl], hi[lvl])
+        n = [_node_count((hi[i].max() + spread[i + 1]) * per_unit[i]) for i in range(last)]
+        u, w = _nodes(n[0], -spread[1], hi[0])
+        mass = w * np.exp(-0.5 * u * u / var[1]) * (_INV_SQRT_2PI / math.sqrt(var[1]))
+        mass *= ndtr((c[0, idx][:, None] - a * u) / s)
+        for lvl in range(2, L - 1):
+            u_next, w_next = _nodes(n[lvl - 1], -spread[lvl], hi[lvl - 1])
             # transition kernel exp(-d^2 / 2 sigma^2), built in place
             scale = 1.0 / (math.sqrt(2.0) * sigma[lvl])
             d = np.subtract((u_next * scale)[:, :, None], (u * scale)[:, None, :])
@@ -218,7 +260,9 @@ def _walk_probability(sigma: np.ndarray, c: np.ndarray) -> np.ndarray:
             mass = w_next * np.matmul(d, mass[:, :, None])[:, :, 0]
             mass *= _INV_SQRT_2PI / sigma[lvl]
             u = u_next
-        out[idx] = np.sum(mass * ndtr((c[L - 1, idx][:, None] - u) / sigma[L - 1]), axis=1)
+        if L > 2:
+            mass *= ndtr((c[L - 1, idx][:, None] - u) / sigma[L - 1])
+        out[idx] = np.sum(mass, axis=1)
     return out
 
 
