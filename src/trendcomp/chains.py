@@ -24,6 +24,12 @@ level 1 carries the density of W_1 times one normal CDF.  From there the
 density of the walk is carried on Gauss-Legendre nodes below each level's
 threshold, one kernel between consecutive levels, and the last level is
 closed with a normal CDF; a walk of two or three levels builds no kernel.
+Longer walks are integrated for a chunk of batch entries at once: every
+entry's nodes on a level span the chunk's widest range, ending at the
+entry's own threshold, so the Gaussian kernel between two levels differs
+from entry to entry only by a shift.  Factoring that shift out of the
+exponent leaves one kernel matrix shared by the chunk and a vector of
+factors per entry on either side, and each step is one matrix product.
 The outer integral runs only over the control values where some row is
 neither almost sure to fail nor almost sure to hold; above that band the
 integrand is the normal density alone and is integrated in closed form.
@@ -33,12 +39,13 @@ the rules converge faster than any power of the node count.  Node counts
 scale with the ratio of the range to the narrowest kernel or density it
 has to resolve.  Ranges are cut at ``_TAIL_SD`` standard deviations and
 at ``_EPS`` probability, which drops a few times 1e-12 at most.  Doubling
-every node count moves none of the 12196 p-values of the 1000 random
-tables of the acceptance suite by more than 1e-10, nor any of 60 tables
-with k from 7 to 12, so the error is below 1e-9.  Very unequal group
-variances make that ratio, and so the rule, huge; a rule of more than
-``_MAX_NODES`` nodes raises :class:`ContrastError` before any array is
-built.
+every node density moves none of the p-values of the 1000 random tables
+of the acceptance suite by more than 2e-12, nor any of 60 tables with k
+from 7 to 12 by more than 4e-12, so the error is below 1e-9.  Very
+unequal group variances make that ratio, and so the rule, huge; a rule
+of more than ``_MAX_NODES`` nodes raises :class:`ContrastError` before
+any array is built, and rules above 256 nodes are rounded up to powers
+of sqrt(2), so a table near the cap builds a few large rules.
 
 A caller that only needs to compare p with a level can first bracket it
 with :func:`trendcomp.mvn.maxt_bounds`, which needs the rows'
@@ -58,22 +65,40 @@ __all__ = ["ContrastError", "Chain", "chain_structure", "chain_maxt"]
 
 # ranges end this many standard deviations out; P(Z < -7) = 1.3e-12
 _TAIL_SD = 7.0
-# Gauss-Legendre nodes per standard deviation of the narrowest kernel,
-# for the walk levels and for the outer integral over the control
+# Gauss-Legendre nodes per standard deviation of the narrowest normal CDF
+# factor of a walk level, and of the narrowest row over the control
 _NODES_PER_SD = 1.7
 _OUTER_NODES_PER_SD = 5.0
-# and per standard deviation of a walk level's own density, which sets the
-# rule where every kernel is about as wide: 32 nodes over the 14 sds of a
-# whole normal density integrate it to 1e-14, the 24 of 1.7 per sd to 3e-9
+# and per standard deviation of a normal density: a walk level's own, or
+# a Gaussian kernel into or out of the level.  32 nodes over the 14 sds of
+# a whole normal density integrate it to 1e-14, the 24 of 1.7 per sd to
+# 3e-9; a walk of six levels at 1.7 per kernel sd is off by 1e-7
 _DENSITY_NODES_PER_SD = 2.3
 _MIN_NODES = 16
 # largest rule built; 16 times the largest any acceptance or benchmark table needs
 _MAX_NODES = 4096
+# larger rules are rounded up to a power of sqrt(2): 368, 512, 728, ... 4096
+_LADDER_FROM = 256
 # probability below which a constraint counts as certain to fail or hold
 _EPS = 1e-13
 _Q_LO = float(ndtri(_EPS))
-# kernel entries held at once; bounds the working set to a few MB
+# entries of one batch-by-nodes array held at once, so a chunk's working
+# set stays below a few MB: 2^17 in a walk of up to three levels, which
+# keeps two or three such arrays; 2^14 in a walk with kernels, which keeps
+# about six, but at least 32 entries share each kernel matrix, so a rule
+# near the cap does not rebuild it every few entries
 _CHUNK_ENTRIES = 1 << 17
+_KERNEL_CHUNK_ENTRIES = 1 << 14
+_MIN_KERNEL_CHUNK = 32
+# One product with a shared kernel matrix also covers at most
+# _CHUNK_ENTRIES kernel entries, rows times matrix size: BLAS runs such a
+# product on one thread, and a threaded one stalls while the other CPUs
+# are busy.  200 x 80 by 80 x 80 took 0.3 ms on an idle 2-vCPU machine
+# and 12 ms with one CPU busy, against 0.08 ms in blocks.
+# The largest exponent of a factored kernel's per-entry factors: e^400 is
+# far from overflow at e^709, and where the shared kernel matrix
+# underflows at e^-745 the true kernel is below e^-345.
+_MAX_EXPONENT = 400.0
 _PROPORTIONAL_RTOL = 1e-9
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -199,11 +224,73 @@ def _gauss_legendre(n: int):
     return x, w
 
 
-def _nodes(n: int, lo: float, hi: np.ndarray):
-    """Gauss-Legendre nodes and weights on [lo, hi_b] for each batch entry."""
+def _nodes(n: int, lo, width):
+    """Gauss-Legendre nodes and weights on [lo, lo + width], per batch entry or shared."""
     x, w = _gauss_legendre(n)
-    width = np.maximum(hi - lo, 0.0)[:, None]
     return lo + width * x, width * w
+
+
+def _chunks(order, top, reach, sigma, size):
+    """Runs of ``order``, at most ``size`` entries each, that can share kernels.
+
+    ``top`` and ``reach`` have a row of range ends and widths per noded
+    level, one column per batch entry, and ``sigma`` the sd of each
+    kernel between them.  A run ends before the spread of some kernel's
+    offsets top_l - top_(l-1), times the widest ranges of the two levels
+    it joins over sigma_l^2, exceeds ``_MAX_EXPONENT``.  Without kernels
+    every run but the last is full.
+    """
+    start = 0
+    while start < order.size:
+        idx = order[start : start + size]
+        if sigma.size:
+            offset = np.diff(top[:, idx], axis=0)
+            span = np.maximum.accumulate(offset, axis=1) - np.minimum.accumulate(offset, axis=1)
+            width = np.maximum.accumulate(reach[:, idx], axis=1)
+            exponent = span * (width[:-1] + width[1:]) / (sigma * sigma)[:, None]
+            fits = np.all(exponent <= _MAX_EXPONENT, axis=0)
+            if not fits.all():
+                idx = idx[: max(1, int(np.argmin(fits)))]
+        yield idx
+        start += idx.size
+
+
+def _kernel_step(mass, sd, n_in, r_in, n_out, r_out, offset):
+    """Carry a chunk's ``mass`` through a Gaussian kernel of sd ``sd``.
+
+    Entry b has nodes lo_b + r_in x_j on the level below, the Gauss-Legendre
+    rule of ``n_in`` nodes, and lo_b + offset_b + r_out x_i on this level,
+    the rule of ``n_out`` nodes, so the kernel's argument is
+    offset_b + r_out x_i - r_in x_j.  Write offset_b = r + e_b and
+    D_ij = r + r_out x_i - r_in x_j: the kernel factors as
+
+        exp(-(e_b + D_ij)^2 / 2 sd^2) = exp(-D_ij^2 / 2 sd^2)
+            * exp(-e_b (r + e_b / 2 + r_out x_i) / sd^2)
+            * exp(e_b r_in x_j / sd^2),
+
+    one matrix shared by the chunk and a vector of factors per entry on
+    either side of it, so the step is one matrix product.  The reference
+    r is the point of the offsets nearest 0, which keeps the constant
+    factor exp((r^2 - offset_b^2) / 2 sd^2) at most 1; :func:`_chunks`
+    keeps the others within e^+-``_MAX_EXPONENT``.  The product runs in
+    blocks of rows that cover at most ``_CHUNK_ENTRIES`` kernel entries.
+    Scales ``mass`` in place and returns the mass on this level's nodes,
+    times their weights.
+    """
+    x_in = _gauss_legendre(n_in)[0]
+    x_out, w_out = _gauss_legendre(n_out)
+    ref = min(max(0.0, offset.min()), offset.max())
+    kernel = np.subtract.outer(r_in * x_in / sd, (ref + r_out * x_out) / sd)
+    kernel *= kernel
+    kernel *= -0.5
+    np.exp(kernel, out=kernel)
+    kernel *= _INV_SQRT_2PI / sd
+    e = (offset - ref)[:, None] / (sd * sd)
+    mass *= np.exp(e * (r_in * x_in))
+    rows = max(1, _CHUNK_ENTRIES // kernel.size)
+    mass = np.concatenate([mass[i : i + rows] @ kernel for i in range(0, mass.shape[0], rows)])
+    mass *= (r_out * w_out) * np.exp(-e * (0.5 * (ref + offset)[:, None] + r_out * x_out))
+    return mass
 
 
 def _walk_probability(sigma: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -215,11 +302,21 @@ def _walk_probability(sigma: np.ndarray, c: np.ndarray) -> np.ndarray:
     of W_1 times P(W_0 < c_0 | W_1 = u), one normal CDF.  From level 1 on
     the density of the walk lives on Gauss-Legendre nodes between
     ``-_TAIL_SD`` standard deviations and the level's threshold, enough
-    of them to resolve that density and the narrower of the kernels into
-    and out of the level.  The last level is closed with a normal CDF;
-    in a walk of two levels it is level 1 itself.  Batch entries are
-    taken in chunks of similar thresholds, and each chunk gets the nodes
-    its widest range needs.
+    of them to resolve that density and the increments into and out of
+    the level: a Gaussian kernel at ``_DENSITY_NODES_PER_SD`` per sd, a
+    normal CDF factor at ``_NODES_PER_SD``.  The last level is closed
+    with a normal CDF; in a walk of two levels it is level 1 itself.
+    Batch entries are taken in chunks of similar thresholds, and each
+    chunk gets the nodes its widest range needs.
+
+    Walks of four or more levels carry a Gaussian kernel from each noded
+    level to the next.  Every entry of a chunk then gets the chunk's
+    widest range on each level, ending at its own threshold, so the
+    kernel differs between entries only by a shift and the chunk shares
+    one kernel matrix (:func:`_kernel_step`).  :func:`_chunks` ends a
+    chunk before the shifts spread too far for that.  Walks of two or
+    three levels build no kernel, and each of their entries keeps nodes
+    on its own range.
     """
     L = sigma.size
     if L == 1:
@@ -228,38 +325,46 @@ def _walk_probability(sigma: np.ndarray, c: np.ndarray) -> np.ndarray:
     spread = _TAIL_SD * np.sqrt(var)
     # Levels 1 .. last carry nodes, each enough to resolve its own density
     # and its own increment and the next, or the increment alone on a last
-    # level.  The CDF factor of level 1 switches over s / a >= sigma_1, so
-    # that rule resolves it.
+    # level.  Increments 2 .. L-2 are kernels between noded levels, the
+    # others normal CDF factors.  The CDF factor of level 1 switches over
+    # s / a >= sigma_1, so that rule resolves it.
     last = max(1, L - 2)
+    rate = np.full(L, _NODES_PER_SD)
+    rate[2 : L - 1] = _DENSITY_NODES_PER_SD
+    step = rate / sigma
     per_unit = np.maximum(
-        _NODES_PER_SD / np.minimum(sigma[1:], np.append(sigma[2:], sigma[-1])),
+        np.maximum(step[1:], np.append(step[2:], step[-1])),
         _DENSITY_NODES_PER_SD / np.sqrt(var[1:]),
     )[:last]
-    top = np.minimum(c[1 : last + 1], spread[1 : last + 1, None])
+    # a threshold below a level's range leaves the range empty; clipped to
+    # its lower end it leaves the offsets between levels finite
+    bound = spread[1 : last + 1, None]
+    top = np.maximum(np.minimum(c[1 : last + 1], bound), -bound)
+    reach = top + bound
     full = [_node_count(2.0 * spread[i + 1] * per_unit[i]) for i in range(last)]
-    chunk = max(1, _CHUNK_ENTRIES // max(p * q for p, q in zip(full, full[1:] + [1])))
     a = var[0] / var[1]
     s = sigma[0] * sigma[1] / math.sqrt(var[1])
     order = np.argsort(c[-1], kind="stable")
     out = np.empty(c.shape[1])
-    for start in range(0, order.size, chunk):
-        idx = order[start : start + chunk]
-        hi = top[:, idx]
-        n = [_node_count((hi[i].max() + spread[i + 1]) * per_unit[i]) for i in range(last)]
-        u, w = _nodes(n[0], -spread[1], hi[0])
+    if L > 3:
+        size = max(_MIN_KERNEL_CHUNK, _KERNEL_CHUNK_ENTRIES // max(full))
+    else:
+        size = _CHUNK_ENTRIES // full[0]
+    for idx in _chunks(order, top, reach, sigma[2:-1], size):
+        width = reach[:, idx].max(axis=1)
+        n = [_node_count(width[i] * per_unit[i]) for i in range(last)]
+        if L > 3:  # the widest range of each level, shared by the chunk
+            lo = top[:, idx] - width[:, None]
+            u, w = _nodes(n[0], lo[0][:, None], width[0])
+        else:
+            u, w = _nodes(n[0], -spread[1], reach[0, idx][:, None])
         mass = w * np.exp(-0.5 * u * u / var[1]) * (_INV_SQRT_2PI / math.sqrt(var[1]))
         mass *= ndtr((c[0, idx][:, None] - a * u) / s)
-        for lvl in range(2, L - 1):
-            u_next, w_next = _nodes(n[lvl - 1], -spread[lvl], hi[lvl - 1])
-            # transition kernel exp(-d^2 / 2 sigma^2), built in place
-            scale = 1.0 / (math.sqrt(2.0) * sigma[lvl])
-            d = np.subtract((u_next * scale)[:, :, None], (u * scale)[:, None, :])
-            np.square(d, out=d)
-            np.negative(d, out=d)
-            np.exp(d, out=d)
-            mass = w_next * np.matmul(d, mass[:, :, None])[:, :, 0]
-            mass *= _INV_SQRT_2PI / sigma[lvl]
-            u = u_next
+        for i in range(1, L - 2):  # the kernel into level i + 1
+            offset = lo[i] - lo[i - 1]
+            mass = _kernel_step(mass, sigma[i + 1], n[i - 1], width[i - 1], n[i], width[i], offset)
+        if L > 3:
+            u = _nodes(n[-1], lo[-1][:, None], width[-1])[0]
         if L > 2:
             mass *= ndtr((c[L - 1, idx][:, None] - u) / sigma[L - 1])
         out[idx] = np.sum(mass, axis=1)
@@ -269,8 +374,10 @@ def _walk_probability(sigma: np.ndarray, c: np.ndarray) -> np.ndarray:
 def _node_count(nodes: float) -> int:
     """At least ``nodes`` and ``_MIN_NODES``, rounded up to a multiple of 8.
 
-    The rounding keeps the number of distinct rules, and so the work of
-    building them, small.  More than ``_MAX_NODES`` raises
+    Above ``_LADDER_FROM`` nodes the count is first rounded up to a power
+    of sqrt(2).  The rounding keeps the number of distinct rules, and so
+    the work of building them, small: a near-cap table builds a few large
+    rules, not one per chunk.  More than ``_MAX_NODES`` raises
     :class:`ContrastError`.
     """
     if not nodes <= _MAX_NODES:
@@ -278,6 +385,8 @@ def _node_count(nodes: float) -> int:
             f"exact integration needs a rule of {nodes:.0f} nodes, above the cap of "
             f"{_MAX_NODES}; the group variances are too unequal"
         )
+    if nodes > _LADDER_FROM:
+        nodes = 2.0 ** (math.ceil(2.0 * math.log2(nodes)) / 2.0)
     return 8 * max(_MIN_NODES // 8, math.ceil(nodes / 8.0))
 
 

@@ -276,6 +276,37 @@ def test_two_level_walk_is_the_bivariate_normal(ratio):
     np.testing.assert_allclose(p, expected, rtol=0, atol=1e-10)
 
 
+@pytest.mark.parametrize("ratio", [0.01, 0.1, 1.0, 10.0, 100.0])
+@pytest.mark.parametrize("levels, finite", [(4, (1, 2)), (4, (0, 2)), (5, (1, 3)), (6, (2, 4))])
+def test_walk_with_two_finite_levels_is_the_bivariate_normal(levels, finite, ratio, monkeypatch):
+    # every other level's threshold is +inf, so the walk is the pair (W_i, W_j)
+    sigma = 0.3 * np.sqrt(np.resize([1.0, ratio], levels))
+    var = np.cumsum(sigma * sigma)
+    i, j = finite
+    grid = [-4.0, -1.5, 0.0, 0.8, 2.5, 6.0, np.inf]
+    c = np.full((levels, len(grid) ** 2), np.inf)
+    c[[i, j]] = np.array([[a, b] for a in grid for b in grid]).T * np.sqrt(var[[i, j]])[:, None]
+    runs, caps = [], []
+    chunks = chains._chunks
+
+    def recorded(*args):
+        caps.append(args[-1])
+        for run in chunks(*args):
+            runs.append(run.size)
+            yield run
+
+    monkeypatch.setattr(chains, "_chunks", recorded)
+    p = chains._walk_probability(sigma, c)
+    # more runs than the size cap alone makes: some ended on the exponent bound
+    assert len(runs) > math.ceil(c.shape[1] / caps[0])
+    cov = [[var[i], var[i]], [var[i], var[j]]]
+    expected = [
+        multivariate_normal.cdf(pair, mean=[0.0, 0.0], cov=cov, abseps=1e-15, releps=1e-13)
+        for pair in c[[i, j]].T
+    ]
+    np.testing.assert_allclose(p, expected, rtol=0, atol=1e-10)
+
+
 @pytest.mark.parametrize("n", [16, 24, 64, 256])
 def test_gauss_legendre_rule_is_numpys(n):
     x, w = chains._gauss_legendre(n)
@@ -300,10 +331,10 @@ def test_doubling_nodes_moves_no_p(monkeypatch):
         fams = [dunnett_matrix(data.n), williams_matrix(data.n)]
         fams += [pad_to_full(williams_matrix(data.n[: j + 1]), k + 1) for j in range(2, k)]
         families += [(fit, cm, contrast_test(fit, cm).p_adjusted) for cm in fams]
-    monkeypatch.setattr(chains, "_NODES_PER_SD", 2 * chains._NODES_PER_SD)
-    monkeypatch.setattr(chains, "_OUTER_NODES_PER_SD", 2 * chains._OUTER_NODES_PER_SD)
+    for name in ("_NODES_PER_SD", "_OUTER_NODES_PER_SD", "_DENSITY_NODES_PER_SD"):
+        monkeypatch.setattr(chains, name, 2 * getattr(chains, name))
     for fit, cm, p in families:
-        np.testing.assert_allclose(contrast_test(fit, cm).p_adjusted, p, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(contrast_test(fit, cm).p_adjusted, p, rtol=0, atol=1e-9)
 
 
 class TestNodeCap:
@@ -359,6 +390,18 @@ class TestNearCap:
         np.testing.assert_allclose(result.p_williams_global, williams[-1], rtol=0, atol=1e-8)
         np.testing.assert_allclose(result.p_ctp_pairwise, [0.5] * 3, rtol=0, atol=1e-8)
         np.testing.assert_allclose(result.p_ctp_williams, [williams[-1]] * 3, rtol=0, atol=1e-8)
+
+
+class TestLargeK:
+    """Long walks share one kernel matrix per chunk between levels."""
+
+    def test_sixteen_doses_analyzed_in_under_a_second(self):
+        y = [4, 4, 5, 5, 6, 6, 6, 7, 7, 7, 8, 8, 8, 9, 9, 10, 10]
+        data = DoseGroupData(labels=tuple(str(i) for i in range(17)), n=[20] * 17, y=y)
+        start = time.perf_counter()
+        result = closed_analysis(data)
+        assert time.perf_counter() - start < 1.0
+        assert np.all(np.diff(result.p_ctp_williams) <= 0.0)
 
 
 class TestRouteSelection:
