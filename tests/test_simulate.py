@@ -1,4 +1,5 @@
 import textwrap
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,7 @@ from trendcomp.simulate import (
     _count_chunk,
     _decide,
     _draw,
+    _inversion,
     _states,
     load_study,
     run_scenario,
@@ -225,6 +227,24 @@ class TestRunScenario:
         with pytest.raises(TypeError, match="Scenario"):
             run_study([{"pi": (0.1, 0.2)}])
 
+    def test_a_study_opens_one_pool(self, monkeypatch):
+        opened = []
+
+        class Counted(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                opened.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", Counted)
+        study = [
+            Scenario(pi=(0.1, 0.2, 0.4), n=(20, 20, 20), replicates=600, seed=s) for s in range(3)
+        ]
+        assert run_study(study, parallelism=2) == run_study(study)
+        assert len(opened) == 1
+        # a study of single chunks has nothing to share out
+        run_study([replace(sc, replicates=100) for sc in study], parallelism=2)
+        assert len(opened) == 1
+
 
 def contract_table(sc: Scenario, rep: int) -> np.ndarray:
     """The counts of replicate ``rep``, redrawn from the seed contract."""
@@ -271,6 +291,132 @@ def test_draw_keeps_the_stream_of_a_derived_seed(tmp_path):
     assert sc.seed >= 2**32  # two words
     expected = [contract_table(sc, rep) for rep in range(7, 207)]
     np.testing.assert_array_equal(_draw(sc, 7, 200), expected)
+
+
+def random_design(rng):
+    """A scenario of 2-8 groups of 1-120 with rates near 0, near 1, above 0.5 or anywhere."""
+    groups = int(rng.integers(2, 9))
+    pi = []
+    for kind in rng.integers(0, 4, groups):
+        if kind == 0:
+            pi.append(10 ** rng.uniform(-9, -1))
+        elif kind == 1:
+            pi.append(1 - 10 ** rng.uniform(-9, -1))
+        elif kind == 2:
+            pi.append(rng.uniform(0.5, 1.0))
+        else:
+            pi.append(rng.uniform(0.0, 1.0))
+    words = int(rng.choice([1, 2, 3, 7]))
+    seed = int(rng.integers(1, 2**32)) << 32 * (words - 1) | int(rng.integers(0, 2**32))
+    return Scenario(pi=tuple(pi), n=tuple(int(v) for v in rng.integers(1, 121, groups)), seed=seed)
+
+
+def test_draw_is_the_contract_draw_on_random_designs():
+    rng = np.random.default_rng(2024)
+    for i in range(200):
+        sc = random_design(rng)
+        assert (sc.seed.bit_length() + 31) // 32 in (1, 2, 3, 7)
+        count = int(rng.integers(1, 65))
+        # every tenth chunk ends at the last replicate index a scenario may draw
+        start = 2**32 - count if i % 10 == 0 else int(rng.integers(0, 2**32 - count + 1))
+        expected = [contract_table(sc, rep) for rep in range(start, start + count)]
+        np.testing.assert_array_equal(_draw(sc, start, count), expected, err_msg=repr(sc))
+
+
+_PCG_MULT = 2549297995355413924 << 64 | 4865540595714422341
+
+
+def binomial_at(u, n, p):
+    """``Generator.binomial(n, p)`` with ``u`` its first ``random()``; and whether it took one."""
+    inc = 2 * 12345 + 1
+    # a state with a high word of 0 outputs its low word unrotated
+    first = int(u * 2**53) << 11
+    bit_gen = np.random.PCG64()
+    bit_gen.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": (first - inc) * pow(_PCG_MULT, -1, 2**128) % 2**128, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    draw = np.random.Generator(bit_gen).binomial(n, p)
+    return draw, bit_gen.state["state"]["state"] == first
+
+
+@pytest.mark.parametrize(
+    "n, p",
+    [(50, 0.1), (50, 0.3), (1, 0.3), (7, 0.5), (60, 0.5), (120, 0.25), (40, 0.9), (9, 1 - 1e-9),
+     (100, 1e-9), (10, 0.45), (2, 0.7)],
+)
+def test_inversion_thresholds_are_numpys(n, p):
+    # drawn U never lands on a threshold; set it there and on the doubles beside it
+    flipped, thresholds = _inversion(n, p)
+    assert flipped == (p > 0.5)
+    probes = np.concatenate([thresholds - 2.0**-53, thresholds, thresholds + 2.0**-53])
+    for u in probes[(probes >= 0.0) & (probes < 1.0)]:
+        count = np.searchsorted(thresholds, u, side="right")
+        draw, one_double = binomial_at(u, n, p)
+        if count == thresholds.size:  # past the last threshold numpy restarts
+            assert not one_double, u
+        else:
+            assert one_double and draw == (n - count if flipped else count), u
+    # (40, 0.9), (10, 0.45) and (2, 0.7) restart at the top doubles U can take
+    assert (thresholds[-1] < 1.0) == ((n, p) in [(40, 0.9), (10, 0.45), (2, 0.7)])
+
+
+def test_thirty_is_the_last_mean_numpy_inverts():
+    assert 0.5 * 60 == 0.3 * 100 == 30.0
+    assert _inversion(60, 0.5) is not None
+    assert _inversion(100, 0.3) is not None
+    assert 0.30000000000000004 * 100 > 30.0
+    assert _inversion(100, 0.30000000000000004) is None
+    assert _inversion(100, 0.7) is None  # 1 - 0.7 is 0.30000000000000004
+
+
+def forbid_generators(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-replicate generator was built")
+
+    monkeypatch.setattr(simulate.np.random, "PCG64", refuse)
+
+
+@pytest.mark.parametrize(
+    "sc",
+    [
+        Scenario(pi=(0.1,) * 4, n=(50,) * 4, seed=41),
+        Scenario(pi=(0.5, 0.05, 0.97), n=(60, 120, 30), seed=2**64 + 9),
+    ],
+    ids=["null", "n-p-30"],
+)
+def test_inverted_designs_build_no_generator(monkeypatch, sc):
+    expected = [contract_table(sc, rep) for rep in range(300)]
+    forbid_generators(monkeypatch)
+    np.testing.assert_array_equal(_draw(sc, 0, 300), expected)
+
+
+def test_a_btpe_group_draws_the_design_from_generators(monkeypatch):
+    # one group of mean (1 - 0.7) * 100, just above 30, among inverted groups
+    sc = Scenario(pi=(0.1, 0.7, 0.2, 0.6), n=(50, 100, 40, 30), seed=43)
+    expected = [contract_table(sc, rep) for rep in range(500, 700)]
+    np.testing.assert_array_equal(_draw(sc, 500, 200), expected)
+    forbid_generators(monkeypatch)
+    with pytest.raises(AssertionError, match="generator was built"):
+        _draw(sc, 500, 1)
+
+
+def test_restarted_inversions_are_redrawn_by_the_generator(monkeypatch):
+    # dropping the top thresholds of a group makes every draw above them restart
+    sc = Scenario(pi=(0.1, 0.3, 0.8), n=(50, 50, 20), seed=44)
+    expected = [contract_table(sc, rep) for rep in range(300)]
+    inversion = simulate._inversion
+
+    def lower_bound(n, p):
+        flipped, thresholds = inversion(n, p)
+        return flipped, thresholds[:15] if p == 0.3 else thresholds
+
+    monkeypatch.setattr(simulate, "_inversion", lower_bound)
+    restarted = np.array(expected)[:, 1] >= 15
+    assert 0 < restarted.sum() < 300
+    np.testing.assert_array_equal(_draw(sc, 0, 300), expected)
 
 
 def analysis_counts(sc: Scenario, y) -> np.ndarray:
