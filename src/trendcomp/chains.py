@@ -34,6 +34,14 @@ The outer integral runs only over the control values where some row is
 neither almost sure to fail nor almost sure to hold; above that band the
 integrand is the normal density alone and is integrated in closed form.
 
+:func:`chain_maxt` takes the bounds of many tables in one call, each
+with the index of its table.  Node counts stay each table's own, so a
+table's p-values do not depend on the other tables of the call: the
+length-one chains of all tables are one normal CDF pass, walks of two or
+three levels are integrated entry by entry with their own table's sds,
+and walks with kernels, which share a kernel only within one sigma,
+table by table.
+
 The walk densities and every transition kernel are entire functions, so
 the rules converge faster than any power of the node count.  Node counts
 scale with the ratio of the range to the narrowest kernel or density it
@@ -57,6 +65,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -82,14 +91,20 @@ _LADDER_FROM = 256
 # probability below which a constraint counts as certain to fail or hold
 _EPS = 1e-13
 _Q_LO = float(ndtri(_EPS))
-# entries of one batch-by-nodes array held at once, so a chunk's working
-# set stays below a few MB: 2^17 in a walk of up to three levels, which
-# keeps two or three such arrays; 2^14 in a walk with kernels, which keeps
-# about six, but at least 32 entries share each kernel matrix, so a rule
-# near the cap does not rebuild it every few entries
+# entries of one batch-by-nodes array: in a walk of up to three levels a
+# table's entries share a node count in runs of 2^17 over its full rule;
+# a walk with kernels holds 2^14 at once, in about six such arrays, but at
+# least 32 entries share each kernel matrix, so a rule near the cap does
+# not rebuild it every few entries
 _CHUNK_ENTRIES = 1 << 17
 _KERNEL_CHUNK_ENTRIES = 1 << 14
 _MIN_KERNEL_CHUNK = 32
+# entries, one per bound and outer node, that one pass of chain_maxt
+# holds, and entries times nodes in one block of a batch of walks of two
+# or three levels: a pass takes whole tables, so it may hold more, and
+# both keep a call's working set near a single table's, below 1 MB
+_PASS_ENTRIES = 1 << 11
+_BLOCK_ENTRIES = 1 << 13
 # One product with a shared kernel matrix also covers at most
 # _CHUNK_ENTRIES kernel entries, rows times matrix size: BLAS runs such a
 # product on one thread, and a threaded one stalls while the other CPUs
@@ -293,80 +308,176 @@ def _kernel_step(mass, sd, n_in, r_in, n_out, r_out, offset):
     return mass
 
 
-def _walk_probability(sigma: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """P(W_l < c_l for every level l) for a walk with increment sds ``sigma``.
+def _level_rules(sigma):
+    """The quadrature set-up of walks with increment sds ``sigma``, levels on the last axis.
 
-    ``c`` has one row of thresholds per level and one column per batch
-    entry.  The first level is integrated in closed form: given W_1 = u,
-    W_0 is normal with mean a u and sd s, so level 1 carries the density
-    of W_1 times P(W_0 < c_0 | W_1 = u), one normal CDF.  From level 1 on
-    the density of the walk lives on Gauss-Legendre nodes between
-    ``-_TAIL_SD`` standard deviations and the level's threshold, enough
-    of them to resolve that density and the increments into and out of
-    the level: a Gaussian kernel at ``_DENSITY_NODES_PER_SD`` per sd, a
-    normal CDF factor at ``_NODES_PER_SD``.  The last level is closed
-    with a normal CDF; in a walk of two levels it is level 1 itself.
-    Batch entries are taken in chunks of similar thresholds, and each
-    chunk gets the nodes its widest range needs.
-
-    Walks of four or more levels carry a Gaussian kernel from each noded
-    level to the next.  Every entry of a chunk then gets the chunk's
-    widest range on each level, ending at its own threshold, so the
-    kernel differs between entries only by a shift and the chunk shares
-    one kernel matrix (:func:`_kernel_step`).  :func:`_chunks` ends a
-    chunk before the shifts spread too far for that.  Walks of two or
-    three levels build no kernel, and each of their entries keeps nodes
-    on its own range.
+    Returns the variances of the levels, the ``_TAIL_SD`` sds at which
+    their ranges are cut, and the nodes per unit of length that each
+    noded level needs: levels 1 .. L-2, or level 1 alone in a walk of
+    two or three levels.  A noded level resolves its own density and its
+    own increment and the next, or the increment alone on a last level.
+    The CDF factor of level 1 switches over s / a >= sigma_1, so that
+    rule resolves it.
     """
-    L = sigma.size
-    if L == 1:
-        return ndtr(c[0] / sigma[0])
-    var = np.cumsum(sigma * sigma)
-    spread = _TAIL_SD * np.sqrt(var)
-    # Levels 1 .. last carry nodes, each enough to resolve its own density
-    # and its own increment and the next, or the increment alone on a last
-    # level.  Increments 2 .. L-2 are kernels between noded levels, the
-    # others normal CDF factors.  The CDF factor of level 1 switches over
-    # s / a >= sigma_1, so that rule resolves it.
+    L = sigma.shape[-1]
     last = max(1, L - 2)
+    var = np.cumsum(sigma * sigma, axis=-1)
+    # increments 2 .. L-2 are kernels between noded levels, the others
+    # normal CDF factors
     rate = np.full(L, _NODES_PER_SD)
     rate[2 : L - 1] = _DENSITY_NODES_PER_SD
     step = rate / sigma
     per_unit = np.maximum(
-        np.maximum(step[1:], np.append(step[2:], step[-1])),
-        _DENSITY_NODES_PER_SD / np.sqrt(var[1:]),
-    )[:last]
+        np.maximum(step[..., 1 : last + 1], step[..., min(2, L - 1) : last + 2]),
+        _DENSITY_NODES_PER_SD / np.sqrt(var[..., 1 : last + 1]),
+    )
+    return var, _TAIL_SD * np.sqrt(var), per_unit
+
+
+def _level_one(u, w, c0, var, sigma):
+    """The mass of a walk on level-1 nodes ``u`` with weights ``w``.
+
+    Given W_1 = u, W_0 is normal with mean a u and sd s, so the mass is
+    the density of W_1 times P(W_0 < ``c0`` | W_1 = u), one normal CDF.
+    ``var`` and ``sigma`` are indexed by level first and broadcast
+    against ``u``.
+    """
+    a = var[0] / var[1]
+    s = sigma[0] * sigma[1] / np.sqrt(var[1])
+    mass = -0.5 * u
+    mass *= u
+    mass /= var[1]
+    np.exp(mass, out=mass)
+    mass *= w
+    mass *= _INV_SQRT_2PI / np.sqrt(var[1])
+    mass *= _cdf(c0, a * u, s)
+    return mass
+
+
+def _cdf(c, x, s):
+    """Phi((c - x) / s), computed in place in ``x``, which it overwrites."""
+    np.subtract(c, x, out=x)
+    x /= s
+    return ndtr(x, out=x)
+
+
+def _walk_probability(sigma, c, table=None) -> np.ndarray:
+    """P(W_l < c_l for every level l) for walks of two or more levels.
+
+    ``c`` has one row of thresholds per level and one column per batch
+    entry.  ``sigma`` holds the increment sds of one walk, or one row of
+    them per table, and then ``table`` gives each entry's row; the
+    entries of one table are contiguous.  The first level is integrated
+    in closed form (:func:`_level_one`).  From level 1 on the density of
+    the walk lives on Gauss-Legendre nodes between ``-_TAIL_SD`` standard
+    deviations and the level's threshold, enough of them to resolve that
+    density and the increments into and out of the level: a Gaussian
+    kernel at ``_DENSITY_NODES_PER_SD`` per sd, a normal CDF factor at
+    ``_NODES_PER_SD``.  The last level is closed with a normal CDF; in a
+    walk of two levels it is level 1 itself.
+
+    Each table's entries are taken in chunks of similar thresholds, and
+    each chunk gets the nodes its widest range needs, exactly as if the
+    table's entries were the whole batch; so no entry's value depends on
+    the other tables.  Walks of two or three levels build no kernel, and
+    each of their entries keeps nodes on its own range, so every table's
+    entries are integrated together, grouped by node count
+    (:func:`_short_walks`).  Walks of four or more levels share a kernel
+    matrix per chunk, which needs one sigma, so they are integrated
+    table by table (:func:`_kernel_walk`).
+    """
+    sigma = np.asarray(sigma, dtype=np.float64)
+    if table is None:
+        sigma, table = sigma[None], np.zeros(c.shape[1], dtype=np.intp)
+    # the entries of table table[i] are [i, j) for consecutive cuts i, j
+    cuts = [0, *(np.flatnonzero(table[1:] != table[:-1]) + 1).tolist(), table.size]
+    if sigma.shape[1] <= 3:
+        return _short_walks(sigma, c, table, cuts)
+    out = np.empty(c.shape[1])
+    for i, j in zip(cuts[:-1], cuts[1:]):
+        out[i:j] = _kernel_walk(sigma[table[i]], c[:, i:j])
+    return out
+
+
+def _short_walks(sigma, c, table, cuts) -> np.ndarray:
+    """:func:`_walk_probability` for walks of two or three levels.
+
+    Level 1 is the only noded level.  A table's entries get the node count
+    of their widest range, unless they are more than ``_CHUNK_ENTRIES``
+    over the table's full rule: then they are sorted by their last
+    threshold and cut into runs of that many, each with the node count of
+    its own widest range.  The entries of one node count are integrated
+    together, each on its own range and with its own table's sds, in
+    blocks of at most ``_BLOCK_ENTRIES`` entries times nodes.
+    """
+    var, spread, per_unit = _level_rules(sigma)
+    bound = spread[table, 1]
+    reach = np.maximum(np.minimum(c[1], bound), -bound) + bound
+    full = [_node_count(2.0 * s * u) for s, u in zip(spread[:, 1], per_unit[:, 0])]
+    run = _CHUNK_ENTRIES // np.array(full)
+    rows = table[cuts[:-1]]
+    width = np.maximum.reduceat(reach, cuts[:-1])
+    counts = [_node_count(w * per_unit[r, 0]) for w, r in zip(width, rows)]
+    sizes = np.diff(cuts)
+    nodes = np.repeat(counts, sizes)
+    for i in np.flatnonzero(sizes > run[rows]):  # a table of more than one run
+        r = rows[i]
+        entries = cuts[i] + np.argsort(c[-1, cuts[i] : cuts[i + 1]], kind="stable")
+        for k in range(0, entries.size, run[r]):
+            idx = entries[k : k + run[r]]
+            counts.append(_node_count(reach[idx].max() * per_unit[r, 0]))
+            nodes[idx] = counts[-1]
+    out = np.empty(c.shape[1])
+    one = len(sigma) == 1  # then the sds are scalars, which broadcast faster
+    for n in set(counts):
+        x, w = _gauss_legendre(n)
+        group = np.flatnonzero(nodes == n)
+        block = _BLOCK_ENTRIES // n
+        for k in range(0, group.size, block):
+            idx = group[k : k + block]
+            sd, vr, sp = (a[0] if one else a[table[idx]].T[..., None] for a in (sigma, var, spread))
+            u = -sp[1] + reach[idx, None] * x
+            mass = _level_one(u, reach[idx, None] * w, c[0, idx, None], vr, sd)
+            if len(sd) > 2:  # the closing CDF, the last use of u
+                mass *= _cdf(c[2, idx, None], u, sd[2])
+            out[idx] = np.sum(mass, axis=1)
+    return out
+
+
+def _kernel_walk(sigma, c) -> np.ndarray:
+    """:func:`_walk_probability` for one walk of four or more levels.
+
+    Every noded level carries a Gaussian kernel to the next.  Every entry
+    of a chunk gets the chunk's widest range on each level, ending at its
+    own threshold, so the kernel differs between entries only by a shift
+    and the chunk shares one kernel matrix (:func:`_kernel_step`).
+    :func:`_chunks` ends a chunk before the shifts spread too far for
+    that.
+    """
+    L = sigma.size
+    var, spread, per_unit = _level_rules(sigma)
+    last = L - 2
     # a threshold below a level's range leaves the range empty; clipped to
     # its lower end it leaves the offsets between levels finite
     bound = spread[1 : last + 1, None]
     top = np.maximum(np.minimum(c[1 : last + 1], bound), -bound)
     reach = top + bound
     full = [_node_count(2.0 * spread[i + 1] * per_unit[i]) for i in range(last)]
-    a = var[0] / var[1]
-    s = sigma[0] * sigma[1] / math.sqrt(var[1])
     order = np.argsort(c[-1], kind="stable")
     out = np.empty(c.shape[1])
-    if L > 3:
-        size = max(_MIN_KERNEL_CHUNK, _KERNEL_CHUNK_ENTRIES // max(full))
-    else:
-        size = _CHUNK_ENTRIES // full[0]
+    size = max(_MIN_KERNEL_CHUNK, _KERNEL_CHUNK_ENTRIES // max(full))
     for idx in _chunks(order, top, reach, sigma[2:-1], size):
         width = reach[:, idx].max(axis=1)
         n = [_node_count(width[i] * per_unit[i]) for i in range(last)]
-        if L > 3:  # the widest range of each level, shared by the chunk
-            lo = top[:, idx] - width[:, None]
-            u, w = _nodes(n[0], lo[0][:, None], width[0])
-        else:
-            u, w = _nodes(n[0], -spread[1], reach[0, idx][:, None])
-        mass = w * np.exp(-0.5 * u * u / var[1]) * (_INV_SQRT_2PI / math.sqrt(var[1]))
-        mass *= ndtr((c[0, idx][:, None] - a * u) / s)
+        # the widest range of each level, shared by the chunk
+        lo = top[:, idx] - width[:, None]
+        u, w = _nodes(n[0], lo[0][:, None], width[0])
+        mass = _level_one(u, w, c[0, idx][:, None], var, sigma)
         for i in range(1, L - 2):  # the kernel into level i + 1
             offset = lo[i] - lo[i - 1]
             mass = _kernel_step(mass, sigma[i + 1], n[i - 1], width[i - 1], n[i], width[i], offset)
-        if L > 3:
-            u = _nodes(n[-1], lo[-1][:, None], width[-1])[0]
-        if L > 2:
-            mass *= ndtr((c[L - 1, idx][:, None] - u) / sigma[L - 1])
+        u = _nodes(n[-1], lo[-1][:, None], width[-1])[0]
+        mass *= _cdf(c[L - 1, idx][:, None], u, sigma[L - 1])
         out[idx] = np.sum(mass, axis=1)
     return out
 
@@ -390,59 +501,140 @@ def _node_count(nodes: float) -> int:
     return 8 * max(_MIN_NODES // 8, math.ceil(nodes / 8.0))
 
 
-def chain_maxt(chains, t_values, std_err, var_eta) -> np.ndarray:
+def chain_maxt(chains, t_values, std_err, var_eta, table=None) -> np.ndarray:
     """maxT-adjusted one-sided p-values p_q = 1 - P(all T_j < t_q), exactly.
 
     ``chains`` are the family's
-    :attr:`~trendcomp.contrasts.ContrastMatrix.chains`; ``std_err`` are
-    the m contrast standard errors and ``var_eta`` the group variances
-    they were built from.  ``t_values``
-    are the bounds to evaluate, any number of them: the family's
-    statistics, or only those a decision leaves open.  As on the QMC
-    route each value is clipped into [p_raw_q, min(1, m * p_raw_q)], and a
-    single contrast returns its raw normal tail.
+    :attr:`~trendcomp.contrasts.ContrastMatrix.chains`.  ``t_values`` are
+    the bounds to evaluate, any number of them: the family's statistics,
+    or only those a decision leaves open.  For one table ``std_err``
+    holds its m contrast standard errors and ``var_eta`` the group
+    variances they were built from.  For many, each holds one row per
+    table and ``table`` gives the row of each bound.  As on the QMC
+    route each value is clipped into [p_raw_q, min(1, m * p_raw_q)], and
+    a single contrast returns its raw normal tail.
+
+    Node counts are each table's own: the outer rule's comes from the
+    widest outer range among the table's bounds, a walk's from the
+    widest range among the table's entries (see
+    :func:`_walk_probability`).  So every p-value is bitwise the one a
+    call with its table's bounds alone returns, in any order of the
+    tables.  A pass takes whole tables (:func:`_passes`): it integrates
+    the length-one chains of all of them in one normal CDF pass, walks
+    as :func:`_walk_probability` does, and sums each outer rule over the
+    bounds that share it.
     """
     t = np.asarray(t_values, dtype=np.float64)
     se = np.asarray(std_err, dtype=np.float64)
     v = np.asarray(var_eta, dtype=np.float64)
-    m = se.size
+    m = se.shape[-1]
     p_raw = ndtr(-t)
-    if m == 1:
+    if m == 1 or t.size == 0:
         return p_raw.copy()
-    sd0 = math.sqrt(v[0])
+    if table is None:
+        se, v, table = se[None], v[None], np.zeros(t.size, dtype=np.intp)
+    else:  # only the tables with a bound, renumbered in order
+        present = np.bincount(table, minlength=len(se)) > 0
+        se, v, table = se[present], v[present], (np.cumsum(present) - 1)[table]
+    b = t.ravel()
+    T = len(se)
+    sd0 = np.sqrt(v[:, 0])
+    # the chains' levels side by side: level l of chain i is column
+    # first[i] + l; row r sits in column col[r]
+    first = [0, *accumulate(len(chain.levels) for chain in chains)]
+    col = np.empty(m, dtype=np.intp)
+    scale = np.empty(m)
     alpha = np.empty(m)  # minus the control coefficient of each row
-
-    walks = []
-    row_width = np.empty(m)  # z-scale over which row r's constraint switches on
-    for chain in chains:
-        sigma = np.sqrt(chain.increments @ v[1:])
-        level_sd = np.sqrt(np.cumsum(sigma * sigma))
+    for chain, f in zip(chains, first):
         for r, a, lvl, s in zip(chain.rows, chain.row_control, chain.row_level, chain.row_scale):
-            alpha[r] = a
-            row_width[r] = s * level_sd[lvl] / (a * sd0)
-        walks.append((chain, sigma))
+            col[r], scale[r], alpha[r] = f + lvl, s, a
+    increments = np.concatenate([chain.increments for chain in chains])
+    sigma = np.sqrt((increments * v[:, None, 1:]).sum(axis=-1))
+    level_var = sigma * sigma
+    for f, e in zip(first[:-1], first[1:]):
+        if e - f > 1:
+            level_var[:, f:e] = level_var[:, f:e].cumsum(axis=1)
+    # z-scale over which row r's constraint switches on
+    row_width = scale * np.sqrt(level_var)[:, col] / (alpha * sd0[:, None])
 
     # Outer range: below z_lo some row holds with probability < _EPS, so the
     # integrand is negligible; above z_hi every row holds with probability
     # > 1 - _EPS / m, so the integrand is the normal density alone.
-    shift = se / (alpha * sd0)
-    z_lo = np.max(_Q_LO * row_width - np.outer(t, shift), axis=1)
-    z_hi = np.max(-ndtri(_EPS / m) * row_width - np.outer(t, shift), axis=1)
-    z_lo = np.clip(z_lo, -_TAIL_SD, _TAIL_SD)
-    z_hi = np.clip(z_hi, z_lo, _TAIL_SD)
-    width = min(1.0, float(row_width.min()))
-    n_z = _node_count(_OUTER_NODES_PER_SD * float(np.max(z_hi - z_lo)) / width)
-    gz, gw = _gauss_legendre(n_z)
-    z = z_lo[:, None] + (z_hi - z_lo)[:, None] * gz
-    zw = (z_hi - z_lo)[:, None] * gw * np.exp(-0.5 * z * z) * _INV_SQRT_2PI
-    # batch: one entry per (bound, outer node)
-    b = np.repeat(t, n_z)
-    x = sd0 * z.ravel()
-    inside = np.ones(b.size)
-    for chain, sigma in walks:
-        c = np.full((sigma.size, b.size), np.inf)
-        for r, lvl, s in zip(chain.rows, chain.row_level, chain.row_scale):
-            c[lvl] = np.minimum(c[lvl], (b * se[r] + alpha[r] * x) / s)
-        inside *= _walk_probability(sigma, c)
-    lower = ndtr(-z_hi) + (inside.reshape(t.size, n_z) * zw).sum(axis=1)
-    return np.clip(1.0 - lower, p_raw, np.minimum(1.0, m * p_raw))
+    shift = b[:, None] * (se / (alpha * sd0[:, None]))[table]
+    width = row_width[table]
+    z_lo = (_Q_LO * width - shift).max(axis=1)
+    z_hi = (-ndtri(_EPS / m) * width - shift).max(axis=1)
+    z_lo = np.minimum(np.maximum(z_lo, -_TAIL_SD), _TAIL_SD)
+    z_hi = np.minimum(np.maximum(z_hi, z_lo), _TAIL_SD)
+    span = z_hi - z_lo
+    widest = np.zeros(T)
+    np.maximum.at(widest, table, span)
+    unit = np.minimum(1.0, row_width.min(axis=1))
+    n_z = np.array([_node_count(_OUTER_NODES_PER_SD * s / u) for s, u in zip(widest, unit)])
+
+    single = [f for f, e in zip(first[:-1], first[1:]) if e - f == 1]
+    lower = np.empty(b.size)
+    # one table is one pass of one outer rule
+    passes = [(slice(None), [(0, b.size, int(n_z[0]))])] if T == 1 else _passes(table, n_z)
+    for sel, groups in passes:
+        # each group [i, j) of sel shares an outer rule of n nodes and has a
+        # row of entries per bound, one per node
+        rows, lo, sp = table[sel], z_lo[sel], span[sel]
+        nz = n_z[rows]
+        rules = []
+        for i, j, n in groups:
+            gz, gw = _gauss_legendre(n)
+            z = lo[i:j, None] + sp[i:j, None] * gz
+            rules.append((i, j, z, sp[i:j, None] * gw * np.exp(-0.5 * z * z) * _INV_SQRT_2PI))
+        z = np.concatenate([z.ravel() for *_, z, _ in rules])
+        tab = np.repeat(rows, nz)
+        x = sd0[tab] * z
+        bse = np.repeat((b[sel, None] * se[rows]).T, nz, axis=1)
+        c = np.full((len(increments), x.size), np.inf)
+        for r in range(m):
+            c[col[r]] = np.minimum(c[col[r]], (bse[r] + alpha[r] * x) / scale[r])
+        if single:  # length-one chains: a normal CDF each, all in one pass
+            cdf = iter(ndtr(c[single] / sigma[:, single].T[:, tab]))
+        inside = np.ones(x.size)
+        for f, e in zip(first[:-1], first[1:]):
+            inside *= next(cdf) if e - f == 1 else _walk_probability(sigma[:, f:e], c[f:e], tab)
+        low = ndtr(-z_hi[sel])
+        end = 0
+        for i, j, _, zw in rules:
+            zw *= inside[end : end + zw.size].reshape(zw.shape)
+            low[i:j] += zw.sum(axis=1)
+            end += zw.size
+        lower[sel] = low
+    return np.minimum(np.maximum(1.0 - lower.reshape(t.shape), p_raw), np.minimum(1.0, m * p_raw))
+
+
+def _passes(table, n_z):
+    """The bounds :func:`chain_maxt` integrates together, pass by pass.
+
+    Bounds are sorted by their table's outer rule ``n_z[table]``, then by
+    table, each table's in their order, so a table's entries and a rule's
+    bounds are consecutive.  With e the entries, one per bound and outer
+    node, before a table, the table goes to pass e // ``_PASS_ENTRIES``,
+    so a pass holds whole tables and at most ``_PASS_ENTRIES`` entries
+    besides those of its last table.  Each pass comes with its groups
+    (i, j, n): positions [i, j) of the pass whose bounds share an outer
+    rule of n nodes, n a Python int (an integer of another type would be
+    a second key of the :func:`_gauss_legendre` cache).
+    """
+    order = np.lexsort((table, n_z[table]))
+    tab = table[order]
+    nz = n_z[tab]
+    before = np.cumsum(nz) - nz
+    head = np.ones(tab.size, dtype=bool)
+    head[1:] = tab[1:] != tab[:-1]
+    filled = before[head][np.cumsum(head) - 1] // _PASS_ENTRIES
+    new_pass = filled[1:] != filled[:-1]
+    cuts = [0, *(np.flatnonzero(new_pass | (nz[1:] != nz[:-1])) + 1).tolist(), tab.size]
+    passes = []
+    for i, j in zip(cuts, cuts[1:]):
+        if i == 0 or new_pass[i - 1]:
+            start = i
+            passes.append([start, j, []])
+        passes[-1][1] = j
+        passes[-1][2].append((i - start, j - start, int(nz[i])))
+    return [(order[i:j], groups) for i, j, groups in passes]

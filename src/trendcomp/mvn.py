@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import ndtr, owens_t
@@ -301,6 +302,23 @@ def adjust_maxt(
     return np.clip(out, p_raw, np.minimum(1.0, m * p_raw))
 
 
+@lru_cache(maxsize=MAX_DIMENSION)
+def _pairs(m: int) -> tuple:
+    """The row pairs of :func:`maxt_bounds` for m rows, read-only.
+
+    Returns ``(i, j, stars, path)``: the pairs i < j in ``np.triu_indices``
+    order, one mask over the pairs for the star about each row, and the
+    mask of the path through the rows in order.
+    """
+    i, j = np.triu_indices(m, 1)
+    rows = np.arange(m)[:, None]
+    stars = (i == rows) | (j == rows)
+    path = j == i + 1
+    for a in (i, j, stars, path):
+        a.setflags(write=False)
+    return i, j, stars, path
+
+
 def maxt_bounds(t, correlation) -> tuple:
     """Lower and upper bounds on maxT-adjusted p-values, for many tables at once.
 
@@ -323,7 +341,7 @@ def maxt_bounds(t, correlation) -> tuple:
     t = np.asarray(t, dtype=np.float64)
     R = np.asarray(correlation, dtype=np.float64)
     m = R.shape[-1]
-    i, j = np.triu_indices(m, 1)
+    i, j, star_masks, path_mask = _pairs(m)
     rho = R[:, i, j]
     p_raw = ndtr(-t)
     ratio = np.divide(1.0 - rho, 1.0 + rho, out=np.full_like(rho, np.inf), where=rho > -1.0)
@@ -331,8 +349,8 @@ def maxt_bounds(t, correlation) -> tuple:
     pair = np.maximum(p_raw[..., None] - 2.0 * owens_t(t[..., None], slope), 0.0)
     s1 = m * p_raw
     s2 = pair.sum(axis=-1)
-    star = np.max([pair[..., (i == c) | (j == c)].sum(axis=-1) for c in range(m)], axis=0)
-    path = pair[..., j == i + 1].sum(axis=-1)
+    star = np.max([pair[..., mask].sum(axis=-1) for mask in star_masks], axis=0)
+    path = pair[..., path_mask].sum(axis=-1)
     upper = s1 - np.maximum(star, path)
     k = 1.0 + np.floor(np.divide(2.0 * s2, s1, out=np.zeros_like(s1), where=s1 > 0.0))
     lower = np.maximum(p_raw, 2.0 * s1 / (k + 1.0) - 2.0 * s2 / (k * (k + 1.0)))

@@ -16,9 +16,11 @@ from the correlation ``contrast_moments`` returns and also over the whole
 chunk, settle most of the rest: a bound counts as settled only when its
 bracket lies more than ``_MARGIN`` (1e-7, ten times the quadrature's
 error) clear of alpha.  :func:`trendcomp.chains.chain_maxt` integrates
-what is still open, table by table, one bound per lower segment.  So
-every claim equals thresholding the p-values of ``closed_analysis`` on
-the same table.  How many bounds each stage settled is counted per
+what is still open, in one call per family over all of the chunk's
+tables, one bound per table for each lower segment, and each table's
+p-values are the ones a call on that table alone returns.  So every
+claim equals thresholding the p-values of ``closed_analysis`` on the
+same table.  How many bounds each stage settled is counted per
 scenario and reported on stderr, not in :meth:`ScenarioResult.to_dict`.
 
 The default boundary policy here is ``smooth`` (one pseudo-responder
@@ -252,8 +254,9 @@ def _below(chains, t, std_err, var_eta, correlation, alpha, routes) -> np.ndarra
     stages decide: the exact sandwich p_raw <= p_adj <= m * p_raw, then
     the second-order bounds of :func:`maxt_bounds` on the bounds the
     sandwich left open, settling only those more than ``_MARGIN`` clear of
-    alpha, then :func:`chain_maxt`, one call per table on the bounds still
-    open.  So the answer equals thresholding the adjusted p-values of
+    alpha, then one :func:`chain_maxt` call on the bounds still open in
+    every table, each distinct (table, bound) once.  So the answer equals
+    thresholding the adjusted p-values of
     :func:`trendcomp.contrasts.contrast_test`.  An integrated p-value more
     than ``_MARGIN`` outside its second-order bracket raises
     :class:`ContrastError`.  The number of bounds each stage decided is
@@ -263,26 +266,34 @@ def _below(chains, t, std_err, var_eta, correlation, alpha, routes) -> np.ndarra
     below = std_err.shape[-1] * p_raw < alpha
     open_ = ~below & (p_raw < alpha)
     r, b = np.nonzero(open_)
-    bracket = np.empty((2, *t.shape))
+    sandwich_open = r.size
     if r.size:
         lower, upper = maxt_bounds(t[r, b, None], correlation[r])
-        bracket[:, r, b] = lower[:, 0], upper[:, 0]
-        below[r, b] = upper[:, 0] < alpha - _MARGIN
-        open_[r, b] = ~below[r, b] & (lower[:, 0] <= alpha + _MARGIN)
-    for row in np.flatnonzero(open_.any(axis=1)):
-        bounds = open_[row]
-        p = chain_maxt(chains, t[row, bounds], std_err[row], var_eta[row])
-        lower, upper = bracket[:, row, bounds]
+        lower, upper = lower[:, 0], upper[:, 0]
+        below[r, b] = upper < alpha - _MARGIN
+        keep = ~below[r, b] & (lower <= alpha + _MARGIN)
+        r, b, lower, upper = r[keep], b[keep], lower[keep], upper[keep]
+    if r.size:
+        bound = t[r, b]
+        # each distinct (table, bound) once, at its first occurrence, which
+        # heads its run in this stable sort
+        order = np.lexsort((bound, r))
+        new = np.ones(r.size, dtype=bool)
+        new[1:] = (r[order[1:]] != r[order[:-1]]) | (bound[order[1:]] != bound[order[:-1]])
+        first = np.empty(r.size, dtype=np.intp)
+        first[order] = order[new][np.cumsum(new) - 1]
+        once = np.flatnonzero(first == np.arange(r.size))
+        p = chain_maxt(chains, bound[once], std_err, var_eta, r[once])
+        p = p[np.searchsorted(once, first)]
         outside = (p < lower - _MARGIN) | (p > upper + _MARGIN)
         if outside.any():
             q = np.argmax(outside)
             raise ContrastError(
-                f"quadrature p-value {p[q]!r} at t = {t[row, bounds][q]!r} lies outside "
+                f"quadrature p-value {p[q]!r} at t = {bound[q]!r} lies outside "
                 f"its second-order bracket [{lower[q]!r}, {upper[q]!r}]"
             )
-        below[row, bounds] = p < alpha
-    integrated = np.count_nonzero(open_)
-    routes += [t.size - r.size, r.size - integrated, integrated]
+        below[r, b] = p < alpha
+    routes += [t.size - sandwich_open, sandwich_open - r.size, r.size]
     return below
 
 

@@ -20,7 +20,7 @@ from trendcomp.contrasts import (
     williams_matrix,
 )
 from trendcomp.data import DoseGroupData
-from trendcomp.model import ModelFit, fit_saturated_logit
+from trendcomp.model import BOUNDARY_POLICIES, ModelFit, _saturated_logit, fit_saturated_logit
 from trendcomp.mvn import (
     MAX_DIMENSION,
     CorrelationError,
@@ -335,6 +335,80 @@ def test_doubling_nodes_moves_no_p(monkeypatch):
         monkeypatch.setattr(chains, name, 2 * getattr(chains, name))
     for fit, cm, p in families:
         np.testing.assert_allclose(contrast_test(fit, cm).p_adjusted, p, rtol=0, atol=1e-9)
+
+
+class TestTableAxis:
+    """One call over many tables gives every table its own p-values, bit for bit."""
+
+    @pytest.mark.parametrize("policy", BOUNDARY_POLICIES)
+    @pytest.mark.parametrize("pass_entries", [None, 64], ids=["default-passes", "a-pass-per-table"])
+    def test_many_tables_are_single_tables(self, policy, pass_entries, monkeypatch):
+        if pass_entries is not None:  # whole tables per pass, however small the pass
+            monkeypatch.setattr(chains, "_PASS_ENTRIES", pass_entries)
+        rng = np.random.default_rng(BOUNDARY_POLICIES.index(policy))
+        for k in range(1, 7):
+            n = rng.integers(5, 61, size=k + 1)
+            y = rng.binomial(n, rng.uniform(0.05, 0.95, size=(6, k + 1)))
+            edge = rng.random(6) < 0.5  # a group at 0 or n takes the boundary path
+            group = rng.integers(0, k + 1, size=6)
+            y[edge, group[edge]] = np.where(rng.random(edge.sum()) < 0.5, 0, n[group[edge]])
+            eta, var, _, no_info, refused = _saturated_logit(y, n, policy)
+            eta, var = eta[~(no_info | refused)], var[~(no_info | refused)]
+            # at k >= 4 the Williams walks have four or more levels and use kernels
+            families = [dunnett_matrix(n), williams_matrix(n)]
+            families += [pad_to_full(williams_matrix(n[:k]), k + 1)] if k >= 3 else []
+            for cm in families:
+                _, se, t, _ = contrast_moments(cm.coefficients, eta, var)
+                # each table's statistics, other bounds and a repeat; tables in any order
+                table, bounds = [], []
+                for r in rng.permutation(len(t)):
+                    b = [*t[r], *rng.uniform(-0.5, 4.5, size=2)]
+                    b.append(b[int(rng.integers(0, len(b)))])
+                    table += [r] * len(b)
+                    bounds += b
+                table, bounds = np.array(table), np.array(bounds)
+                p = chains.chain_maxt(cm.chains, bounds, se, var, table)
+                for r in range(len(t)):
+                    alone = chains.chain_maxt(cm.chains, bounds[table == r], se[r], var[r])
+                    np.testing.assert_array_equal(p[table == r], alone)
+
+    def test_tables_near_the_cap_are_single_tables(self):
+        # near the node cap a table's walk entries fill several runs, each
+        # with the node count of its own widest range
+        n = np.array([100000, 20, 100000, 100000])
+        y = np.array(
+            [[50000, 10, 50000, 50000], [50000, 8, 50500, 50900], [49000, 12, 50000, 51000]]
+        )
+        eta, var, *_ = _saturated_logit(y, n, "haldane")
+        cm = williams_matrix(n)
+        _, se, t, _ = contrast_moments(cm.coefficients, eta, var)
+        table = np.repeat([2, 0, 1], t.shape[1])
+        p = chains.chain_maxt(cm.chains, t[table, np.tile(range(3), 3)], se, var, table)
+        for r in range(3):
+            alone = chains.chain_maxt(cm.chains, t[r], se[r], var[r])
+            np.testing.assert_array_equal(p[table == r], alone)
+
+
+def test_rules_are_requested_by_python_int(monkeypatch):
+    # lru_cache keys np.int64(n) apart from n, so such a request would
+    # build and hold a second copy of the rule
+    requested = set()
+    rule = chains._gauss_legendre
+
+    def recorded(n):
+        requested.add(type(n))
+        return rule(n)
+
+    monkeypatch.setattr(chains, "_gauss_legendre", recorded)
+    rng = np.random.default_rng(4)
+    data = random_table(rng, 5)
+    closed_analysis(data)
+    fit = fit_saturated_logit(data)
+    cm = williams_matrix(data.n)
+    eta, var = np.stack([fit.eta, fit.eta[::-1]]), np.stack([fit.var_eta, fit.var_eta[::-1]])
+    _, se, t, _ = contrast_moments(cm.coefficients, eta, var)
+    chains.chain_maxt(cm.chains, t.ravel(), se, var, np.repeat([0, 1], t.shape[1]))
+    assert requested == {int}
 
 
 class TestNodeCap:

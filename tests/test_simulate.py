@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
+from trendcomp.chains import chain_maxt
 from trendcomp.contrasts import ContrastError
 from trendcomp.ctp import closed_analysis
 from trendcomp.data import DoseGroupData
@@ -580,9 +581,30 @@ class TestDecisionRoutes:
     def test_quadrature_outside_its_bracket_raises(self, monkeypatch, p):
         # a quadrature failure must not pass silently as a decision
         sc = Scenario(pi=(0.05, 0.1, 0.2, 0.3), n=(50,) * 4, seed=22)
-        monkeypatch.setattr(simulate, "chain_maxt", lambda chains, t, *args: np.full(t.shape, p))
+        monkeypatch.setattr(
+            simulate, "chain_maxt", lambda chains, t, std_err, var_eta, table: np.full(t.shape, p)
+        )
         with pytest.raises(ContrastError, match="outside its second-order bracket"):
             _count_chunk(sc, 10, 200)
+
+    def test_a_chunk_integrates_each_family_in_one_call(self, monkeypatch):
+        sc = Scenario(pi=(0.05, 0.1, 0.2, 0.3), n=(50,) * 4, seed=22)
+        whole = _count_chunk(sc, 0, 250)
+        calls = []
+
+        def recorded(chains, t, std_err, var_eta, table):
+            calls.append((chains, list(zip(table.tolist(), t.tolist()))))
+            return chain_maxt(chains, t, std_err, var_eta, table)
+
+        monkeypatch.setattr(simulate, "chain_maxt", recorded)
+        np.testing.assert_array_equal(_decide(sc, _draw(sc, 0, 250)), whole)
+        # at most one call for Dunnett, one for Williams and one per lower segment
+        assert 0 < len(calls) <= sc.k + 1
+        assert len({id(chains) for chains, _ in calls}) == len(calls)
+        # each (table, bound) of a family once, though the Williams top row
+        # repeats the family maximum: fewer bounds integrated than left open
+        assert all(len(set(pairs)) == len(pairs) for _, pairs in calls)
+        assert sum(len(pairs) for _, pairs in calls) < whole[-1]
 
 
 class TestScenarioResultValidation:
