@@ -13,7 +13,6 @@ from .contrasts import (
     contrast_moments,
     contrast_test,
     dunnett_matrix,
-    pad_to_full,
     williams_matrix,
 )
 from .ctp import (
@@ -78,7 +77,6 @@ __all__ = [
     "fit_saturated_logit",
     "load_study",
     "mvn_upper_orthant_complement",
-    "pad_to_full",
     "raw_pairwise_pvalues",
     "read_counts_csv",
     "run_scenario",

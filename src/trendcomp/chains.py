@@ -4,8 +4,8 @@ A family has chain structure when every row compares the control
 (negative coefficient) with a non-negative weighting of dose groups, rows
 whose dose supports overlap are nested with proportional weights, and
 the resulting chains have disjoint supports.  Dunnett is k chains of
-length one; the Williams family and every zero-padded segment family of
-the closed test are a single chain.
+length one; the Williams family, and so every segment family of the
+closed test, is a single chain.
 
 Write X_j for the centered group log-odds estimates, independent with
 variances v_j.  Given the control term X_0 = x the chains are
@@ -91,12 +91,10 @@ _LADDER_FROM = 256
 # probability below which a constraint counts as certain to fail or hold
 _EPS = 1e-13
 _Q_LO = float(ndtri(_EPS))
-# entries of one batch-by-nodes array: in a walk of up to three levels a
-# table's entries share a node count in runs of 2^17 over its full rule;
-# a walk with kernels holds 2^14 at once, in about six such arrays, but at
-# least 32 entries share each kernel matrix, so a rule near the cap does
-# not rebuild it every few entries
-_CHUNK_ENTRIES = 1 << 17
+# entries of one batch-by-nodes array: a walk with kernels holds 2^14 at
+# once, in about six such arrays, but at least 32 entries share each
+# kernel matrix, so a rule near the cap does not rebuild it every few
+# entries
 _KERNEL_CHUNK_ENTRIES = 1 << 14
 _MIN_KERNEL_CHUNK = 32
 # entries, one per bound and outer node, that one pass of chain_maxt
@@ -105,11 +103,12 @@ _MIN_KERNEL_CHUNK = 32
 # both keep a call's working set near a single table's, below 1 MB
 _PASS_ENTRIES = 1 << 11
 _BLOCK_ENTRIES = 1 << 13
-# One product with a shared kernel matrix also covers at most
-# _CHUNK_ENTRIES kernel entries, rows times matrix size: BLAS runs such a
-# product on one thread, and a threaded one stalls while the other CPUs
-# are busy.  200 x 80 by 80 x 80 took 0.3 ms on an idle 2-vCPU machine
-# and 12 ms with one CPU busy, against 0.08 ms in blocks.
+# One product with a shared kernel matrix covers at most _CHUNK_ENTRIES
+# kernel entries, rows times matrix size: BLAS runs such a product on one
+# thread, and a threaded one stalls while the other CPUs are busy.  200 x
+# 80 by 80 x 80 took 0.3 ms on an idle 2-vCPU machine and 12 ms with one
+# CPU busy, against 0.08 ms in blocks.
+_CHUNK_ENTRIES = 1 << 17
 # The largest exponent of a factored kernel's per-entry factors: e^400 is
 # far from overflow at e^709, and where the shared kernel matrix
 # underflows at e^-745 the true kernel is below e^-345.
@@ -376,15 +375,16 @@ def _walk_probability(sigma, c, table=None) -> np.ndarray:
     ``_NODES_PER_SD``.  The last level is closed with a normal CDF; in a
     walk of two levels it is level 1 itself.
 
-    Each table's entries are taken in chunks of similar thresholds, and
-    each chunk gets the nodes its widest range needs, exactly as if the
-    table's entries were the whole batch; so no entry's value depends on
-    the other tables.  Walks of two or three levels build no kernel, and
-    each of their entries keeps nodes on its own range, so every table's
-    entries are integrated together, grouped by node count
-    (:func:`_short_walks`).  Walks of four or more levels share a kernel
-    matrix per chunk, which needs one sigma, so they are integrated
-    table by table (:func:`_kernel_walk`).
+    Node counts come from each table's entries alone, exactly as if they
+    were the whole batch; so no entry's value depends on the other
+    tables.  Walks of two or three levels build no kernel: a table's
+    entries share the node count of their widest range, each keeps nodes
+    on its own range, and every table's entries are integrated together,
+    grouped by node count (:func:`_short_walks`).  Walks of four or more
+    levels take a table's entries in chunks of similar thresholds, each
+    with the nodes its widest range needs, and share a kernel matrix per
+    chunk, which needs one sigma, so they are integrated table by table
+    (:func:`_kernel_walk`).
     """
     sigma = np.asarray(sigma, dtype=np.float64)
     if table is None:
@@ -403,30 +403,16 @@ def _short_walks(sigma, c, table, cuts) -> np.ndarray:
     """:func:`_walk_probability` for walks of two or three levels.
 
     Level 1 is the only noded level.  A table's entries get the node count
-    of their widest range, unless they are more than ``_CHUNK_ENTRIES``
-    over the table's full rule: then they are sorted by their last
-    threshold and cut into runs of that many, each with the node count of
-    its own widest range.  The entries of one node count are integrated
+    of their widest range.  The entries of one node count are integrated
     together, each on its own range and with its own table's sds, in
     blocks of at most ``_BLOCK_ENTRIES`` entries times nodes.
     """
     var, spread, per_unit = _level_rules(sigma)
     bound = spread[table, 1]
     reach = np.maximum(np.minimum(c[1], bound), -bound) + bound
-    full = [_node_count(2.0 * s * u) for s, u in zip(spread[:, 1], per_unit[:, 0])]
-    run = _CHUNK_ENTRIES // np.array(full)
-    rows = table[cuts[:-1]]
     width = np.maximum.reduceat(reach, cuts[:-1])
-    counts = [_node_count(w * per_unit[r, 0]) for w, r in zip(width, rows)]
-    sizes = np.diff(cuts)
-    nodes = np.repeat(counts, sizes)
-    for i in np.flatnonzero(sizes > run[rows]):  # a table of more than one run
-        r = rows[i]
-        entries = cuts[i] + np.argsort(c[-1, cuts[i] : cuts[i + 1]], kind="stable")
-        for k in range(0, entries.size, run[r]):
-            idx = entries[k : k + run[r]]
-            counts.append(_node_count(reach[idx].max() * per_unit[r, 0]))
-            nodes[idx] = counts[-1]
+    counts = [_node_count(w * per_unit[r, 0]) for w, r in zip(width, table[cuts[:-1]])]
+    nodes = np.repeat(counts, np.diff(cuts))
     out = np.empty(c.shape[1])
     one = len(sigma) == 1  # then the sds are scalars, which broadcast faster
     for n in set(counts):
@@ -519,10 +505,11 @@ def chain_maxt(chains, t_values, std_err, var_eta, table=None) -> np.ndarray:
     widest range among the table's entries (see
     :func:`_walk_probability`).  So every p-value is bitwise the one a
     call with its table's bounds alone returns, in any order of the
-    tables.  A pass takes whole tables (:func:`_passes`): it integrates
-    the length-one chains of all of them in one normal CDF pass, walks
-    as :func:`_walk_probability` does, and sums each outer rule over the
-    bounds that share it.
+    tables.  A bound given twice for one table is integrated once, at its
+    first occurrence, so its copies are equal.  A pass takes whole tables
+    (:func:`_passes`): it integrates the length-one chains of all of them
+    in one normal CDF pass, walks as :func:`_walk_probability` does, and
+    sums each outer rule over the bounds that share it.
     """
     t = np.asarray(t_values, dtype=np.float64)
     se = np.asarray(std_err, dtype=np.float64)
@@ -531,12 +518,21 @@ def chain_maxt(chains, t_values, std_err, var_eta, table=None) -> np.ndarray:
     p_raw = ndtr(-t)
     if m == 1 or t.size == 0:
         return p_raw.copy()
+    b = t.ravel()
+    if table is not None:
+        table = np.asarray(table)
+    keys = b.tolist() if table is None else list(zip(table.tolist(), b.tolist()))
+    if len(set(keys)) < len(keys):
+        slot = {}
+        inverse = np.array([slot.setdefault(key, len(slot)) for key in keys])
+        once = np.unique(inverse, return_index=True)[1]
+        p = chain_maxt(chains, b[once], se, v, None if table is None else table[once])
+        return p[inverse].reshape(t.shape)
     if table is None:
         se, v, table = se[None], v[None], np.zeros(t.size, dtype=np.intp)
     else:  # only the tables with a bound, renumbered in order
         present = np.bincount(table, minlength=len(se)) > 0
         se, v, table = se[present], v[present], (np.cumsum(present) - 1)[table]
-    b = t.ravel()
     T = len(se)
     sd0 = np.sqrt(v[:, 0])
     # the chains' levels side by side: level l of chain i is column

@@ -15,8 +15,8 @@ the comparisons.
 :func:`contrast_test` picks the integration route from the family's
 :attr:`ContrastMatrix.chains`, found once per matrix from its
 coefficients.  Families with chain structure (see
-:mod:`trendcomp.chains`), which covers many-to-one, Williams and every
-zero-padded Williams segment, get exact quadrature with error below 1e-8
+:mod:`trendcomp.chains`), which covers many-to-one, Williams and so every
+closed-test segment, get exact quadrature with error below 1e-8
 and no correlation validation: their correlation is built from group
 variances, so it is positive semidefinite by construction.  The
 simulator decides these families by the same quadrature.  Any other
@@ -43,7 +43,6 @@ __all__ = [
     "TestReport",
     "dunnett_matrix",
     "williams_matrix",
-    "pad_to_full",
     "contrast_moments",
     "contrast_test",
 ]
@@ -82,11 +81,12 @@ class ContrastMatrix:
             raise ContrastError(
                 f"contrast {names[bad]!r} coefficients sum to {sums[bad]:.3e}, not 0"
             )
-        for i, name in enumerate(names):
-            if not (np.any(C[i] > 0.0) and np.any(C[i] < 0.0)):
-                raise ContrastError(
-                    f"contrast {name!r} needs at least one positive and one negative weight"
-                )
+        mixed = np.any(C > 0.0, axis=1) & np.any(C < 0.0, axis=1)
+        if not mixed.all():
+            bad = int(np.argmin(mixed))
+            raise ContrastError(
+                f"contrast {names[bad]!r} needs at least one positive and one negative weight"
+            )
         C.setflags(write=False)
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "coefficients", C)
@@ -147,23 +147,6 @@ def williams_matrix(n) -> ContrastMatrix:
         C[q - 1, lo:] = n[lo:] / total
         names.append(f"D{lo}:{k}-C" if lo < k else f"D{k}-C")
     return ContrastMatrix(names=tuple(names), coefficients=C)
-
-
-def pad_to_full(cm: ContrastMatrix, n_groups: int) -> ContrastMatrix:
-    """Embed a contrast matrix on the first groups into ``n_groups`` columns.
-
-    Appended columns carry zero weight, so the padded matrix expresses the
-    same comparisons inside a larger design.
-    """
-    if n_groups < cm.n_groups:
-        raise ContrastError(
-            f"cannot pad {cm.n_groups} columns down to {n_groups}"
-        )
-    if n_groups == cm.n_groups:
-        return cm
-    C = np.zeros((cm.n_rows, n_groups))
-    C[:, : cm.n_groups] = cm.coefficients
-    return ContrastMatrix(names=cm.names, coefficients=C)
 
 
 def contrast_moments(coefficients: np.ndarray, eta: np.ndarray, var_eta: np.ndarray):

@@ -10,9 +10,9 @@ vectors non-increasing in dose by construction.
 Two instantiations of the intersection tests are provided.  Variant P
 tests segment {0..j} with the single pairwise contrast of its highest
 dose against control.  Variant C tests it with the global Williams trend
-test on the segment, built from zero-padded contrasts so that every test
-reuses the one saturated fit.  The bottom segment {0, 1} is the single
-contrast D1 vs C in both variants.
+test on the segment's own groups, read from the one saturated fit of the
+whole table.  The bottom segment {0, 1} is the single contrast D1 vs C in
+both variants.
 
 :func:`_stock_families` is the one place the stock families are defined:
 the many-to-one (Dunnett) family and variant C's k segment families, the
@@ -43,7 +43,6 @@ from .contrasts import (
     contrast_moments,
     contrast_test,
     dunnett_matrix,
-    pad_to_full,
     williams_matrix,
 )
 from .data import DoseGroupData
@@ -79,7 +78,7 @@ def _stock_families(n) -> tuple:
     """The many-to-one family and variant C's segment families for sizes ``n``.
 
     Returns ``(dunnett, segments)``.  ``segments[j]`` for j = 1..k is the
-    Williams family on groups {0..j}, zero-padded to the full design: the
+    Williams family on groups {0..j}, over those j + 1 groups only: the
     global family for j = k, the contrast D1 vs C for j = 1.  Built once
     per process for each tuple of sizes; ``segments`` is a read-only
     mapping and every family is frozen, so all callers share them.
@@ -89,8 +88,7 @@ def _stock_families(n) -> tuple:
 
 @lru_cache(maxsize=64)
 def _families_of_sizes(n: tuple) -> tuple:
-    k = len(n) - 1
-    segments = {j: pad_to_full(williams_matrix(n[: j + 1]), k + 1) for j in range(1, k + 1)}
+    segments = {j: williams_matrix(n[: j + 1]) for j in range(1, len(n))}
     return dunnett_matrix(n), MappingProxyType(segments)
 
 
@@ -105,7 +103,9 @@ def _williams_closure(fit: ModelFit, segments, top, maxt) -> np.ndarray:
     Segment j gives S_j = ``maxt(chains, t, std_err, var_eta, R)`` at each
     table's largest statistic only, with ``t`` one bound per table and the
     rest one entry per table.  The adjusted p falls as the bound rises, so
-    that bound gives the family minimum.
+    that bound gives the family minimum.  The segment sees the first j + 1
+    groups of the fit as they are: a prefix is never refitted, so groups
+    at a boundary keep the corrected values of the whole table.
     """
     k = len(segments)
     eta = fit.eta.reshape(-1, fit.n_groups)
@@ -118,8 +118,9 @@ def _williams_closure(fit: ModelFit, segments, top, maxt) -> np.ndarray:
         if rows.size == 0:
             break
         segment = segments[j]
-        _, se, t, R = contrast_moments(segment.coefficients, eta[rows], var[rows])
-        s_j = maxt(segment.chains, t.max(axis=-1), se, var[rows], R)
+        var_j = var[rows, : j + 1]
+        _, se, t, R = contrast_moments(segment.coefficients, eta[rows, : j + 1], var_j)
+        s_j = maxt(segment.chains, t.max(axis=-1), se, var_j, R)
         running[rows] = np.maximum(running[rows], s_j)
         p[rows, j - 1] = running[rows]
         rows = rows[running[rows] < 1.0]

@@ -283,6 +283,8 @@ def adjust_maxt(
     Each adjusted value is clipped into its exact sandwich
     [p_raw_q, min(1, m * p_raw_q)], which guards the integration noise and
     makes the single-statistic case collapse to the raw normal tail.
+    Statistic q is integrated by :func:`mvn_upper_orthant_complement` with
+    the q-th child of ``seed``.
     """
     t = np.asarray(t_values, dtype=np.float64)
     if t.ndim != 1 or t.size != spec.dimension:
@@ -290,16 +292,14 @@ def adjust_maxt(
     if not np.all(np.isfinite(t)):
         raise ValueError("t_values must be finite")
     m = spec.dimension
-    p_raw = ndtr(-t)
     if m == 1:
-        return p_raw.copy()
+        return ndtr(-t)
     children = _as_seed_seq(seed).spawn(m)
-    out = np.empty(m)
-    for q in range(m):
-        out[q], _, _ = _upper_tail(
-            spec.correlation, t[q], np.random.default_rng(children[q]), abs_tol, max_points
-        )
-    return np.clip(out, p_raw, np.minimum(1.0, m * p_raw))
+    tails = [
+        mvn_upper_orthant_complement(spec, b, seed=c, abs_tol=abs_tol, max_points=max_points)
+        for b, c in zip(t, children)
+    ]
+    return np.array([tail.value for tail in tails])
 
 
 @lru_cache(maxsize=MAX_DIMENSION)
@@ -380,5 +380,4 @@ def adjusted_p_below(
     tail = mvn_upper_orthant_complement(
         spec, bound, seed=seed, abs_tol=abs_tol, max_points=max_points
     )
-    p_adj = min(max(tail.value, p_raw), 1.0, spec.dimension * p_raw)
-    return p_adj < alpha
+    return tail.value < alpha

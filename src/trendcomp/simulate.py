@@ -255,10 +255,9 @@ def _below(chains, t, std_err, var_eta, correlation, alpha, routes) -> np.ndarra
     the second-order bounds of :func:`maxt_bounds` on the bounds the
     sandwich left open, settling only those more than ``_MARGIN`` clear of
     alpha, then one :func:`chain_maxt` call on the bounds still open in
-    every table, each distinct (table, bound) once.  So the answer equals
-    thresholding the adjusted p-values of
-    :func:`trendcomp.contrasts.contrast_test`.  An integrated p-value more
-    than ``_MARGIN`` outside its second-order bracket raises
+    every table.  So the answer equals thresholding the adjusted p-values
+    of :func:`trendcomp.contrasts.contrast_test`.  An integrated p-value
+    more than ``_MARGIN`` outside its second-order bracket raises
     :class:`ContrastError`.  The number of bounds each stage decided is
     added to ``routes``.
     """
@@ -275,16 +274,7 @@ def _below(chains, t, std_err, var_eta, correlation, alpha, routes) -> np.ndarra
         r, b, lower, upper = r[keep], b[keep], lower[keep], upper[keep]
     if r.size:
         bound = t[r, b]
-        # each distinct (table, bound) once, at its first occurrence, which
-        # heads its run in this stable sort
-        order = np.lexsort((bound, r))
-        new = np.ones(r.size, dtype=bool)
-        new[1:] = (r[order[1:]] != r[order[:-1]]) | (bound[order[1:]] != bound[order[:-1]])
-        first = np.empty(r.size, dtype=np.intp)
-        first[order] = order[new][np.cumsum(new) - 1]
-        once = np.flatnonzero(first == np.arange(r.size))
-        p = chain_maxt(chains, bound[once], std_err, var_eta, r[once])
-        p = p[np.searchsorted(once, first)]
+        p = chain_maxt(chains, bound, std_err, var_eta, r)
         outside = (p < lower - _MARGIN) | (p > upper + _MARGIN)
         if outside.any():
             q = np.argmax(outside)

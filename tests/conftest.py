@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from trendcomp.data import DoseGroupData
+from trendcomp.model import ModelFit
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -42,3 +43,15 @@ def liarozole() -> DoseGroupData:
 @pytest.fixture(scope="session")
 def liarozole_csv() -> str:
     return str(DATA_DIR / "liarozole.csv")
+
+
+@pytest.fixture(scope="session")
+def prefix_fit():
+    """Slices a fit to its first groups, as the closed test reads segment {0..j}."""
+
+    def _prefix(fit: ModelFit, groups: int) -> ModelFit:
+        return ModelFit(
+            fit.eta[..., :groups], fit.var_eta[..., :groups], fit.correction_applied[..., :groups]
+        )
+
+    return _prefix

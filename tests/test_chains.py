@@ -16,7 +16,6 @@ from trendcomp.contrasts import (
     contrast_moments,
     contrast_test,
     dunnett_matrix,
-    pad_to_full,
     williams_matrix,
 )
 from trendcomp.data import DoseGroupData
@@ -50,16 +49,23 @@ def random_table(rng, k):
     return DoseGroupData(labels=tuple(str(i) for i in range(k + 1)), n=n, y=y)
 
 
-def stock_family(rng, n):
-    """Dunnett, Williams or a zero-padded Williams segment family."""
+def stock_family(rng, fit, n, prefix_fit):
+    """Dunnett, Williams or a closed-test segment family, with the fit it tests."""
     k = n.size - 1
     pick = int(rng.integers(0, 3))
     if pick == 0:
-        return dunnett_matrix(n)
+        return fit, dunnett_matrix(n)
     if pick == 1 or k < 3:
-        return williams_matrix(n)
+        return fit, williams_matrix(n)
     j = int(rng.integers(2, k))
-    return pad_to_full(williams_matrix(n[: j + 1]), k + 1)
+    return prefix_fit(fit, j + 1), williams_matrix(n[: j + 1])
+
+
+def padded(cm, n_groups):
+    """``cm`` with zero columns appended: a custom chain family on a larger design."""
+    C = np.zeros((cm.n_rows, n_groups))
+    C[:, : cm.n_groups] = cm.coefficients
+    return ContrastMatrix(names=cm.names, coefficients=C)
 
 
 @pytest.fixture
@@ -108,7 +114,7 @@ class TestChainStructure:
         [
             dunnett_matrix([10] * 5),
             williams_matrix([12, 30, 25, 18]),
-            pad_to_full(williams_matrix([12, 30, 25]), 5),
+            padded(williams_matrix([12, 30, 25]), 5),
         ],
         ids=["dunnett", "williams", "padded-segment"],
     )
@@ -163,7 +169,7 @@ class TestOracles:
         # P(max >= b) = 2 P(T > b) - P(T_1 < -b, T_2 < -b)
         n = np.array([28, 15, 56, 9, 34, 15, 51])
         data = DoseGroupData(labels=tuple("0123456"), n=n, y=[9, 7, 56, 5, 22, 7, 45])
-        report = contrast_test(fit_saturated_logit(data), pad_to_full(williams_matrix(n[:3]), 7))
+        report = contrast_test(fit_saturated_logit(data), padded(williams_matrix(n[:3]), 7))
         rho = report.correlation[0, 1]
         assert rho > 0.99
         for p, b in zip(report.p_adjusted, report.statistic):
@@ -190,11 +196,10 @@ class TestOracles:
 @given(seed=st.integers(0, 2**32 - 1))
 @example(seed=78)  # rho 0.993, p 1.2e-4: far in the tail of the lattice rule
 @example(seed=9742969)
-def test_exact_matches_tight_qmc(seed):
+def test_exact_matches_tight_qmc(seed, prefix_fit):
     rng = np.random.default_rng(seed)
     data = random_table(rng, int(rng.integers(1, 9)))
-    fit = fit_saturated_logit(data)
-    cm = stock_family(rng, data.n)
+    fit, cm = stock_family(rng, fit_saturated_logit(data), data.n, prefix_fit)
     report = contrast_test(fit, cm)
     q = int(np.argmax(report.statistic))
     tail = mvn_upper_orthant_complement(
@@ -205,11 +210,10 @@ def test_exact_matches_tight_qmc(seed):
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
-def test_second_order_bounds_bracket_the_exact_p(seed):
+def test_second_order_bounds_bracket_the_exact_p(seed, prefix_fit):
     rng = np.random.default_rng(seed)
     data = random_table(rng, int(rng.integers(1, 9)))
-    fit = fit_saturated_logit(data)
-    cm = stock_family(rng, data.n)
+    fit, cm = stock_family(rng, fit_saturated_logit(data), data.n, prefix_fit)
     _, se, t, R = contrast_moments(cm.coefficients, fit.eta, fit.var_eta)
     bounds = np.concatenate([t, rng.uniform(0.0, 4.5, size=4)])
     lower, upper = maxt_bounds(bounds[None], R[None])
@@ -315,7 +319,7 @@ def test_gauss_legendre_rule_is_numpys(n):
     np.testing.assert_allclose(w, 0.5 * ref_w, rtol=1e-10, atol=0)
 
 
-def test_doubling_nodes_moves_no_p(monkeypatch):
+def test_doubling_nodes_moves_no_p(monkeypatch, prefix_fit):
     rng = np.random.default_rng(11)
     tables = [random_table(rng, k) for k in (2, 5, 8)]
     # unequal sizes and a haldane group make the widest spread of kernel widths
@@ -328,9 +332,9 @@ def test_doubling_nodes_moves_no_p(monkeypatch):
     for data in tables:
         fit = fit_saturated_logit(data)
         k = data.k
-        fams = [dunnett_matrix(data.n), williams_matrix(data.n)]
-        fams += [pad_to_full(williams_matrix(data.n[: j + 1]), k + 1) for j in range(2, k)]
-        families += [(fit, cm, contrast_test(fit, cm).p_adjusted) for cm in fams]
+        fams = [(fit, dunnett_matrix(data.n)), (fit, williams_matrix(data.n))]
+        fams += [(prefix_fit(fit, j + 1), williams_matrix(data.n[: j + 1])) for j in range(2, k)]
+        families += [(f, cm, contrast_test(f, cm).p_adjusted) for f, cm in fams]
     for name in ("_NODES_PER_SD", "_OUTER_NODES_PER_SD", "_DENSITY_NODES_PER_SD"):
         monkeypatch.setattr(chains, name, 2 * getattr(chains, name))
     for fit, cm, p in families:
@@ -356,9 +360,10 @@ class TestTableAxis:
             eta, var = eta[~(no_info | refused)], var[~(no_info | refused)]
             # at k >= 4 the Williams walks have four or more levels and use kernels
             families = [dunnett_matrix(n), williams_matrix(n)]
-            families += [pad_to_full(williams_matrix(n[:k]), k + 1)] if k >= 3 else []
+            families += [williams_matrix(n[:k])] if k >= 3 else []
             for cm in families:
-                _, se, t, _ = contrast_moments(cm.coefficients, eta, var)
+                var_cm = var[:, : cm.n_groups]
+                _, se, t, _ = contrast_moments(cm.coefficients, eta[:, : cm.n_groups], var_cm)
                 # each table's statistics, other bounds and a repeat; tables in any order
                 table, bounds = [], []
                 for r in rng.permutation(len(t)):
@@ -367,14 +372,14 @@ class TestTableAxis:
                     table += [r] * len(b)
                     bounds += b
                 table, bounds = np.array(table), np.array(bounds)
-                p = chains.chain_maxt(cm.chains, bounds, se, var, table)
+                p = chains.chain_maxt(cm.chains, bounds, se, var_cm, table)
                 for r in range(len(t)):
-                    alone = chains.chain_maxt(cm.chains, bounds[table == r], se[r], var[r])
+                    alone = chains.chain_maxt(cm.chains, bounds[table == r], se[r], var_cm[r])
                     np.testing.assert_array_equal(p[table == r], alone)
 
     def test_tables_near_the_cap_are_single_tables(self):
-        # near the node cap a table's walk entries fill several runs, each
-        # with the node count of its own widest range
+        # near the node cap each table's walk entries take a large rule,
+        # the node count of their widest range
         n = np.array([100000, 20, 100000, 100000])
         y = np.array(
             [[50000, 10, 50000, 50000], [50000, 8, 50500, 50900], [49000, 12, 50000, 51000]]
@@ -387,6 +392,28 @@ class TestTableAxis:
         for r in range(3):
             alone = chains.chain_maxt(cm.chains, t[r], se[r], var[r])
             np.testing.assert_array_equal(p[table == r], alone)
+
+
+def test_a_repeated_bound_gets_one_p():
+    # a bound given twice is integrated once, even where the copies would
+    # fall into different kernel-walk chunks with different node counts
+    rng = np.random.default_rng(36)
+    for _ in range(40):
+        data = random_table(rng, int(rng.integers(4, 8)))
+        fit = fit_saturated_logit(data)
+        cm = williams_matrix(data.n)
+        _, se, t, _ = contrast_moments(cm.coefficients, fit.eta, fit.var_eta)
+        p = chains.chain_maxt(cm.chains, [t.max(), t[0], t.max()], se, fit.var_eta)
+        assert p[0] == p[2]
+        np.testing.assert_array_equal(
+            p[:2], chains.chain_maxt(cm.chains, [t.max(), t[0]], se, fit.var_eta)
+        )
+        table = np.array([1, 0, 1, 0, 1])
+        many = chains.chain_maxt(
+            cm.chains, [t.max(), t.max(), t[0], t[0], t.max()], np.stack([se, se]),
+            np.stack([fit.var_eta, fit.var_eta]), table,
+        )
+        np.testing.assert_array_equal(many, p[[0, 0, 1, 1, 0]])
 
 
 def test_rules_are_requested_by_python_int(monkeypatch):
@@ -497,7 +524,7 @@ class TestRouteSelection:
 
     def test_padded_segment_is_exact(self, liarozole, no_qmc):
         fit = fit_saturated_logit(liarozole)
-        report = contrast_test(fit, pad_to_full(williams_matrix(liarozole.n[:3]), 4))
+        report = contrast_test(fit, padded(williams_matrix(liarozole.n[:3]), 4))
         np.testing.assert_allclose(report.p_adjusted, [0.2667725, 0.1529404], atol=1e-6)
 
     def test_single_dose_is_exact(self, no_qmc):

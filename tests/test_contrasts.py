@@ -9,7 +9,6 @@ from trendcomp.contrasts import (
     contrast_moments,
     contrast_test,
     dunnett_matrix,
-    pad_to_full,
     williams_matrix,
 )
 from trendcomp.model import fit_saturated_logit
@@ -73,24 +72,6 @@ class TestWilliamsMatrix:
             williams_matrix([50, 0, 50])
 
 
-class TestHelpers:
-    def test_pad_to_full(self):
-        cm = williams_matrix([10, 10, 10])
-        padded = pad_to_full(cm, 5)
-        assert padded.n_groups == 5
-        np.testing.assert_array_equal(padded.coefficients[:, 3:], 0.0)
-        np.testing.assert_array_equal(padded.coefficients[:, :3], cm.coefficients)
-        assert padded.names == cm.names
-
-    def test_pad_same_size_is_identity(self):
-        cm = dunnett_matrix([10, 10])
-        assert pad_to_full(cm, 2) is cm
-
-    def test_pad_cannot_shrink(self):
-        with pytest.raises(ContrastError):
-            pad_to_full(dunnett_matrix([10, 10, 10]), 2)
-
-
 class TestContrastMatrixValidation:
     def test_rows_must_sum_to_zero(self):
         with pytest.raises(ContrastError, match="sum to"):
@@ -99,6 +80,9 @@ class TestContrastMatrixValidation:
     def test_rows_need_both_signs(self):
         with pytest.raises(ContrastError, match="positive and one negative"):
             ContrastMatrix(names=("a",), coefficients=[[0.0, 0.0]])
+        C = [[-1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+        with pytest.raises(ContrastError, match="contrast 'b' needs"):  # the first bad row
+            ContrastMatrix(names=("a", "b", "c"), coefficients=C)
 
     def test_name_count_must_match(self):
         with pytest.raises(ContrastError, match="names"):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from trendcomp import contrasts
 from trendcomp.chains import chain_maxt
-from trendcomp.contrasts import contrast_test, dunnett_matrix, pad_to_full, williams_matrix
+from trendcomp.contrasts import contrast_test, dunnett_matrix, williams_matrix
 from trendcomp.ctp import (
     CtpResult,
     _stock_families,
@@ -62,12 +62,9 @@ class TestFrozenValues:
             atol=2e-4,
         )
 
-    def test_subset_williams_minimum(self, liarozole):
-        fit = fit_saturated_logit(liarozole)
-        from trendcomp.contrasts import contrast_test, pad_to_full, williams_matrix
-
-        sub = pad_to_full(williams_matrix(liarozole.n[:3]), 4)
-        rep = contrast_test(fit, sub)
+    def test_subset_williams_minimum(self, liarozole, prefix_fit):
+        fit = prefix_fit(fit_saturated_logit(liarozole), 3)
+        rep = contrast_test(fit, williams_matrix(liarozole.n[:3]))
         np.testing.assert_allclose(
             rep.p_adjusted, [0.2667725, 0.1529404], atol=2e-4
         )
@@ -220,9 +217,9 @@ def test_random_datasets_respect_chain_laws(seed):
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
-def test_segment_test_is_the_family_minimum(seed):
+def test_segment_test_is_the_family_minimum(seed, prefix_fit):
     # Each lower segment is tested at its largest statistic alone; that one
-    # bound must give the smallest adjusted p of the whole padded family.
+    # bound must give the smallest adjusted p of the segment's family.
     rng = np.random.default_rng(seed)
     k = int(rng.integers(2, 7))
     n = rng.integers(5, 61, size=k + 1)
@@ -240,10 +237,31 @@ def test_segment_test_is_the_family_minimum(seed):
 
     _williams_closure(fit, _stock_families(n)[1], 0.0, maxt)
     family_min = [
-        contrast_test(fit, pad_to_full(williams_matrix(n[: j + 1]), k + 1)).min_adjusted
+        contrast_test(prefix_fit(fit, j + 1), williams_matrix(n[: j + 1])).min_adjusted
         for j in range(k - 1, 0, -1)
     ]
     np.testing.assert_allclose(segment_p, family_min, rtol=0, atol=1e-8)
+
+
+def test_a_segment_reads_the_corrected_fit_of_the_whole_table(prefix_fit):
+    # control and dose 1 both at y = 0: segment {0, 1} alone would be a
+    # table at one boundary, but the closure reads the haldane-corrected
+    # values of the whole fit and never refits the prefix
+    n = np.array([30, 25, 40, 35])
+    data = DoseGroupData(labels=tuple("0123"), n=n, y=[0, 0, 3, 9])
+    fit = fit_saturated_logit(data, boundary_policy="haldane")
+    assert fit.correction_applied[:2].all()
+    segment_p = {}
+
+    def maxt(chains, t, std_err, var_eta, correlation):
+        segment_p[std_err.shape[-1]] = chain_maxt(chains, t, std_err[0], var_eta[0])[0]
+        return np.zeros(1)  # keeps the closure visiting every segment
+
+    _williams_closure(fit, _stock_families(n)[1], 0.0, maxt)
+    for j in (1, 2):
+        report = contrast_test(prefix_fit(fit, j + 1), williams_matrix(n[: j + 1]))
+        assert segment_p[j] == report.min_adjusted
+    assert segment_p[1] == pytest.approx(raw_pairwise_pvalues(fit)[0], rel=1e-14)
 
 
 def test_closed_analysis_finds_each_family_s_chains_once(monkeypatch):

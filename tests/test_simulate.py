@@ -601,10 +601,10 @@ class TestDecisionRoutes:
         # at most one call for Dunnett, one for Williams and one per lower segment
         assert 0 < len(calls) <= sc.k + 1
         assert len({id(chains) for chains, _ in calls}) == len(calls)
-        # each (table, bound) of a family once, though the Williams top row
-        # repeats the family maximum: fewer bounds integrated than left open
-        assert all(len(set(pairs)) == len(pairs) for _, pairs in calls)
-        assert sum(len(pairs) for _, pairs in calls) < whole[-1]
+        # every bound left open, though the Williams top row often repeats
+        # the family maximum: chain_maxt integrates such a repeat once
+        assert any(len(set(pairs)) < len(pairs) for _, pairs in calls)
+        assert sum(len(pairs) for _, pairs in calls) == whole[-1]
 
 
 class TestScenarioResultValidation:
