@@ -36,11 +36,13 @@ integrand is the normal density alone and is integrated in closed form.
 
 :func:`chain_maxt` takes the bounds of many tables in one call, each
 with the index of its table.  Node counts stay each table's own, so a
-table's p-values do not depend on the other tables of the call: the
-length-one chains of all tables are one normal CDF pass, walks of two or
-three levels are integrated entry by entry with their own table's sds,
-and walks with kernels, which share a kernel only within one sigma,
-table by table.
+table's p-values do not depend on the other tables of the call.  The
+call is one loop over passes of whole tables, a single pass unless the
+call is large, and in each pass over the chains: a chain's thresholds
+are built for every entry of the pass, then a length-one chain is one
+normal CDF, walks of two or three levels are integrated entry by entry
+with their own table's sds, and walks with kernels, which share a kernel
+only within one sigma, table by table.
 
 The walk densities and every transition kernel are entire functions, so
 the rules converge faster than any power of the node count.  Node counts
@@ -97,10 +99,11 @@ _Q_LO = float(ndtri(_EPS))
 # entries
 _KERNEL_CHUNK_ENTRIES = 1 << 14
 _MIN_KERNEL_CHUNK = 32
-# entries, one per bound and outer node, that one pass of chain_maxt
-# holds, and entries times nodes in one block of a batch of walks of two
-# or three levels: a pass takes whole tables, so it may hold more, and
-# both keep a call's working set near a single table's, below 1 MB
+# entries, one per bound and outer node, above which chain_maxt cuts a
+# call into passes, and entries times nodes in one block of a batch of
+# walks of two or three levels: a pass takes whole tables, so it may hold
+# more, and both keep a call's working set near a single table's, a few
+# arrays of one chain's levels by a pass's entries
 _PASS_ENTRIES = 1 << 11
 _BLOCK_ENTRIES = 1 << 13
 # One product with a shared kernel matrix covers at most _CHUNK_ENTRIES
@@ -360,16 +363,16 @@ def _cdf(c, x, s):
     return ndtr(x, out=x)
 
 
-def _walk_probability(sigma, c, table=None) -> np.ndarray:
+def _walk_probability(sigma, c, table) -> np.ndarray:
     """P(W_l < c_l for every level l) for walks of two or more levels.
 
     ``c`` has one row of thresholds per level and one column per batch
-    entry.  ``sigma`` holds the increment sds of one walk, or one row of
-    them per table, and then ``table`` gives each entry's row; the
-    entries of one table are contiguous.  The first level is integrated
-    in closed form (:func:`_level_one`).  From level 1 on the density of
-    the walk lives on Gauss-Legendre nodes between ``-_TAIL_SD`` standard
-    deviations and the level's threshold, enough of them to resolve that
+    entry.  ``sigma`` holds one row of increment sds per table, and
+    ``table`` gives each entry's row; the entries of one table are
+    contiguous.  The first level is integrated in closed form
+    (:func:`_level_one`).  From level 1 on the density of the walk lives
+    on Gauss-Legendre nodes between ``-_TAIL_SD`` standard deviations
+    and the level's threshold, enough of them to resolve that
     density and the increments into and out of the level: a Gaussian
     kernel at ``_DENSITY_NODES_PER_SD`` per sd, a normal CDF factor at
     ``_NODES_PER_SD``.  The last level is closed with a normal CDF; in a
@@ -386,9 +389,6 @@ def _walk_probability(sigma, c, table=None) -> np.ndarray:
     chunk, which needs one sigma, so they are integrated table by table
     (:func:`_kernel_walk`).
     """
-    sigma = np.asarray(sigma, dtype=np.float64)
-    if table is None:
-        sigma, table = sigma[None], np.zeros(c.shape[1], dtype=np.intp)
     # the entries of table table[i] are [i, j) for consecutive cuts i, j
     cuts = [0, *(np.flatnonzero(table[1:] != table[:-1]) + 1).tolist(), table.size]
     if sigma.shape[1] <= 3:
@@ -506,10 +506,15 @@ def chain_maxt(chains, t_values, std_err, var_eta, table=None) -> np.ndarray:
     :func:`_walk_probability`).  So every p-value is bitwise the one a
     call with its table's bounds alone returns, in any order of the
     tables.  A bound given twice for one table is integrated once, at its
-    first occurrence, so its copies are equal.  A pass takes whole tables
-    (:func:`_passes`): it integrates the length-one chains of all of them
-    in one normal CDF pass, walks as :func:`_walk_probability` does, and
-    sums each outer rule over the bounds that share it.
+    first occurrence, so its copies are equal.
+
+    The bounds are sorted by outer rule and table once.  A call of more
+    than ``_PASS_ENTRIES`` entries, one per bound and outer node, is cut
+    into passes of whole tables, so its working set stays near one
+    table's.  In a pass, the bounds that share an outer rule form one run
+    of equal node count.  Each chain's thresholds are then built in
+    turn: a length-one chain is one normal CDF, a longer one a
+    :func:`_walk_probability`.  Each outer rule is summed over its run.
     """
     t = np.asarray(t_values, dtype=np.float64)
     se = np.asarray(std_err, dtype=np.float64)
@@ -568,69 +573,46 @@ def chain_maxt(chains, t_values, std_err, var_eta, table=None) -> np.ndarray:
     unit = np.minimum(1.0, row_width.min(axis=1))
     n_z = np.array([_node_count(_OUTER_NODES_PER_SD * s / u) for s, u in zip(widest, unit)])
 
-    single = [f for f, e in zip(first[:-1], first[1:]) if e - f == 1]
-    lower = np.empty(b.size)
-    # one table is one pass of one outer rule
-    passes = [(slice(None), [(0, b.size, int(n_z[0]))])] if T == 1 else _passes(table, n_z)
-    for sel, groups in passes:
-        # each group [i, j) of sel shares an outer rule of n nodes and has a
-        # row of entries per bound, one per node
-        rows, lo, sp = table[sel], z_lo[sel], span[sel]
-        nz = n_z[rows]
-        rules = []
-        for i, j, n in groups:
-            gz, gw = _gauss_legendre(n)
-            z = lo[i:j, None] + sp[i:j, None] * gz
-            rules.append((i, j, z, sp[i:j, None] * gw * np.exp(-0.5 * z * z) * _INV_SQRT_2PI))
-        z = np.concatenate([z.ravel() for *_, z, _ in rules])
-        tab = np.repeat(rows, nz)
-        x = sd0[tab] * z
-        bse = np.repeat((b[sel, None] * se[rows]).T, nz, axis=1)
-        c = np.full((len(increments), x.size), np.inf)
-        for r in range(m):
-            c[col[r]] = np.minimum(c[col[r]], (bse[r] + alpha[r] * x) / scale[r])
-        if single:  # length-one chains: a normal CDF each, all in one pass
-            cdf = iter(ndtr(c[single] / sigma[:, single].T[:, tab]))
-        inside = np.ones(x.size)
-        for f, e in zip(first[:-1], first[1:]):
-            inside *= next(cdf) if e - f == 1 else _walk_probability(sigma[:, f:e], c[f:e], tab)
-        low = ndtr(-z_hi[sel])
-        end = 0
-        for i, j, _, zw in rules:
-            zw *= inside[end : end + zw.size].reshape(zw.shape)
-            low[i:j] += zw.sum(axis=1)
-            end += zw.size
-        lower[sel] = low
-    return np.minimum(np.maximum(1.0 - lower.reshape(t.shape), p_raw), np.minimum(1.0, m * p_raw))
-
-
-def _passes(table, n_z):
-    """The bounds :func:`chain_maxt` integrates together, pass by pass.
-
-    Bounds are sorted by their table's outer rule ``n_z[table]``, then by
-    table, each table's in their order, so a table's entries and a rule's
-    bounds are consecutive.  With e the entries, one per bound and outer
-    node, before a table, the table goes to pass e // ``_PASS_ENTRIES``,
-    so a pass holds whole tables and at most ``_PASS_ENTRIES`` entries
-    besides those of its last table.  Each pass comes with its groups
-    (i, j, n): positions [i, j) of the pass whose bounds share an outer
-    rule of n nodes, n a Python int (an integer of another type would be
-    a second key of the :func:`_gauss_legendre` cache).
-    """
+    # Bounds sorted by outer rule, then by table, so a rule's bounds and a
+    # table's are consecutive.  A call of more than _PASS_ENTRIES entries,
+    # one per bound and outer node, is cut into passes of whole tables: with
+    # e the entries before a table, the table goes to pass e // _PASS_ENTRIES.
     order = np.lexsort((table, n_z[table]))
-    tab = table[order]
-    nz = n_z[tab]
-    before = np.cumsum(nz) - nz
-    head = np.ones(tab.size, dtype=bool)
-    head[1:] = tab[1:] != tab[:-1]
-    filled = before[head][np.cumsum(head) - 1] // _PASS_ENTRIES
-    new_pass = filled[1:] != filled[:-1]
-    cuts = [0, *(np.flatnonzero(new_pass | (nz[1:] != nz[:-1])) + 1).tolist(), tab.size]
-    passes = []
-    for i, j in zip(cuts, cuts[1:]):
-        if i == 0 or new_pass[i - 1]:
-            start = i
-            passes.append([start, j, []])
-        passes[-1][1] = j
-        passes[-1][2].append((i - start, j - start, int(nz[i])))
-    return [(order[i:j], groups) for i, j, groups in passes]
+    nz = n_z[table[order]]
+    cuts = []
+    if nz.sum() > _PASS_ENTRIES:
+        heads = np.flatnonzero(np.r_[True, np.diff(table[order]) != 0])
+        filled = (np.cumsum(nz) - nz)[heads] // _PASS_ENTRIES
+        cuts = heads[1:][filled[1:] != filled[:-1]]
+    lower = ndtr(-z_hi)
+    for sel, nz in zip(np.split(order, cuts), np.split(nz, cuts)):
+        # the pass's runs of bounds that share an outer rule, each bound with
+        # a row of entries, one per node
+        starts = [0, *(np.flatnonzero(nz[1:] != nz[:-1]) + 1).tolist()]
+        z, zw = [], []
+        for i, j in zip(starts, [*starts[1:], sel.size]):
+            gz, gw = _gauss_legendre(int(nz[i]))  # a Python int, the rule cache's key
+            sp = span[sel[i:j], None]
+            z.append(z_lo[sel[i:j], None] + sp * gz)
+            zw.append(sp * gw * np.exp(-0.5 * z[-1] * z[-1]) * _INV_SQRT_2PI)
+        rows = table[sel]
+        tab = np.repeat(rows, nz)
+        x = sd0[tab] * np.concatenate([a.ravel() for a in z])
+        bse = b[sel, None] * se[rows]
+        inside = np.ones(x.size)
+        # each chain's thresholds in turn, a level's the least over its rows
+        for chain, f, e in zip(chains, first, first[1:]):
+            c = np.full((e - f, x.size), np.inf)
+            for r, lvl in zip(chain.rows, chain.row_level):
+                threshold = (np.repeat(bse[:, r], nz) + alpha[r] * x) / scale[r]
+                np.minimum(c[lvl], threshold, out=c[lvl])
+            if e - f == 1:
+                inside *= ndtr(c[0] / sigma[tab, f])
+            else:
+                inside *= _walk_probability(sigma[:, f:e], c, tab)
+        end = 0
+        for i, w in zip(starts, zw):
+            w *= inside[end : end + w.size].reshape(w.shape)
+            lower[sel[i : i + len(w)]] += w.sum(axis=1)
+            end += w.size
+    return np.minimum(np.maximum(1.0 - lower.reshape(t.shape), p_raw), np.minimum(1.0, m * p_raw))

@@ -203,9 +203,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.command == "analyze":
             report = cmd_analyze(
@@ -213,7 +215,7 @@ def main(argv=None) -> int:
             )
         else:
             if args.parallelism < 1:
-                parser.error("--parallelism must be >= 1")
+                _PARSER.error("--parallelism must be >= 1")
             report = cmd_simulate(
                 args.config, parallelism=args.parallelism, output_format=args.format
             )

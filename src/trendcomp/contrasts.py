@@ -16,13 +16,14 @@ the comparisons.
 :attr:`ContrastMatrix.chains`, found once per matrix from its
 coefficients.  Families with chain structure (see
 :mod:`trendcomp.chains`), which covers many-to-one, Williams and so every
-closed-test segment, get exact quadrature with error below 1e-8
-and no correlation validation: their correlation is built from group
-variances, so it is positive semidefinite by construction.  The
-simulator decides these families by the same quadrature.  Any other
-family goes to the randomized quasi-Monte Carlo integrator of
-:mod:`trendcomp.mvn` at its default tolerance, after
-:class:`trendcomp.mvn.MvnSpec` validates the correlation.
+closed-test segment, get exact quadrature with error below 1e-9
+(measured in :mod:`trendcomp.chains`) and no correlation validation:
+their correlation is built from group variances, so it is positive
+semidefinite by construction.  The simulator decides these families by
+the same quadrature.  Any other family goes to the randomized
+quasi-Monte Carlo integrator of :mod:`trendcomp.mvn` at its default
+tolerance, after :class:`trendcomp.mvn.MvnSpec` validates the
+correlation.
 """
 
 from __future__ import annotations
@@ -205,10 +206,10 @@ def contrast_test(fit: ModelFit, contrasts: ContrastMatrix) -> TestReport:
     """Run a one-sided maxT test of the given contrasts on a fitted model.
 
     A family with chain structure (every stock family) is integrated
-    exactly, with error below 1e-8 and no random numbers.  Any other
-    family is integrated by quasi-Monte Carlo at the defaults of
-    :func:`trendcomp.mvn.adjust_maxt`, and only that route validates the
-    correlation with :class:`MvnSpec`.  More than ``MAX_DIMENSION``
+    exactly, with error below 1e-9 (see :mod:`trendcomp.chains`) and no
+    random numbers.  Any other family is integrated by quasi-Monte Carlo
+    at the defaults of :func:`trendcomp.mvn.adjust_maxt`, and only that
+    route validates the correlation with :class:`MvnSpec`.  More than ``MAX_DIMENSION``
     contrasts raise :class:`CorrelationError` on both routes.
     """
     if contrasts.n_groups != fit.eta.size:

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -272,7 +273,7 @@ def test_two_level_walk_is_the_bivariate_normal(ratio):
     cov = [[sd[0] ** 2, sd[0] ** 2], [sd[0] ** 2, sd[1] ** 2]]
     grid = [-7.5, -1.0, 0.0, 0.5, 3.0, np.inf]
     c = np.array([[a, b] for a in grid for b in grid]).T * sd[:, None]
-    p = chains._walk_probability(sigma, c)
+    p = chains._walk_probability(sigma[None], c, np.zeros(c.shape[1], dtype=np.intp))
     expected = [
         multivariate_normal.cdf(pair, mean=[0.0, 0.0], cov=cov, abseps=1e-15, releps=1e-13)
         for pair in c.T
@@ -300,7 +301,7 @@ def test_walk_with_two_finite_levels_is_the_bivariate_normal(levels, finite, rat
             yield run
 
     monkeypatch.setattr(chains, "_chunks", recorded)
-    p = chains._walk_probability(sigma, c)
+    p = chains._walk_probability(sigma[None], c, np.zeros(c.shape[1], dtype=np.intp))
     # more runs than the size cap alone makes: some ended on the exponent bound
     assert len(runs) > math.ceil(c.shape[1] / caps[0])
     cov = [[var[i], var[i]], [var[i], var[j]]]
@@ -392,6 +393,60 @@ class TestTableAxis:
         for r in range(3):
             alone = chains.chain_maxt(cm.chains, t[r], se[r], var[r])
             np.testing.assert_array_equal(p[table == r], alone)
+
+    def test_a_large_call_is_cut_into_passes(self, monkeypatch):
+        # at the default cap, 64 tables of six bounds take several passes;
+        # a k=3 Williams family is one walk, integrated once per pass
+        rng = np.random.default_rng(64)
+        n = rng.integers(20, 61, size=4)
+        y = rng.binomial(n, rng.uniform(0.05, 0.6, size=(64, 4)))
+        eta, var, *_ = _saturated_logit(y, n, "haldane")
+        cm = williams_matrix(n)
+        _, se, t, _ = contrast_moments(cm.coefficients, eta, var)
+        stats = np.concatenate([t, rng.uniform(-0.5, 4.5, size=(64, 3))], axis=1)
+        table = np.repeat(rng.permutation(64), 6)
+        bounds = stats[table, np.tile(range(6), 64)]
+        walks = []
+        walk = chains._walk_probability
+
+        def recorded(sigma, c, tab):
+            walks.append(c.shape[1])
+            return walk(sigma, c, tab)
+
+        monkeypatch.setattr(chains, "_walk_probability", recorded)
+        p = chains.chain_maxt(cm.chains, bounds, se, var, table)
+        assert len(walks) > 1
+        for r in range(64):
+            alone = chains.chain_maxt(cm.chains, bounds[table == r], se[r], var[r])
+            np.testing.assert_array_equal(p[table == r], alone)
+
+
+class TestWorkingSet:
+    """One call's working set stays near one table's, however many tables it takes."""
+
+    @pytest.mark.parametrize("family", [dunnett_matrix, williams_matrix])
+    def test_512_tables_of_16_doses_peak_below_16_mb(self, family, monkeypatch):
+        # cut into no passes, the same call peaks at 42 MB (Dunnett) and
+        # 264 MB (Williams, with the stand-in below)
+        if family is williams_matrix:
+            # a 16-level walk costs 0.15 s a table; its arrays are bounded per
+            # kernel chunk, so a stand-in keeps the call's own arrays under test
+            monkeypatch.setattr(chains, "_kernel_walk", lambda sigma, c: np.full(c.shape[1], 0.5))
+        rng = np.random.default_rng(16)
+        n = np.full(17, 50)
+        y = rng.binomial(n, rng.uniform(0.1, 0.5, size=(512, 17)))
+        eta, var, *_ = _saturated_logit(y, n, "haldane")
+        cm = family(n)
+        _, se, t, _ = contrast_moments(cm.coefficients, eta, var)
+        table = np.repeat(np.arange(512), 16)
+        tracemalloc.start()
+        try:
+            p = chains.chain_maxt(cm.chains, t.ravel(), se, var, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+        assert np.all((p >= 0.0) & (p <= 1.0))
 
 
 def test_a_repeated_bound_gets_one_p():
