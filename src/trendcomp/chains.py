@@ -57,9 +57,19 @@ of more than ``_MAX_NODES`` nodes raises :class:`ContrastError` before
 any array is built, and rules above 256 nodes are rounded up to powers
 of sqrt(2), so a table near the cap builds a few large rules.
 
-A caller that only needs to compare p with a level can first bracket it
-with :func:`trendcomp.mvn.maxt_bounds`, which needs the rows'
-correlation only, not their chains.
+:func:`chain_structure` finds which rows form a chain, and on which
+level each sits, once per sign pattern of the coefficients; only the
+weights are read per matrix, so new group sizes find no new layout.
+
+A family of one or two rows does not need the quadrature: the
+dispatcher of :mod:`trendcomp.contrasts` gives one row its raw normal
+tail and two rows the exact closed form of
+:func:`trendcomp.mvn.maxt_bounds`, so in an analysis this module only
+integrates families of three or more rows.  A caller that only needs to
+compare p with a level, or with the running maximum of the closed test,
+can first bracket it with :func:`trendcomp.mvn.maxt_bounds`, which needs
+the rows' correlation only, not their chains, and integrate only when
+the bracket, widened by ``_MARGIN``, leaves the comparison open.
 """
 
 from __future__ import annotations
@@ -117,6 +127,11 @@ _CHUNK_ENTRIES = 1 << 17
 # underflows at e^-745 the true kernel is below e^-345.
 _MAX_EXPONENT = 400.0
 _PROPORTIONAL_RTOL = 1e-9
+# a bracket of :func:`trendcomp.mvn.maxt_bounds` settles a comparison only
+# this far clear of it, ten times the quadrature's error, so it is the
+# comparison the quadrature makes; an integrated p this far outside its
+# bracket raises ContrastError
+_MARGIN = 1e-7
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
@@ -165,17 +180,64 @@ class Chain:
 def chain_structure(coefficients) -> tuple | None:
     """The chains of a contrast matrix, or None if it has no chain structure.
 
-    Column 0 is the control.  Decided from the coefficients alone.
+    Column 0 is the control.  Decided from the coefficients alone.  Which
+    rows form a chain and on which level each sits depends only on the
+    signs of the coefficients, so that layout is found once per sign
+    pattern (:func:`_layout`); the proportionality of each chain's
+    weights, the increments and the row scales are computed per matrix.
     """
     C = np.asarray(coefficients, dtype=np.float64)
-    if np.any(C[:, 0] >= 0.0) or np.any(C[:, 1:] < 0.0):
+    layout = _layout(np.sign(C).tobytes(), C.shape)
+    if layout is None:
         return None
     W = C[:, 1:]
-    supports = [frozenset(np.flatnonzero(row).tolist()) for row in W]
+    chains = []
+    for rows, levels, cols, added, row_level in layout:
+        base = W[rows[0]]
+        increments = np.zeros((len(levels), W.shape[1]))
+        for lvl, new in enumerate(added):
+            increments[lvl, new] = base[new] ** 2
+        increments.setflags(write=False)
+        row_scale = []
+        for r, lvl in zip(rows, row_level):
+            w, v = W[r, cols[lvl]], base[cols[lvl]]
+            scale = float(w @ v / (v @ v))
+            if (np.abs(w - scale * v) > _PROPORTIONAL_RTOL * w).any():
+                return None
+            row_scale.append(scale)
+        chains.append(
+            Chain(
+                rows=rows,
+                levels=levels,
+                increments=increments,
+                row_control=tuple(float(-C[r, 0]) for r in rows),
+                row_level=row_level,
+                row_scale=tuple(row_scale),
+            )
+        )
+    return tuple(chains)
+
+
+@lru_cache(maxsize=256)
+def _layout(signs: bytes, shape: tuple) -> tuple | None:
+    """The chain layout of every matrix whose coefficients have these signs.
+
+    ``signs`` holds the bytes of ``np.sign`` of a float matrix of
+    ``shape``.  Returns None when a control coefficient is not negative,
+    a dose coefficient is negative or the supports do not nest into
+    disjoint chains; otherwise, per chain, its rows (widest support
+    first), its levels as tuples of sorted dose columns from smallest to
+    largest, the same as read-only index arrays, the columns each level
+    adds to the one below, also as index arrays, and each row's level.
+    """
+    S = np.frombuffer(signs, dtype=np.float64).reshape(shape)
+    if np.any(S[:, 0] >= 0.0) or np.any(S[:, 1:] < 0.0):
+        return None
+    supports = [frozenset(np.flatnonzero(row).tolist()) for row in S[:, 1:]]
     # Largest supports first: a row joins the one chain it overlaps, inside
     # that chain's smallest support so far, or starts a chain of its own.
     groups = []
-    for r in sorted(range(len(W)), key=lambda r: -len(supports[r])):
+    for r in sorted(range(len(supports)), key=lambda r: -len(supports[r])):
         hits = [g for g in groups if supports[g[0]] & supports[r]]
         if not hits:
             groups.append([r])
@@ -183,33 +245,28 @@ def chain_structure(coefficients) -> tuple | None:
             hits[0].append(r)
         else:
             return None
-    chains = []
+    layout = []
     for group in groups:
-        base = W[group[0]]
         levels = sorted({supports[r] for r in group}, key=len)
-        increments = np.zeros((len(levels), W.shape[1]))
-        for lvl, (below, cols) in enumerate(zip([frozenset(), *levels], levels)):
-            new = sorted(cols - below)
-            increments[lvl, new] = base[new] ** 2
-        increments.setflags(write=False)
-        row_scale = []
-        for r in group:
-            cols = sorted(supports[r])
-            scale = float(W[r, cols] @ base[cols] / (base[cols] @ base[cols]))
-            if np.any(np.abs(W[r, cols] - scale * base[cols]) > _PROPORTIONAL_RTOL * W[r, cols]):
-                return None
-            row_scale.append(scale)
-        chains.append(
-            Chain(
-                rows=tuple(group),
-                levels=tuple(tuple(sorted(s)) for s in levels),
-                increments=increments,
-                row_control=tuple(float(-C[r, 0]) for r in group),
-                row_level=tuple(levels.index(supports[r]) for r in group),
-                row_scale=tuple(row_scale),
+        cols = [tuple(sorted(s)) for s in levels]
+        added = [sorted(s - below) for below, s in zip([frozenset(), *levels], levels)]
+        layout.append(
+            (
+                tuple(group),
+                tuple(cols),
+                tuple(map(_index, cols)),
+                tuple(map(_index, added)),
+                tuple(levels.index(supports[r]) for r in group),
             )
         )
-    return tuple(chains)
+    return tuple(layout)
+
+
+def _index(columns) -> np.ndarray:
+    """``columns`` as a read-only index array."""
+    index = np.array(columns, dtype=np.intp)
+    index.setflags(write=False)
+    return index
 
 
 @lru_cache(maxsize=128)

@@ -12,18 +12,24 @@ multivariate normal law of the standardized contrasts with the correlation
 implied by the fit, so adjusted p-values account for the dependence among
 the comparisons.
 
-:func:`contrast_test` picks the integration route from the family's
-:attr:`ContrastMatrix.chains`, found once per matrix from its
-coefficients.  Families with chain structure (see
-:mod:`trendcomp.chains`), which covers many-to-one, Williams and so every
-closed-test segment, get exact quadrature with error below 1e-9
-(measured in :mod:`trendcomp.chains`) and no correlation validation:
-their correlation is built from group variances, so it is positive
-semidefinite by construction.  The simulator decides these families by
-the same quadrature.  Any other family goes to the randomized
-quasi-Monte Carlo integrator of :mod:`trendcomp.mvn` at its default
-tolerance, after :class:`trendcomp.mvn.MvnSpec` validates the
-correlation.
+:func:`contrast_test` and the closed test of :mod:`trendcomp.ctp` pick
+the route of a family by one dispatcher, :func:`_maxt_p`, from its number
+of rows and then its :attr:`ContrastMatrix.chains`, found once per
+matrix from its coefficients.  One row is its raw normal tail.  Two rows
+are exact in closed form: the maxT tail is 2 Phi(-t) minus a bivariate
+normal tail, which :func:`trendcomp.mvn.maxt_bounds` computes through
+Owen's T, so the k=2 families and the closed test's segment {0, 1, 2}
+need no quadrature and never look at their chains.  Larger families
+with chain structure (see :mod:`trendcomp.chains`), which covers
+many-to-one, Williams and so every closed-test segment, get exact
+quadrature with error below 1e-9 (measured in :mod:`trendcomp.chains`).
+None of these routes validates the correlation: it is built from group
+variances, so it is positive semidefinite by construction.  The
+simulator decides the stock families with the bracket of
+:func:`~trendcomp.mvn.maxt_bounds`, exact for two rows, and the same
+quadrature.  Any other family goes to the randomized quasi-Monte Carlo
+integrator of :mod:`trendcomp.mvn` at its default tolerance, after
+:class:`trendcomp.mvn.MvnSpec` validates the correlation.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from scipy.special import ndtr
 
 from .chains import ContrastError, _equal_fields, chain_maxt, chain_structure
 from .model import ModelFit
-from .mvn import MAX_DIMENSION, CorrelationError, MvnSpec, adjust_maxt
+from .mvn import MAX_DIMENSION, CorrelationError, MvnSpec, adjust_maxt, maxt_bounds
 
 __all__ = [
     "ContrastError",
@@ -202,15 +208,44 @@ class TestReport:
         return float(self.p_adjusted.min())
 
 
+def _maxt_p(contrasts: ContrastMatrix, t, std_err, var_eta, correlation) -> np.ndarray:
+    """maxT-adjusted p-values of one table at the bounds ``t``, by the family's route.
+
+    ``std_err``, ``var_eta`` and ``correlation`` are the table's, as
+    :func:`contrast_moments` returns them.  One row gives its raw normal
+    tail.  Two rows give the closed form of :func:`maxt_bounds`, whose
+    bounds coincide there: 2 Phi(-t) minus the bivariate normal tail
+    through Owen's T, clipped into [p_raw, min(1, 2 p_raw)].  A family
+    with :attr:`~ContrastMatrix.chains` goes to :func:`chain_maxt`; any
+    other is integrated by quasi-Monte Carlo at the defaults of
+    :func:`adjust_maxt`, which needs the whole family's statistics and
+    a correlation that :class:`MvnSpec` validates.  Only the last two
+    routes read ``chains``.
+    """
+    m = contrasts.n_rows
+    if m == 1:
+        return ndtr(-t)
+    if m == 2:
+        p_raw = ndtr(-t)
+        p = maxt_bounds(t[None], correlation[None])[1][0]
+        return np.minimum(np.maximum(p, p_raw), np.minimum(1.0, 2.0 * p_raw))
+    if contrasts.chains is None:
+        return adjust_maxt(t, MvnSpec(correlation))
+    return chain_maxt(contrasts.chains, t, std_err, var_eta)
+
+
 def contrast_test(fit: ModelFit, contrasts: ContrastMatrix) -> TestReport:
     """Run a one-sided maxT test of the given contrasts on a fitted model.
 
-    A family with chain structure (every stock family) is integrated
+    The route is :func:`_maxt_p`'s.  A family of one or two rows takes
+    a closed form, exact to rounding.  A larger family with chain
+    structure (every stock family of three or more rows) is integrated
     exactly, with error below 1e-9 (see :mod:`trendcomp.chains`) and no
     random numbers.  Any other family is integrated by quasi-Monte Carlo
     at the defaults of :func:`trendcomp.mvn.adjust_maxt`, and only that
-    route validates the correlation with :class:`MvnSpec`.  More than ``MAX_DIMENSION``
-    contrasts raise :class:`CorrelationError` on both routes.
+    route validates the correlation with :class:`MvnSpec`.  More than
+    ``MAX_DIMENSION`` contrasts raise :class:`CorrelationError` on every
+    route.
     """
     if contrasts.n_groups != fit.eta.size:
         raise ContrastError(
@@ -220,10 +255,7 @@ def contrast_test(fit: ModelFit, contrasts: ContrastMatrix) -> TestReport:
     if contrasts.n_rows > MAX_DIMENSION:
         raise CorrelationError(f"dimension {contrasts.n_rows} exceeds supported {MAX_DIMENSION}")
     est, se, t, R = contrast_moments(contrasts.coefficients, fit.eta, fit.var_eta)
-    if contrasts.chains is None:
-        p_adj = adjust_maxt(t, MvnSpec(R))
-    else:
-        p_adj = chain_maxt(contrasts.chains, t, se, fit.var_eta)
+    p_adj = _maxt_p(contrasts, t, se, fit.var_eta, R)
     for arr in (est, se, t, R, p_adj):
         arr.setflags(write=False)
     p_raw = ndtr(-t)

@@ -17,11 +17,19 @@ both variants.
 :func:`_stock_families` is the one place the stock families are defined:
 the many-to-one (Dunnett) family and variant C's k segment families, the
 top one being the global Williams family.  Each is a plain
-:class:`ContrastMatrix` that carries its chains.  Every one has chain
-structure, so its adjusted p-values come from the exact quadrature of
+:class:`ContrastMatrix` that carries its chains.  Their adjusted
+p-values take the routes of :func:`trendcomp.contrasts._maxt_p`: a
+family of one or two rows (so every k=2 family and the segments {0, 1}
+and {0, 1, 2}) is exact in closed form, and a larger one, which has
+chain structure, comes from the exact quadrature of
 :mod:`trendcomp.chains`, with error below 1e-9 (measured there) and no
-random numbers.  The simulator shares the family table and variant C's
-closure, :func:`_williams_closure`, with :func:`closed_analysis`.
+random numbers.  In the closure of :func:`closed_analysis` a segment of
+three or more rows is first bracketed by
+:func:`trendcomp.mvn.maxt_bounds`; when even the upper bound cannot
+raise the running maximum, the segment is not integrated, and the
+reported p is the same float.  The simulator shares the family table and
+variant C's closure, :func:`_williams_closure`, with
+:func:`closed_analysis`.
 :func:`raw_pairwise_pvalues`, :func:`ctp_pairwise` and the variant C
 closure also take a fit with a leading replicate axis and then run over
 its rows, so the simulator decides a chunk of replicates in one call of
@@ -37,9 +45,10 @@ from types import MappingProxyType
 import numpy as np
 from scipy.special import ndtr
 
-from .chains import _equal_fields, chain_maxt
+from .chains import _MARGIN, ContrastError, _equal_fields
 from .contrasts import (
     TestReport,
+    _maxt_p,
     contrast_moments,
     contrast_test,
     dunnett_matrix,
@@ -47,6 +56,7 @@ from .contrasts import (
 )
 from .data import DoseGroupData
 from .model import ModelFit, fit_saturated_logit
+from .mvn import maxt_bounds
 
 __all__ = [
     "CtpResult",
@@ -100,12 +110,16 @@ def _williams_closure(fit: ModelFit, segments, top, maxt) -> np.ndarray:
     global family, for each table.  The lower segments are visited from
     the top down, each only for the tables whose running maximum is still
     below 1; once it reaches 1, the lower doses of that table get 1.
-    Segment j gives S_j = ``maxt(chains, t, std_err, var_eta, R)`` at each
-    table's largest statistic only, with ``t`` one bound per table and the
-    rest one entry per table.  The adjusted p falls as the bound rises, so
-    that bound gives the family minimum.  The segment sees the first j + 1
-    groups of the fit as they are: a prefix is never refitted, so groups
-    at a boundary keep the corrected values of the whole table.
+    Segment j gives S_j = ``maxt(segment, t, std_err, var_eta, R,
+    running)`` at each table's largest statistic only, with ``segment``
+    its :class:`~trendcomp.contrasts.ContrastMatrix`, ``t`` one bound per
+    table, ``running`` the tables' running maxima so far and the rest one
+    entry per table.  The adjusted p falls as the bound rises, so that
+    bound gives the family minimum.  Where S_j cannot exceed the running
+    maximum, ``maxt`` may return any value up to it.  The segment sees
+    the first j + 1 groups of the fit as they are: a prefix is never
+    refitted, so groups at a boundary keep the corrected values of the
+    whole table.
     """
     k = len(segments)
     eta = fit.eta.reshape(-1, fit.n_groups)
@@ -120,16 +134,37 @@ def _williams_closure(fit: ModelFit, segments, top, maxt) -> np.ndarray:
         segment = segments[j]
         var_j = var[rows, : j + 1]
         _, se, t, R = contrast_moments(segment.coefficients, eta[rows, : j + 1], var_j)
-        s_j = maxt(segment.chains, t.max(axis=-1), se, var_j, R)
+        s_j = maxt(segment, t.max(axis=-1), se, var_j, R, running[rows])
         running[rows] = np.maximum(running[rows], s_j)
         p[rows, j - 1] = running[rows]
         rows = rows[running[rows] < 1.0]
     return p.reshape(fit.eta.shape[:-1] + (k,))
 
 
-def _one_table_maxt(chains, t, std_err, var_eta, correlation) -> np.ndarray:
-    """:func:`chain_maxt` as the ``maxt`` of a closure over one table; needs no correlation."""
-    return chain_maxt(chains, t, std_err[0], var_eta[0])
+def _one_table_maxt(segment, t, std_err, var_eta, correlation, running) -> np.ndarray:
+    """The ``maxt`` of a closure over one table, by the route of :func:`_maxt_p`.
+
+    A segment of one or two rows takes its closed form.  A larger one is
+    first bracketed by :func:`maxt_bounds`: when the upper bound plus
+    ``_MARGIN`` is at most ``running``, the integral cannot raise the
+    running maximum, so ``running`` is returned without integrating and
+    the closure's result is the same float.  Otherwise the segment is
+    integrated, and a p-value more than ``_MARGIN`` outside its bracket
+    raises :class:`ContrastError`.
+    """
+    if segment.n_rows < 3:
+        return _maxt_p(segment, t, std_err[0], var_eta[0], correlation[0])
+    lower, upper = maxt_bounds(t[:, None], correlation)
+    lower, upper = float(lower[0, 0]), float(upper[0, 0])
+    if upper + _MARGIN <= running[0]:
+        return running
+    p = _maxt_p(segment, t, std_err[0], var_eta[0], correlation[0])
+    if not lower - _MARGIN <= p[0] <= upper + _MARGIN:
+        raise ContrastError(
+            f"quadrature p-value {p[0]!r} at t = {t[0]!r} lies outside "
+            f"its second-order bracket [{lower!r}, {upper!r}]"
+        )
+    return p
 
 
 @dataclass(frozen=True)
@@ -171,9 +206,11 @@ def closed_analysis(data: DoseGroupData, *, boundary_policy: str = "haldane") ->
     """Run Dunnett, Williams and both closed-test variants on one dataset.
 
     A single saturated fit feeds every procedure, and every adjusted
-    p-value is integrated exactly (error below 1e-9, see
-    :mod:`trendcomp.chains`).  No significance
-    level is taken: a claim at any level is a p-value below it.
+    p-value is exact: in closed form for a family of one or two rows,
+    else integrated with error below 1e-9 (see :mod:`trendcomp.chains`).
+    A closed-test segment whose bracket cannot raise the running maximum
+    is not integrated (:func:`_one_table_maxt`).  No significance level
+    is taken: a claim at any level is a p-value below it.
     """
     fit = fit_saturated_logit(data, boundary_policy=boundary_policy)
     dunnett, segments = _stock_families(data.n)

@@ -14,8 +14,9 @@ sandwich p_raw <= p_adj <= m * p_raw settles most bounds of the whole
 chunk in bulk.  The second-order bounds of :func:`trendcomp.mvn.maxt_bounds`,
 from the correlation ``contrast_moments`` returns and also over the whole
 chunk, settle most of the rest: a bound counts as settled only when its
-bracket lies more than ``_MARGIN`` (1e-7, ten times the quadrature's
-error) clear of alpha.  :func:`trendcomp.chains.chain_maxt` integrates
+bracket lies more than ``trendcomp.chains._MARGIN`` (1e-7, ten times
+the quadrature's error) clear of alpha; analysis settles closed-test
+segments by the same margin.  :func:`trendcomp.chains.chain_maxt` integrates
 what is still open, in one call per family over all of the chunk's
 tables, one bound per table for each lower segment, and each table's
 p-values are the ones a call on that table alone returns.  So every
@@ -63,7 +64,7 @@ import yaml
 from numpy.random.bit_generator import ISeedSequence
 from scipy.special import ndtr
 
-from .chains import ContrastError, _equal_fields, chain_maxt
+from .chains import _MARGIN, ContrastError, _equal_fields, chain_maxt
 from .contrasts import contrast_moments
 from .ctp import _stock_families, _williams_closure, ctp_pairwise
 from .model import BOUNDARY_POLICIES, ModelFit, _saturated_logit
@@ -82,9 +83,6 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 _CHUNK = 512
-# second-order bounds settle a decision only this far clear of alpha: ten
-# times the quadrature's error, so it is the decision the quadrature makes
-_MARGIN = 1e-7
 # a replicate index of 2**32 or more is a two-word spawn key, which
 # _states does not hash
 _MAX_REPLICATES = 2**32
@@ -494,9 +492,9 @@ def _decide(sc: Scenario, y: np.ndarray) -> np.ndarray:
     top = segments[k]
     routes = np.zeros(3, dtype=np.int64)
 
-    def decide(chains, t, std_err, var_eta, correlation):
+    def decide(segment, t, std_err, var_eta, correlation, running):
         # 0 where the adjusted p is below alpha, else 1: the same claims at alpha
-        claims = _below(chains, t[:, None], std_err, var_eta, correlation, alpha, routes)
+        claims = _below(segment.chains, t[:, None], std_err, var_eta, correlation, alpha, routes)
         return np.where(claims[:, 0], 0.0, 1.0)
 
     # no_info tables are degenerate; refused ones ("reject") make no claims

@@ -69,6 +69,42 @@ def padded(cm, n_groups):
     return ContrastMatrix(names=cm.names, coefficients=C)
 
 
+def random_coefficients(rng):
+    """A stock family, a segment on more groups, its rows shuffled or bent, or random signs."""
+    k = int(rng.integers(1, 9))
+    n = rng.integers(1, 60, size=k + 1)
+    pick = int(rng.integers(0, 5))
+    if pick == 0:
+        return dunnett_matrix(n).coefficients.copy()
+    if pick == 1:
+        j = int(rng.integers(1, k + 1))
+        return padded(williams_matrix(n[: j + 1]), k + 1).coefficients.copy()
+    if pick in (2, 3):
+        C = williams_matrix(n).coefficients[rng.permutation(k)]
+        if pick == 3:  # no longer proportional, unless a row is one dose alone
+            C[0, 1:] *= rng.uniform(0.9, 1.1, size=k)
+        return C
+    return random_signs(rng, (int(rng.integers(1, 5)), k + 1))
+
+
+def random_signs(rng, shape):
+    """Random coefficients of either sign, each row with a positive dose weight."""
+    C = rng.choice([-1.0, 0.0, 0.5, 1.0], size=shape)
+    C[np.arange(shape[0]), rng.integers(1, shape[1], size=shape[0])] = 1.0
+    return C
+
+
+def chain_bits(found):
+    """Every field of every chain, floats as bytes; None stays None."""
+    if found is None:
+        return None
+    return [
+        (c.rows, c.levels, c.row_level, c.increments.tobytes(),
+         np.array(c.row_control).tobytes(), np.array(c.row_scale).tobytes())
+        for c in found
+    ]
+
+
 @pytest.fixture
 def no_qmc(monkeypatch):
     def refuse(*args, **kwargs):
@@ -147,6 +183,26 @@ class TestChainStructure:
     )
     def test_rejected(self, C):
         assert chain_structure(C) is None
+
+    def test_a_cached_layout_gives_the_chains_of_fresh_discovery(self):
+        # the layout comes from the signs alone: found on a sibling of other
+        # magnitudes, beside a decoy of other signs, it must give every float
+        # a cold discovery gives
+        rng = np.random.default_rng(3)
+        kinds = {True: 0, False: 0}
+        for _ in range(300):
+            C = random_coefficients(rng)
+            chains._layout.cache_clear()
+            fresh = chain_structure(C)
+            chains._layout.cache_clear()
+            chain_structure(random_signs(rng, C.shape))
+            chain_structure(C * rng.uniform(0.5, 2.0, size=C.shape))
+            hits = chains._layout.cache_info().hits
+            warm = chain_structure(C)
+            assert chains._layout.cache_info().hits == hits + 1
+            assert chain_bits(warm) == chain_bits(fresh)
+            kinds[fresh is None] += 1
+        assert min(kinds.values()) >= 50
 
 
 class TestOracles:
@@ -506,10 +562,11 @@ class TestNodeCap:
         assert time.perf_counter() - start < 1.0
 
     def test_huge_variance_raises_at_once(self):
-        fit = null_fit([0.08, 0.08, 1.25e9])
+        # three rows: a family of two takes its closed form, which needs no rule
+        fit = null_fit([0.08, 0.08, 0.08, 1.25e9])
         start = time.perf_counter()
         with pytest.raises(contrasts.ContrastError, match="cap of 4096"):
-            contrast_test(fit, williams_matrix([10, 10, 10]))
+            contrast_test(fit, williams_matrix([10] * 4))
         assert time.perf_counter() - start < 1.0
 
     def test_one_error_class(self):
@@ -564,15 +621,16 @@ class TestRouteSelection:
     @pytest.mark.parametrize(
         "C",
         [
-            [[-1.0, 1.0, 0.0, 0.0], [-0.5, -0.5, 0.0, 1.0]],
-            [[-1.0, 0.5, 0.5, 0.0], [-1.0, 0.0, 0.5, 0.5]],
-            [[-1.0, 0.0, 0.5, 0.5], [-1.0, 0.2, 0.2, 0.6]],
+            [[-1.0, 1.0, 0.0, 0.0], [-0.5, -0.5, 0.0, 1.0], [-1.0, 0.0, 1.0, 0.0]],
+            [[-1.0, 0.5, 0.5, 0.0], [-1.0, 0.0, 0.5, 0.5], [-1.0, 0.0, 0.0, 1.0]],
+            [[-1.0, 0.0, 0.5, 0.5], [-1.0, 0.2, 0.2, 0.6], [-1.0, 0.0, 0.0, 1.0]],
         ],
         ids=["negative-dose-weight", "overlap-not-nested", "nested-not-proportional"],
     )
     def test_custom_families_keep_qmc(self, C, liarozole, no_exact):
+        # three rows each: a family of two takes the closed form whatever its structure
         fit = fit_saturated_logit(liarozole)
-        cm = ContrastMatrix(names=("a", "b"), coefficients=C)
+        cm = ContrastMatrix(names=("a", "b", "c"), coefficients=C)
         _, _, t, R = contrast_moments(cm.coefficients, fit.eta, fit.var_eta)
         report = contrast_test(fit, cm)
         np.testing.assert_array_equal(report.p_adjusted, adjust_maxt(t, MvnSpec(R)))

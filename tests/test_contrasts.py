@@ -1,8 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
+from scipy.stats import multivariate_normal
 
+from trendcomp import contrasts
 from trendcomp.contrasts import (
     ContrastError,
     ContrastMatrix,
@@ -11,7 +16,7 @@ from trendcomp.contrasts import (
     dunnett_matrix,
     williams_matrix,
 )
-from trendcomp.model import fit_saturated_logit
+from trendcomp.model import ModelFit, fit_saturated_logit
 
 
 class TestDunnettMatrix:
@@ -175,3 +180,44 @@ class TestContrastTest:
         a = contrast_test(fit, dunnett_matrix(liarozole.n))
         b = contrast_test(fit, dunnett_matrix(liarozole.n))
         np.testing.assert_array_equal(a.p_adjusted, b.p_adjusted)
+
+
+@pytest.mark.parametrize(
+    "cm, var, rho",
+    [
+        (williams_matrix([10, 30, 5]), [0.3, 0.02, 0.5], 0.7285),
+        (dunnett_matrix([10, 10, 10]), [1e6, 1e-3, 1e-3], 1.0),
+        (
+            ContrastMatrix(names=("a", "b"), coefficients=[[-1, 1, 0], [1, 0, -1]]),
+            [1e6, 1e-3, 1e-3],
+            -1.0,
+        ),
+        (williams_matrix([10, 10, 10]), [0.08, 0.08, 1.25e9], 1.0),
+    ],
+    ids=["williams", "rho-near-1", "rho-near-minus-1", "beyond-the-node-cap"],
+)
+def test_two_rows_are_the_bivariate_normal_tail(cm, var, rho, monkeypatch):
+    # P(max >= b) = 2 P(T > b) - P(T_1 < -b, T_2 < -b), with no quadrature and no warning
+    for name in ("chain_maxt", "adjust_maxt"):
+        monkeypatch.setattr(contrasts, name, None)
+    var = np.array(var)
+    _, se, _, R = contrast_moments(cm.coefficients, np.zeros(3), var)
+    bounds = np.array([-3.0, -1.0, 0.0, 0.4, 1.0, 1.9, 2.7, 3.5, 4.4, 5.5, 6.5, 9.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = contrasts._maxt_p(cm, bounds, se, var, R)
+        eta = np.array([0.0, 0.9, -0.4]) * np.sqrt(var)
+        report = contrast_test(ModelFit(eta, var, np.zeros(3, dtype=bool)), cm)
+    both = [
+        multivariate_normal.cdf(
+            [-b, -b], mean=[0.0, 0.0], cov=R, abseps=1e-14, releps=1e-14, allow_singular=True
+        )
+        for b in bounds
+    ]
+    np.testing.assert_allclose(p, 2.0 * ndtr(-bounds) - both, rtol=0, atol=1e-13)
+    np.testing.assert_array_equal(
+        report.p_adjusted,
+        contrasts._maxt_p(cm, report.statistic, report.std_err, var, report.correlation),
+    )
+    assert R[0, 1] == pytest.approx(rho, abs=1e-4)
+    assert "chains" not in vars(cm)  # the route never looked at them

@@ -3,11 +3,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from trendcomp import contrasts
-from trendcomp.chains import chain_maxt
-from trendcomp.contrasts import contrast_test, dunnett_matrix, williams_matrix
+from trendcomp import chains, contrasts, ctp
+from trendcomp.chains import ContrastError, chain_maxt
+from trendcomp.contrasts import _maxt_p, contrast_test, dunnett_matrix, williams_matrix
 from trendcomp.ctp import (
     CtpResult,
+    _families_of_sizes,
+    _one_table_maxt,
     _stock_families,
     _williams_closure,
     closed_analysis,
@@ -16,6 +18,7 @@ from trendcomp.ctp import (
 )
 from trendcomp.data import DoseGroupData
 from trendcomp.model import fit_saturated_logit
+from trendcomp.mvn import maxt_bounds
 
 
 @pytest.fixture(scope="module")
@@ -231,8 +234,8 @@ def test_segment_test_is_the_family_minimum(seed, prefix_fit):
     fit = fit_saturated_logit(data, boundary_policy="haldane")
     segment_p = []
 
-    def maxt(chains, t, std_err, var_eta, correlation):
-        segment_p.append(chain_maxt(chains, t, std_err[0], var_eta[0])[0])
+    def maxt(segment, t, std_err, var_eta, correlation, running):
+        segment_p.append(chain_maxt(segment.chains, t, std_err[0], var_eta[0])[0])
         return np.zeros(1)  # keeps the closure visiting every segment
 
     _williams_closure(fit, _stock_families(n)[1], 0.0, maxt)
@@ -253,8 +256,10 @@ def test_a_segment_reads_the_corrected_fit_of_the_whole_table(prefix_fit):
     assert fit.correction_applied[:2].all()
     segment_p = {}
 
-    def maxt(chains, t, std_err, var_eta, correlation):
-        segment_p[std_err.shape[-1]] = chain_maxt(chains, t, std_err[0], var_eta[0])[0]
+    def maxt(segment, t, std_err, var_eta, correlation, running):
+        # the route contrast_test takes: the two-row segment is in closed form
+        p = _maxt_p(segment, t, std_err[0], var_eta[0], correlation[0])
+        segment_p[std_err.shape[-1]] = p[0]
         return np.zeros(1)  # keeps the closure visiting every segment
 
     _williams_closure(fit, _stock_families(n)[1], 0.0, maxt)
@@ -273,3 +278,88 @@ def test_closed_analysis_finds_each_family_s_chains_once(monkeypatch):
     result = closed_analysis(data)
     assert np.all(result.p_ctp_williams < 1.0)  # the closure visited every segment
     assert 0 < len(calls) <= data.k + 1
+
+
+def test_bracket_settled_closure_is_the_integrated_closure():
+    # a segment whose upper bound cannot raise the running maximum is not
+    # integrated; every closed-test p must be the float integration gives
+    rng = np.random.default_rng(20)
+    settled = integrated = 0
+
+    def integrate(segment, t, std_err, var_eta, correlation, running):
+        return _maxt_p(segment, t, std_err[0], var_eta[0], correlation[0])
+
+    def bracketed(*args):
+        nonlocal settled, integrated
+        p = _one_table_maxt(*args)
+        if args[0].n_rows >= 3:
+            settled += p is args[-1]
+            integrated += p is not args[-1]
+        return p
+
+    for k in [2, 3, 4, 5, 6, 7, 8] * 4:
+        n = rng.integers(5, 61, size=k + 1)
+        y = rng.binomial(n, np.linspace(rng.uniform(0.05, 0.5), rng.uniform(0.05, 0.95), k + 1))
+        if np.all(y == 0) or np.all(y == n):
+            y[0] = n[0] // 2
+        fit = fit_saturated_logit(DoseGroupData(labels=tuple(map(str, range(k + 1))), n=n, y=y))
+        segments = _stock_families(n)[1]
+        top = contrast_test(fit, segments[k]).min_adjusted
+        expected = _williams_closure(fit, segments, top, integrate)
+        assert _williams_closure(fit, segments, top, bracketed).tobytes() == expected.tobytes()
+    assert settled > 0 and integrated > 0
+
+
+def test_a_k3_analysis_integrates_only_dunnett_and_williams(monkeypatch):
+    # segment {0, 1} is its raw p and {0, 1, 2} the closed form of two rows
+    integrated = []
+    integrate = contrasts.chain_maxt
+
+    def counted(chains, t, *args):
+        integrated.append(len(t))
+        return integrate(chains, t, *args)
+
+    monkeypatch.setattr(contrasts, "chain_maxt", counted)
+    n = (41, 43, 47, 53)
+    _families_of_sizes.cache_clear()  # so this test builds the families
+    result = closed_analysis(DoseGroupData(labels=tuple("0123"), n=n, y=[4, 8, 12, 20]))
+    assert np.all(result.p_ctp_williams < 1.0)  # the closure visited every segment
+    assert integrated == [3, 3]  # each with the family's three statistics
+    segments = _stock_families(n)[1]
+    assert "chains" not in vars(segments[1]) and "chains" not in vars(segments[2])
+
+
+def test_new_sizes_of_a_seen_k_find_no_new_layout(monkeypatch):
+    # a chain layout depends on the signs of the coefficients alone
+    closed_analysis(DoseGroupData(labels=tuple("01234"), n=[30, 31, 32, 33, 34], y=[3, 4, 6, 9, 14]))
+    misses = chains._layout.cache_info().misses
+    found = []
+    find = contrasts.chain_structure
+    monkeypatch.setattr(contrasts, "chain_structure", lambda C: found.append(C) or find(C))
+    _families_of_sizes.cache_clear()
+    closed_analysis(DoseGroupData(labels=tuple("01234"), n=[52, 21, 40, 28, 35], y=[3, 4, 6, 9, 14]))
+    assert found  # the new sizes' families found their chains
+    assert chains._layout.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("shift, raises", [(1e-6, True), (-1e-6, True), (5e-8, False)])
+def test_an_integrated_segment_outside_its_bracket_raises(shift, raises, monkeypatch):
+    # only a p more than the margin (1e-7) outside the second-order bracket is refused
+    integrate = ctp._maxt_p
+
+    def off(segment, t, std_err, var_eta, correlation):
+        if segment.n_rows < 3:
+            return integrate(segment, t, std_err, var_eta, correlation)
+        lower, upper = maxt_bounds(t[:, None], correlation[None])
+        return (upper if shift > 0 else lower)[:, 0] + shift
+
+    monkeypatch.setattr(ctp, "_maxt_p", off)
+    n = np.array([30, 25, 40, 35, 33])
+    fit = fit_saturated_logit(DoseGroupData(labels=tuple("01234"), n=n, y=[3, 4, 6, 9, 14]))
+    # a running maximum of 0 leaves the bracket nothing to settle
+    closure = lambda: _williams_closure(fit, _stock_families(n)[1], 0.0, _one_table_maxt)
+    if raises:
+        with pytest.raises(ContrastError, match="outside its second-order bracket"):
+            closure()
+    else:
+        closure()
