@@ -61,15 +61,16 @@ of sqrt(2), so a table near the cap builds a few large rules.
 level each sits, once per sign pattern of the coefficients; only the
 weights are read per matrix, so new group sizes find no new layout.
 
-A family of one or two rows does not need the quadrature: the
-dispatcher of :mod:`trendcomp.contrasts` gives one row its raw normal
-tail and two rows the exact closed form of
-:func:`trendcomp.mvn.maxt_bounds`, so in an analysis this module only
-integrates families of three or more rows.  A caller that only needs to
-compare p with a level, or with the running maximum of the closed test,
-can first bracket it with :func:`trendcomp.mvn.maxt_bounds`, which needs
-the rows' correlation only, not their chains, and integrate only when
-the bracket, widened by ``_MARGIN``, leaves the comparison open.
+A family of one or two rows does not need the quadrature: the one maxT
+function of the package, ``trendcomp.contrasts._maxt_p``, gives one row
+its raw normal tail and two rows the exact closed form of
+:func:`trendcomp.mvn.maxt_bounds`, so this module only integrates
+families of three or more rows.  When its caller needs p only within a
+window (the running maximum of the closed test, or the simulator's
+alpha), that function first brackets p with ``maxt_bounds``, which needs
+the rows' correlation only, not their chains, and calls
+:func:`chain_maxt` only on the bounds whose bracket, widened by
+``_MARGIN``, leaves the window's comparison open.
 """
 
 from __future__ import annotations

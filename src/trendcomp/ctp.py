@@ -17,19 +17,18 @@ both variants.
 :func:`_stock_families` is the one place the stock families are defined:
 the many-to-one (Dunnett) family and variant C's k segment families, the
 top one being the global Williams family.  Each is a plain
-:class:`ContrastMatrix` that carries its chains.  Their adjusted
-p-values take the routes of :func:`trendcomp.contrasts._maxt_p`: a
-family of one or two rows (so every k=2 family and the segments {0, 1}
-and {0, 1, 2}) is exact in closed form, and a larger one, which has
-chain structure, comes from the exact quadrature of
-:mod:`trendcomp.chains`, with error below 1e-9 (measured there) and no
-random numbers.  In the closure of :func:`closed_analysis` a segment of
-three or more rows is first bracketed by
-:func:`trendcomp.mvn.maxt_bounds`; when even the upper bound cannot
-raise the running maximum, the segment is not integrated, and the
-reported p is the same float.  The simulator shares the family table and
-variant C's closure, :func:`_williams_closure`, with
-:func:`closed_analysis`.
+:class:`ContrastMatrix` that carries its chains.  Every adjusted p-value
+comes from :func:`trendcomp.contrasts._maxt_p`: a family of one or two
+rows (so every k=2 family and the segments {0, 1} and {0, 1, 2}) is
+exact in closed form, and a larger one, which has chain structure, comes
+from the exact quadrature of :mod:`trendcomp.chains`, with error below
+1e-9 (measured there) and no random numbers.  The closure of
+:func:`closed_analysis`, :func:`_williams_closure`, asks for each lower
+segment's p only above the running maximum, so a segment that the
+sandwich or the second-order bracket proves cannot raise it is not
+integrated, and the reported p is the same float.  The simulator shares
+the family table and the closure, which there settles each segment
+against alpha instead.
 :func:`raw_pairwise_pvalues`, :func:`ctp_pairwise` and the variant C
 closure also take a fit with a leading replicate axis and then run over
 its rows, so the simulator decides a chunk of replicates in one call of
@@ -45,7 +44,7 @@ from types import MappingProxyType
 import numpy as np
 from scipy.special import ndtr
 
-from .chains import _MARGIN, ContrastError, _equal_fields
+from .chains import _equal_fields
 from .contrasts import (
     TestReport,
     _maxt_p,
@@ -56,7 +55,6 @@ from .contrasts import (
 )
 from .data import DoseGroupData
 from .model import ModelFit, fit_saturated_logit
-from .mvn import maxt_bounds
 
 __all__ = [
     "CtpResult",
@@ -102,69 +100,46 @@ def _families_of_sizes(n: tuple) -> tuple:
     return dunnett_matrix(n), MappingProxyType(segments)
 
 
-def _williams_closure(fit: ModelFit, segments, top, maxt) -> np.ndarray:
+def _williams_closure(fit: ModelFit, segments, top, alpha=None, routes=None) -> np.ndarray:
     """Variant C: per-dose closed-test p-values p_i = max(S_i, ..., S_k).
 
     ``fit`` holds one table or a leading axis of them, ``segments`` comes
     from :func:`_stock_families`, and ``top`` holds S_k, the value of the
     global family, for each table.  The lower segments are visited from
     the top down, each only for the tables whose running maximum is still
-    below 1; once it reaches 1, the lower doses of that table get 1.
-    Segment j gives S_j = ``maxt(segment, t, std_err, var_eta, R,
-    running)`` at each table's largest statistic only, with ``segment``
-    its :class:`~trendcomp.contrasts.ContrastMatrix`, ``t`` one bound per
-    table, ``running`` the tables' running maxima so far and the rest one
-    entry per table.  The adjusted p falls as the bound rises, so that
-    bound gives the family minimum.  Where S_j cannot exceed the running
-    maximum, ``maxt`` may return any value up to it.  The segment sees
-    the first j + 1 groups of the fit as they are: a prefix is never
-    refitted, so groups at a boundary keep the corrected values of the
-    whole table.
+    below the stop, 1 or else ``alpha``; once it reaches the stop, the
+    lower doses of that table get 1.  Segment j gives S_j by
+    :func:`~trendcomp.contrasts._maxt_p` at each table's largest
+    statistic only: the adjusted p falls as the bound rises, so that
+    bound gives the family minimum.  Without ``alpha`` its window is
+    [running maximum, inf), so a segment that cannot raise the running
+    maximum is not integrated and every p is the exact float.  With
+    ``alpha`` the window is [alpha, alpha], so each p is below alpha
+    exactly when the exact one is.  ``routes`` collects the route counts
+    of ``_maxt_p``.  The segment sees the first j + 1 groups of the fit
+    as they are: a prefix is never refitted, so groups at a boundary keep
+    the corrected values of the whole table.
     """
     k = len(segments)
     eta = fit.eta.reshape(-1, fit.n_groups)
     var = fit.var_eta.reshape(-1, fit.n_groups)
     running = np.array(top, dtype=np.float64).reshape(-1)
+    stop = 1.0 if alpha is None else alpha
     p = np.ones((running.size, k))
     p[:, k - 1] = running
-    rows = np.flatnonzero(running < 1.0)
+    rows = np.flatnonzero(running < stop)
     for j in range(k - 1, 0, -1):
         if rows.size == 0:
             break
         segment = segments[j]
         var_j = var[rows, : j + 1]
         _, se, t, R = contrast_moments(segment.coefficients, eta[rows, : j + 1], var_j)
-        s_j = maxt(segment, t.max(axis=-1), se, var_j, R, running[rows])
-        running[rows] = np.maximum(running[rows], s_j)
+        lo, hi = (running[rows, None], np.inf) if alpha is None else (alpha, alpha)
+        s_j = _maxt_p(segment, t.max(axis=-1, keepdims=True), se, var_j, R, lo, hi, routes)
+        running[rows] = np.maximum(running[rows], s_j[:, 0])
         p[rows, j - 1] = running[rows]
-        rows = rows[running[rows] < 1.0]
+        rows = rows[running[rows] < stop]
     return p.reshape(fit.eta.shape[:-1] + (k,))
-
-
-def _one_table_maxt(segment, t, std_err, var_eta, correlation, running) -> np.ndarray:
-    """The ``maxt`` of a closure over one table, by the route of :func:`_maxt_p`.
-
-    A segment of one or two rows takes its closed form.  A larger one is
-    first bracketed by :func:`maxt_bounds`: when the upper bound plus
-    ``_MARGIN`` is at most ``running``, the integral cannot raise the
-    running maximum, so ``running`` is returned without integrating and
-    the closure's result is the same float.  Otherwise the segment is
-    integrated, and a p-value more than ``_MARGIN`` outside its bracket
-    raises :class:`ContrastError`.
-    """
-    if segment.n_rows < 3:
-        return _maxt_p(segment, t, std_err[0], var_eta[0], correlation[0])
-    lower, upper = maxt_bounds(t[:, None], correlation)
-    lower, upper = float(lower[0, 0]), float(upper[0, 0])
-    if upper + _MARGIN <= running[0]:
-        return running
-    p = _maxt_p(segment, t, std_err[0], var_eta[0], correlation[0])
-    if not lower - _MARGIN <= p[0] <= upper + _MARGIN:
-        raise ContrastError(
-            f"quadrature p-value {p[0]!r} at t = {t[0]!r} lies outside "
-            f"its second-order bracket [{lower!r}, {upper!r}]"
-        )
-    return p
 
 
 @dataclass(frozen=True)
@@ -208,8 +183,8 @@ def closed_analysis(data: DoseGroupData, *, boundary_policy: str = "haldane") ->
     A single saturated fit feeds every procedure, and every adjusted
     p-value is exact: in closed form for a family of one or two rows,
     else integrated with error below 1e-9 (see :mod:`trendcomp.chains`).
-    A closed-test segment whose bracket cannot raise the running maximum
-    is not integrated (:func:`_one_table_maxt`).  No significance level
+    A closed-test segment that provably cannot raise the running maximum
+    is not integrated (:func:`_williams_closure`).  No significance level
     is taken: a claim at any level is a p-value below it.
     """
     fit = fit_saturated_logit(data, boundary_policy=boundary_policy)
@@ -217,7 +192,7 @@ def closed_analysis(data: DoseGroupData, *, boundary_policy: str = "haldane") ->
     dunnett_report = contrast_test(fit, dunnett)
     williams_report = contrast_test(fit, segments[data.k])
     williams_global = williams_report.min_adjusted
-    p_c = _williams_closure(fit, segments, williams_global, _one_table_maxt)
+    p_c = _williams_closure(fit, segments, williams_global)
     p_c.setflags(write=False)
     return CtpResult(
         control_label=data.labels[0],

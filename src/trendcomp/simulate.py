@@ -7,22 +7,22 @@ by :func:`_decide`, one row per replicate, with the same definitions
 of :mod:`trendcomp.model`, the many-to-one and segment families of
 ``trendcomp.ctp._stock_families``, each carrying its chains,
 :func:`trendcomp.contrasts.contrast_moments`,
-:func:`trendcomp.ctp.ctp_pairwise` and variant C's closure, integrated
-exactly by :mod:`trendcomp.chains`.  Decisions, not p-values, are
-accumulated, and each maxT decision passes up to three stages.  The exact
-sandwich p_raw <= p_adj <= m * p_raw settles most bounds of the whole
-chunk in bulk.  The second-order bounds of :func:`trendcomp.mvn.maxt_bounds`,
-from the correlation ``contrast_moments`` returns and also over the whole
-chunk, settle most of the rest: a bound counts as settled only when its
-bracket lies more than ``trendcomp.chains._MARGIN`` (1e-7, ten times
-the quadrature's error) clear of alpha; analysis settles closed-test
-segments by the same margin.  :func:`trendcomp.chains.chain_maxt` integrates
-what is still open, in one call per family over all of the chunk's
-tables, one bound per table for each lower segment, and each table's
-p-values are the ones a call on that table alone returns.  So every
-claim equals thresholding the p-values of ``closed_analysis`` on the
-same table.  How many bounds each stage settled is counted per
-scenario and reported on stderr, not in :meth:`ScenarioResult.to_dict`.
+:func:`trendcomp.ctp.ctp_pairwise`, variant C's closure and the one
+maxT function of both, ``trendcomp.contrasts._maxt_p``.  Decisions, not
+p-values, are accumulated: every maxT p is asked for in the window
+[alpha, alpha], so each value is below alpha exactly when the p-value of
+``closed_analysis`` on the same table is.  A bound passes up to three
+stages over the whole chunk at once.  The exact sandwich p_raw <= p_adj
+<= m * p_raw settles most bounds.  The second-order bounds of
+:func:`trendcomp.mvn.maxt_bounds` settle most of the rest, a bound only
+when its bracket lies more than ``trendcomp.chains._MARGIN`` (1e-7, ten
+times the quadrature's error) clear of alpha, and give a family of two
+rows its exact closed form.  :func:`trendcomp.chains.chain_maxt`
+integrates what is still open, in one call per family over all of the
+chunk's tables, one bound per table for each lower segment, and each
+table's p-values are the ones a call on that table alone returns.  How
+many bounds each stage settled is counted per scenario and reported on
+stderr, not in :meth:`ScenarioResult.to_dict`.
 
 The default boundary policy here is ``smooth`` (one pseudo-responder
 and one pseudo-non-responder added to every group), not the analysis
@@ -62,13 +62,12 @@ from pathlib import Path
 import numpy as np
 import yaml
 from numpy.random.bit_generator import ISeedSequence
-from scipy.special import ndtr
 
-from .chains import _MARGIN, ContrastError, _equal_fields, chain_maxt
-from .contrasts import contrast_moments
+from .chains import _equal_fields
+from .contrasts import _maxt_p, contrast_moments
 from .ctp import _stock_families, _williams_closure, ctp_pairwise
 from .model import BOUNDARY_POLICIES, ModelFit, _saturated_logit
-from .mvn import MAX_DIMENSION, maxt_bounds
+from .mvn import MAX_DIMENSION
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -240,49 +239,6 @@ class ScenarioResult:
             "n_boundary": self.n_boundary,
             "n_degenerate": self.n_degenerate,
         }
-
-
-def _below(chains, t, std_err, var_eta, correlation, alpha, routes) -> np.ndarray:
-    """Whether the maxT-adjusted p-value at each bound in ``t`` is below alpha.
-
-    ``chains`` are the :attr:`~trendcomp.contrasts.ContrastMatrix.chains`
-    of the contrast family.  Row r of ``t`` holds bounds of table r, whose
-    contrast standard errors, group variances and contrast correlation
-    are row r of ``std_err``, ``var_eta`` and ``correlation``.  Three
-    stages decide: the exact sandwich p_raw <= p_adj <= m * p_raw, then
-    the second-order bounds of :func:`maxt_bounds` on the bounds the
-    sandwich left open, settling only those more than ``_MARGIN`` clear of
-    alpha, then one :func:`chain_maxt` call on the bounds still open in
-    every table.  So the answer equals thresholding the adjusted p-values
-    of :func:`trendcomp.contrasts.contrast_test`.  An integrated p-value
-    more than ``_MARGIN`` outside its second-order bracket raises
-    :class:`ContrastError`.  The number of bounds each stage decided is
-    added to ``routes``.
-    """
-    p_raw = ndtr(-t)
-    below = std_err.shape[-1] * p_raw < alpha
-    open_ = ~below & (p_raw < alpha)
-    r, b = np.nonzero(open_)
-    sandwich_open = r.size
-    if r.size:
-        lower, upper = maxt_bounds(t[r, b, None], correlation[r])
-        lower, upper = lower[:, 0], upper[:, 0]
-        below[r, b] = upper < alpha - _MARGIN
-        keep = ~below[r, b] & (lower <= alpha + _MARGIN)
-        r, b, lower, upper = r[keep], b[keep], lower[keep], upper[keep]
-    if r.size:
-        bound = t[r, b]
-        p = chain_maxt(chains, bound, std_err, var_eta, r)
-        outside = (p < lower - _MARGIN) | (p > upper + _MARGIN)
-        if outside.any():
-            q = np.argmax(outside)
-            raise ContrastError(
-                f"quadrature p-value {p[q]!r} at t = {bound[q]!r} lies outside "
-                f"its second-order bracket [{lower[q]!r}, {upper[q]!r}]"
-            )
-        below[r, b] = p < alpha
-    routes += [t.size - sandwich_open, sandwich_open - r.size, r.size]
-    return below
 
 
 # NumPy's SeedSequence hash (numpy/random/bit_generator.pyx), in 32-bit words
@@ -483,7 +439,7 @@ def _decide(sc: Scenario, y: np.ndarray) -> np.ndarray:
     Layout: [D_1..D_k, D_any, W_top, W_any, P_1..P_k, P_any,
     C_1..C_k, C_any, n_boundary, n_degenerate, n_sandwich,
     n_second_order, n_integrated], the last three counting the maxT
-    bounds decided by each stage of :func:`_below`.
+    bounds each stage of ``trendcomp.contrasts._maxt_p`` decided.
     """
     k = sc.k
     n = np.asarray(sc.n, dtype=np.int64)
@@ -492,24 +448,19 @@ def _decide(sc: Scenario, y: np.ndarray) -> np.ndarray:
     top = segments[k]
     routes = np.zeros(3, dtype=np.int64)
 
-    def decide(segment, t, std_err, var_eta, correlation, running):
-        # 0 where the adjusted p is below alpha, else 1: the same claims at alpha
-        claims = _below(segment.chains, t[:, None], std_err, var_eta, correlation, alpha, routes)
-        return np.where(claims[:, 0], 0.0, 1.0)
-
     # no_info tables are degenerate; refused ones ("reject") make no claims
     eta, var_eta, at_boundary, no_info, refused = _saturated_logit(y, n, sc.boundary_policy)
     fitted = ~(no_info | refused)
     fit = ModelFit(eta[fitted], var_eta[fitted], correction_applied=at_boundary[fitted])
 
     _, se_d, t_d, R_d = contrast_moments(dunnett.coefficients, fit.eta, fit.var_eta)
-    dunnett_claims = _below(dunnett.chains, t_d, se_d, fit.var_eta, R_d, alpha, routes)
+    dunnett_claims = _maxt_p(dunnett, t_d, se_d, fit.var_eta, R_d, alpha, alpha, routes) < alpha
     pairwise = ctp_pairwise(fit) < alpha
     # a family rejects iff its largest statistic's adjusted p is below alpha
     _, se_w, t_w, R_w = contrast_moments(top.coefficients, fit.eta, fit.var_eta)
     top_and_max = np.stack([t_w[:, 0], t_w.max(axis=1)], axis=1)
-    w_top, w_any = _below(top.chains, top_and_max, se_w, fit.var_eta, R_w, alpha, routes).T
-    claims = _williams_closure(fit, segments, np.where(w_any, 0.0, 1.0), decide) < alpha
+    p_top, p_any = _maxt_p(top, top_and_max, se_w, fit.var_eta, R_w, alpha, alpha, routes).T
+    claims = _williams_closure(fit, segments, p_any, alpha, routes) < alpha
 
     def tally(claimed):
         # per-dose counts, then the count of tables with any claim
@@ -517,7 +468,7 @@ def _decide(sc: Scenario, y: np.ndarray) -> np.ndarray:
 
     n_boundary = np.sum(at_boundary.any(axis=1) & ~no_info)
     return np.array(
-        [*tally(dunnett_claims), w_top.sum(), w_any.sum(), *tally(pairwise), *tally(claims),
+        [*tally(dunnett_claims), (p_top < alpha).sum(), (p_any < alpha).sum(), *tally(pairwise), *tally(claims),
          n_boundary, no_info.sum(), *routes],
         dtype=np.int64,
     )

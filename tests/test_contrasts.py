@@ -205,7 +205,7 @@ def test_two_rows_are_the_bivariate_normal_tail(cm, var, rho, monkeypatch):
     bounds = np.array([-3.0, -1.0, 0.0, 0.4, 1.0, 1.9, 2.7, 3.5, 4.4, 5.5, 6.5, 9.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        p = contrasts._maxt_p(cm, bounds, se, var, R)
+        (p,) = contrasts._maxt_p(cm, bounds[None], se[None], var[None], R[None])
         eta = np.array([0.0, 0.9, -0.4]) * np.sqrt(var)
         report = contrast_test(ModelFit(eta, var, np.zeros(3, dtype=bool)), cm)
     both = [
@@ -215,9 +215,53 @@ def test_two_rows_are_the_bivariate_normal_tail(cm, var, rho, monkeypatch):
         for b in bounds
     ]
     np.testing.assert_allclose(p, 2.0 * ndtr(-bounds) - both, rtol=0, atol=1e-13)
+    args = report.statistic, report.std_err, var, report.correlation
     np.testing.assert_array_equal(
-        report.p_adjusted,
-        contrasts._maxt_p(cm, report.statistic, report.std_err, var, report.correlation),
+        report.p_adjusted, contrasts._maxt_p(cm, *(a[None] for a in args))[0]
     )
     assert R[0, 1] == pytest.approx(rho, abs=1e-4)
     assert "chains" not in vars(cm)  # the route never looked at them
+
+
+def random_tables(rng, k, count):
+    """Log-odds and their variances of ``count`` random 2 x (k + 1) tables, one per row."""
+    n = rng.integers(5, 61, size=k + 1)
+    y = rng.binomial(n, rng.uniform(0.02, 0.9, size=(count, k + 1))) + 0.5
+    return n, np.log(y / (n + 1.0 - y)), 1.0 / y + 1.0 / (n + 1.0 - y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_a_window_changes_no_p_that_may_lie_in_it(seed):
+    # one bound per table, as the closure asks: a p that may lie in [lo, hi]
+    # is bitwise the windowless p, and one outside is reported on its side
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 9))
+    n, eta, var = random_tables(rng, k, 6)
+    alpha = float(rng.choice([0.01, 0.05, 0.1]))
+    for family in (dunnett_matrix(n), williams_matrix(n)):
+        _, se, t, R = contrast_moments(family.coefficients, eta, var)
+        bounds = np.take_along_axis(t, rng.integers(0, k, size=(6, 1)), axis=1)
+        exact = contrasts._maxt_p(family, bounds, se, var, R)
+        running = np.minimum(exact * rng.uniform(0.3, 3.0, size=exact.shape), 0.999)
+        for lo, hi in [(alpha, alpha), (running, np.inf), (-np.inf, np.inf)]:
+            routes = np.zeros(3, dtype=np.int64)
+            got = contrasts._maxt_p(family, bounds, se, var, R, lo, hi, routes)
+            inside = (got >= lo) & (got <= hi)
+            assert got[inside].tobytes() == exact[inside].tobytes()
+            np.testing.assert_array_equal(got < lo, exact < lo)
+            np.testing.assert_array_equal(got > hi, exact > hi)
+            assert routes.sum() == bounds.size
+        # the whole family at alpha, as the simulator asks
+        decided = contrasts._maxt_p(family, t, se, var, R, alpha, alpha)
+        np.testing.assert_array_equal(decided < alpha, contrasts._maxt_p(family, t, se, var, R) < alpha)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_a_call_without_tables_returns_no_p_and_counts_no_route(k):
+    n, eta, var = random_tables(np.random.default_rng(k), k, 0)
+    family = williams_matrix(n)
+    _, se, t, R = contrast_moments(family.coefficients, eta, var)
+    routes = np.zeros(3, dtype=np.int64)
+    p = contrasts._maxt_p(family, t, se, var, R, 0.05, 0.05, routes)
+    assert p.shape == (0, k) and routes.tolist() == [0, 0, 0]

@@ -4,12 +4,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from trendcomp import chains, contrasts, ctp
-from trendcomp.chains import ContrastError, chain_maxt
-from trendcomp.contrasts import _maxt_p, contrast_test, dunnett_matrix, williams_matrix
+from trendcomp.chains import ContrastError
+from trendcomp.contrasts import contrast_test, dunnett_matrix, williams_matrix
 from trendcomp.ctp import (
     CtpResult,
     _families_of_sizes,
-    _one_table_maxt,
     _stock_families,
     _williams_closure,
     closed_analysis,
@@ -18,7 +17,6 @@ from trendcomp.ctp import (
 )
 from trendcomp.data import DoseGroupData
 from trendcomp.model import fit_saturated_logit
-from trendcomp.mvn import maxt_bounds
 
 
 @pytest.fixture(scope="module")
@@ -218,6 +216,22 @@ def test_random_datasets_respect_chain_laws(seed):
     )
 
 
+def record_segments(patch, record):
+    """Has each segment of a closure pass ``record`` its exact p and its rows, then return 0.
+
+    A returned 0 keeps the running maximum at 0, so the closure visits
+    every segment and each is integrated in full.
+    """
+    maxt_p = ctp._maxt_p
+
+    def recorded(segment, *args):
+        p = maxt_p(segment, *args)
+        record(p[0, 0], segment.n_rows)
+        return np.zeros_like(p)
+
+    patch.setattr(ctp, "_maxt_p", recorded)
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_segment_test_is_the_family_minimum(seed, prefix_fit):
@@ -233,12 +247,9 @@ def test_segment_test_is_the_family_minimum(seed, prefix_fit):
     data = DoseGroupData(labels=tuple(str(i) for i in range(k + 1)), n=n, y=y)
     fit = fit_saturated_logit(data, boundary_policy="haldane")
     segment_p = []
-
-    def maxt(segment, t, std_err, var_eta, correlation, running):
-        segment_p.append(chain_maxt(segment.chains, t, std_err[0], var_eta[0])[0])
-        return np.zeros(1)  # keeps the closure visiting every segment
-
-    _williams_closure(fit, _stock_families(n)[1], 0.0, maxt)
+    with pytest.MonkeyPatch.context() as patch:
+        record_segments(patch, lambda p, rows: segment_p.append(p))
+        _williams_closure(fit, _stock_families(n)[1], 0.0)
     family_min = [
         contrast_test(prefix_fit(fit, j + 1), williams_matrix(n[: j + 1])).min_adjusted
         for j in range(k - 1, 0, -1)
@@ -246,7 +257,7 @@ def test_segment_test_is_the_family_minimum(seed, prefix_fit):
     np.testing.assert_allclose(segment_p, family_min, rtol=0, atol=1e-8)
 
 
-def test_a_segment_reads_the_corrected_fit_of_the_whole_table(prefix_fit):
+def test_a_segment_reads_the_corrected_fit_of_the_whole_table(prefix_fit, monkeypatch):
     # control and dose 1 both at y = 0: segment {0, 1} alone would be a
     # table at one boundary, but the closure reads the haldane-corrected
     # values of the whole fit and never refits the prefix
@@ -255,14 +266,8 @@ def test_a_segment_reads_the_corrected_fit_of_the_whole_table(prefix_fit):
     fit = fit_saturated_logit(data, boundary_policy="haldane")
     assert fit.correction_applied[:2].all()
     segment_p = {}
-
-    def maxt(segment, t, std_err, var_eta, correlation, running):
-        # the route contrast_test takes: the two-row segment is in closed form
-        p = _maxt_p(segment, t, std_err[0], var_eta[0], correlation[0])
-        segment_p[std_err.shape[-1]] = p[0]
-        return np.zeros(1)  # keeps the closure visiting every segment
-
-    _williams_closure(fit, _stock_families(n)[1], 0.0, maxt)
+    record_segments(monkeypatch, lambda p, rows: segment_p.__setitem__(rows, p))
+    _williams_closure(fit, _stock_families(n)[1], 0.0)
     for j in (1, 2):
         report = contrast_test(prefix_fit(fit, j + 1), williams_matrix(n[: j + 1]))
         assert segment_p[j] == report.min_adjusted
@@ -280,23 +285,23 @@ def test_closed_analysis_finds_each_family_s_chains_once(monkeypatch):
     assert 0 < len(calls) <= data.k + 1
 
 
+def integrate_every_open_segment(patch):
+    """Widens the bracket of every family of three or more rows to [0, 1], which settles nothing."""
+    bounds = contrasts.maxt_bounds
+
+    def trivial(t, correlation):
+        if correlation.shape[-1] < 3:  # the closed form of two rows
+            return bounds(t, correlation)
+        return np.zeros_like(t), np.ones_like(t)
+
+    patch.setattr(contrasts, "maxt_bounds", trivial)
+
+
 def test_bracket_settled_closure_is_the_integrated_closure():
     # a segment whose upper bound cannot raise the running maximum is not
     # integrated; every closed-test p must be the float integration gives
     rng = np.random.default_rng(20)
     settled = integrated = 0
-
-    def integrate(segment, t, std_err, var_eta, correlation, running):
-        return _maxt_p(segment, t, std_err[0], var_eta[0], correlation[0])
-
-    def bracketed(*args):
-        nonlocal settled, integrated
-        p = _one_table_maxt(*args)
-        if args[0].n_rows >= 3:
-            settled += p is args[-1]
-            integrated += p is not args[-1]
-        return p
-
     for k in [2, 3, 4, 5, 6, 7, 8] * 4:
         n = rng.integers(5, 61, size=k + 1)
         y = rng.binomial(n, np.linspace(rng.uniform(0.05, 0.5), rng.uniform(0.05, 0.95), k + 1))
@@ -305,8 +310,15 @@ def test_bracket_settled_closure_is_the_integrated_closure():
         fit = fit_saturated_logit(DoseGroupData(labels=tuple(map(str, range(k + 1))), n=n, y=y))
         segments = _stock_families(n)[1]
         top = contrast_test(fit, segments[k]).min_adjusted
-        expected = _williams_closure(fit, segments, top, integrate)
-        assert _williams_closure(fit, segments, top, bracketed).tobytes() == expected.tobytes()
+        bracketed, routes = np.zeros(3, dtype=np.int64), np.zeros(3, dtype=np.int64)
+        got = _williams_closure(fit, segments, top, routes=bracketed)
+        with pytest.MonkeyPatch.context() as patch:
+            integrate_every_open_segment(patch)
+            expected = _williams_closure(fit, segments, top, routes=routes)
+        assert got.tobytes() == expected.tobytes()
+        # the two-row closed forms count as second-order in both runs
+        settled += bracketed[1] - routes[1]
+        integrated += bracketed[2]
     assert settled > 0 and integrated > 0
 
 
@@ -345,19 +357,23 @@ def test_new_sizes_of_a_seen_k_find_no_new_layout(monkeypatch):
 @pytest.mark.parametrize("shift, raises", [(1e-6, True), (-1e-6, True), (5e-8, False)])
 def test_an_integrated_segment_outside_its_bracket_raises(shift, raises, monkeypatch):
     # only a p more than the margin (1e-7) outside the second-order bracket is refused
-    integrate = ctp._maxt_p
+    brackets = []
+    bounds = contrasts.maxt_bounds
 
-    def off(segment, t, std_err, var_eta, correlation):
-        if segment.n_rows < 3:
-            return integrate(segment, t, std_err, var_eta, correlation)
-        lower, upper = maxt_bounds(t[:, None], correlation[None])
+    def recorded(t, correlation):
+        brackets.append(bounds(t, correlation))
+        return brackets[-1]
+
+    def off(chains, t, std_err, var_eta, table):
+        lower, upper = brackets[-1]  # the bracket of the bounds integrated now
         return (upper if shift > 0 else lower)[:, 0] + shift
 
-    monkeypatch.setattr(ctp, "_maxt_p", off)
+    monkeypatch.setattr(contrasts, "maxt_bounds", recorded)
+    monkeypatch.setattr(contrasts, "chain_maxt", off)
     n = np.array([30, 25, 40, 35, 33])
     fit = fit_saturated_logit(DoseGroupData(labels=tuple("01234"), n=n, y=[3, 4, 6, 9, 14]))
     # a running maximum of 0 leaves the bracket nothing to settle
-    closure = lambda: _williams_closure(fit, _stock_families(n)[1], 0.0, _one_table_maxt)
+    closure = lambda: _williams_closure(fit, _stock_families(n)[1], 0.0)
     if raises:
         with pytest.raises(ContrastError, match="outside its second-order bracket"):
             closure()

@@ -11,7 +11,7 @@ from trendcomp.contrasts import ContrastError
 from trendcomp.ctp import closed_analysis
 from trendcomp.data import DoseGroupData
 from trendcomp.model import BoundaryCountError, NoInformationError
-from trendcomp import simulate
+from trendcomp import contrasts, simulate
 from trendcomp.mvn import MAX_DIMENSION
 from trendcomp.simulate import (
     SCHEMA_VERSION,
@@ -582,7 +582,7 @@ class TestDecisionRoutes:
         # a quadrature failure must not pass silently as a decision
         sc = Scenario(pi=(0.05, 0.1, 0.2, 0.3), n=(50,) * 4, seed=22)
         monkeypatch.setattr(
-            simulate, "chain_maxt", lambda chains, t, std_err, var_eta, table: np.full(t.shape, p)
+            contrasts, "chain_maxt", lambda chains, t, std_err, var_eta, table: np.full(t.shape, p)
         )
         with pytest.raises(ContrastError, match="outside its second-order bracket"):
             _count_chunk(sc, 10, 200)
@@ -596,7 +596,7 @@ class TestDecisionRoutes:
             calls.append((chains, list(zip(table.tolist(), t.tolist()))))
             return chain_maxt(chains, t, std_err, var_eta, table)
 
-        monkeypatch.setattr(simulate, "chain_maxt", recorded)
+        monkeypatch.setattr(contrasts, "chain_maxt", recorded)
         np.testing.assert_array_equal(_decide(sc, _draw(sc, 0, 250)), whole)
         # at most one call for Dunnett, one for Williams and one per lower segment
         assert 0 < len(calls) <= sc.k + 1
