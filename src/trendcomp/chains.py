@@ -34,15 +34,17 @@ The outer integral runs only over the control values where some row is
 neither almost sure to fail nor almost sure to hold; above that band the
 integrand is the normal density alone and is integrated in closed form.
 
-:func:`chain_maxt` takes the bounds of many tables in one call, each
-with the index of its table.  Node counts stay each table's own, so a
-table's p-values do not depend on the other tables of the call.  The
-call is one loop over passes of whole tables, a single pass unless the
-call is large, and in each pass over the chains: a chain's thresholds
-are built for every entry of the pass, then a length-one chain is one
-normal CDF, walks of two or three levels are integrated entry by entry
-with their own table's sds, and walks with kernels, which share a kernel
-only within one sigma, table by table.
+:func:`chain_structure` returns one read-only :class:`Chains` record
+per family, laid out as :func:`chain_maxt` reads it; the layout is found
+once per sign pattern of the coefficients.  :func:`chain_maxt` takes
+the bounds of any number of tables, each with the index of its table.
+Node counts stay each table's own, so a table's p-values do not depend
+on the other tables of the call.  The call is one loop over passes of
+whole tables, a single pass unless the call is large.  In each pass the
+thresholds of every level are one array expression; then a length-one
+chain is one normal CDF, walks of two or three levels are integrated
+entry by entry with their own table's sds, and walks with kernels, which
+share a kernel only within one sigma, table by table.
 
 The walk densities and every transition kernel are entire functions, so
 the rules converge faster than any power of the node count.  Node counts
@@ -56,10 +58,6 @@ unequal group variances make that ratio, and so the rule, huge; a rule
 of more than ``_MAX_NODES`` nodes raises :class:`ContrastError` before
 any array is built, and rules above 256 nodes are rounded up to powers
 of sqrt(2), so a table near the cap builds a few large rules.
-
-:func:`chain_structure` finds which rows form a chain, and on which
-level each sits, once per sign pattern of the coefficients; only the
-weights are read per matrix, so new group sizes find no new layout.
 
 A family of one or two rows does not need the quadrature: the one maxT
 function of the package, ``trendcomp.contrasts._maxt_p``, gives one row
@@ -78,12 +76,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from itertools import accumulate
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-__all__ = ["ContrastError", "Chain", "chain_structure", "chain_maxt"]
+__all__ = ["ContrastError", "Chains", "chain_structure", "chain_maxt"]
 
 # ranges end this many standard deviations out; P(Z < -7) = 1.3e-12
 _TAIL_SD = 7.0
@@ -155,68 +152,56 @@ def _equal_fields(a, b):
 
 
 @dataclass(frozen=True)
-class Chain:
-    """Rows of one chain: nested dose supports, proportional weights.
+class Chains:
+    """The chains of one contrast family, laid out for :func:`chain_maxt`.
 
-    ``levels`` holds the distinct supports from smallest to largest as
-    tuples of dose columns.  Row ``rows[i]`` has control coefficient
-    ``-row_control[i]`` and sits on level ``row_level[i]``; on that
-    level's support its dose weights are ``row_scale[i]`` times those of
-    the chain's widest row.  Row l of ``increments`` holds the squared
-    widest-row weights of the doses that level l adds to the level below,
-    and 0 elsewhere, so ``increments @ var_eta[1:]`` gives the variances
-    of the walk's increments.  Chains compare by value.
+    Chain i has rows ``rows[i]``, widest support first, and levels
+    ``levels[i]``, its distinct supports as tuples of dose columns from
+    smallest to largest, in level columns ``first[i]`` up to
+    ``first[i + 1]``.  Row r sits in level column ``col[r]``, has control
+    coefficient ``-control[r]`` and, on its support, ``scale[r]`` times
+    the dose weights of its chain's widest row.  ``by_level`` lists the
+    rows by level column.  Row l of ``increments`` holds the squared
+    widest-row weights of the doses level column l adds to the level
+    below, so ``increments @ var_eta[1:]`` gives the variances of the
+    walks' increments.  Arrays are read-only; records compare by value.
     """
 
     __eq__ = _equal_fields
 
     rows: tuple
     levels: tuple
+    first: tuple
+    col: np.ndarray
+    by_level: np.ndarray
+    control: np.ndarray
+    scale: np.ndarray
     increments: np.ndarray
-    row_control: tuple
-    row_level: tuple
-    row_scale: tuple
 
 
-def chain_structure(coefficients) -> tuple | None:
+def chain_structure(coefficients) -> Chains | None:
     """The chains of a contrast matrix, or None if it has no chain structure.
 
-    Column 0 is the control.  Decided from the coefficients alone.  Which
-    rows form a chain and on which level each sits depends only on the
-    signs of the coefficients, so that layout is found once per sign
-    pattern (:func:`_layout`); the proportionality of each chain's
-    weights, the increments and the row scales are computed per matrix.
+    Column 0 is the control.  The layout depends only on the signs of the
+    coefficients (:func:`_layout`); the proportionality of each chain's
+    weights, the row scales and the increments are computed per matrix.
     """
     C = np.asarray(coefficients, dtype=np.float64)
     layout = _layout(np.sign(C).tobytes(), C.shape)
     if layout is None:
         return None
+    rows, levels, first, col, by_level, widest, support, (level, dose, base) = layout
     W = C[:, 1:]
-    chains = []
-    for rows, levels, cols, added, row_level in layout:
-        base = W[rows[0]]
-        increments = np.zeros((len(levels), W.shape[1]))
-        for lvl, new in enumerate(added):
-            increments[lvl, new] = base[new] ** 2
-        increments.setflags(write=False)
-        row_scale = []
-        for r, lvl in zip(rows, row_level):
-            w, v = W[r, cols[lvl]], base[cols[lvl]]
-            scale = float(w @ v / (v @ v))
-            if (np.abs(w - scale * v) > _PROPORTIONAL_RTOL * w).any():
-                return None
-            row_scale.append(scale)
-        chains.append(
-            Chain(
-                rows=rows,
-                levels=levels,
-                increments=increments,
-                row_control=tuple(float(-C[r, 0]) for r in rows),
-                row_level=row_level,
-                row_scale=tuple(row_scale),
-            )
-        )
-    return tuple(chains)
+    scale = np.empty(len(C))
+    for r, (top, cols) in enumerate(zip(widest, support)):
+        w, v = W[r, cols], W[top, cols]
+        scale[r] = w @ v / (v @ v)
+        if (np.abs(w - scale[r] * v) > _PROPORTIONAL_RTOL * w).any():
+            return None
+    increments = np.zeros((first[-1], W.shape[1]))
+    increments[level, dose] = W[base, dose] ** 2
+    control, scale, increments = (_frozen(a) for a in (-C[:, 0], scale, increments))
+    return Chains(rows, levels, first, col, by_level, control, scale, increments)
 
 
 @lru_cache(maxsize=256)
@@ -226,10 +211,11 @@ def _layout(signs: bytes, shape: tuple) -> tuple | None:
     ``signs`` holds the bytes of ``np.sign`` of a float matrix of
     ``shape``.  Returns None when a control coefficient is not negative,
     a dose coefficient is negative or the supports do not nest into
-    disjoint chains; otherwise, per chain, its rows (widest support
-    first), its levels as tuples of sorted dose columns from smallest to
-    largest, the same as read-only index arrays, the columns each level
-    adds to the one below, also as index arrays, and each row's level.
+    disjoint chains.  Otherwise returns ``rows``, ``levels``, ``first``,
+    ``col`` and ``by_level`` as in :class:`Chains`; each row's chain's
+    widest row and the row's support; and, as the rows of one array, the
+    level column, dose column and widest row of every dose a level adds
+    to the one below.  Arrays are read-only index arrays.
     """
     S = np.frombuffer(signs, dtype=np.float64).reshape(shape)
     if np.any(S[:, 0] >= 0.0) or np.any(S[:, 1:] < 0.0):
@@ -246,28 +232,33 @@ def _layout(signs: bytes, shape: tuple) -> tuple | None:
             hits[0].append(r)
         else:
             return None
-    layout = []
+    levels, first, col, widest, added = [], [0], [0] * len(supports), [0] * len(supports), []
     for group in groups:
-        levels = sorted({supports[r] for r in group}, key=len)
-        cols = [tuple(sorted(s)) for s in levels]
-        added = [sorted(s - below) for below, s in zip([frozenset(), *levels], levels)]
-        layout.append(
-            (
-                tuple(group),
-                tuple(cols),
-                tuple(map(_index, cols)),
-                tuple(map(_index, added)),
-                tuple(levels.index(supports[r]) for r in group),
-            )
-        )
-    return tuple(layout)
+        sets = sorted({supports[r] for r in group}, key=len)
+        for r in group:
+            col[r], widest[r] = first[-1] + sets.index(supports[r]), group[0]
+        for dose in sorted(sets[-1]):  # added by the smallest level that holds it
+            lvl = next(lvl for lvl, s in enumerate(sets) if dose in s)
+            added.append((first[-1] + lvl, dose, group[0]))
+        levels.append(tuple(tuple(sorted(s)) for s in sets))
+        first.append(first[-1] + len(sets))
+    return (
+        tuple(map(tuple, groups)),
+        tuple(levels),
+        tuple(first),
+        _frozen(col, np.intp),
+        _frozen(np.argsort(col, kind="stable"), np.intp),
+        tuple(widest),
+        tuple(_frozen(sorted(s), np.intp) for s in supports),
+        _frozen(added, np.intp).reshape(-1, 3).T,
+    )
 
 
-def _index(columns) -> np.ndarray:
-    """``columns`` as a read-only index array."""
-    index = np.array(columns, dtype=np.intp)
-    index.setflags(write=False)
-    return index
+def _frozen(values, dtype=np.float64) -> np.ndarray:
+    """``values`` as a new read-only array."""
+    a = np.array(values, dtype=dtype)
+    a.setflags(write=False)
+    return a
 
 
 @lru_cache(maxsize=128)
@@ -545,18 +536,18 @@ def _node_count(nodes: float) -> int:
     return 8 * max(_MIN_NODES // 8, math.ceil(nodes / 8.0))
 
 
-def chain_maxt(chains, t_values, std_err, var_eta, table=None) -> np.ndarray:
+def chain_maxt(chains, t_values, std_err, var_eta, table) -> np.ndarray:
     """maxT-adjusted one-sided p-values p_q = 1 - P(all T_j < t_q), exactly.
 
-    ``chains`` are the family's
-    :attr:`~trendcomp.contrasts.ContrastMatrix.chains`.  ``t_values`` are
-    the bounds to evaluate, any number of them: the family's statistics,
-    or only those a decision leaves open.  For one table ``std_err``
-    holds its m contrast standard errors and ``var_eta`` the group
-    variances they were built from.  For many, each holds one row per
-    table and ``table`` gives the row of each bound.  As on the QMC
-    route each value is clipped into [p_raw_q, min(1, m * p_raw_q)], and
-    a single contrast returns its raw normal tail.
+    ``chains`` is the family's :class:`Chains` record, as
+    :attr:`~trendcomp.contrasts.ContrastMatrix.chains` holds it.
+    ``t_values`` are the bounds to evaluate, any number of them: the
+    family's statistics, or only those a decision leaves open.
+    ``std_err`` holds a row of m contrast standard errors per table,
+    ``var_eta`` a row of the group variances they were built from, and
+    ``table`` the row of each bound.  As on the QMC route each value is
+    clipped into [p_raw_q, min(1, m * p_raw_q)], and a single contrast
+    returns its raw normal tail.
 
     Node counts are each table's own: the outer rule's comes from the
     widest outer range among the table's bounds, a walk's from the
@@ -570,63 +561,50 @@ def chain_maxt(chains, t_values, std_err, var_eta, table=None) -> np.ndarray:
     than ``_PASS_ENTRIES`` entries, one per bound and outer node, is cut
     into passes of whole tables, so its working set stays near one
     table's.  In a pass, the bounds that share an outer rule form one run
-    of equal node count.  Each chain's thresholds are then built in
-    turn: a length-one chain is one normal CDF, a longer one a
-    :func:`_walk_probability`.  Each outer rule is summed over its run.
+    of equal node count.  The thresholds of every level column are built
+    at once, then each chain's factor in chain order: a length-one chain
+    is one normal CDF, a longer one a :func:`_walk_probability`.  Each
+    outer rule is summed over its run.
     """
-    t = np.asarray(t_values, dtype=np.float64)
+    b = np.asarray(t_values, dtype=np.float64)
     se = np.asarray(std_err, dtype=np.float64)
     v = np.asarray(var_eta, dtype=np.float64)
-    m = se.shape[-1]
-    p_raw = ndtr(-t)
-    if m == 1 or t.size == 0:
-        return p_raw.copy()
-    b = t.ravel()
-    if table is not None:
-        table = np.asarray(table)
-    keys = b.tolist() if table is None else list(zip(table.tolist(), b.tolist()))
-    if len(set(keys)) < len(keys):
+    m = se.shape[1]
+    p_raw = ndtr(-b)
+    if m == 1 or b.size == 0:
+        return p_raw
+    table = np.asarray(table)
+    keys = list(zip(table.tolist(), b.tolist()))
+    repeat = None
+    if len(set(keys)) < len(keys):  # each (table, bound) once, at its first occurrence
         slot = {}
-        inverse = np.array([slot.setdefault(key, len(slot)) for key in keys])
-        once = np.unique(inverse, return_index=True)[1]
-        p = chain_maxt(chains, b[once], se, v, None if table is None else table[once])
-        return p[inverse].reshape(t.shape)
-    if table is None:
-        se, v, table = se[None], v[None], np.zeros(t.size, dtype=np.intp)
-    else:  # only the tables with a bound, renumbered in order
-        present = np.bincount(table, minlength=len(se)) > 0
-        se, v, table = se[present], v[present], (np.cumsum(present) - 1)[table]
-    T = len(se)
+        repeat = np.array([slot.setdefault(key, len(slot)) for key in keys])
+        once = np.unique(repeat, return_index=True)[1]
+        b, table = b[once], table[once]
+    # only the tables with a bound, renumbered in order
+    present = np.bincount(table, minlength=len(se)) > 0
+    se, v, table = se[present], v[present], (np.cumsum(present) - 1)[table]
     sd0 = np.sqrt(v[:, 0])
-    # the chains' levels side by side: level l of chain i is column
-    # first[i] + l; row r sits in column col[r]
-    first = [0, *accumulate(len(chain.levels) for chain in chains)]
-    col = np.empty(m, dtype=np.intp)
-    scale = np.empty(m)
-    alpha = np.empty(m)  # minus the control coefficient of each row
-    for chain, f in zip(chains, first):
-        for r, a, lvl, s in zip(chain.rows, chain.row_control, chain.row_level, chain.row_scale):
-            col[r], scale[r], alpha[r] = f + lvl, s, a
-    increments = np.concatenate([chain.increments for chain in chains])
-    sigma = np.sqrt((increments * v[:, None, 1:]).sum(axis=-1))
+    first, col, control, scale = chains.first, chains.col, chains.control, chains.scale
+    sigma = np.sqrt((chains.increments * v[:, None, 1:]).sum(axis=-1))
     level_var = sigma * sigma
     for f, e in zip(first[:-1], first[1:]):
         if e - f > 1:
             level_var[:, f:e] = level_var[:, f:e].cumsum(axis=1)
     # z-scale over which row r's constraint switches on
-    row_width = scale * np.sqrt(level_var)[:, col] / (alpha * sd0[:, None])
+    row_width = scale * np.sqrt(level_var)[:, col] / (control * sd0[:, None])
 
     # Outer range: below z_lo some row holds with probability < _EPS, so the
     # integrand is negligible; above z_hi every row holds with probability
     # > 1 - _EPS / m, so the integrand is the normal density alone.
-    shift = b[:, None] * (se / (alpha * sd0[:, None]))[table]
+    shift = b[:, None] * (se / (control * sd0[:, None]))[table]
     width = row_width[table]
     z_lo = (_Q_LO * width - shift).max(axis=1)
     z_hi = (-ndtri(_EPS / m) * width - shift).max(axis=1)
     z_lo = np.minimum(np.maximum(z_lo, -_TAIL_SD), _TAIL_SD)
     z_hi = np.minimum(np.maximum(z_hi, z_lo), _TAIL_SD)
     span = z_hi - z_lo
-    widest = np.zeros(T)
+    widest = np.zeros(len(se))
     np.maximum.at(widest, table, span)
     unit = np.minimum(1.0, row_width.min(axis=1))
     n_z = np.array([_node_count(_OUTER_NODES_PER_SD * s / u) for s, u in zip(widest, unit)])
@@ -642,6 +620,13 @@ def chain_maxt(chains, t_values, std_err, var_eta, table=None) -> np.ndarray:
         heads = np.flatnonzero(np.r_[True, np.diff(table[order]) != 0])
         filled = (np.cumsum(nz) - nz)[heads] // _PASS_ENTRIES
         cuts = heads[1:][filled[1:] != filled[:-1]]
+    # the rows in level-column order: where each level has one row, as in
+    # every stock family, row i's threshold is level column i's
+    rank = chains.by_level
+    se, control, scale = se[:, rank], control[rank, None], scale[rank, None]
+    shared = None
+    if m > first[-1]:  # a level of several rows takes their least threshold
+        shared = np.searchsorted(col[rank], range(first[-1]))
     lower = ndtr(-z_hi)
     for sel, nz in zip(np.split(order, cuts), np.split(nz, cuts)):
         # the pass's runs of bounds that share an outer rule, each bound with
@@ -653,24 +638,21 @@ def chain_maxt(chains, t_values, std_err, var_eta, table=None) -> np.ndarray:
             sp = span[sel[i:j], None]
             z.append(z_lo[sel[i:j], None] + sp * gz)
             zw.append(sp * gw * np.exp(-0.5 * z[-1] * z[-1]) * _INV_SQRT_2PI)
-        rows = table[sel]
-        tab = np.repeat(rows, nz)
+        tab = np.repeat(table[sel], nz)
         x = sd0[tab] * np.concatenate([a.ravel() for a in z])
-        bse = b[sel, None] * se[rows]
+        c = (np.repeat((b[sel, None] * se[table[sel]]).T, nz, axis=1) + control * x) / scale
+        if shared is not None:
+            c = np.minimum.reduceat(c, shared)
         inside = np.ones(x.size)
-        # each chain's thresholds in turn, a level's the least over its rows
-        for chain, f, e in zip(chains, first, first[1:]):
-            c = np.full((e - f, x.size), np.inf)
-            for r, lvl in zip(chain.rows, chain.row_level):
-                threshold = (np.repeat(bse[:, r], nz) + alpha[r] * x) / scale[r]
-                np.minimum(c[lvl], threshold, out=c[lvl])
+        for f, e in zip(first, first[1:]):
             if e - f == 1:
-                inside *= ndtr(c[0] / sigma[tab, f])
+                inside *= ndtr(c[f] / sigma[tab, f])
             else:
-                inside *= _walk_probability(sigma[:, f:e], c, tab)
+                inside *= _walk_probability(sigma[:, f:e], c[f:e], tab)
         end = 0
         for i, w in zip(starts, zw):
             w *= inside[end : end + w.size].reshape(w.shape)
             lower[sel[i : i + len(w)]] += w.sum(axis=1)
             end += w.size
-    return np.minimum(np.maximum(1.0 - lower.reshape(t.shape), p_raw), np.minimum(1.0, m * p_raw))
+    p = 1.0 - lower if repeat is None else (1.0 - lower)[repeat]
+    return np.minimum(np.maximum(p, p_raw), np.minimum(1.0, m * p_raw))

@@ -45,7 +45,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import ndtr
 
-from .chains import _MARGIN, ContrastError, _equal_fields, chain_maxt, chain_structure
+from .chains import _MARGIN, Chains, ContrastError, _equal_fields, chain_maxt, chain_structure
 from .model import ModelFit
 from .mvn import MAX_DIMENSION, CorrelationError, MvnSpec, adjust_maxt, maxt_bounds
 
@@ -112,8 +112,8 @@ class ContrastMatrix:
         return self.coefficients.shape[1]
 
     @cached_property
-    def chains(self) -> tuple | None:
-        """The chains of the family (:func:`trendcomp.chains.chain_structure`), or None."""
+    def chains(self) -> Chains | None:
+        """The family's chains (:class:`~trendcomp.chains.Chains`), or None."""
         return chain_structure(self.coefficients)
 
 

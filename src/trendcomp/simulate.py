@@ -487,24 +487,27 @@ def _estimate(sc: Scenario, pool: ProcessPoolExecutor | None = None) -> Scenario
     chunks = ([sc] * len(starts), starts, [min(_CHUNK, sc.replicates - s) for s in starts])
     chunk_map = pool.map if pool is not None and len(starts) > 1 else map
     counts = sum(chunk_map(_count_chunk, *chunks))
+    # _decide's layout: one width per rate, k for per-dose ones, then five counters
+    widths = [k, 1, 1, 1, k, 1, k, 1]
+    d, d_any, w_top, w_any, p, p_any, c, c_any, counters = np.split(counts, np.cumsum(widths))
     reps = float(sc.replicates)
-    rate = counts / reps
+    n_boundary, n_degenerate, n_sandwich, n_second_order, n_integrated = counters.tolist()
     return ScenarioResult(
         scenario=sc,
-        rate_dunnett=rate[:k],
-        rate_dunnett_any=float(rate[k]),
-        rate_williams_top=float(rate[k + 1]),
-        rate_williams_any=float(rate[k + 2]),
-        rate_ctp_pairwise=rate[k + 3 : 2 * k + 3],
-        rate_ctp_pairwise_any=float(rate[2 * k + 3]),
-        rate_ctp_williams=rate[2 * k + 4 : 3 * k + 4],
-        rate_ctp_williams_any=float(rate[3 * k + 4]),
-        n_boundary=int(counts[3 * k + 5]),
-        n_degenerate=int(counts[3 * k + 6]),
+        rate_dunnett=d / reps,
+        rate_dunnett_any=float(d_any[0] / reps),
+        rate_williams_top=float(w_top[0] / reps),
+        rate_williams_any=float(w_any[0] / reps),
+        rate_ctp_pairwise=p / reps,
+        rate_ctp_pairwise_any=float(p_any[0] / reps),
+        rate_ctp_williams=c / reps,
+        rate_ctp_williams_any=float(c_any[0] / reps),
+        n_boundary=n_boundary,
+        n_degenerate=n_degenerate,
         elapsed=time.perf_counter() - t0,
-        n_sandwich=int(counts[3 * k + 7]),
-        n_second_order=int(counts[3 * k + 8]),
-        n_integrated=int(counts[3 * k + 9]),
+        n_sandwich=n_sandwich,
+        n_second_order=n_second_order,
+        n_integrated=n_integrated,
     )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 import tracemalloc
@@ -94,15 +95,39 @@ def random_signs(rng, shape):
     return C
 
 
+def random_chain_family(rng):
+    """A custom chain family: several chains, levels shared by rows, scaled rows.
+
+    Some dose columns are in no chain; rows come in random order.
+    """
+    k = int(rng.integers(2, 9))
+    doses = rng.permutation(k)[: int(rng.integers(1, k + 1))]
+    cuts = rng.choice(np.arange(1, doses.size), int(rng.integers(0, doses.size)), replace=False)
+    rows = []
+    for part in np.split(doses, np.sort(cuts)):
+        base = rng.uniform(0.2, 2.0, size=part.size)
+        for size in set(rng.integers(1, part.size + 1, size=part.size).tolist()):
+            for _ in range(int(rng.integers(1, 3))):
+                w = np.zeros(k + 1)
+                w[1 + part[:size]] = base[:size] * rng.uniform(0.3, 3.0)
+                w[0] = -w.sum()
+                rows.append(w)
+    return np.array(rows)[rng.permutation(len(rows))]
+
+
 def chain_bits(found):
-    """Every field of every chain, floats as bytes; None stays None."""
+    """Every field of the record, arrays as bytes; None stays None."""
     if found is None:
         return None
     return [
-        (c.rows, c.levels, c.row_level, c.increments.tobytes(),
-         np.array(c.row_control).tobytes(), np.array(c.row_scale).tobytes())
-        for c in found
+        v.tobytes() if isinstance(v, np.ndarray) else v
+        for v in (getattr(found, f.name) for f in dataclasses.fields(found))
     ]
+
+
+def one_table(cm, bounds, se, var):
+    """``chain_maxt`` over the bounds of one table, whose ``se`` and ``var`` are one row each."""
+    return chains.chain_maxt(cm.chains, bounds, se, var, np.zeros(len(bounds), dtype=np.intp))
 
 
 @pytest.fixture
@@ -124,27 +149,71 @@ def no_exact(monkeypatch):
 class TestChainStructure:
     def test_dunnett_is_one_level_chains(self):
         found = chain_structure(dunnett_matrix([10] * 5).coefficients)
-        assert len(found) == 4
-        assert all(len(c.levels) == 1 for c in found)
+        assert len(found.rows) == 4
+        assert all(len(levels) == 1 for levels in found.levels)
 
     def test_williams_is_one_chain(self):
         found = chain_structure(williams_matrix([12, 30, 25, 18]).coefficients)
-        assert len(found) == 1
-        assert found[0].levels == ((2,), (1, 2), (0, 1, 2))
-        assert found[0].rows == (2, 1, 0)
+        assert len(found.rows) == 1
+        assert found.levels[0] == ((2,), (1, 2), (0, 1, 2))
+        assert found.rows[0] == (2, 1, 0)
 
     def test_equal_supports_share_a_level(self):
         C = [[-1.0, 1.0, 0.0], [-2.0, 2.0, 0.0], [-1.0, 0.0, 1.0]]
         found = chain_structure(C)
-        assert sorted(len(c.levels) for c in found) == [1, 1]
+        assert sorted(len(levels) for levels in found.levels) == [1, 1]
 
     def test_increments_hold_the_squared_weights_each_level_adds(self):
-        (chain,) = chain_structure(williams_matrix([12, 30, 25, 18]).coefficients)
+        found = chain_structure(williams_matrix([12, 30, 25, 18]).coefficients)
         w = np.array([30.0, 25.0, 18.0]) / 73.0
         np.testing.assert_array_equal(
-            chain.increments,
+            found.increments,
             [[0.0, 0.0, w[2] ** 2], [0.0, w[1] ** 2, 0.0], [w[0] ** 2, 0.0, 0.0]],
         )
+
+    def test_the_record_rebuilds_its_matrix(self):
+        # every coefficient from the record alone: -control in column 0, and
+        # scale times the chain's widest row on the row's support; each
+        # increment row the squared widest weights of the doses its level adds
+        rng = np.random.default_rng(8)
+        shared = several = rejected = 0
+        for _ in range(200):
+            C = random_chain_family(rng)
+            found = chain_structure(C)
+            rebuilt, increments = np.zeros_like(C), np.zeros_like(found.increments)
+            for rows, levels, f in zip(found.rows, found.levels, found.first):
+                widest = C[rows[0], 1:]
+                for r in rows:
+                    support = list(levels[found.col[r] - f])
+                    rebuilt[r, 0] = -found.control[r]
+                    rebuilt[r, 1:][support] = found.scale[r] * widest[support]
+                for lvl, (below, level) in enumerate(zip([(), *levels], levels)):
+                    added = sorted(set(level) - set(below))
+                    increments[f + lvl, added] = widest[added] ** 2
+            np.testing.assert_allclose(rebuilt, C, rtol=1e-12, atol=0)
+            np.testing.assert_array_equal(found.increments, increments)
+            assert found.first[-1] == sum(map(len, found.levels))
+            assert list(found.col[found.by_level]) == sorted(found.col)
+            shared += len(C) > found.first[-1]
+            several += len(found.rows) > 1
+            # a row of two or more doses bent off proportional to its widest row
+            bend = [r for rows in found.rows for r in rows[1:] if np.count_nonzero(C[r, 1:]) > 1]
+            if bend:
+                bent = C.copy()
+                bent[bend[0], 1 + np.flatnonzero(C[bend[0], 1:])[0]] *= 1.5
+                bent[bend[0], 0] = -bent[bend[0], 1:].sum()
+                assert chain_structure(bent) is None
+                rejected += 1
+        assert min(shared, several, rejected) >= 40
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 8])
+    def test_stock_records(self, k):
+        n = np.arange(10.0, 10.0 + 3 * (k + 1), 3)
+        assert chain_structure(dunnett_matrix(n).coefficients).first == tuple(range(k + 1))
+        found = chain_structure(williams_matrix(n).coefficients)
+        assert found.first == (0, k)
+        top = np.cumsum(n[::-1])[:-1]  # N of the q highest doses, q = 1..k
+        np.testing.assert_allclose(found.scale, n[1:].sum() / top, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize(
         "cm",
@@ -274,7 +343,7 @@ def test_second_order_bounds_bracket_the_exact_p(seed, prefix_fit):
     _, se, t, R = contrast_moments(cm.coefficients, fit.eta, fit.var_eta)
     bounds = np.concatenate([t, rng.uniform(0.0, 4.5, size=4)])
     lower, upper = maxt_bounds(bounds[None], R[None])
-    p = chains.chain_maxt(cm.chains, bounds, se, fit.var_eta)
+    p = one_table(cm, bounds, se[None], fit.var_eta[None])
     assert np.all(lower[0] <= upper[0])
     assert np.all(lower[0] - 1e-9 <= p)
     assert np.all(p <= upper[0] + 1e-9)
@@ -317,8 +386,30 @@ def test_two_row_williams_is_the_owens_t_tail(n, y, no_qmc):
     bounds = np.concatenate([t, [-0.5, 0.0, 0.7, 1.5, 2.2, 3.1, 4.4]])
     lower, upper = maxt_bounds(bounds[None], R[None])
     np.testing.assert_array_equal(lower, upper)
-    p = chains.chain_maxt(cm.chains, bounds, se, fit.var_eta)
+    p = one_table(cm, bounds, se[None], fit.var_eta[None])
     np.testing.assert_allclose(p, lower[0], rtol=0, atol=1e-10)
+
+
+def test_rows_sharing_a_level_bind_at_their_least_threshold():
+    # Rows 0 and 1 share a level but not their control coefficients, which
+    # only rows without zero sums can do; so each binds for some control
+    # values.  The level's threshold then has a kink in the control value,
+    # where the outer rule converges only to about 1e-4, so the tolerance
+    # tells the least threshold from either row's alone (off by 0.07).
+    C = np.array(
+        [[-1.0, 1.0, 0.0, 0.0], [-0.3, 2.0, 0.0, 0.0], [-1.0, 0.0, 0.4, 0.6], [-0.5, 0.0, 0.0, 1.5]]
+    )
+    found = chain_structure(C)
+    assert found.first[-1] == 3
+    var = np.array([0.2, 0.35, 0.1, 0.25])
+    _, se, _, R = contrast_moments(C, np.zeros(4), var)
+    bounds = np.array([0.0, 1.0, 1.8, 2.5])
+    p = chains.chain_maxt(found, bounds, se[None], var[None], np.zeros(4, dtype=np.intp))
+    expected = [
+        1.0 - multivariate_normal.cdf(np.full(4, b), mean=np.zeros(4), cov=R, abseps=1e-8)
+        for b in bounds
+    ]
+    np.testing.assert_allclose(p, expected, rtol=0, atol=1e-3)
 
 
 @pytest.mark.parametrize("ratio", [0.01, 0.1, 1.0, 10.0, 100.0])
@@ -431,7 +522,7 @@ class TestTableAxis:
                 table, bounds = np.array(table), np.array(bounds)
                 p = chains.chain_maxt(cm.chains, bounds, se, var_cm, table)
                 for r in range(len(t)):
-                    alone = chains.chain_maxt(cm.chains, bounds[table == r], se[r], var_cm[r])
+                    alone = one_table(cm, bounds[table == r], se[r : r + 1], var_cm[r : r + 1])
                     np.testing.assert_array_equal(p[table == r], alone)
 
     def test_tables_near_the_cap_are_single_tables(self):
@@ -447,7 +538,7 @@ class TestTableAxis:
         table = np.repeat([2, 0, 1], t.shape[1])
         p = chains.chain_maxt(cm.chains, t[table, np.tile(range(3), 3)], se, var, table)
         for r in range(3):
-            alone = chains.chain_maxt(cm.chains, t[r], se[r], var[r])
+            alone = one_table(cm, t[r], se[r : r + 1], var[r : r + 1])
             np.testing.assert_array_equal(p[table == r], alone)
 
     def test_a_large_call_is_cut_into_passes(self, monkeypatch):
@@ -473,7 +564,7 @@ class TestTableAxis:
         p = chains.chain_maxt(cm.chains, bounds, se, var, table)
         assert len(walks) > 1
         for r in range(64):
-            alone = chains.chain_maxt(cm.chains, bounds[table == r], se[r], var[r])
+            alone = one_table(cm, bounds[table == r], se[r : r + 1], var[r : r + 1])
             np.testing.assert_array_equal(p[table == r], alone)
 
 
@@ -514,15 +605,14 @@ def test_a_repeated_bound_gets_one_p():
         fit = fit_saturated_logit(data)
         cm = williams_matrix(data.n)
         _, se, t, _ = contrast_moments(cm.coefficients, fit.eta, fit.var_eta)
-        p = chains.chain_maxt(cm.chains, [t.max(), t[0], t.max()], se, fit.var_eta)
+        se, var = se[None], fit.var_eta[None]
+        p = one_table(cm, [t.max(), t[0], t.max()], se, var)
         assert p[0] == p[2]
-        np.testing.assert_array_equal(
-            p[:2], chains.chain_maxt(cm.chains, [t.max(), t[0]], se, fit.var_eta)
-        )
+        np.testing.assert_array_equal(p[:2], one_table(cm, [t.max(), t[0]], se, var))
         table = np.array([1, 0, 1, 0, 1])
         many = chains.chain_maxt(
-            cm.chains, [t.max(), t.max(), t[0], t[0], t.max()], np.stack([se, se]),
-            np.stack([fit.var_eta, fit.var_eta]), table,
+            cm.chains, [t.max(), t.max(), t[0], t[0], t.max()], np.concatenate([se, se]),
+            np.concatenate([var, var]), table,
         )
         np.testing.assert_array_equal(many, p[[0, 0, 1, 1, 0]])
 
