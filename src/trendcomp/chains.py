@@ -160,11 +160,13 @@ class Chains:
     smallest to largest, in level columns ``first[i]`` up to
     ``first[i + 1]``.  Row r sits in level column ``col[r]``, has control
     coefficient ``-control[r]`` and, on its support, ``scale[r]`` times
-    the dose weights of its chain's widest row.  ``by_level`` lists the
-    rows by level column.  Row l of ``increments`` holds the squared
-    widest-row weights of the doses level column l adds to the level
-    below, so ``increments @ var_eta[1:]`` gives the variances of the
-    walks' increments.  Arrays are read-only; records compare by value.
+    the dose weights of its chain's widest row.  Row l of ``level_rows``
+    lists the rows in level column l, repeating its first row up to the
+    most rows any level column has.  Row l of ``increments`` holds the
+    squared widest-row weights of the doses level column l adds to the
+    level below, so ``increments @ var_eta[1:]`` gives the variances of
+    the walks' increments.  Arrays are read-only; records compare by
+    value.
     """
 
     __eq__ = _equal_fields
@@ -173,7 +175,7 @@ class Chains:
     levels: tuple
     first: tuple
     col: np.ndarray
-    by_level: np.ndarray
+    level_rows: np.ndarray
     control: np.ndarray
     scale: np.ndarray
     increments: np.ndarray
@@ -190,7 +192,7 @@ def chain_structure(coefficients) -> Chains | None:
     layout = _layout(np.sign(C).tobytes(), C.shape)
     if layout is None:
         return None
-    rows, levels, first, col, by_level, widest, support, (level, dose, base) = layout
+    rows, levels, first, col, level_rows, widest, support, (level, dose, base) = layout
     W = C[:, 1:]
     scale = np.empty(len(C))
     for r, (top, cols) in enumerate(zip(widest, support)):
@@ -201,7 +203,7 @@ def chain_structure(coefficients) -> Chains | None:
     increments = np.zeros((first[-1], W.shape[1]))
     increments[level, dose] = W[base, dose] ** 2
     control, scale, increments = (_frozen(a) for a in (-C[:, 0], scale, increments))
-    return Chains(rows, levels, first, col, by_level, control, scale, increments)
+    return Chains(rows, levels, first, col, level_rows, control, scale, increments)
 
 
 @lru_cache(maxsize=256)
@@ -212,7 +214,7 @@ def _layout(signs: bytes, shape: tuple) -> tuple | None:
     ``shape``.  Returns None when a control coefficient is not negative,
     a dose coefficient is negative or the supports do not nest into
     disjoint chains.  Otherwise returns ``rows``, ``levels``, ``first``,
-    ``col`` and ``by_level`` as in :class:`Chains`; each row's chain's
+    ``col`` and ``level_rows`` as in :class:`Chains`; each row's chain's
     widest row and the row's support; and, as the rows of one array, the
     level column, dose column and widest row of every dose a level adds
     to the one below.  Arrays are read-only index arrays.
@@ -242,12 +244,16 @@ def _layout(signs: bytes, shape: tuple) -> tuple | None:
             added.append((first[-1] + lvl, dose, group[0]))
         levels.append(tuple(tuple(sorted(s)) for s in sets))
         first.append(first[-1] + len(sets))
+    level_rows = [[] for _ in range(first[-1])]
+    for r, lvl in enumerate(col):
+        level_rows[lvl].append(r)
+    most = max(map(len, level_rows))
     return (
         tuple(map(tuple, groups)),
         tuple(levels),
         tuple(first),
         _frozen(col, np.intp),
-        _frozen(np.argsort(col, kind="stable"), np.intp),
+        _frozen([on + on[:1] * (most - len(on)) for on in level_rows], np.intp),
         tuple(widest),
         tuple(_frozen(sorted(s), np.intp) for s in supports),
         _frozen(added, np.intp).reshape(-1, 3).T,
@@ -565,6 +571,11 @@ def chain_maxt(chains, t_values, std_err, var_eta, table) -> np.ndarray:
     at once, then each chain's factor in chain order: a length-one chain
     is one normal CDF, a longer one a :func:`_walk_probability`.  Each
     outer rule is summed over its run.
+
+    The 1e-9 error bound holds where the rows that share a level have
+    control coefficients in proportion to their dose weights, as in every
+    :class:`~trendcomp.contrasts.ContrastMatrix`; other rows give the
+    level's threshold a kink that the outer rule crosses slowly.
     """
     b = np.asarray(t_values, dtype=np.float64)
     se = np.asarray(std_err, dtype=np.float64)
@@ -620,13 +631,10 @@ def chain_maxt(chains, t_values, std_err, var_eta, table) -> np.ndarray:
         heads = np.flatnonzero(np.r_[True, np.diff(table[order]) != 0])
         filled = (np.cumsum(nz) - nz)[heads] // _PASS_ENTRIES
         cuts = heads[1:][filled[1:] != filled[:-1]]
-    # the rows in level-column order: where each level has one row, as in
-    # every stock family, row i's threshold is level column i's
-    rank = chains.by_level
-    se, control, scale = se[:, rank], control[rank, None], scale[rank, None]
-    shared = None
-    if m > first[-1]:  # a level of several rows takes their least threshold
-        shared = np.searchsorted(col[rank], range(first[-1]))
+    # the rows of each level column, padded with its first: a level's
+    # threshold is the least of its rows'
+    on = chains.level_rows.ravel()
+    se, control, scale = se[:, on], control[on, None], scale[on, None]
     lower = ndtr(-z_hi)
     for sel, nz in zip(np.split(order, cuts), np.split(nz, cuts)):
         # the pass's runs of bounds that share an outer rule, each bound with
@@ -641,8 +649,7 @@ def chain_maxt(chains, t_values, std_err, var_eta, table) -> np.ndarray:
         tab = np.repeat(table[sel], nz)
         x = sd0[tab] * np.concatenate([a.ravel() for a in z])
         c = (np.repeat((b[sel, None] * se[table[sel]]).T, nz, axis=1) + control * x) / scale
-        if shared is not None:
-            c = np.minimum.reduceat(c, shared)
+        c = c.reshape(first[-1], -1, c.shape[1]).min(axis=1)
         inside = np.ones(x.size)
         for f, e in zip(first, first[1:]):
             if e - f == 1:

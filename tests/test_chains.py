@@ -193,7 +193,9 @@ class TestChainStructure:
             np.testing.assert_allclose(rebuilt, C, rtol=1e-12, atol=0)
             np.testing.assert_array_equal(found.increments, increments)
             assert found.first[-1] == sum(map(len, found.levels))
-            assert list(found.col[found.by_level]) == sorted(found.col)
+            for lvl, on in enumerate(found.level_rows):
+                assert set(found.col[on].tolist()) == {lvl}
+            assert sorted(set(found.level_rows.ravel().tolist())) == list(range(len(C)))
             shared += len(C) > found.first[-1]
             several += len(found.rows) > 1
             # a row of two or more doses bent off proportional to its widest row
@@ -209,9 +211,12 @@ class TestChainStructure:
     @pytest.mark.parametrize("k", [1, 2, 5, 8])
     def test_stock_records(self, k):
         n = np.arange(10.0, 10.0 + 3 * (k + 1), 3)
-        assert chain_structure(dunnett_matrix(n).coefficients).first == tuple(range(k + 1))
+        found = chain_structure(dunnett_matrix(n).coefficients)
+        assert found.first == tuple(range(k + 1))
+        assert found.level_rows.tolist() == [[q] for q in range(k)]  # one row per level
         found = chain_structure(williams_matrix(n).coefficients)
         assert found.first == (0, k)
+        assert found.level_rows.tolist() == [[q] for q in range(k)]
         top = np.cumsum(n[::-1])[:-1]  # N of the q highest doses, q = 1..k
         np.testing.assert_allclose(found.scale, n[1:].sum() / top, rtol=1e-12, atol=0)
 
