@@ -2,8 +2,9 @@
 
 A family has chain structure when every row compares the control
 (negative coefficient) with a non-negative weighting of dose groups, rows
-whose dose supports overlap are nested with proportional weights, and
-the resulting chains have disjoint supports.  Dunnett is k chains of
+whose dose supports overlap are nested with proportional weights, rows
+of one support are multiples of each other, control included, and the
+resulting chains have disjoint supports.  Dunnett is k chains of
 length one; the Williams family, and so every segment family of the
 closed test, is a single chain.
 
@@ -21,18 +22,20 @@ walk of length one is a normal CDF; longer walks are integrated level by
 level (Genz & Bretz 2009, LNS 195; Miwa, Hayter & Kuriki 2003, JRSS-B
 65:223).  The first level needs no nodes: given W_1, W_0 is normal, so
 level 1 carries the density of W_1 times one normal CDF.  From there the
-density of the walk is carried on Gauss-Legendre nodes below each level's
-threshold, one kernel between consecutive levels, and the last level is
-closed with a normal CDF; a walk of two or three levels builds no kernel.
-Longer walks are integrated for a chunk of batch entries at once: every
-entry's nodes on a level span the chunk's widest range, ending at the
-entry's own threshold, so the Gaussian kernel between two levels differs
-from entry to entry only by a shift.  Factoring that shift out of the
-exponent leaves one kernel matrix shared by the chunk and a vector of
-factors per entry on either side, and each step is one matrix product.
-The outer integral runs only over the control values where some row is
-neither almost sure to fail nor almost sure to hold; above that band the
-integrand is the normal density alone and is integrated in closed form.
+density of the walk is carried on Gauss-Legendre nodes below the
+thresholds of levels 1 to L-2, or of level 1 alone in a walk of two or
+three levels, with one Gaussian kernel between consecutive noded levels,
+and a walk of three or more levels is closed with a normal CDF; so a walk
+of two or three levels builds no kernel.  Every walk is integrated for a
+chunk of batch entries at once: every entry's nodes on a level span the
+chunk's widest range, ending at the entry's own threshold, so the
+Gaussian kernel between two levels differs from entry to entry only by a
+shift.  Factoring that shift out of the exponent leaves one kernel
+matrix shared by the chunk and a vector of factors per entry on either
+side, and each step is one matrix product.  The outer integral runs only
+over the control values where some row is neither almost sure to fail
+nor almost sure to hold; above that band the integrand is the normal
+density alone and is integrated in closed form.
 
 :func:`chain_structure` returns one read-only :class:`Chains` record
 per family, laid out as :func:`chain_maxt` reads it; the layout is found
@@ -42,9 +45,8 @@ Node counts stay each table's own, so a table's p-values do not depend
 on the other tables of the call.  The call is one loop over passes of
 whole tables, a single pass unless the call is large.  In each pass the
 thresholds of every level are one array expression; then a length-one
-chain is one normal CDF, walks of two or three levels are integrated
-entry by entry with their own table's sds, and walks with kernels, which
-share a kernel only within one sigma, table by table.
+chain is one normal CDF, and a walk is integrated table by table, as a
+chunk's entries share their table's sds.
 
 The walk densities and every transition kernel are entire functions, so
 the rules converge faster than any power of the node count.  Node counts
@@ -101,19 +103,16 @@ _LADDER_FROM = 256
 # probability below which a constraint counts as certain to fail or hold
 _EPS = 1e-13
 _Q_LO = float(ndtri(_EPS))
-# entries of one batch-by-nodes array: a walk with kernels holds 2^14 at
-# once, in about six such arrays, but at least 32 entries share each
-# kernel matrix, so a rule near the cap does not rebuild it every few
-# entries
+# entries of one batch-by-nodes array: a walk holds 2^14 at once, in
+# about six such arrays, but at least 32 entries share each kernel
+# matrix, so a rule near the cap does not rebuild it every few entries
 _KERNEL_CHUNK_ENTRIES = 1 << 14
 _MIN_KERNEL_CHUNK = 32
 # entries, one per bound and outer node, above which chain_maxt cuts a
-# call into passes, and entries times nodes in one block of a batch of
-# walks of two or three levels: a pass takes whole tables, so it may hold
-# more, and both keep a call's working set near a single table's, a few
-# arrays of one chain's levels by a pass's entries
+# call into passes: a pass takes whole tables, so it may hold more, and
+# it keeps a call's working set near a single table's, a few arrays of
+# one chain's levels by a pass's entries
 _PASS_ENTRIES = 1 << 11
-_BLOCK_ENTRIES = 1 << 13
 # One product with a shared kernel matrix covers at most _CHUNK_ENTRIES
 # kernel entries, rows times matrix size: BLAS runs such a product on one
 # thread, and a threaded one stalls while the other CPUs are busy.  200 x
@@ -160,13 +159,13 @@ class Chains:
     smallest to largest, in level columns ``first[i]`` up to
     ``first[i + 1]``.  Row r sits in level column ``col[r]``, has control
     coefficient ``-control[r]`` and, on its support, ``scale[r]`` times
-    the dose weights of its chain's widest row.  Row l of ``level_rows``
-    lists the rows in level column l, repeating its first row up to the
-    most rows any level column has.  Row l of ``increments`` holds the
-    squared widest-row weights of the doses level column l adds to the
-    level below, so ``increments @ var_eta[1:]`` gives the variances of
-    the walks' increments.  Arrays are read-only; records compare by
-    value.
+    the dose weights of its chain's widest row.  The rows in one level
+    column are scalar multiples of each other, so they share a threshold,
+    and ``level_rows[l]`` is the first of them.  Row l of ``increments``
+    holds the squared widest-row weights of the doses level column l adds
+    to the level below, so ``increments @ var_eta[1:]`` gives the
+    variances of the walks' increments.  Arrays are read-only; records
+    compare by value.
     """
 
     __eq__ = _equal_fields
@@ -186,7 +185,8 @@ def chain_structure(coefficients) -> Chains | None:
 
     Column 0 is the control.  The layout depends only on the signs of the
     coefficients (:func:`_layout`); the proportionality of each chain's
-    weights, the row scales and the increments are computed per matrix.
+    weights, and of the whole rows that share a level, the row scales and
+    the increments are computed per matrix.
     """
     C = np.asarray(coefficients, dtype=np.float64)
     layout = _layout(np.sign(C).tobytes(), C.shape)
@@ -200,6 +200,10 @@ def chain_structure(coefficients) -> Chains | None:
         scale[r] = w @ v / (v @ v)
         if (np.abs(w - scale[r] * v) > _PROPORTIONAL_RTOL * w).any():
             return None
+    # rows sharing a level are multiples of its first row, control included
+    ratio = -C[:, 0] / scale
+    if (np.abs(ratio - ratio[level_rows[col]]) > _PROPORTIONAL_RTOL * ratio).any():
+        return None
     increments = np.zeros((first[-1], W.shape[1]))
     increments[level, dose] = W[base, dose] ** 2
     control, scale, increments = (_frozen(a) for a in (-C[:, 0], scale, increments))
@@ -244,16 +248,12 @@ def _layout(signs: bytes, shape: tuple) -> tuple | None:
             added.append((first[-1] + lvl, dose, group[0]))
         levels.append(tuple(tuple(sorted(s)) for s in sets))
         first.append(first[-1] + len(sets))
-    level_rows = [[] for _ in range(first[-1])]
-    for r, lvl in enumerate(col):
-        level_rows[lvl].append(r)
-    most = max(map(len, level_rows))
     return (
         tuple(map(tuple, groups)),
         tuple(levels),
         tuple(first),
         _frozen(col, np.intp),
-        _frozen([on + on[:1] * (most - len(on)) for on in level_rows], np.intp),
+        _frozen(np.unique(col, return_index=True)[1], np.intp),
         tuple(widest),
         tuple(_frozen(sorted(s), np.intp) for s in supports),
         _frozen(added, np.intp).reshape(-1, 3).T,
@@ -366,7 +366,7 @@ def _kernel_step(mass, sd, n_in, r_in, n_out, r_out, offset):
 
 
 def _level_rules(sigma):
-    """The quadrature set-up of walks with increment sds ``sigma``, levels on the last axis.
+    """The quadrature set-up of one walk with increment sds ``sigma``.
 
     Returns the variances of the levels, the ``_TAIL_SD`` sds at which
     their ranges are cut, and the nodes per unit of length that each
@@ -376,17 +376,17 @@ def _level_rules(sigma):
     The CDF factor of level 1 switches over s / a >= sigma_1, so that
     rule resolves it.
     """
-    L = sigma.shape[-1]
+    L = sigma.size
     last = max(1, L - 2)
-    var = np.cumsum(sigma * sigma, axis=-1)
+    var = np.cumsum(sigma * sigma)
     # increments 2 .. L-2 are kernels between noded levels, the others
     # normal CDF factors
     rate = np.full(L, _NODES_PER_SD)
     rate[2 : L - 1] = _DENSITY_NODES_PER_SD
     step = rate / sigma
     per_unit = np.maximum(
-        np.maximum(step[..., 1 : last + 1], step[..., min(2, L - 1) : last + 2]),
-        _DENSITY_NODES_PER_SD / np.sqrt(var[..., 1 : last + 1]),
+        np.maximum(step[1 : last + 1], step[min(2, L - 1) : last + 2]),
+        _DENSITY_NODES_PER_SD / np.sqrt(var[1 : last + 1]),
     )
     return var, _TAIL_SD * np.sqrt(var), per_unit
 
@@ -396,8 +396,8 @@ def _level_one(u, w, c0, var, sigma):
 
     Given W_1 = u, W_0 is normal with mean a u and sd s, so the mass is
     the density of W_1 times P(W_0 < ``c0`` | W_1 = u), one normal CDF.
-    ``var`` and ``sigma`` are indexed by level first and broadcast
-    against ``u``.
+    ``var`` and ``sigma`` hold the walk's level variances and increment
+    sds.
     """
     a = var[0] / var[1]
     s = sigma[0] * sigma[1] / np.sqrt(var[1])
@@ -424,80 +424,41 @@ def _walk_probability(sigma, c, table) -> np.ndarray:
     ``c`` has one row of thresholds per level and one column per batch
     entry.  ``sigma`` holds one row of increment sds per table, and
     ``table`` gives each entry's row; the entries of one table are
-    contiguous.  The first level is integrated in closed form
-    (:func:`_level_one`).  From level 1 on the density of the walk lives
-    on Gauss-Legendre nodes between ``-_TAIL_SD`` standard deviations
-    and the level's threshold, enough of them to resolve that
-    density and the increments into and out of the level: a Gaussian
-    kernel at ``_DENSITY_NODES_PER_SD`` per sd, a normal CDF factor at
-    ``_NODES_PER_SD``.  The last level is closed with a normal CDF; in a
-    walk of two levels it is level 1 itself.
-
-    Node counts come from each table's entries alone, exactly as if they
-    were the whole batch; so no entry's value depends on the other
-    tables.  Walks of two or three levels build no kernel: a table's
-    entries share the node count of their widest range, each keeps nodes
-    on its own range, and every table's entries are integrated together,
-    grouped by node count (:func:`_short_walks`).  Walks of four or more
-    levels take a table's entries in chunks of similar thresholds, each
-    with the nodes its widest range needs, and share a kernel matrix per
-    chunk, which needs one sigma, so they are integrated table by table
-    (:func:`_kernel_walk`).
+    contiguous, and each table's are integrated alone
+    (:func:`_table_walk`), so no entry's value depends on the other
+    tables.
     """
     # the entries of table table[i] are [i, j) for consecutive cuts i, j
     cuts = [0, *(np.flatnonzero(table[1:] != table[:-1]) + 1).tolist(), table.size]
-    if sigma.shape[1] <= 3:
-        return _short_walks(sigma, c, table, cuts)
     out = np.empty(c.shape[1])
     for i, j in zip(cuts[:-1], cuts[1:]):
-        out[i:j] = _kernel_walk(sigma[table[i]], c[:, i:j])
+        out[i:j] = _table_walk(sigma[table[i]], c[:, i:j])
     return out
 
 
-def _short_walks(sigma, c, table, cuts) -> np.ndarray:
-    """:func:`_walk_probability` for walks of two or three levels.
+def _table_walk(sigma, c) -> np.ndarray:
+    """:func:`_walk_probability` for the entries of one table.
 
-    Level 1 is the only noded level.  A table's entries get the node count
-    of their widest range.  The entries of one node count are integrated
-    together, each on its own range and with its own table's sds, in
-    blocks of at most ``_BLOCK_ENTRIES`` entries times nodes.
-    """
-    var, spread, per_unit = _level_rules(sigma)
-    bound = spread[table, 1]
-    reach = np.maximum(np.minimum(c[1], bound), -bound) + bound
-    width = np.maximum.reduceat(reach, cuts[:-1])
-    counts = [_node_count(w * per_unit[r, 0]) for w, r in zip(width, table[cuts[:-1]])]
-    nodes = np.repeat(counts, np.diff(cuts))
-    out = np.empty(c.shape[1])
-    one = len(sigma) == 1  # then the sds are scalars, which broadcast faster
-    for n in set(counts):
-        x, w = _gauss_legendre(n)
-        group = np.flatnonzero(nodes == n)
-        block = _BLOCK_ENTRIES // n
-        for k in range(0, group.size, block):
-            idx = group[k : k + block]
-            sd, vr, sp = (a[0] if one else a[table[idx]].T[..., None] for a in (sigma, var, spread))
-            u = -sp[1] + reach[idx, None] * x
-            mass = _level_one(u, reach[idx, None] * w, c[0, idx, None], vr, sd)
-            if len(sd) > 2:  # the closing CDF, the last use of u
-                mass *= _cdf(c[2, idx, None], u, sd[2])
-            out[idx] = np.sum(mass, axis=1)
-    return out
+    The first level is integrated in closed form (:func:`_level_one`).
+    From level 1 on the density of the walk lives on Gauss-Legendre
+    nodes on levels 1 .. max(1, L-2), enough of them to resolve that
+    density and the increments into and out of the level: a Gaussian
+    kernel at ``_DENSITY_NODES_PER_SD`` per sd, a normal CDF factor at
+    ``_NODES_PER_SD``.  A Gaussian kernel carries the mass from one noded
+    level to the next, and a walk of three or more levels is closed with
+    a normal CDF on the last noded level's nodes; in a walk of two levels
+    level 1 is the last.
 
-
-def _kernel_walk(sigma, c) -> np.ndarray:
-    """:func:`_walk_probability` for one walk of four or more levels.
-
-    Every noded level carries a Gaussian kernel to the next.  Every entry
-    of a chunk gets the chunk's widest range on each level, ending at its
-    own threshold, so the kernel differs between entries only by a shift
-    and the chunk shares one kernel matrix (:func:`_kernel_step`).
-    :func:`_chunks` ends a chunk before the shifts spread too far for
-    that.
+    The entries are taken in chunks of similar last thresholds.  Every
+    entry of a chunk gets the chunk's widest range on each level, ending
+    at its own threshold, with the nodes that range needs, so a kernel
+    differs between entries only by a shift and the chunk shares one
+    kernel matrix (:func:`_kernel_step`).  :func:`_chunks` ends a chunk
+    before the shifts spread too far for that.
     """
     L = sigma.size
     var, spread, per_unit = _level_rules(sigma)
-    last = L - 2
+    last = max(1, L - 2)
     # a threshold below a level's range leaves the range empty; clipped to
     # its lower end it leaves the offsets between levels finite
     bound = spread[1 : last + 1, None]
@@ -514,11 +475,12 @@ def _kernel_walk(sigma, c) -> np.ndarray:
         lo = top[:, idx] - width[:, None]
         u, w = _nodes(n[0], lo[0][:, None], width[0])
         mass = _level_one(u, w, c[0, idx][:, None], var, sigma)
-        for i in range(1, L - 2):  # the kernel into level i + 1
+        for i in range(1, last):  # the kernel into level i + 1
             offset = lo[i] - lo[i - 1]
             mass = _kernel_step(mass, sigma[i + 1], n[i - 1], width[i - 1], n[i], width[i], offset)
-        u = _nodes(n[-1], lo[-1][:, None], width[-1])[0]
-        mass *= _cdf(c[L - 1, idx][:, None], u, sigma[L - 1])
+        if L > 2:  # the closing CDF, on the last noded level's nodes
+            u = _nodes(n[-1], lo[-1][:, None], width[-1])[0]
+            mass *= _cdf(c[L - 1, idx][:, None], u, sigma[L - 1])
         out[idx] = np.sum(mass, axis=1)
     return out
 
@@ -556,9 +518,9 @@ def chain_maxt(chains, t_values, std_err, var_eta, table) -> np.ndarray:
     returns its raw normal tail.
 
     Node counts are each table's own: the outer rule's comes from the
-    widest outer range among the table's bounds, a walk's from the
-    widest range among the table's entries (see
-    :func:`_walk_probability`).  So every p-value is bitwise the one a
+    widest outer range among the table's bounds, a walk chunk's from the
+    widest range among its entries, all of one table (see
+    :func:`_table_walk`).  So every p-value is bitwise the one a
     call with its table's bounds alone returns, in any order of the
     tables.  A bound given twice for one table is integrated once, at its
     first occurrence, so its copies are equal.
@@ -567,15 +529,10 @@ def chain_maxt(chains, t_values, std_err, var_eta, table) -> np.ndarray:
     than ``_PASS_ENTRIES`` entries, one per bound and outer node, is cut
     into passes of whole tables, so its working set stays near one
     table's.  In a pass, the bounds that share an outer rule form one run
-    of equal node count.  The thresholds of every level column are built
-    at once, then each chain's factor in chain order: a length-one chain
-    is one normal CDF, a longer one a :func:`_walk_probability`.  Each
-    outer rule is summed over its run.
-
-    The 1e-9 error bound holds where the rows that share a level have
-    control coefficients in proportion to their dose weights, as in every
-    :class:`~trendcomp.contrasts.ContrastMatrix`; other rows give the
-    level's threshold a kink that the outer rule crosses slowly.
+    of equal node count.  The thresholds of every level column, its first
+    row's, are built at once, then each chain's factor in chain order: a
+    length-one chain is one normal CDF, a longer one a
+    :func:`_walk_probability`.  Each outer rule is summed over its run.
     """
     b = np.asarray(t_values, dtype=np.float64)
     se = np.asarray(std_err, dtype=np.float64)
@@ -631,9 +588,8 @@ def chain_maxt(chains, t_values, std_err, var_eta, table) -> np.ndarray:
         heads = np.flatnonzero(np.r_[True, np.diff(table[order]) != 0])
         filled = (np.cumsum(nz) - nz)[heads] // _PASS_ENTRIES
         cuts = heads[1:][filled[1:] != filled[:-1]]
-    # the rows of each level column, padded with its first: a level's
-    # threshold is the least of its rows'
-    on = chains.level_rows.ravel()
+    # the first row of each level column, whose threshold is the level's
+    on = chains.level_rows
     se, control, scale = se[:, on], control[on, None], scale[on, None]
     lower = ndtr(-z_hi)
     for sel, nz in zip(np.split(order, cuts), np.split(nz, cuts)):
@@ -649,7 +605,6 @@ def chain_maxt(chains, t_values, std_err, var_eta, table) -> np.ndarray:
         tab = np.repeat(table[sel], nz)
         x = sd0[tab] * np.concatenate([a.ravel() for a in z])
         c = (np.repeat((b[sel, None] * se[table[sel]]).T, nz, axis=1) + control * x) / scale
-        c = c.reshape(first[-1], -1, c.shape[1]).min(axis=1)
         inside = np.ones(x.size)
         for f, e in zip(first, first[1:]):
             if e - f == 1:

@@ -176,7 +176,7 @@ class TestChainStructure:
         # scale times the chain's widest row on the row's support; each
         # increment row the squared widest weights of the doses its level adds
         rng = np.random.default_rng(8)
-        shared = several = rejected = 0
+        shared = several = rejected = controls = 0
         for _ in range(200):
             C = random_chain_family(rng)
             found = chain_structure(C)
@@ -193,9 +193,11 @@ class TestChainStructure:
             np.testing.assert_allclose(rebuilt, C, rtol=1e-12, atol=0)
             np.testing.assert_array_equal(found.increments, increments)
             assert found.first[-1] == sum(map(len, found.levels))
-            for lvl, on in enumerate(found.level_rows):
-                assert set(found.col[on].tolist()) == {lvl}
-            assert sorted(set(found.level_rows.ravel().tolist())) == list(range(len(C)))
+            # each level column's first row, of which its other rows are multiples
+            heads = [int(np.flatnonzero(found.col == lvl)[0]) for lvl in range(found.first[-1])]
+            assert found.level_rows.tolist() == heads
+            for r, head in enumerate(found.level_rows[found.col]):
+                np.testing.assert_allclose(C[r], C[r, 0] / C[head, 0] * C[head], rtol=1e-12)
             shared += len(C) > found.first[-1]
             several += len(found.rows) > 1
             # a row of two or more doses bent off proportional to its widest row
@@ -206,17 +208,24 @@ class TestChainStructure:
                 bent[bend[0], 0] = -bent[bend[0], 1:].sum()
                 assert chain_structure(bent) is None
                 rejected += 1
-        assert min(shared, several, rejected) >= 40
+            # a row sharing a level, its control bent off proportional to the level's first row
+            follow = [r for r, head in enumerate(found.level_rows[found.col]) if head != r]
+            if follow:
+                bent = C.copy()
+                bent[follow[0], 0] *= 1.5
+                assert chain_structure(bent) is None
+                controls += 1
+        assert min(shared, several, rejected, controls) >= 40
 
     @pytest.mark.parametrize("k", [1, 2, 5, 8])
     def test_stock_records(self, k):
         n = np.arange(10.0, 10.0 + 3 * (k + 1), 3)
         found = chain_structure(dunnett_matrix(n).coefficients)
         assert found.first == tuple(range(k + 1))
-        assert found.level_rows.tolist() == [[q] for q in range(k)]  # one row per level
+        assert found.level_rows.tolist() == list(range(k))  # one row per level
         found = chain_structure(williams_matrix(n).coefficients)
         assert found.first == (0, k)
-        assert found.level_rows.tolist() == [[q] for q in range(k)]
+        assert found.level_rows.tolist() == list(range(k))
         top = np.cumsum(n[::-1])[:-1]  # N of the q highest doses, q = 1..k
         np.testing.assert_allclose(found.scale, n[1:].sum() / top, rtol=1e-12, atol=0)
 
@@ -395,26 +404,22 @@ def test_two_row_williams_is_the_owens_t_tail(n, y, no_qmc):
     np.testing.assert_allclose(p, lower[0], rtol=0, atol=1e-10)
 
 
-def test_rows_sharing_a_level_bind_at_their_least_threshold():
+def test_rows_sharing_a_level_out_of_proportion_have_no_chains():
     # Rows 0 and 1 share a level but not their control coefficients, which
-    # only rows without zero sums can do; so each binds for some control
-    # values.  The level's threshold then has a kink in the control value,
-    # where the outer rule converges only to about 1e-4, so the tolerance
-    # tells the least threshold from either row's alone (off by 0.07).
+    # only rows without zero sums can do; so each would bind for some
+    # control values, and the level's threshold would have a kink in the
+    # control value that the outer rule crosses slowly.  Such a family goes
+    # to QMC, whose p holds to the oracle within its tolerance.
     C = np.array(
         [[-1.0, 1.0, 0.0, 0.0], [-0.3, 2.0, 0.0, 0.0], [-1.0, 0.0, 0.4, 0.6], [-0.5, 0.0, 0.0, 1.5]]
     )
-    found = chain_structure(C)
-    assert found.first[-1] == 3
+    assert chain_structure(C) is None
     var = np.array([0.2, 0.35, 0.1, 0.25])
-    _, se, _, R = contrast_moments(C, np.zeros(4), var)
-    bounds = np.array([0.0, 1.0, 1.8, 2.5])
-    p = chains.chain_maxt(found, bounds, se[None], var[None], np.zeros(4, dtype=np.intp))
-    expected = [
-        1.0 - multivariate_normal.cdf(np.full(4, b), mean=np.zeros(4), cov=R, abseps=1e-8)
-        for b in bounds
-    ]
-    np.testing.assert_allclose(p, expected, rtol=0, atol=1e-3)
+    _, _, _, R = contrast_moments(C, np.zeros(4), var)
+    for b in (0.0, 1.0, 1.8, 2.5):
+        p = mvn_upper_orthant_complement(MvnSpec(R), b, abs_tol=1e-6).value
+        expected = multivariate_normal.cdf(np.full(4, b), mean=np.zeros(4), cov=R, abseps=1e-8)
+        assert abs(p - (1.0 - expected)) <= 5e-6
 
 
 @pytest.mark.parametrize("ratio", [0.01, 0.1, 1.0, 10.0, 100.0])
@@ -460,6 +465,51 @@ def test_walk_with_two_finite_levels_is_the_bivariate_normal(levels, finite, rat
     expected = [
         multivariate_normal.cdf(pair, mean=[0.0, 0.0], cov=cov, abseps=1e-15, releps=1e-13)
         for pair in c[[i, j]].T
+    ]
+    np.testing.assert_allclose(p, expected, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "ratio",
+    [
+        0.01,
+        # thresholds (0, +inf, 0) in sds of their levels are off by 2.0e-9,
+        # chunked or not: 1.7 nodes per sd of the closing CDF's increment are
+        # too few on level 1's whole range, and a higher rate moves k <= 3
+        # p-values, so it waits for a retune that may move them
+        pytest.param(1.0, marks=pytest.mark.xfail(raises=AssertionError, strict=True)),
+        100.0,
+    ],
+)
+def test_three_level_walk_in_several_chunks_is_the_bivariate_normal(ratio, monkeypatch):
+    # each entry leaves one level at +inf, so the walk is the pair (W_i, W_j);
+    # a walk of three levels has no kernel, so only the size cap cuts chunks,
+    # and at its least one table's entries take several
+    sigma = 0.3 * np.sqrt(np.array([1.0, ratio, 1.0]))
+    var = np.cumsum(sigma * sigma)
+    grid = [-4.0, -1.5, 0.0, 0.8, 2.5, np.inf]
+    entries = [((i, j), (a, b)) for i, j in [(0, 1), (0, 2), (1, 2)] for a in grid for b in grid]
+    c = np.full((3, len(entries)), np.inf)
+    for q, (pair, z) in enumerate(entries):
+        c[pair, q] = np.array(z) * np.sqrt(var[list(pair)])
+    runs = []
+    chunks = chains._chunks
+
+    def recorded(*args):
+        for run in chunks(*args):
+            runs.append(run.size)
+            yield run
+
+    monkeypatch.setattr(chains, "_KERNEL_CHUNK_ENTRIES", 1)
+    monkeypatch.setattr(chains, "_chunks", recorded)
+    p = chains._walk_probability(sigma[None], c, np.zeros(c.shape[1], dtype=np.intp))
+    assert runs == [32, 32, 32, 12]
+    expected = [
+        multivariate_normal.cdf(
+            c[[i, j], q], mean=[0.0, 0.0], cov=[[var[i], var[i]], [var[i], var[j]]],
+            abseps=1e-15, releps=1e-13,
+        )
+        for q, ((i, j), _) in enumerate(entries)
     ]
     np.testing.assert_allclose(p, expected, rtol=0, atol=1e-10)
 
@@ -583,7 +633,7 @@ class TestWorkingSet:
         if family is williams_matrix:
             # a 16-level walk costs 0.15 s a table; its arrays are bounded per
             # kernel chunk, so a stand-in keeps the call's own arrays under test
-            monkeypatch.setattr(chains, "_kernel_walk", lambda sigma, c: np.full(c.shape[1], 0.5))
+            monkeypatch.setattr(chains, "_table_walk", lambda sigma, c: np.full(c.shape[1], 0.5))
         rng = np.random.default_rng(16)
         n = np.full(17, 50)
         y = rng.binomial(n, rng.uniform(0.1, 0.5, size=(512, 17)))

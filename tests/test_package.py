@@ -1,9 +1,10 @@
 """Every name a module exports resolves, so ``from ... import *`` works,
-and no module imports a name it never uses.
+no module imports a name it never uses, no private definition goes
+unread, and every source file parses as the oldest supported Python.
 
 Deleting a function without dropping it from ``__all__`` fails here
 instead of breaking the star import, and deleting its last caller
-without its import fails here too.
+without its import or its private helpers fails here too.
 """
 
 import ast
@@ -11,6 +12,12 @@ import importlib
 from pathlib import Path
 
 import pytest
+
+import trendcomp
+
+ROOT = Path(__file__).resolve().parents[1]
+# the oldest Python that pyproject.toml's requires-python admits
+FLOOR = (3, 10)
 
 MODULES = (
     "trendcomp",
@@ -63,3 +70,63 @@ def test_the_unused_import_check_finds_one():
 def test_no_module_imports_a_name_it_never_uses(name):
     path = Path(importlib.import_module(name).__file__)
     assert imported_but_unused(path.read_text()) == []
+
+
+def unread_private_names(sources: dict) -> list:
+    """The private module-level definitions of ``sources`` that none of them reads.
+
+    ``sources`` maps a label to a module's source.  A private name starts
+    with ``_`` and is not a dunder; it is defined by a top-level function,
+    class or assignment.  A read is a loaded name, an attribute or a name
+    imported from another module, whose own use the check above covers.
+    """
+    defined, read = [], set()
+    for label, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defined += [(label, name, node.lineno) for name in names]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return [
+        f"{label}: {name} (line {line})"
+        for label, name, line in defined
+        if name.startswith("_") and not name.endswith("__") and name not in read
+    ]
+
+
+def test_the_dead_definition_check_finds_them():
+    sources = {
+        "a": "__version__ = '1'\n_A = 1\n_B, _C = 2, 3\n"
+        "def _f():\n    return _A\nclass _K:\n    pass\n",
+        "b": "from a import _C\nprint(_C)\n",
+    }
+    assert unread_private_names(sources) == ["a: _B (line 3)", "a: _f (line 4)", "a: _K (line 6)"]
+
+
+def test_no_private_definition_goes_unread():
+    package = Path(trendcomp.__file__).parent
+    sources = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert unread_private_names(sources) == []
+
+
+def test_every_file_parses_as_the_oldest_supported_python():
+    # the grammar of the floor, which CI tests and a newer local Python does not
+    assert 'requires-python = ">=%d.%d"' % FLOOR in (ROOT / "pyproject.toml").read_text()
+    with pytest.raises(SyntaxError):  # an exception group needs 3.11
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=FLOOR)
+    paths = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=FLOOR)
