@@ -175,7 +175,7 @@ def cmd_simulate(config_path: str, parallelism: int = 1, output_format: str = "t
             f"{res.scenario.replicates / max(res.elapsed, 1e-9):.0f} replicates/s "
             f"({res.n_boundary} boundary, "
             f"{res.n_degenerate} degenerate; maxT bounds settled by the sandwich "
-            f"{res.n_sandwich}, by second-order bounds {res.n_second_order}, "
+            f"{res.n_sandwich}, by closed form or second-order bounds {res.n_second_order}, "
             f"integrated {res.n_integrated})",
             file=sys.stderr,
         )

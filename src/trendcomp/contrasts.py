@@ -17,14 +17,17 @@ closed test of :mod:`trendcomp.ctp` and in every decision of
 :mod:`trendcomp.simulate`, comes from one function, :func:`_maxt_p`,
 over a table axis.  It picks the route of a family from its number of
 rows and then its :attr:`ContrastMatrix.chains`, found once per matrix
-from its coefficients.  One row is its raw normal tail.  Two rows are
-exact in closed form: the maxT tail is 2 Phi(-t) minus a bivariate
-normal tail, which :func:`trendcomp.mvn.maxt_bounds` computes through
-Owen's T, so the k=2 families and the closed test's segment {0, 1, 2}
-need no quadrature and never look at their chains.  Larger families
-with chain structure (see :mod:`trendcomp.chains`), which covers
-many-to-one, Williams and so every closed-test segment, get exact
-quadrature with error below 1e-9 (measured in :mod:`trendcomp.chains`).
+from its coefficients.  One row is its raw normal tail.  Two and three
+rows are exact in closed form, by inclusion-exclusion over the rows'
+tails: :func:`trendcomp.mvn.maxt_bounds` gives the pair tails through
+Owen's T and the triple tail by one Plackett integral, within 1e-12 of
+nested ``quad`` oracles.  So every family of k <= 3, the paper's k=3
+examples included, and the closed test's segments {0, 1, 2} and
+{0, 1, 2, 3} need no quadrature and never look at their chains.  Larger
+families with chain structure (see :mod:`trendcomp.chains`), which
+covers many-to-one, Williams and so every closed-test segment, get
+exact quadrature with error below 1e-9 (measured in
+:mod:`trendcomp.chains`).
 None of these routes validates the correlation: it is built from group
 variances, so it is positive semidefinite by construction.  Any other
 family goes to the randomized quasi-Monte Carlo integrator of
@@ -229,8 +232,8 @@ def _maxt_p(
     1. One row is its raw normal tail.
     2. The sandwich p_raw <= p <= m p_raw settles a bound with
        m p_raw < lo or p_raw >= hi.
-    3. Two rows take the closed form of :func:`maxt_bounds`, whose
-       bounds coincide there, clipped into [p_raw, min(1, 2 p_raw)].
+    3. Two or three rows take the closed form of :func:`maxt_bounds`,
+       whose bounds coincide there, clipped into [p_raw, min(1, m p_raw)].
     4. Given a window, :func:`maxt_bounds` brackets the open bounds of a
        larger family and settles those it puts more than ``_MARGIN``
        outside the window.
@@ -251,9 +254,9 @@ def _maxt_p(
     # one row is exact; the sandwich leaves open what it cannot put outside [lo, hi]
     r, b = ((p_raw < hi) & (p >= lo) & (m > 1)).nonzero()
     sandwich_open = r.size
-    if m == 2 and r.size:
+    if m <= 3 and r.size:
         closed = maxt_bounds(t[r, b, None], correlation[r])[1][:, 0]
-        p[r, b] = np.minimum(np.maximum(closed, p_raw[r, b]), np.minimum(1.0, 2.0 * p_raw[r, b]))
+        p[r, b] = np.minimum(np.maximum(closed, p_raw[r, b]), np.minimum(1.0, m * p_raw[r, b]))
         r = r[:0]
     lower = None
     # Without a window the bracket could settle nothing and would only check
@@ -291,9 +294,9 @@ def _maxt_p(
 def contrast_test(fit: ModelFit, contrasts: ContrastMatrix) -> TestReport:
     """Run a one-sided maxT test of the given contrasts on a fitted model.
 
-    The route is :func:`_maxt_p`'s.  A family of one or two rows takes
+    The route is :func:`_maxt_p`'s.  A family of one to three rows takes
     a closed form, exact to rounding.  A larger family with chain
-    structure (every stock family of three or more rows) is integrated
+    structure (every stock family of four or more rows) is integrated
     exactly, with error below 1e-9 (see :mod:`trendcomp.chains`) and no
     random numbers.  Any other family is integrated by quasi-Monte Carlo
     at the defaults of :func:`trendcomp.mvn.adjust_maxt`, and only that

@@ -18,11 +18,12 @@ both variants.
 the many-to-one (Dunnett) family and variant C's k segment families, the
 top one being the global Williams family.  Each is a plain
 :class:`ContrastMatrix` that carries its chains.  Every adjusted p-value
-comes from :func:`trendcomp.contrasts._maxt_p`: a family of one or two
-rows (so every k=2 family and the segments {0, 1} and {0, 1, 2}) is
-exact in closed form, and a larger one, which has chain structure, comes
-from the exact quadrature of :mod:`trendcomp.chains`, with error below
-1e-9 (measured there) and no random numbers.  The closure of
+comes from :func:`trendcomp.contrasts._maxt_p`: a family of one to
+three rows (so every family of a k <= 3 table and the segments {0, 1},
+{0, 1, 2} and {0, 1, 2, 3}) is exact in closed form, and a larger one,
+which has chain structure, comes from the exact quadrature of
+:mod:`trendcomp.chains`, with error below 1e-9 (measured there) and no
+random numbers.  The closure of
 :func:`closed_analysis`, :func:`_williams_closure`, asks for each lower
 segment's p only above the running maximum, so a segment that the
 sandwich or the second-order bracket proves cannot raise it is not
@@ -181,7 +182,7 @@ def closed_analysis(data: DoseGroupData, *, boundary_policy: str = "haldane") ->
     """Run Dunnett, Williams and both closed-test variants on one dataset.
 
     A single saturated fit feeds every procedure, and every adjusted
-    p-value is exact: in closed form for a family of one or two rows,
+    p-value is exact: in closed form for a family of one to three rows,
     else integrated with error below 1e-9 (see :mod:`trendcomp.chains`).
     A closed-test segment that provably cannot raise the running maximum
     is not integrated (:func:`_williams_closure`).  No significance level

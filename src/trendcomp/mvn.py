@@ -6,7 +6,12 @@ families in :func:`trendcomp.contrasts.contrast_test`.  The stock families
 simulation alike, have chain structure and are integrated exactly by
 :mod:`trendcomp.chains` instead; ``seed``, ``abs_tol`` and ``max_points``
 below act only on this route.  :func:`maxt_bounds` brackets maxT-adjusted
-p-values in closed form, for any correlation and many tables at once.
+p-values in closed form, for any correlation and many tables at once, and
+gives the exact p-value of a family of two or three rows: Owen's T for a
+pair, and for three rows one Plackett integral on 64 nodes
+(:func:`_triple_tail`), held to ``quad`` oracles within 1e-12 and to the
+arcsine formula at t = 0 within 1e-15, at correlations of +-1 too, by
+``tests/test_mvn.py``.
 
 The tail probability P(max_j T_j >= b) for T ~ N(0, R) is summed over
 first passages, P(T_i >= b, T_j < b for j < i), so the rare event leads
@@ -32,6 +37,7 @@ import numpy as np
 from scipy.special import ndtr, owens_t
 
 from . import _genz_py as _kernel
+from .chains import _gauss_legendre
 
 __all__ = [
     "BACKEND",
@@ -319,6 +325,64 @@ def _pairs(m: int) -> tuple:
     return i, j, stars, path
 
 
+def _triple_tail(t, rho, p_raw, pair) -> np.ndarray:
+    """P(T_1 >= t, T_2 >= t, T_3 >= t) for three rows, shaped like ``t``.
+
+    ``rho`` holds each table's three correlations in :func:`_pairs`
+    order and ``pair`` the pair tails of :func:`maxt_bounds`.  By
+    symmetry the tail is the trivariate CDF at h = -t, reduced to one
+    integral over a correlation path (Plackett 1954, Biometrika 41:351,
+    as Genz 2004, Stat. Comput. 14:251, uses it).  The pivot row is the
+    one opposite the correlation c of largest magnitude; its
+    correlations a, b with the other two rows shrink to s a, s b, so at
+    s = 0 the tail is p_raw times the pair tail at c, and along the path
+    its slope is a phi2(h, h; s a) Phi(u_b(s)) + (the same, a and b
+    swapped).  Here phi2 is the bivariate normal density and u_b the
+    bound of the third row given the other two at h, standardized; its
+    conditional variance carries det R(s) = (1 - c^2)(1 - s^2) + s^2 det R,
+    which vanishes only for |c| = 1, where u_b is +-inf or, at a zero
+    numerator, 0.
+
+    Each term is integrated over its own angle, s a = sin(theta), which
+    cancels phi2's factor 1 / sqrt(1 - s^2 a^2) exactly, and theta =
+    asin(a) (1 - (1 - x)^2) puts the nodes close to s = 1, where the term
+    varies on the scale of 1 - |a| and det R.  A rule over s itself,
+    s = 1 - (1 - x)^2, misses that scale: at 64 nodes it was off by 2e-9
+    once two correlations came within 1e-3 of 1, and by 1.5e-5 within
+    1e-7.  Over the angles, 64 nodes and 128 differ by at most 2.2e-16
+    on 36,000 stock-family bounds with correlations up to 1 - 2.3e-9.
+    """
+    q = np.argmax(np.abs(rho), axis=-1)[:, None]
+    c, a, b = (np.take_along_axis(rho, (q + i) % 3, axis=-1)[:, :, None] for i in range(3))
+    det = np.maximum((1.0 - c) * (1.0 + c - 2.0 * a * b) - (a - b) ** 2, 0.0)
+    # both terms at once, along a leading axis: (a, b) and (b, a)
+    a, b = np.stack([a, b]), np.stack([b, a])
+    x, w = _gauss_legendre(64)
+    # theta = top - d; its sine and cosine, 1 + sin(theta) and 1 - s are
+    # formed from d, free of cancellation where |a| is near 1
+    top = np.arcsin(a)
+    d = top * (1.0 - x) ** 2
+    sin_half, cos_half = np.sin(0.5 * d), np.cos(0.5 * d)
+    sin_d = 2.0 * sin_half * cos_half
+    cos_top = np.sqrt((1.0 - a) * (1.0 + a))
+    cos_theta = cos_top * (1.0 - 2.0 * sin_half**2) + a * sin_d
+    one_plus = (1.0 + a) - 2.0 * a * sin_half**2 - cos_top * sin_d
+    sine_gap = 2.0 * (cos_top * cos_half + a * sin_half) * sin_half  # a - sin(theta)
+    gap = np.divide(sine_gap, a, out=np.zeros_like(d), where=a != 0.0)
+    s = 1.0 - gap
+    root = np.sqrt((1.0 - c) * (1.0 + c) * gap * (1.0 + s) + s * s * det)
+    h = -t[..., None]
+    num = h * ((1.0 - c) + s * (a - b)) * (cos_theta / one_plus)
+    u = np.where(num == 0.0, 0.0, np.copysign(np.inf, num))
+    np.divide(num, root, out=u, where=root > 0.0)
+    weight = top * ((1.0 - x) * w / math.pi)
+    # each term summed over its own nodes, the last axis, so a table's
+    # floats do not depend on the tables it is batched with
+    first, second = np.sum(np.exp(-h * h / one_plus) * ndtr(u) * weight, axis=-1)
+    start = p_raw * np.take_along_axis(pair, q[:, :, None], axis=-1)[..., 0]
+    return start + first + second
+
+
 def maxt_bounds(t, correlation) -> tuple:
     """Lower and upper bounds on maxT-adjusted p-values, for many tables at once.
 
@@ -336,7 +400,8 @@ def maxt_bounds(t, correlation) -> tuple:
     centre and the path through the rows in order.  The lower bound is
     the larger of p and that of Dawson & Sankoff (1967, JASA 62:823),
     2 S1 / (k + 1) - 2 S2 / (k (k + 1)) with k = 1 + floor(2 S2 / S1).
-    With two rows both bounds are exact.
+    With two rows S1 - S2 is exact, and with three rows S1 - S2 + S3,
+    S3 from :func:`_triple_tail`; there both bounds are that value.
     """
     t = np.asarray(t, dtype=np.float64)
     R = np.asarray(correlation, dtype=np.float64)
@@ -349,6 +414,9 @@ def maxt_bounds(t, correlation) -> tuple:
     pair = np.maximum(p_raw[..., None] - 2.0 * owens_t(t[..., None], slope), 0.0)
     s1 = m * p_raw
     s2 = pair.sum(axis=-1)
+    if m <= 3:
+        exact = s1 - s2 + (_triple_tail(t, rho, p_raw, pair) if m == 3 else 0.0)
+        return exact, exact
     star = np.max([pair[..., mask].sum(axis=-1) for mask in star_masks], axis=0)
     path = pair[..., path_mask].sum(axis=-1)
     upper = s1 - np.maximum(star, path)

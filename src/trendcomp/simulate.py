@@ -17,12 +17,14 @@ stages over the whole chunk at once.  The exact sandwich p_raw <= p_adj
 :func:`trendcomp.mvn.maxt_bounds` settle most of the rest, a bound only
 when its bracket lies more than ``trendcomp.chains._MARGIN`` (1e-7, ten
 times the quadrature's error) clear of alpha, and give a family of two
-rows its exact closed form.  :func:`trendcomp.chains.chain_maxt`
-integrates what is still open, in one call per family over all of the
-chunk's tables, one bound per table for each lower segment, and each
-table's p-values are the ones a call on that table alone returns.  How
-many bounds each stage settled is counted per scenario and reported on
-stderr, not in :meth:`ScenarioResult.to_dict`.
+or three rows its exact closed form, so a k = 3 design integrates
+nothing.  :func:`trendcomp.chains.chain_maxt` integrates what is still
+open in families of four or more rows, in one call per family over all
+of the chunk's tables, one bound per table for each lower segment, and
+each table's p-values are the ones a call on that table alone returns.
+How many bounds each stage settled is counted per scenario and reported
+on stderr ("by closed form or second-order bounds" for the second), not
+in :meth:`ScenarioResult.to_dict`.
 
 The default boundary policy here is ``smooth`` (one pseudo-responder
 and one pseudo-non-responder added to every group), not the analysis
@@ -162,7 +164,8 @@ class ScenarioResult:
     the decision of the global trend test.  ``elapsed`` is wall time in
     seconds.  ``n_sandwich``, ``n_second_order`` and ``n_integrated``
     count the maxT bounds decided by the first-order sandwich, by the
-    second-order bounds and by the quadrature.  Timing and these counts
+    closed form of two or three rows or the second-order bounds, and by
+    the quadrature.  Timing and these counts
     describe how the rates were computed, not what they are, so they stay
     out of :meth:`to_dict`.  Results compare by value, timing aside.
     """

@@ -5,8 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import normal_density
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.special import ndtr
 from scipy.stats import multivariate_normal
 
@@ -317,6 +319,20 @@ class TestOracles:
                 [-b, -b], mean=[0.0, 0.0], cov=[[1.0, rho], [rho, 1.0]], abseps=1e-14, releps=1e-12
             )
             assert p == pytest.approx(2.0 * ndtr(-b) - both, rel=0, abs=1e-10)
+
+    @pytest.mark.parametrize("k", range(4, 9))
+    def test_dunnett_is_the_integral_over_the_control(self, k):
+        # given the control z, P(all T_i < b) = E_z prod_i Phi((b se_i + sd_0 z) / sd_i)
+        rng = np.random.default_rng(k)
+        var = rng.uniform(0.02, 0.6, size=k + 1)
+        cm = dunnett_matrix([10] * (k + 1))
+        _, se, _, _ = contrast_moments(cm.coefficients, np.zeros(k + 1), var)
+        bounds = np.array([-0.5, 0.0, 1.1, 2.3, 3.4])
+        sd = np.sqrt(var)
+        for b, p in zip(bounds, one_table(cm, bounds, se[None], var[None])):
+            doses = lambda z: normal_density(z) * np.prod(ndtr((b * se + sd[0] * z) / sd[1:]))
+            below = quad(doses, -9.0, 9.0, epsabs=1e-13, epsrel=0.0, limit=200)[0]
+            assert p == pytest.approx(1.0 - below, rel=0, abs=1e-12)
 
     def test_liarozole_high_precision(self, liarozole, no_qmc):
         fit = fit_saturated_logit(liarozole)
@@ -698,28 +714,46 @@ class TestNodeCap:
     """Very unequal group variances would need a rule far above the cap."""
 
     def test_unequal_table_raises_at_once(self):
+        # four doses: a family of three rows takes its closed form, which needs no rule
         data = DoseGroupData(
-            labels=tuple("0123"), n=[100000, 3, 100000, 100000], y=[50000, 1, 50000, 50000]
+            labels=tuple("01234"),
+            n=[100000, 3, 100000, 100000, 100000],
+            y=[50000, 1, 50000, 50000, 50000],
         )
         start = time.perf_counter()
-        with pytest.raises(contrasts.ContrastError, match="nodes, above the cap of 4096"):
+        with pytest.raises(contrasts.ContrastError, match="7096 nodes, above the cap of 4096"):
             closed_analysis(data)
         assert time.perf_counter() - start < 1.0
 
     def test_huge_variance_raises_at_once(self):
-        # three rows: a family of two takes its closed form, which needs no rule
-        fit = null_fit([0.08, 0.08, 0.08, 1.25e9])
+        fit = null_fit([0.08, 0.08, 0.08, 0.08, 1.25e9])
         start = time.perf_counter()
         with pytest.raises(contrasts.ContrastError, match="cap of 4096"):
-            contrast_test(fit, williams_matrix([10] * 4))
+            contrast_test(fit, williams_matrix([10] * 5))
         assert time.perf_counter() - start < 1.0
+
+    def test_the_same_table_at_three_doses_is_the_closed_form(self, three_row_quad):
+        data = DoseGroupData(
+            labels=tuple("0123"), n=[100000, 3, 100000, 100000], y=[50000, 1, 50000, 50000]
+        )
+        start = time.perf_counter()
+        result = closed_analysis(data)
+        assert time.perf_counter() - start < 1.0
+        assert result.williams_report.correlation[1, 2] > 1.0 - 1e-5
+        for report in (result.dunnett_report, result.williams_report):
+            want = [three_row_quad(b, report.correlation) for b in report.statistic]
+            np.testing.assert_allclose(report.p_adjusted, want, rtol=0, atol=1e-12)
 
     def test_one_error_class(self):
         assert chains.ContrastError is contrasts.ContrastError is trendcomp.ContrastError
 
 
 class TestNearCap:
-    """Just below the node cap the rules are large, but no k=3 walk builds a kernel."""
+    """Tables whose variances once took rules just below the node cap.
+
+    Three rows now take the closed form of ``maxt_bounds``, so these k=3
+    tables build no rule; the p-values were recorded from the quadrature.
+    """
 
     @pytest.mark.parametrize(
         "n, y, expected",
@@ -738,7 +772,6 @@ class TestNearCap:
         ids=["n1=20", "n1=10"],
     )
     def test_analyzed_in_under_a_second(self, n, y, expected):
-        # p-values recorded from the walk that carried level 0 on nodes
         dunnett, williams = expected
         start = time.perf_counter()
         result = closed_analysis(DoseGroupData(labels=tuple("0123"), n=n, y=y))
@@ -766,16 +799,17 @@ class TestRouteSelection:
     @pytest.mark.parametrize(
         "C",
         [
-            [[-1.0, 1.0, 0.0, 0.0], [-0.5, -0.5, 0.0, 1.0], [-1.0, 0.0, 1.0, 0.0]],
-            [[-1.0, 0.5, 0.5, 0.0], [-1.0, 0.0, 0.5, 0.5], [-1.0, 0.0, 0.0, 1.0]],
-            [[-1.0, 0.0, 0.5, 0.5], [-1.0, 0.2, 0.2, 0.6], [-1.0, 0.0, 0.0, 1.0]],
+            [[-1, 1, 0, 0], [-0.5, -0.5, 0, 1], [-1, 0, 1, 0], [-1, 0, 0, 1]],
+            [[-1, 0.5, 0.5, 0], [-1, 0, 0.5, 0.5], [-1, 0, 0, 1], [-1, 1, 0, 0]],
+            [[-1, 0, 0.5, 0.5], [-1, 0.2, 0.2, 0.6], [-1, 0, 0, 1], [-1, 1, 0, 0]],
         ],
         ids=["negative-dose-weight", "overlap-not-nested", "nested-not-proportional"],
     )
     def test_custom_families_keep_qmc(self, C, liarozole, no_exact):
-        # three rows each: a family of two takes the closed form whatever its structure
+        # four rows each: a family of three takes the closed form whatever its structure
         fit = fit_saturated_logit(liarozole)
-        cm = ContrastMatrix(names=("a", "b", "c"), coefficients=C)
+        cm = ContrastMatrix(names=("a", "b", "c", "d"), coefficients=C)
+        assert cm.chains is None
         _, _, t, R = contrast_moments(cm.coefficients, fit.eta, fit.var_eta)
         report = contrast_test(fit, cm)
         np.testing.assert_array_equal(report.p_adjusted, adjust_maxt(t, MvnSpec(R)))

@@ -148,8 +148,12 @@ class TestAnalyzeErrors:
 
     def test_node_cap_is_numeric_error(self, capsys, tmp_path):
         # group variances about 1e5 apart need a quadrature rule above the cap
+        # for a family of four rows; three rows take their closed form
         p = tmp_path / "unequal.csv"
-        p.write_text("dose,n,responders\n0,100000,50000\n1,3,1\n2,100000,50000\n3,100000,50000\n")
+        p.write_text(
+            "dose,n,responders\n0,100000,50000\n1,3,1\n"
+            + "".join(f"{d},100000,50000\n" for d in (2, 3, 4))
+        )
         code, out, err = run_cli(capsys, "analyze", "--input", str(p))
         assert code == EXIT_NUMERIC
         assert out == ""
@@ -222,7 +226,7 @@ class TestSimulateCommand:
         assert "tiny: 120 replicates" in err
         assert re.search(r"tiny: 120 replicates in \d+\.\ds, \d+ replicates/s \(", err)
         assert re.search(
-            r"maxT bounds settled by the sandwich \d+, by second-order bounds \d+, "
+            r"maxT bounds settled by the sandwich \d+, by closed form or second-order bounds \d+, "
             r"integrated \d+\)",
             err,
         )
@@ -257,11 +261,13 @@ class TestSimulateCommand:
         assert "error:" in err
 
     def test_node_cap_is_numeric_error(self, capsys, tmp_path):
-        # bounds the second-order bounds leave open go to a rule above the cap
+        # bounds of four-row families the second-order bounds leave open go to
+        # a rule above the cap
         p = tmp_path / "unequal.yaml"
         p.write_text(
             "schema_version: 1\nmaster_seed: 7\nscenarios:\n"
-            "  - {n: [100000, 3, 100000, 100000], pi: [0.5, 0.5, 0.504, 0.504], replicates: 20}\n"
+            "  - {n: [100000, 3, 100000, 100000, 100000], pi: [0.5, 0.5, 0.504, 0.504, 0.504],"
+            " replicates: 20}\n"
         )
         code, out, err = run_cli(capsys, "simulate", "--config", str(p))
         assert code == EXIT_NUMERIC
@@ -269,7 +275,9 @@ class TestSimulateCommand:
         assert "cap of 4096" in err
 
     def test_bounds_settle_a_design_too_unequal_to_integrate(self, capsys, tmp_path):
-        # integrating any of its open bounds would need a rule above the node cap
+        # too unequal for the quadrature (the same design with a fourth dose
+        # raises), but no family has more than three rows, so each bound the
+        # sandwich leaves open takes the closed form
         p = tmp_path / "unequal.yaml"
         p.write_text(
             "schema_version: 1\nmaster_seed: 7\nscenarios:\n"
@@ -278,7 +286,7 @@ class TestSimulateCommand:
         code, out, err = run_cli(capsys, "simulate", "--config", str(p))
         assert code == EXIT_OK
         assert out.startswith("scenario ")
-        assert re.search(r"by second-order bounds [1-9]\d*, integrated 0\)", err)
+        assert re.search(r"by closed form or second-order bounds [1-9]\d*, integrated 0\)", err)
 
     def test_missing_config_is_parse_error(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "simulate", "--config", str(tmp_path / "no.yaml"))

@@ -286,11 +286,11 @@ def test_closed_analysis_finds_each_family_s_chains_once(monkeypatch):
 
 
 def integrate_every_open_segment(patch):
-    """Widens the bracket of every family of three or more rows to [0, 1], which settles nothing."""
+    """Widens the bracket of every family of four or more rows to [0, 1], which settles nothing."""
     bounds = contrasts.maxt_bounds
 
     def trivial(t, correlation):
-        if correlation.shape[-1] < 3:  # the closed form of two rows
+        if correlation.shape[-1] < 4:  # the closed forms of two and three rows
             return bounds(t, correlation)
         return np.zeros_like(t), np.ones_like(t)
 
@@ -316,14 +316,25 @@ def test_bracket_settled_closure_is_the_integrated_closure():
             integrate_every_open_segment(patch)
             expected = _williams_closure(fit, segments, top, routes=routes)
         assert got.tobytes() == expected.tobytes()
-        # the two-row closed forms count as second-order in both runs
+        # the closed forms of two and three rows count as second-order in both runs
         settled += bracketed[1] - routes[1]
         integrated += bracketed[2]
     assert settled > 0 and integrated > 0
 
 
-def test_a_k3_analysis_integrates_only_dunnett_and_williams(monkeypatch):
-    # segment {0, 1} is its raw p and {0, 1, 2} the closed form of two rows
+def test_a_k3_analysis_integrates_nothing(monkeypatch):
+    # every family has at most three rows, so each p is its raw tail or a closed form
+    monkeypatch.setattr(contrasts, "chain_maxt", lambda *args: pytest.fail("integrated"))
+    n = (41, 43, 47, 53)
+    _families_of_sizes.cache_clear()  # so this test builds the families
+    result = closed_analysis(DoseGroupData(labels=tuple("0123"), n=n, y=[4, 8, 12, 20]))
+    assert np.all(result.p_ctp_williams < 1.0)  # the closure visited every segment
+    dunnett, segments = _stock_families(n)
+    assert not any("chains" in vars(cm) for cm in (dunnett, *segments.values()))
+
+
+def test_a_k4_analysis_integrates_only_dunnett_and_williams(monkeypatch):
+    # segment {0, 1} is its raw p, and {0, 1, 2} and {0, .., 3} closed forms
     integrated = []
     integrate = contrasts.chain_maxt
 
@@ -332,13 +343,13 @@ def test_a_k3_analysis_integrates_only_dunnett_and_williams(monkeypatch):
         return integrate(chains, t, *args)
 
     monkeypatch.setattr(contrasts, "chain_maxt", counted)
-    n = (41, 43, 47, 53)
+    n = (41, 43, 47, 53, 59)
     _families_of_sizes.cache_clear()  # so this test builds the families
-    result = closed_analysis(DoseGroupData(labels=tuple("0123"), n=n, y=[4, 8, 12, 20]))
+    result = closed_analysis(DoseGroupData(labels=tuple("01234"), n=n, y=[4, 8, 12, 20, 27]))
     assert np.all(result.p_ctp_williams < 1.0)  # the closure visited every segment
-    assert integrated == [3, 3]  # each with the family's three statistics
+    assert integrated == [4, 4]  # each with the family's four statistics
     segments = _stock_families(n)[1]
-    assert "chains" not in vars(segments[1]) and "chains" not in vars(segments[2])
+    assert not any("chains" in vars(segments[j]) for j in (1, 2, 3))
 
 
 def test_new_sizes_of_a_seen_k_find_no_new_layout(monkeypatch):
@@ -370,8 +381,9 @@ def test_an_integrated_segment_outside_its_bracket_raises(shift, raises, monkeyp
 
     monkeypatch.setattr(contrasts, "maxt_bounds", recorded)
     monkeypatch.setattr(contrasts, "chain_maxt", off)
-    n = np.array([30, 25, 40, 35, 33])
-    fit = fit_saturated_logit(DoseGroupData(labels=tuple("01234"), n=n, y=[3, 4, 6, 9, 14]))
+    # five doses, so that segment {0, .., 4} has four rows and is integrated
+    n = np.array([30, 25, 40, 35, 33, 31])
+    fit = fit_saturated_logit(DoseGroupData(labels=tuple("012345"), n=n, y=[3, 4, 6, 9, 14, 15]))
     # a running maximum of 0 leaves the bracket nothing to settle
     closure = lambda: _williams_closure(fit, _stock_families(n)[1], 0.0)
     if raises:

@@ -1,10 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from conftest import normal_density
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.special import ndtr
 from scipy.stats import multivariate_normal
 
+from trendcomp import mvn
+from trendcomp.chains import _gauss_legendre
 from trendcomp.mvn import (
     BACKEND,
     MAX_DIMENSION,
@@ -231,6 +237,102 @@ class TestMaxtBounds:
         want = np.where(t > 0.0, 2.0 * ndtr(-t), 1.0)
         np.testing.assert_allclose(lower, want, rtol=0, atol=1e-15)
         np.testing.assert_allclose(upper, want, rtol=0, atol=1e-15)
+
+
+def near_copy(rng, row, sign):
+    """A unit row whose correlation with ``row`` is within 1e-4 of ``sign``."""
+    w = np.cross(row, rng.standard_normal(3))
+    w /= np.linalg.norm(w)
+    rho = 1.0 - 1e-4 * rng.uniform(0.01, 1.0)
+    return sign * rho * row + math.sqrt(1.0 - rho * rho) * w
+
+
+class TestThreeRowClosedForm:
+    """With three rows both bounds are the exact tail, held to ``quad`` oracles."""
+
+    def test_random_correlations(self, three_row_quad):
+        rng = np.random.default_rng(11)
+        t = np.array([-1.1, 0.0, 1.3, 3.2])
+        near = set()
+        for case in range(16):
+            V = rng.standard_normal((3, 3))
+            V /= np.linalg.norm(V, axis=1, keepdims=True)
+            if case >= 8:  # rows 0 and 2 within 1e-4 of +-1
+                V[2] = near_copy(rng, V[0], (-1.0) ** case)
+            R = V @ V.T
+            np.fill_diagonal(R, 1.0)
+            order = rng.permutation(3)
+            R = R[np.ix_(order, order)]
+            near.update(np.sign(R[np.abs(R) > 1.0 - 1e-4]).tolist())
+            lower, upper = maxt_bounds(t[None], R[None])
+            assert lower.tobytes() == upper.tobytes()
+            want = [three_row_quad(b, R) for b in t]
+            np.testing.assert_allclose(upper[0], want, rtol=0, atol=1e-12)
+            # at t = 0: P(all T < 0) = 1/8 + (sum of asin rho) / (4 pi)
+            orthant = 0.125 + np.arcsin(R[np.triu_indices(3, 1)]).sum() / (4.0 * math.pi)
+            assert upper[0, 1] == pytest.approx(1.0 - orthant, rel=0, abs=1e-15)
+        assert near == {-1.0, 1.0}
+
+    def test_three_rows_near_one_another(self, monkeypatch):
+        # every correlation near +-1, so phi2 nearly blows up where the path
+        # meets R: exact at t = 0 by the arcsine formula, and elsewhere
+        # unmoved by eight times the nodes
+        rng = np.random.default_rng(3)
+        t = np.array([-1.1, 0.0, 1.3, 3.2])
+        for case in range(8):
+            V = rng.standard_normal((3, 3))
+            V[0] /= np.linalg.norm(V[0])
+            V[1] = near_copy(rng, V[0], (-1.0) ** case)
+            V[2] = near_copy(rng, V[0], (-1.0) ** (case // 2))
+            R = V @ V.T
+            np.fill_diagonal(R, 1.0)
+            rho = R[np.triu_indices(3, 1)]
+            assert np.all(np.abs(rho) > 1.0 - 5e-4)
+            upper = maxt_bounds(t[None], R[None])[1]
+            orthant = 0.125 + np.arcsin(rho).sum() / (4.0 * math.pi)
+            assert upper[0, 1] == pytest.approx(1.0 - orthant, rel=0, abs=1e-15)
+            with monkeypatch.context() as patch:
+                patch.setattr(mvn, "_gauss_legendre", lambda n: _gauss_legendre(8 * n))
+                fine = maxt_bounds(t[None], R[None])[1]
+            np.testing.assert_allclose(upper, fine, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["duplicated", "negated"])
+    @pytest.mark.parametrize("rho", [-0.8, -0.3, 0.0, 0.45, 0.9])
+    def test_a_row_at_plus_or_minus_one(self, rho, sign):
+        # T_3 = sign T_1: the tail of max(T_1, T_2), or one minus P(-t < T_1 < t, T_2 < t)
+        R = np.array([[1.0, rho, sign], [rho, 1.0, sign * rho], [sign, sign * rho, 1.0]])
+        t = np.array([-1.2, 0.0, 0.7, 2.5])
+        for order in ([0, 1, 2], [2, 0, 1], [1, 2, 0]):
+            lower, upper = maxt_bounds(t[None], R[np.ix_(order, order)][None])
+            assert lower.tobytes() == upper.tobytes()
+            for b, got in zip(t, upper[0]):
+                start = -9.0 if sign > 0 else -b
+                if b <= start:
+                    want = 1.0
+                else:
+                    sd = math.sqrt(1.0 - rho * rho)
+                    second = lambda z: normal_density(z) * ndtr((b - rho * z) / sd)
+                    want = 1.0 - quad(second, start, b, epsabs=1e-13, epsrel=0.0, limit=200)[0]
+                assert got == pytest.approx(want, rel=0, abs=1e-12)
+
+    def test_a_table_gets_the_same_floats_in_any_batch(self):
+        # the simulator decides a chunk of tables at once, and its counts may
+        # not depend on the chunking
+        rng = np.random.default_rng(8)
+        R = np.array([random_correlation(rng, 3) for _ in range(40)])
+        t = rng.uniform(-1.0, 4.0, size=(40, 3))
+        whole = maxt_bounds(t, R)[1]
+        single = [
+            maxt_bounds(t[i : i + 1, j : j + 1], R[i : i + 1])[1]
+            for i in range(40)
+            for j in range(3)
+        ]
+        assert whole.tobytes() == np.reshape(single, whole.shape).tobytes()
+
+    @pytest.mark.parametrize("b", [-1.0, 0.0, 1.5])
+    def test_three_copies_of_one_row(self, b):
+        lower, upper = maxt_bounds([[b]], np.ones((1, 3, 3)))
+        assert lower[0, 0] == upper[0, 0] == pytest.approx(ndtr(-b), rel=0, abs=1e-15)
 
 
 class TestAdjustedPBelow:

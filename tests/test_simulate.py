@@ -496,15 +496,15 @@ PINNED_COUNTS = [
     ),
     (
         Scenario(pi=(0.05, 0.1, 0.2, 0.3), n=(50,) * 4, seed=22),
-        [11, 98, 179, 180, 184, 190, 24, 144, 189, 189, 28, 141, 190, 190, 17, 0, 1165, 136, 30],
+        [11, 98, 179, 180, 184, 190, 24, 144, 189, 189, 28, 141, 190, 190, 17, 0, 1165, 166, 0],
     ),
     (
         Scenario(pi=(0.02, 0.05, 0.1, 0.25), n=(15,) * 4, seed=23, boundary_policy="haldane"),
-        [0, 0, 13, 13, 21, 21, 0, 0, 51, 51, 0, 0, 21, 21, 181, 0, 894, 85, 42],
+        [0, 0, 13, 13, 21, 21, 0, 0, 51, 51, 0, 0, 21, 21, 181, 0, 894, 127, 0],
     ),
     (
         Scenario(pi=(0.03, 0.2, 0.5, 0.6), n=(12, 8, 10, 10), seed=24, boundary_policy="reject"),
-        [0, 18, 29, 38, 36, 47, 1, 23, 36, 36, 3, 35, 47, 47, 150, 0, 279, 48, 5],
+        [0, 18, 29, 38, 36, 47, 1, 23, 36, 36, 3, 35, 47, 47, 150, 0, 279, 53, 0],
     ),
     (
         Scenario(pi=(0.05, 0.05, 0.1, 0.2, 0.25, 0.3, 0.35), n=(10, 20, 30, 15, 25, 35, 12),
@@ -515,7 +515,7 @@ PINNED_COUNTS = [
     (
         Scenario(pi=(0.1,) * 4 + (0.3,) * 3, n=(20,) * 7, seed=26, boundary_policy="haldane"),
         [0, 0, 0, 29, 32, 19, 68, 48, 83, 0, 0, 0, 22, 40, 81, 81, 0, 0, 1, 31, 62, 83, 83, 86, 0,
-         1285, 360, 132],
+         1285, 361, 131],
     ),
 ]
 
@@ -579,8 +579,9 @@ class TestDecisionRoutes:
 
     @pytest.mark.parametrize("p", [0.0, 1.0])
     def test_quadrature_outside_its_bracket_raises(self, monkeypatch, p):
-        # a quadrature failure must not pass silently as a decision
-        sc = Scenario(pi=(0.05, 0.1, 0.2, 0.3), n=(50,) * 4, seed=22)
+        # a quadrature failure must not pass silently as a decision; five
+        # doses, so that a segment of four rows is integrated too
+        sc = Scenario(pi=(0.05, 0.1, 0.15, 0.2, 0.25, 0.3), n=(50,) * 6, seed=22)
         monkeypatch.setattr(
             contrasts, "chain_maxt", lambda chains, t, std_err, var_eta, table: np.full(t.shape, p)
         )
@@ -588,7 +589,8 @@ class TestDecisionRoutes:
             _count_chunk(sc, 10, 200)
 
     def test_a_chunk_integrates_each_family_in_one_call(self, monkeypatch):
-        sc = Scenario(pi=(0.05, 0.1, 0.2, 0.3), n=(50,) * 4, seed=22)
+        # four doses: families of three rows take their closed form
+        sc = Scenario(pi=(0.05, 0.1, 0.2, 0.25, 0.3), n=(50,) * 5, seed=22)
         whole = _count_chunk(sc, 0, 250)
         calls = []
 
