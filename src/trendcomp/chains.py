@@ -64,17 +64,17 @@ of sqrt(2), so a table near the cap builds a few large rules.
 A family of one to three rows does not need the quadrature: the one
 maxT function of the package, ``trendcomp.contrasts._maxt_p``, gives one
 row its raw normal tail and two or three rows the exact closed form of
-:func:`trendcomp.mvn.maxt_bounds`, so this module only integrates
+:func:`trendcomp.mvn.maxt_closed_form`, so this module only integrates
 families of four or more rows: Dunnett and Williams at k >= 4 and the
 closed-test segments of four or more doses.  That closed form agrees
 with :func:`chain_maxt` within 5.3e-12 on 9,000 bounds of three-row stock
-families, some of tables near the node cap.  When its
-caller needs p only within a
-window (the running maximum of the closed test, or the simulator's
-alpha), that function first brackets p with ``maxt_bounds``, which needs
-the rows' correlation only, not their chains, and calls
-:func:`chain_maxt` only on the bounds whose bracket, widened by
-``_MARGIN``, leaves the window's comparison open.
+families, some of tables near the node cap.  When its caller needs p
+only within a window (the running maximum of the closed test, or the
+simulator's alpha), that function first brackets p of a family of three
+or more rows with :func:`trendcomp.mvn.maxt_bounds`, which needs the
+rows' correlation only, not their chains, and computes the exact value,
+the closed form or :func:`chain_maxt`, only on the bounds whose
+bracket, widened by ``_MARGIN``, leaves the window's comparison open.
 """
 
 from __future__ import annotations
@@ -130,8 +130,8 @@ _MAX_EXPONENT = 400.0
 _PROPORTIONAL_RTOL = 1e-9
 # a bracket of :func:`trendcomp.mvn.maxt_bounds` settles a comparison only
 # this far clear of it, ten times the quadrature's error, so it is the
-# comparison the quadrature makes; an integrated p this far outside its
-# bracket raises ContrastError
+# comparison the exact value makes; an integrated or closed-form p this
+# far outside its bracket raises ContrastError
 _MARGIN = 1e-7
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 

@@ -19,14 +19,14 @@ over a table axis.  It picks the route of a family from its number of
 rows and then its :attr:`ContrastMatrix.chains`, found once per matrix
 from its coefficients.  One row is its raw normal tail.  Two and three
 rows are exact in closed form, by inclusion-exclusion over the rows'
-tails: :func:`trendcomp.mvn.maxt_bounds` gives the pair tails through
-Owen's T and the triple tail by one Plackett integral, within 1e-12 of
-nested ``quad`` oracles.  So every family of k <= 3, the paper's k=3
-examples included, and the closed test's segments {0, 1, 2} and
-{0, 1, 2, 3} need no quadrature and never look at their chains.  Larger
-families with chain structure (see :mod:`trendcomp.chains`), which
-covers many-to-one, Williams and so every closed-test segment, get
-exact quadrature with error below 1e-9 (measured in
+tails: :func:`trendcomp.mvn.maxt_closed_form` gives the pair tails
+through Owen's T and the triple tail by one Plackett integral, within
+1e-12 of nested ``quad`` oracles.  So every family of k <= 3, the
+paper's k=3 examples included, and the closed test's segments {0, 1, 2}
+and {0, 1, 2, 3} need no quadrature and never look at their chains.
+Larger families with chain structure (see :mod:`trendcomp.chains`),
+which covers many-to-one, Williams and so every closed-test segment,
+get exact quadrature with error below 1e-9 (measured in
 :mod:`trendcomp.chains`).
 None of these routes validates the correlation: it is built from group
 variances, so it is positive semidefinite by construction.  Any other
@@ -36,8 +36,10 @@ family goes to the randomized quasi-Monte Carlo integrator of
 
 A caller that needs p only where it may lie in a window [lo, hi], the
 closure its running maximum and the simulator alpha, passes the window:
-the sandwich and the second-order bracket then settle the bounds they
-prove outside it, and only the rest is integrated.
+the sandwich, and for a family of three or more rows the second-order
+bracket of :func:`trendcomp.mvn.maxt_bounds`, then settle the bounds
+they prove outside it, and only the rest takes its exact value, the
+closed form or the quadrature.
 """
 
 from __future__ import annotations
@@ -50,7 +52,14 @@ from scipy.special import ndtr
 
 from .chains import _MARGIN, Chains, ContrastError, _equal_fields, chain_maxt, chain_structure
 from .model import ModelFit
-from .mvn import MAX_DIMENSION, CorrelationError, MvnSpec, adjust_maxt, maxt_bounds
+from .mvn import (
+    MAX_DIMENSION,
+    CorrelationError,
+    MvnSpec,
+    adjust_maxt,
+    maxt_bounds,
+    maxt_closed_form,
+)
 
 __all__ = [
     "ContrastError",
@@ -232,21 +241,22 @@ def _maxt_p(
     1. One row is its raw normal tail.
     2. The sandwich p_raw <= p <= m p_raw settles a bound with
        m p_raw < lo or p_raw >= hi.
-    3. Two or three rows take the closed form of :func:`maxt_bounds`,
-       whose bounds coincide there, clipped into [p_raw, min(1, m p_raw)].
-    4. Given a window, :func:`maxt_bounds` brackets the open bounds of a
-       larger family and settles those it puts more than ``_MARGIN``
-       outside the window.
-    5. What is still open is integrated, which reads
+    3. Given a window, :func:`maxt_bounds` brackets the open bounds of a
+       family of three or more rows and settles those it puts more than
+       ``_MARGIN`` outside the window.  Two rows skip this step: their
+       bracket is their closed form.
+    4. What is still open takes its exact value.  Two or three rows take
+       :func:`maxt_closed_form`, clipped into [p_raw, min(1, m p_raw)].
+       A larger family is integrated, which reads
        :attr:`~ContrastMatrix.chains`: by one :func:`chain_maxt` call
-       over all tables, where an integrated p more than ``_MARGIN``
-       outside its bracket raises :class:`ContrastError`, or, for a
-       family without chains, by :func:`adjust_maxt`, which takes each
-       table's whole family of statistics and validates the correlation
-       with :class:`MvnSpec`.
+       over all tables, or, for a family without chains, by
+       :func:`adjust_maxt`, which takes each table's whole family of
+       statistics and validates the correlation with :class:`MvnSpec`.
+       A closed-form or :func:`chain_maxt` p more than ``_MARGIN``
+       outside its step-3 bracket raises :class:`ContrastError`.
 
     ``routes``, if given, gains the number of bounds settled by steps
-    1-2, by step 3 or 4, and integrated.
+    1-2, by step 3 or the closed form, and integrated.
     """
     m = contrasts.n_rows
     p_raw = ndtr(-t)
@@ -254,16 +264,12 @@ def _maxt_p(
     # one row is exact; the sandwich leaves open what it cannot put outside [lo, hi]
     r, b = ((p_raw < hi) & (p >= lo) & (m > 1)).nonzero()
     sandwich_open = r.size
-    if m <= 3 and r.size:
-        closed = maxt_bounds(t[r, b, None], correlation[r])[1][:, 0]
-        p[r, b] = np.minimum(np.maximum(closed, p_raw[r, b]), np.minimum(1.0, m * p_raw[r, b]))
-        r = r[:0]
     lower = None
     # Without a window the bracket could settle nothing and would only check
-    # the quadrature: bracketing contrast_test's Dunnett and global Williams
+    # the exact value: bracketing contrast_test's Dunnett and global Williams
     # families made closed_analysis 7% slower over the benchmark's analyze
-    # tables on a 2-vCPU host.
-    if r.size and (np.ndim(lo) or np.ndim(hi) or lo > -np.inf or hi < np.inf):
+    # tables on a 2-vCPU host.  Two rows' bracket is their closed form.
+    if m >= 3 and r.size and (np.ndim(lo) or np.ndim(hi) or lo > -np.inf or hi < np.inf):
         lo, hi = (w[r, b] if np.ndim(w) else w for w in (lo, hi))
         lower, upper = maxt_bounds(t[r, b, None], correlation[r])
         lower, upper = lower[:, 0], upper[:, 0]
@@ -271,23 +277,31 @@ def _maxt_p(
         keep = ~below & (lower <= hi + _MARGIN)
         p[r, b] = np.where(below, upper, lower)
         r, b, lower, upper = r[keep], b[keep], lower[keep], upper[keep]
-    if r.size and contrasts.chains is None:
+    if r.size and m > 3 and contrasts.chains is None:
         whole = [adjust_maxt(row, MvnSpec(R)) for row, R in zip(t, correlation)]
         p[r, b] = np.reshape(whole, t.shape)[r, b]
     elif r.size:
         bound = t[r, b]
-        q = chain_maxt(contrasts.chains, bound, std_err, var_eta, r)
+        if m <= 3:
+            route = "closed-form"
+            q = maxt_closed_form(bound[:, None], correlation[r])[:, 0]
+        else:
+            route = "quadrature"
+            q = chain_maxt(contrasts.chains, bound, std_err, var_eta, r)
         if lower is not None:
             inside = (lower - _MARGIN <= q) & (q <= upper + _MARGIN)
             if not inside.all():
                 i = np.argmin(inside)
                 raise ContrastError(
-                    f"quadrature p-value {q[i]!r} at t = {bound[i]!r} lies outside "
+                    f"{route} p-value {q[i]!r} at t = {bound[i]!r} lies outside "
                     f"its second-order bracket [{lower[i]!r}, {upper[i]!r}]"
                 )
+        if m <= 3:
+            q = np.minimum(np.maximum(q, p_raw[r, b]), np.minimum(1.0, m * p_raw[r, b]))
         p[r, b] = q
     if routes is not None:
-        routes += [t.size - sandwich_open, sandwich_open - r.size, r.size]
+        integrated = r.size if m > 3 else 0
+        routes += [t.size - sandwich_open, sandwich_open - integrated, integrated]
     return p
 
 

@@ -26,8 +26,9 @@ which has chain structure, comes from the exact quadrature of
 random numbers.  The closure of
 :func:`closed_analysis`, :func:`_williams_closure`, asks for each lower
 segment's p only above the running maximum, so a segment that the
-sandwich or the second-order bracket proves cannot raise it is not
-integrated, and the reported p is the same float.  The simulator shares
+sandwich or the second-order bracket proves cannot raise it is neither
+integrated nor, with three rows, given its closed form, and the
+reported p is the same float.  The simulator shares
 the family table and the closure, which there settles each segment
 against alpha instead.
 :func:`raw_pairwise_pvalues`, :func:`ctp_pairwise` and the variant C
@@ -114,7 +115,7 @@ def _williams_closure(fit: ModelFit, segments, top, alpha=None, routes=None) -> 
     statistic only: the adjusted p falls as the bound rises, so that
     bound gives the family minimum.  Without ``alpha`` its window is
     [running maximum, inf), so a segment that cannot raise the running
-    maximum is not integrated and every p is the exact float.  With
+    maximum gets no exact value and every p is the exact float.  With
     ``alpha`` the window is [alpha, alpha], so each p is below alpha
     exactly when the exact one is.  ``routes`` collects the route counts
     of ``_maxt_p``.  The segment sees the first j + 1 groups of the fit
@@ -185,7 +186,8 @@ def closed_analysis(data: DoseGroupData, *, boundary_policy: str = "haldane") ->
     p-value is exact: in closed form for a family of one to three rows,
     else integrated with error below 1e-9 (see :mod:`trendcomp.chains`).
     A closed-test segment that provably cannot raise the running maximum
-    is not integrated (:func:`_williams_closure`).  No significance level
+    gets no exact value, by quadrature or closed form
+    (:func:`_williams_closure`).  No significance level
     is taken: a claim at any level is a p-value below it.
     """
     fit = fit_saturated_logit(data, boundary_policy=boundary_policy)

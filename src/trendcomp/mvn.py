@@ -6,12 +6,15 @@ families in :func:`trendcomp.contrasts.contrast_test`.  The stock families
 simulation alike, have chain structure and are integrated exactly by
 :mod:`trendcomp.chains` instead; ``seed``, ``abs_tol`` and ``max_points``
 below act only on this route.  :func:`maxt_bounds` brackets maxT-adjusted
-p-values in closed form, for any correlation and many tables at once, and
-gives the exact p-value of a family of two or three rows: Owen's T for a
-pair, and for three rows one Plackett integral on 64 nodes
+p-values in closed form, for any correlation and many tables at once,
+from the rows' pair tails by Owen's T.  :func:`maxt_closed_form` gives
+the exact p-value of a family of two or three rows from the same pair
+tails, and for three rows one Plackett integral on 64 nodes
 (:func:`_triple_tail`), held to ``quad`` oracles within 1e-12 and to the
 arcsine formula at t = 0 within 1e-15, at correlations of +-1 too, by
-``tests/test_mvn.py``.
+``tests/test_mvn.py``.  With two rows the bracket is that exact value;
+with three it is the cheaper second-order bracket, which a caller with
+a window tries before the Plackett integral.
 
 The tail probability P(max_j T_j >= b) for T ~ N(0, R) is summed over
 first passages, P(T_i >= b, T_j < b for j < i), so the rare event leads
@@ -49,6 +52,7 @@ __all__ = [
     "mvn_upper_orthant_complement",
     "adjust_maxt",
     "maxt_bounds",
+    "maxt_closed_form",
     "adjusted_p_below",
 ]
 
@@ -325,11 +329,16 @@ def _pairs(m: int) -> tuple:
     return i, j, stars, path
 
 
+# row q: the pairs of _triple_tail's c, a and b when c is pair q, in _pairs order
+_ROTATIONS = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+_ROTATIONS.setflags(write=False)
+
+
 def _triple_tail(t, rho, p_raw, pair) -> np.ndarray:
     """P(T_1 >= t, T_2 >= t, T_3 >= t) for three rows, shaped like ``t``.
 
     ``rho`` holds each table's three correlations in :func:`_pairs`
-    order and ``pair`` the pair tails of :func:`maxt_bounds`.  By
+    order and ``pair`` the pair tails of :func:`_pair_tails`.  By
     symmetry the tail is the trivariate CDF at h = -t, reduced to one
     integral over a correlation path (Plackett 1954, Biometrika 41:351,
     as Genz 2004, Stat. Comput. 14:251, uses it).  The pivot row is the
@@ -352,11 +361,15 @@ def _triple_tail(t, rho, p_raw, pair) -> np.ndarray:
     1e-7.  Over the angles, 64 nodes and 128 differ by at most 2.2e-16
     on 36,000 stock-family bounds with correlations up to 1 - 2.3e-9.
     """
-    q = np.argmax(np.abs(rho), axis=-1)[:, None]
-    c, a, b = (np.take_along_axis(rho, (q + i) % 3, axis=-1)[:, :, None] for i in range(3))
+    tables = np.arange(rho.shape[0])
+    q = np.argmax(np.abs(rho), axis=-1)
+    # C order here keeps the arrays below in C order; strided, they made a
+    # call of eight bounds about 20% slower
+    cab = np.ascontiguousarray(rho[tables[:, None], _ROTATIONS[q]].T)[..., None, None]
+    c, a, b = cab
     det = np.maximum((1.0 - c) * (1.0 + c - 2.0 * a * b) - (a - b) ** 2, 0.0)
     # both terms at once, along a leading axis: (a, b) and (b, a)
-    a, b = np.stack([a, b]), np.stack([b, a])
+    a, b = cab[1:], cab[:0:-1]
     x, w = _gauss_legendre(64)
     # theta = top - d; its sine and cosine, 1 + sin(theta) and 1 - s are
     # formed from d, free of cancellation where |a| is near 1
@@ -379,8 +392,44 @@ def _triple_tail(t, rho, p_raw, pair) -> np.ndarray:
     # each term summed over its own nodes, the last axis, so a table's
     # floats do not depend on the tables it is batched with
     first, second = np.sum(np.exp(-h * h / one_plus) * ndtr(u) * weight, axis=-1)
-    start = p_raw * np.take_along_axis(pair, q[:, :, None], axis=-1)[..., 0]
+    start = p_raw * pair[tables, :, q]
     return start + first + second
+
+
+def _pair_tails(t, correlation) -> tuple:
+    """``(t, m, p_raw, rho, pair)`` for :func:`maxt_bounds` and :func:`maxt_closed_form`.
+
+    At a common bound t every row has the tail p_raw = Phi(-t), and rows
+    i, j with correlation rho have the pair tail P(T_i > t, T_j > t) =
+    Phi(-t) - 2 T(t, sqrt((1 - rho) / (1 + rho))), T being Owen's T,
+    whose slope is infinite at rho = -1; clamped at 0, in :func:`_pairs`
+    order along the last axis.
+    """
+    t = np.asarray(t, dtype=np.float64)
+    R = np.asarray(correlation, dtype=np.float64)
+    m = R.shape[-1]
+    i, j = _pairs(m)[:2]
+    rho = R[:, i, j]
+    p_raw = ndtr(-t)
+    ratio = np.divide(1.0 - rho, 1.0 + rho, out=np.full_like(rho, np.inf), where=rho > -1.0)
+    slope = np.sqrt(ratio)[:, None, :]
+    pair = np.maximum(p_raw[..., None] - 2.0 * owens_t(t[..., None], slope), 0.0)
+    return t, m, p_raw, rho, pair
+
+
+def maxt_closed_form(t, correlation) -> np.ndarray:
+    """Exact maxT-adjusted p-values of a family of one to three rows, shaped like ``t``.
+
+    Row r of ``t`` holds bounds of table r, whose statistics have the
+    correlation ``correlation[r]``.  By inclusion-exclusion the value is
+    S1 - S2 with two rows and S1 - S2 + S3 with three, S1 summing the
+    rows' tails, S2 the pair tails of :func:`_pair_tails` and S3 the
+    triple tail of :func:`_triple_tail`.
+    """
+    t, m, p_raw, rho, pair = _pair_tails(t, correlation)
+    if m > 3:
+        raise ValueError(f"the closed form covers one to three rows, not {m}")
+    return m * p_raw - pair.sum(axis=-1) + (_triple_tail(t, rho, p_raw, pair) if m == 3 else 0.0)
 
 
 def maxt_bounds(t, correlation) -> tuple:
@@ -390,33 +439,24 @@ def maxt_bounds(t, correlation) -> tuple:
     correlation ``correlation[r]``.  Returns ``(lower, upper)``, each
     shaped like ``t``, with lower <= P(max_j T_j >= t) <= upper exactly.
 
-    At a common bound t every row has the tail p = Phi(-t), so S1 = m p,
-    and rows i, j with correlation rho have the pair tail
-    P(T_i > t, T_j > t) = Phi(-t) - 2 T(t, sqrt((1 - rho) / (1 + rho))),
-    T being Owen's T, whose slope is infinite at rho = -1.  S2 sums the
-    pair tails, clamped at 0, which keeps both bounds valid.  The upper
-    bound is S1 minus the pair tails along a spanning tree (Hunter 1976,
-    J. Appl. Prob. 13:597), the heavier of two: the star about the best
-    centre and the path through the rows in order.  The lower bound is
-    the larger of p and that of Dawson & Sankoff (1967, JASA 62:823),
-    2 S1 / (k + 1) - 2 S2 / (k (k + 1)) with k = 1 + floor(2 S2 / S1).
-    With two rows S1 - S2 is exact, and with three rows S1 - S2 + S3,
-    S3 from :func:`_triple_tail`; there both bounds are that value.
+    S1 sums the rows' tails and S2 the pair tails of
+    :func:`_pair_tails`.  The upper bound is S1 minus the pair tails
+    along a spanning tree (Hunter 1976, J. Appl. Prob. 13:597), the
+    heavier of two: the star about the best centre and the path through
+    the rows in order.  The lower bound is the larger of p and that of
+    Dawson & Sankoff (1967, JASA 62:823), 2 S1 / (k + 1) - 2 S2 / (k (k +
+    1)) with k = 1 + floor(2 S2 / S1).  With one or two rows S1 - S2 is
+    exact, and both bounds are that value.  Three rows get the bracket
+    too: it is what a caller with a window asks for, and the exact value
+    is :func:`maxt_closed_form`.
     """
-    t = np.asarray(t, dtype=np.float64)
-    R = np.asarray(correlation, dtype=np.float64)
-    m = R.shape[-1]
-    i, j, star_masks, path_mask = _pairs(m)
-    rho = R[:, i, j]
-    p_raw = ndtr(-t)
-    ratio = np.divide(1.0 - rho, 1.0 + rho, out=np.full_like(rho, np.inf), where=rho > -1.0)
-    slope = np.sqrt(ratio)[:, None, :]
-    pair = np.maximum(p_raw[..., None] - 2.0 * owens_t(t[..., None], slope), 0.0)
+    t, m, p_raw, rho, pair = _pair_tails(t, correlation)
     s1 = m * p_raw
     s2 = pair.sum(axis=-1)
-    if m <= 3:
-        exact = s1 - s2 + (_triple_tail(t, rho, p_raw, pair) if m == 3 else 0.0)
+    if m <= 2:
+        exact = s1 - s2
         return exact, exact
+    _, _, star_masks, path_mask = _pairs(m)
     star = np.max([pair[..., mask].sum(axis=-1) for mask in star_masks], axis=0)
     path = pair[..., path_mask].sum(axis=-1)
     upper = s1 - np.maximum(star, path)

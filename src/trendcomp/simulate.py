@@ -13,15 +13,19 @@ p-values, are accumulated: every maxT p is asked for in the window
 [alpha, alpha], so each value is below alpha exactly when the p-value of
 ``closed_analysis`` on the same table is.  A bound passes up to three
 stages over the whole chunk at once.  The exact sandwich p_raw <= p_adj
-<= m * p_raw settles most bounds.  The second-order bounds of
-:func:`trendcomp.mvn.maxt_bounds` settle most of the rest, a bound only
-when its bracket lies more than ``trendcomp.chains._MARGIN`` (1e-7, ten
-times the quadrature's error) clear of alpha, and give a family of two
-or three rows its exact closed form, so a k = 3 design integrates
-nothing.  :func:`trendcomp.chains.chain_maxt` integrates what is still
-open in families of four or more rows, in one call per family over all
-of the chunk's tables, one bound per table for each lower segment, and
-each table's p-values are the ones a call on that table alone returns.
+<= m * p_raw settles most bounds.  In a family of three or more rows
+the second-order bounds of :func:`trendcomp.mvn.maxt_bounds` settle
+most of the rest, a bound only when its bracket lies more than
+``trendcomp.chains._MARGIN`` (1e-7, ten times the quadrature's error)
+clear of alpha.  What is still open takes its exact value: a family of
+two or three rows its closed form,
+:func:`trendcomp.mvn.maxt_closed_form`, so a k = 3 design integrates
+nothing and pays for a Plackett integral only on what the bracket
+leaves open.  :func:`trendcomp.chains.chain_maxt` integrates what is
+still open in families of four or more rows, in one call per family
+over all of the chunk's tables, one bound per table for each lower
+segment, and each table's p-values are the ones a call on that table
+alone returns.
 How many bounds each stage settled is counted per scenario and reported
 on stderr ("by closed form or second-order bounds" for the second), not
 in :meth:`ScenarioResult.to_dict`.
@@ -42,7 +46,7 @@ by integer count accumulation.  So output is bit-identical for any
 parallelism level and any chunking of the replicate range.  A chunk is
 drawn in whole-array passes that reproduce NumPy's arithmetic exactly:
 :func:`_states` runs the ``SeedSequence`` hash over all its replicate
-indices at once, :func:`_pcg64_doubles` steps every replicate's
+indices in three passes, :func:`_pcg64_doubles` steps every replicate's
 ``PCG64`` as uint64 words, and each group's count is NumPy's inversion
 of one double, read off thresholds that :func:`_inversion` computes once
 per (n, p).  Only a design with a group NumPy draws by BTPE (n * min(p,
@@ -252,8 +256,11 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # generating state from the pool
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
-def _hashmix(value, const: int, mult: int):
-    """Hash of the 32-bit ``value`` under ``const``, and the next constant."""
+def _hashmix(value, const, mult: int):
+    """Hash of the 32-bit ``value`` under ``const``, and the next constant.
+
+    ``value`` and ``const`` are Python ints or uint64 arrays that broadcast.
+    """
     nxt = const * mult & _MASK32
     value = (value ^ const) * nxt & _MASK32
     return value ^ value >> 16, nxt
@@ -265,14 +272,24 @@ def _mix(x, y):
     return result ^ result >> 16
 
 
+def _hash_consts(const: int, mult: int, count: int):
+    """The ``count`` hash constants from ``const`` on, as a uint64 column, and the next one."""
+    consts = [const]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts[:-1], dtype=np.uint64)[:, None], consts[-1]
+
+
 def _states(seed: int, reps: np.ndarray) -> np.ndarray:
     """``SeedSequence(seed, spawn_key=(rep, 0)).generate_state(4, np.uint64)``, row by rep.
 
     ``reps`` is a uint64 array of replicate indices below 2**32, each one
     word of spawn key.  The words are Python ints where they depend on the
-    seed alone and uint64 arrays, one entry per replicate, from the spawn
-    key on; masking to 32 bits after every product and difference keeps
-    both exact.
+    seed alone.  From the spawn key on, the pool is a (4, n) uint64 array,
+    one column per replicate: the replicate word is mixed into all four
+    pool words in one pass, the padding 0 in a second, and the eight
+    output words are hashed from the pool in a third.  Masking to 32 bits
+    after every product and difference keeps both exact.
     """
     words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
     # a spawn key pads the seed's words to the pool size
@@ -287,17 +304,18 @@ def _states(seed: int, reps: np.ndarray) -> np.ndarray:
             if src != dst:
                 value, const = _hashmix(pool[src], const, _MULT_A)
                 pool[dst] = _mix(pool[dst], value)
-    for word in (*words[_POOL_SIZE:], reps, 0):
+    for word in words[_POOL_SIZE:]:
         for dst in range(_POOL_SIZE):
             value, const = _hashmix(word, const, _MULT_A)
             pool[dst] = _mix(pool[dst], value)
-    const = _INIT_B
-    state = []
-    for i in range(8):  # four uint64 words
-        value, const = _hashmix(pool[i % _POOL_SIZE], const, _MULT_B)
-        state.append(value)
-    # little-endian pairs of 32-bit words
-    return np.stack([state[i] | state[i + 1] << 32 for i in range(0, 8, 2)], axis=-1)
+    pool = np.array(pool, dtype=np.uint64)[:, None]
+    for word in (reps, 0):
+        consts, const = _hash_consts(const, _MULT_A, _POOL_SIZE)
+        pool = _mix(pool, _hashmix(word, consts, _MULT_A)[0])
+    consts, _ = _hash_consts(_INIT_B, _MULT_B, 8)  # four uint64 words
+    state = _hashmix(pool[np.arange(8) % _POOL_SIZE], consts, _MULT_B)[0]
+    # little-endian pairs of 32-bit words; PCG64 reads a row, so rows are contiguous
+    return np.ascontiguousarray((state[0::2] | state[1::2] << 32).T)
 
 
 class _State(ISeedSequence):

@@ -7,6 +7,7 @@ from hypothesis import settings
 from scipy.integrate import quad
 from scipy.special import ndtr
 
+from trendcomp import contrasts
 from trendcomp.data import DoseGroupData
 from trendcomp.model import ModelFit
 
@@ -18,6 +19,25 @@ settings.register_profile("derandomized", derandomize=True)
 settings.load_profile("derandomized")
 
 ACCEPTANCE_LINES = []
+
+
+def widen_brackets(patch, rows=None):
+    """Widens to [0, 1], which settles nothing, the second-order brackets of ``contrasts._maxt_p``.
+
+    Only families of ``rows`` rows are widened, or every family if
+    ``rows`` is None.  ``_maxt_p`` brackets families of three or more rows
+    only, and a bound that the sandwich leaves open and no bracket settles
+    takes its exact value: the closed form of three rows or the
+    quadrature of four or more.
+    """
+    bounds = contrasts.maxt_bounds
+
+    def wide(t, correlation):
+        if rows is not None and correlation.shape[-1] != rows:
+            return bounds(t, correlation)
+        return np.zeros_like(t), np.ones_like(t)
+
+    patch.setattr(contrasts, "maxt_bounds", wide)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -79,7 +99,7 @@ def three_row_quad():
     of largest |rho|, which leaves the innermost normal CDF least steep.
     Both integrals run over [-9, 9] sds at ``epsabs`` 1e-13.  On 48 random
     correlations, some within 1e-4 of +-1, it agreed with the closed form
-    of :func:`trendcomp.mvn.maxt_bounds` to 7e-13 at four bounds.  Where
+    of :func:`trendcomp.mvn.maxt_closed_form` to 7e-13 at four bounds.  Where
     all three rows lie within about 1e-4 of one another, up to sign, it
     was off by up to 1.6e-10, so it is not used there.
     """

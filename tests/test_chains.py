@@ -749,10 +749,12 @@ class TestNodeCap:
 
 
 class TestNearCap:
-    """Tables whose variances once took rules just below the node cap.
+    """Tables whose variances take rules just below the node cap.
 
-    Three rows now take the closed form of ``maxt_bounds``, so these k=3
-    tables build no rule; the p-values were recorded from the quadrature.
+    Three rows take the closed form of ``maxt_closed_form``, so the k=3
+    tables build no rule and check that closed form; their p-values were
+    recorded from the quadrature.  The k=4 table integrates Dunnett and
+    Williams on a rule of 4096 nodes.
     """
 
     @pytest.mark.parametrize(
@@ -781,6 +783,25 @@ class TestNearCap:
         np.testing.assert_allclose(result.p_williams_global, williams[-1], rtol=0, atol=1e-8)
         np.testing.assert_allclose(result.p_ctp_pairwise, [0.5] * 3, rtol=0, atol=1e-8)
         np.testing.assert_allclose(result.p_ctp_williams, [williams[-1]] * 3, rtol=0, atol=1e-8)
+
+    def test_four_doses_integrate_on_a_rule_near_the_cap(self, monkeypatch):
+        built = []
+        node_count = chains._node_count
+
+        def recorded(nodes):
+            built.append(node_count(nodes))
+            return built[-1]
+
+        monkeypatch.setattr(chains, "_node_count", recorded)
+        n = np.array([100000, 20, 100000, 100000, 100000])
+        start = time.perf_counter()
+        result = closed_analysis(DoseGroupData(labels=tuple("01234"), n=n, y=n // 2))
+        assert time.perf_counter() - start < 1.0
+        assert max(built) > chains._LADDER_FROM
+        for report in (result.dunnett_report, result.williams_report):
+            lower, upper = maxt_bounds(report.statistic[None], report.correlation[None])
+            assert np.all(lower[0] - 1e-9 <= report.p_adjusted)
+            assert np.all(report.p_adjusted <= upper[0] + 1e-9)
 
 
 class TestLargeK:

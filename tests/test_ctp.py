@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import widen_brackets
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -285,23 +286,20 @@ def test_closed_analysis_finds_each_family_s_chains_once(monkeypatch):
     assert 0 < len(calls) <= data.k + 1
 
 
-def integrate_every_open_segment(patch):
-    """Widens the bracket of every family of four or more rows to [0, 1], which settles nothing."""
-    bounds = contrasts.maxt_bounds
+def test_bracket_settled_closure_is_the_integrated_closure(monkeypatch):
+    # a segment whose upper bound cannot raise the running maximum is neither
+    # integrated nor given its closed form; every closed-test p must be the
+    # float that the exact values give
+    three_rows = [0]  # bounds given the closed form of three rows
+    closed_form = contrasts.maxt_closed_form
 
-    def trivial(t, correlation):
-        if correlation.shape[-1] < 4:  # the closed forms of two and three rows
-            return bounds(t, correlation)
-        return np.zeros_like(t), np.ones_like(t)
+    def counted(t, correlation):
+        three_rows[0] += t.size if correlation.shape[-1] == 3 else 0
+        return closed_form(t, correlation)
 
-    patch.setattr(contrasts, "maxt_bounds", trivial)
-
-
-def test_bracket_settled_closure_is_the_integrated_closure():
-    # a segment whose upper bound cannot raise the running maximum is not
-    # integrated; every closed-test p must be the float integration gives
+    monkeypatch.setattr(contrasts, "maxt_closed_form", counted)
     rng = np.random.default_rng(20)
-    settled = integrated = 0
+    settled = integrated = closed = exact = 0
     for k in [2, 3, 4, 5, 6, 7, 8] * 4:
         n = rng.integers(5, 61, size=k + 1)
         y = rng.binomial(n, np.linspace(rng.uniform(0.05, 0.5), rng.uniform(0.05, 0.95), k + 1))
@@ -311,15 +309,21 @@ def test_bracket_settled_closure_is_the_integrated_closure():
         segments = _stock_families(n)[1]
         top = contrast_test(fit, segments[k]).min_adjusted
         bracketed, routes = np.zeros(3, dtype=np.int64), np.zeros(3, dtype=np.int64)
+        three_rows[0] = 0
         got = _williams_closure(fit, segments, top, routes=bracketed)
+        closed += three_rows[0]
         with pytest.MonkeyPatch.context() as patch:
-            integrate_every_open_segment(patch)
+            widen_brackets(patch)
+            three_rows[0] = 0
             expected = _williams_closure(fit, segments, top, routes=routes)
+            exact += three_rows[0]
         assert got.tobytes() == expected.tobytes()
-        # the closed forms of two and three rows count as second-order in both runs
+        # closed forms count as second-order in both runs
         settled += bracketed[1] - routes[1]
         integrated += bracketed[2]
     assert settled > 0 and integrated > 0
+    # some three-row segments were settled by their bracket, not their closed form
+    assert 0 < closed < exact
 
 
 def test_a_k3_analysis_integrates_nothing(monkeypatch):

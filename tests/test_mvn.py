@@ -20,6 +20,7 @@ from trendcomp.mvn import (
     adjust_maxt,
     adjusted_p_below,
     maxt_bounds,
+    maxt_closed_form,
     mvn_upper_orthant_complement,
 )
 
@@ -248,7 +249,7 @@ def near_copy(rng, row, sign):
 
 
 class TestThreeRowClosedForm:
-    """With three rows both bounds are the exact tail, held to ``quad`` oracles."""
+    """The exact tail of three rows, held to ``quad`` oracles and inside its bracket."""
 
     def test_random_correlations(self, three_row_quad):
         rng = np.random.default_rng(11)
@@ -264,13 +265,14 @@ class TestThreeRowClosedForm:
             order = rng.permutation(3)
             R = R[np.ix_(order, order)]
             near.update(np.sign(R[np.abs(R) > 1.0 - 1e-4]).tolist())
-            lower, upper = maxt_bounds(t[None], R[None])
-            assert lower.tobytes() == upper.tobytes()
+            p = maxt_closed_form(t[None], R[None])
             want = [three_row_quad(b, R) for b in t]
-            np.testing.assert_allclose(upper[0], want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(p[0], want, rtol=0, atol=1e-12)
             # at t = 0: P(all T < 0) = 1/8 + (sum of asin rho) / (4 pi)
             orthant = 0.125 + np.arcsin(R[np.triu_indices(3, 1)]).sum() / (4.0 * math.pi)
-            assert upper[0, 1] == pytest.approx(1.0 - orthant, rel=0, abs=1e-15)
+            assert p[0, 1] == pytest.approx(1.0 - orthant, rel=0, abs=1e-15)
+            lower, upper = maxt_bounds(t[None], R[None])
+            assert np.all(lower - 1e-12 <= p) and np.all(p <= upper + 1e-12)
         assert near == {-1.0, 1.0}
 
     def test_three_rows_near_one_another(self, monkeypatch):
@@ -288,13 +290,13 @@ class TestThreeRowClosedForm:
             np.fill_diagonal(R, 1.0)
             rho = R[np.triu_indices(3, 1)]
             assert np.all(np.abs(rho) > 1.0 - 5e-4)
-            upper = maxt_bounds(t[None], R[None])[1]
+            p = maxt_closed_form(t[None], R[None])
             orthant = 0.125 + np.arcsin(rho).sum() / (4.0 * math.pi)
-            assert upper[0, 1] == pytest.approx(1.0 - orthant, rel=0, abs=1e-15)
+            assert p[0, 1] == pytest.approx(1.0 - orthant, rel=0, abs=1e-15)
             with monkeypatch.context() as patch:
                 patch.setattr(mvn, "_gauss_legendre", lambda n: _gauss_legendre(8 * n))
-                fine = maxt_bounds(t[None], R[None])[1]
-            np.testing.assert_allclose(upper, fine, rtol=0, atol=1e-14)
+                fine = maxt_closed_form(t[None], R[None])
+            np.testing.assert_allclose(p, fine, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["duplicated", "negated"])
     @pytest.mark.parametrize("rho", [-0.8, -0.3, 0.0, 0.45, 0.9])
@@ -303,9 +305,8 @@ class TestThreeRowClosedForm:
         R = np.array([[1.0, rho, sign], [rho, 1.0, sign * rho], [sign, sign * rho, 1.0]])
         t = np.array([-1.2, 0.0, 0.7, 2.5])
         for order in ([0, 1, 2], [2, 0, 1], [1, 2, 0]):
-            lower, upper = maxt_bounds(t[None], R[np.ix_(order, order)][None])
-            assert lower.tobytes() == upper.tobytes()
-            for b, got in zip(t, upper[0]):
+            p = maxt_closed_form(t[None], R[np.ix_(order, order)][None])
+            for b, got in zip(t, p[0]):
                 start = -9.0 if sign > 0 else -b
                 if b <= start:
                     want = 1.0
@@ -321,9 +322,9 @@ class TestThreeRowClosedForm:
         rng = np.random.default_rng(8)
         R = np.array([random_correlation(rng, 3) for _ in range(40)])
         t = rng.uniform(-1.0, 4.0, size=(40, 3))
-        whole = maxt_bounds(t, R)[1]
+        whole = maxt_closed_form(t, R)
         single = [
-            maxt_bounds(t[i : i + 1, j : j + 1], R[i : i + 1])[1]
+            maxt_closed_form(t[i : i + 1, j : j + 1], R[i : i + 1])
             for i in range(40)
             for j in range(3)
         ]
@@ -331,8 +332,8 @@ class TestThreeRowClosedForm:
 
     @pytest.mark.parametrize("b", [-1.0, 0.0, 1.5])
     def test_three_copies_of_one_row(self, b):
-        lower, upper = maxt_bounds([[b]], np.ones((1, 3, 3)))
-        assert lower[0, 0] == upper[0, 0] == pytest.approx(ndtr(-b), rel=0, abs=1e-15)
+        (p,) = maxt_closed_form([[b]], np.ones((1, 3, 3)))
+        assert p[0] == pytest.approx(ndtr(-b), rel=0, abs=1e-15)
 
 
 class TestAdjustedPBelow:

@@ -5,13 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import yaml
+from conftest import widen_brackets
 
 from trendcomp.chains import chain_maxt
 from trendcomp.contrasts import ContrastError
 from trendcomp.ctp import closed_analysis
 from trendcomp.data import DoseGroupData
 from trendcomp.model import BoundaryCountError, NoInformationError
-from trendcomp import contrasts, simulate
+from trendcomp import contrasts, mvn, simulate
 from trendcomp.mvn import MAX_DIMENSION
 from trendcomp.simulate import (
     SCHEMA_VERSION,
@@ -266,6 +267,8 @@ def test_states_are_the_seed_sequence_states(seed):
     ]
     states = _states(seed, np.array(reps, dtype=np.uint64))
     assert states.dtype == np.uint64
+    # _State hands PCG64 a row, which must be the row's own four words
+    assert states.flags.c_contiguous
     np.testing.assert_array_equal(states, expected)
 
 
@@ -562,12 +565,14 @@ class TestDecisionRoutes:
         assert res.n_integrated <= 0.2 * sandwich_open
 
     def test_routes_do_not_depend_on_parallelism_or_chunking(self, monkeypatch):
-        sc = Scenario(pi=(0.05, 0.1, 0.2, 0.3), n=(50,) * 4, replicates=600, seed=13)
+        # four doses, so that Dunnett and Williams are integrated
+        sc = Scenario(pi=(0.05, 0.1, 0.2, 0.25, 0.3), n=(50,) * 5, replicates=600, seed=13)
 
         def routes(res):
             return res.n_sandwich, res.n_second_order, res.n_integrated
 
         serial = routes(run_scenario(sc))
+        assert all(serial)
         assert routes(run_scenario(sc, parallelism=2)) == serial
         monkeypatch.setattr(simulate, "_CHUNK", 77)
         assert routes(run_scenario(sc)) == serial
@@ -586,6 +591,63 @@ class TestDecisionRoutes:
             contrasts, "chain_maxt", lambda chains, t, std_err, var_eta, table: np.full(t.shape, p)
         )
         with pytest.raises(ContrastError, match="outside its second-order bracket"):
+            _count_chunk(sc, 10, 200)
+
+    def test_three_row_brackets_spare_most_plackett_integrals(self, monkeypatch):
+        # three doses: Dunnett and Williams have three rows and are bracketed
+        # before the closed form, whose triple tail is one Plackett integral
+        bracketed, plackett = [0], [0]
+        bounds, triple_tail = contrasts.maxt_bounds, mvn._triple_tail
+
+        def counted_bounds(t, correlation):
+            bracketed[0] += t.size
+            return bounds(t, correlation)
+
+        def counted_tail(t, *args):
+            plackett[0] += t.size
+            return triple_tail(t, *args)
+
+        monkeypatch.setattr(contrasts, "maxt_bounds", counted_bounds)
+        monkeypatch.setattr(mvn, "_triple_tail", counted_tail)
+        res = run_scenario(Scenario(pi=(0.05, 0.1, 0.2, 0.3), n=(50,) * 4, replicates=1000, seed=3))
+        assert res.n_integrated == 0
+        assert 0 < plackett[0] < 0.5 * bracketed[0] <= 0.5 * res.n_second_order
+
+    def test_widened_three_row_brackets_decide_the_same(self, monkeypatch):
+        # a three-row bound that its bracket settles gets the decision and the
+        # route that its closed form gives
+        plackett = [0, 0]  # bounds of the triple tail, bracketed and widened
+        triple_tail = mvn._triple_tail
+        rng = np.random.default_rng(31)
+        for _ in range(12):
+            k = int(rng.integers(2, 5))
+            pi = tuple(np.sort(rng.uniform(0.02, 0.4, size=k + 1)))
+            n = tuple(rng.integers(15, 60, size=k + 1))
+            sc = Scenario(pi=pi, n=n, seed=int(rng.integers(2**31)))
+            y = _draw(sc, 0, 300)
+            counts = []
+            for widened in (0, 1):
+                with monkeypatch.context() as patch:
+                    if widened:
+                        widen_brackets(patch, rows=3)
+
+                    def counted(t, *args, widened=widened):
+                        plackett[widened] += t.size
+                        return triple_tail(t, *args)
+
+                    patch.setattr(mvn, "_triple_tail", counted)
+                    counts.append(_decide(sc, y))
+            np.testing.assert_array_equal(counts[1], counts[0])
+        assert 0 < plackett[0] < plackett[1]
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_closed_form_outside_its_bracket_raises(self, monkeypatch, p):
+        # three doses, so that Dunnett and Williams take the closed form of three rows
+        sc = Scenario(pi=(0.05, 0.1, 0.2, 0.3), n=(50,) * 4, seed=22)
+        monkeypatch.setattr(
+            contrasts, "maxt_closed_form", lambda t, correlation: np.full(t.shape, p)
+        )
+        with pytest.raises(ContrastError, match="closed-form p-value .* outside its second-order"):
             _count_chunk(sc, 10, 200)
 
     def test_a_chunk_integrates_each_family_in_one_call(self, monkeypatch):
