@@ -61,20 +61,14 @@ of more than ``_MAX_NODES`` nodes raises :class:`ContrastError` before
 any array is built, and rules above 256 nodes are rounded up to powers
 of sqrt(2), so a table near the cap builds a few large rules.
 
-A family of one to three rows does not need the quadrature: the one
-maxT function of the package, ``trendcomp.contrasts._maxt_p``, gives one
-row its raw normal tail and two or three rows the exact closed form of
-:func:`trendcomp.mvn.maxt_closed_form`, so this module only integrates
-families of four or more rows: Dunnett and Williams at k >= 4 and the
-closed-test segments of four or more doses.  That closed form agrees
-with :func:`chain_maxt` within 5.3e-12 on 9,000 bounds of three-row stock
-families, some of tables near the node cap.  When its caller needs p
-only within a window (the running maximum of the closed test, or the
-simulator's alpha), that function first brackets p of a family of three
-or more rows with :func:`trendcomp.mvn.maxt_bounds`, which needs the
-rows' correlation only, not their chains, and computes the exact value,
-the closed form or :func:`chain_maxt`, only on the bounds whose
-bracket, widened by ``_MARGIN``, leaves the window's comparison open.
+A family of one to three rows does not need the quadrature: it has a
+closed form, :func:`trendcomp.mvn.maxt_closed_form`, which agrees with
+:func:`chain_maxt` within 5.3e-12 on 9,000 bounds of three-row stock
+families, some of tables near the node cap.  So this module integrates
+only families of four or more rows: Dunnett and Williams at k >= 4 and
+the closed-test segments of four or more doses.  Which bounds reach it,
+and how its values are checked and clipped, is the policy of
+``trendcomp.contrasts._maxt_p``.
 """
 
 from __future__ import annotations
@@ -128,11 +122,6 @@ _CHUNK_ENTRIES = 1 << 17
 # underflows at e^-745 the true kernel is below e^-345.
 _MAX_EXPONENT = 400.0
 _PROPORTIONAL_RTOL = 1e-9
-# a bracket of :func:`trendcomp.mvn.maxt_bounds` settles a comparison only
-# this far clear of it, ten times the quadrature's error, so it is the
-# comparison the exact value makes; an integrated or closed-form p this
-# far outside its bracket raises ContrastError
-_MARGIN = 1e-7
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
@@ -158,26 +147,22 @@ def _equal_fields(a, b):
 class Chains:
     """The chains of one contrast family, laid out for :func:`chain_maxt`.
 
-    Chain i has rows ``rows[i]``, widest support first, and levels
-    ``levels[i]``, its distinct supports as tuples of dose columns from
-    smallest to largest, in level columns ``first[i]`` up to
-    ``first[i + 1]``.  Row r sits in level column ``col[r]``, has control
-    coefficient ``-control[r]`` and, on its support, ``scale[r]`` times
-    the dose weights of its chain's widest row.  The rows in one level
-    column are scalar multiples of each other, so they share a threshold,
-    and ``level_rows[l]`` is the first of them.  Row l of ``increments``
-    holds the squared widest-row weights of the doses level column l adds
-    to the level below, so ``increments @ var_eta[1:]`` gives the
-    variances of the walks' increments.  Arrays are read-only; records
-    compare by value.
+    Chain i has level columns ``first[i]`` up to ``first[i + 1]``, one
+    per distinct dose support of its rows, from smallest to largest.  The
+    rows of one level are scalar multiples of each other, so they are one
+    statistic with one threshold (Miwa, Hayter & Kuriki 2003), and
+    ``level_rows[l]`` is the first row of level column l.  That row has
+    control coefficient ``-control[l]`` and, on its support, ``scale[l]``
+    times the dose weights of its chain's widest row.  Row l of
+    ``increments`` holds the squared widest-row weights of the doses
+    level column l adds to the level below, so ``increments @
+    var_eta[1:]`` gives the variances of the walks' increments.  Arrays
+    are read-only; records compare by value.
     """
 
     __eq__ = _equal_fields
 
-    rows: tuple
-    levels: tuple
     first: tuple
-    col: np.ndarray
     level_rows: np.ndarray
     control: np.ndarray
     scale: np.ndarray
@@ -196,7 +181,7 @@ def chain_structure(coefficients) -> Chains | None:
     layout = _layout(np.sign(C).tobytes(), C.shape)
     if layout is None:
         return None
-    rows, levels, first, col, level_rows, widest, support, (level, dose, base) = layout
+    first, col, level_rows, widest, support, (level, dose, base) = layout
     W = C[:, 1:]
     scale = np.empty(len(C))
     for r, (top, cols) in enumerate(zip(widest, support)):
@@ -210,8 +195,9 @@ def chain_structure(coefficients) -> Chains | None:
         return None
     increments = np.zeros((first[-1], W.shape[1]))
     increments[level, dose] = W[base, dose] ** 2
-    control, scale, increments = (_frozen(a) for a in (-C[:, 0], scale, increments))
-    return Chains(rows, levels, first, col, level_rows, control, scale, increments)
+    control, scale = -C[level_rows, 0], scale[level_rows]
+    control, scale, increments = (_frozen(a) for a in (control, scale, increments))
+    return Chains(first, level_rows, control, scale, increments)
 
 
 @lru_cache(maxsize=256)
@@ -221,11 +207,12 @@ def _layout(signs: bytes, shape: tuple) -> tuple | None:
     ``signs`` holds the bytes of ``np.sign`` of a float matrix of
     ``shape``.  Returns None when a control coefficient is not negative,
     a dose coefficient is negative or the supports do not nest into
-    disjoint chains.  Otherwise returns ``rows``, ``levels``, ``first``,
-    ``col`` and ``level_rows`` as in :class:`Chains`; each row's chain's
-    widest row and the row's support; and, as the rows of one array, the
-    level column, dose column and widest row of every dose a level adds
-    to the one below.  Arrays are read-only index arrays.
+    disjoint chains.  Otherwise returns ``first`` as in :class:`Chains`;
+    each row's level column; ``level_rows`` as in :class:`Chains`; each
+    row's chain's widest row and the row's support; and, as the rows of
+    one array, the level column, dose column and widest row of every
+    dose a level adds to the one below.  Arrays are read-only index
+    arrays.
     """
     S = np.frombuffer(signs, dtype=np.float64).reshape(shape)
     if np.any(S[:, 0] >= 0.0) or np.any(S[:, 1:] < 0.0):
@@ -242,7 +229,7 @@ def _layout(signs: bytes, shape: tuple) -> tuple | None:
             hits[0].append(r)
         else:
             return None
-    levels, first, col, widest, added = [], [0], [0] * len(supports), [0] * len(supports), []
+    first, col, widest, added = [0], [0] * len(supports), [0] * len(supports), []
     for group in groups:
         sets = sorted({supports[r] for r in group}, key=len)
         for r in group:
@@ -250,11 +237,8 @@ def _layout(signs: bytes, shape: tuple) -> tuple | None:
         for dose in sorted(sets[-1]):  # added by the smallest level that holds it
             lvl = next(lvl for lvl, s in enumerate(sets) if dose in s)
             added.append((first[-1] + lvl, dose, group[0]))
-        levels.append(tuple(tuple(sorted(s)) for s in sets))
         first.append(first[-1] + len(sets))
     return (
-        tuple(map(tuple, groups)),
-        tuple(levels),
         tuple(first),
         _frozen(col, np.intp),
         _frozen(np.unique(col, return_index=True)[1], np.intp),
@@ -513,13 +497,13 @@ def chain_maxt(chains, t_values, std_err, var_eta, table) -> np.ndarray:
 
     ``chains`` is the family's :class:`Chains` record, as
     :attr:`~trendcomp.contrasts.ContrastMatrix.chains` holds it.
-    ``t_values`` are the bounds to evaluate, any number of them: the
+    ``t_values`` are the bounds to evaluate, one or more of them: the
     family's statistics, or only those a decision leaves open.
     ``std_err`` holds a row of m contrast standard errors per table,
     ``var_eta`` a row of the group variances they were built from, and
-    ``table`` the row of each bound.  As on the QMC route each value is
-    clipped into [p_raw_q, min(1, m * p_raw_q)], and a single contrast
-    returns its raw normal tail.
+    ``table`` the row of each bound.  The values are the bare tails, not
+    clipped into the sandwich [p_raw_q, min(1, m * p_raw_q)]: the caller,
+    ``trendcomp.contrasts._maxt_p``, checks and clips them.
 
     Node counts are each table's own: the outer rule's comes from the
     widest outer range among the table's bounds, a walk chunk's from the
@@ -533,8 +517,8 @@ def chain_maxt(chains, t_values, std_err, var_eta, table) -> np.ndarray:
     than ``_PASS_ENTRIES`` entries, one per bound and outer node, is cut
     into passes of whole tables, so its working set stays near one
     table's.  In a pass, the bounds that share an outer rule form one run
-    of equal node count.  The thresholds of every level column, its first
-    row's, are built at once, then each chain's factor in chain order: a
+    of equal node count.  The thresholds of every level column are built
+    at once, then each chain's factor in chain order: a
     length-one chain is one normal CDF, a longer one a
     :func:`_walk_probability`.  Each outer rule is summed over its run.
     """
@@ -542,9 +526,8 @@ def chain_maxt(chains, t_values, std_err, var_eta, table) -> np.ndarray:
     se = np.asarray(std_err, dtype=np.float64)
     v = np.asarray(var_eta, dtype=np.float64)
     m = se.shape[1]
-    p_raw = ndtr(-b)
-    if m == 1 or b.size == 0:
-        return p_raw
+    # the first row of each level column, whose threshold is the level's
+    se = se[:, chains.level_rows]
     table = np.asarray(table)
     keys = list(zip(table.tolist(), b.tolist()))
     repeat = None
@@ -557,20 +540,20 @@ def chain_maxt(chains, t_values, std_err, var_eta, table) -> np.ndarray:
     present = np.bincount(table, minlength=len(se)) > 0
     se, v, table = se[present], v[present], (np.cumsum(present) - 1)[table]
     sd0 = np.sqrt(v[:, 0])
-    first, col, control, scale = chains.first, chains.col, chains.control, chains.scale
+    first, control, scale = chains.first, chains.control, chains.scale
     sigma = np.sqrt((chains.increments * v[:, None, 1:]).sum(axis=-1))
     level_var = sigma * sigma
     for f, e in zip(first[:-1], first[1:]):
         if e - f > 1:
             level_var[:, f:e] = level_var[:, f:e].cumsum(axis=1)
-    # z-scale over which row r's constraint switches on
-    row_width = scale * np.sqrt(level_var)[:, col] / (control * sd0[:, None])
+    # z-scale over which level column l's constraint switches on
+    level_width = scale * np.sqrt(level_var) / (control * sd0[:, None])
 
-    # Outer range: below z_lo some row holds with probability < _EPS, so the
+    # Outer range: below z_lo some level holds with probability < _EPS, so the
     # integrand is negligible; above z_hi every row holds with probability
     # > 1 - _EPS / m, so the integrand is the normal density alone.
     shift = b[:, None] * (se / (control * sd0[:, None]))[table]
-    width = row_width[table]
+    width = level_width[table]
     z_lo = (_Q_LO * width - shift).max(axis=1)
     z_hi = (-ndtri(_EPS / m) * width - shift).max(axis=1)
     z_lo = np.minimum(np.maximum(z_lo, -_TAIL_SD), _TAIL_SD)
@@ -578,7 +561,7 @@ def chain_maxt(chains, t_values, std_err, var_eta, table) -> np.ndarray:
     span = z_hi - z_lo
     widest = np.zeros(len(se))
     np.maximum.at(widest, table, span)
-    unit = np.minimum(1.0, row_width.min(axis=1))
+    unit = np.minimum(1.0, level_width.min(axis=1))
     n_z = np.array([_node_count(_OUTER_NODES_PER_SD * s / u) for s, u in zip(widest, unit)])
 
     # Bounds sorted by outer rule, then by table, so a rule's bounds and a
@@ -592,9 +575,7 @@ def chain_maxt(chains, t_values, std_err, var_eta, table) -> np.ndarray:
         heads = np.flatnonzero(np.r_[True, np.diff(table[order]) != 0])
         filled = (np.cumsum(nz) - nz)[heads] // _PASS_ENTRIES
         cuts = heads[1:][filled[1:] != filled[:-1]]
-    # the first row of each level column, whose threshold is the level's
-    on = chains.level_rows
-    se, control, scale = se[:, on], control[on, None], scale[on, None]
+    control, scale = control[:, None], scale[:, None]
     lower = ndtr(-z_hi)
     for sel, nz in zip(np.split(order, cuts), np.split(nz, cuts)):
         # the pass's runs of bounds that share an outer rule, each bound with
@@ -620,5 +601,4 @@ def chain_maxt(chains, t_values, std_err, var_eta, table) -> np.ndarray:
             w *= inside[end : end + w.size].reshape(w.shape)
             lower[sel[i : i + len(w)]] += w.sum(axis=1)
             end += w.size
-    p = 1.0 - lower if repeat is None else (1.0 - lower)[repeat]
-    return np.minimum(np.maximum(p, p_raw), np.minimum(1.0, m * p_raw))
+    return 1.0 - lower if repeat is None else (1.0 - lower)[repeat]

@@ -15,31 +15,30 @@ the comparisons.
 Every maxT p-value of the package, in :func:`contrast_test`, in the
 closed test of :mod:`trendcomp.ctp` and in every decision of
 :mod:`trendcomp.simulate`, comes from one function, :func:`_maxt_p`,
-over a table axis.  It picks the route of a family from its number of
-rows and then its :attr:`ContrastMatrix.chains`, found once per matrix
-from its coefficients.  One row is its raw normal tail.  Two and three
-rows are exact in closed form, by inclusion-exclusion over the rows'
-tails: :func:`trendcomp.mvn.maxt_closed_form` gives the pair tails
-through Owen's T and the triple tail by one Plackett integral, within
-1e-12 of nested ``quad`` oracles.  So every family of k <= 3, the
-paper's k=3 examples included, and the closed test's segments {0, 1, 2}
-and {0, 1, 2, 3} need no quadrature and never look at their chains.
-Larger families with chain structure (see :mod:`trendcomp.chains`),
-which covers many-to-one, Williams and so every closed-test segment,
-get exact quadrature with error below 1e-9 (measured in
-:mod:`trendcomp.chains`).
-None of these routes validates the correlation: it is built from group
-variances, so it is positive semidefinite by construction.  Any other
-family goes to the randomized quasi-Monte Carlo integrator of
-:mod:`trendcomp.mvn` at its default tolerance, after
-:class:`trendcomp.mvn.MvnSpec` validates the correlation.
+over a table axis.  It is the only place that picks a family's route,
+settles bounds against the caller's window, checks an exact value
+against its bracket and clips it into the sandwich [p_raw, min(1, m
+p_raw)]; its docstring lists the steps.  The exact evaluators it calls
+return bare tails, and :func:`trendcomp.mvn.maxt_bounds` only brackets.
 
-A caller that needs p only where it may lie in a window [lo, hi], the
-closure its running maximum and the simulator alpha, passes the window:
-the sandwich, and for a family of three or more rows the second-order
-bracket of :func:`trendcomp.mvn.maxt_bounds`, then settle the bounds
-they prove outside it, and only the rest takes its exact value, the
-closed form or the quadrature.
+The route comes from the number of rows and then from
+:attr:`ContrastMatrix.chains`, found once per matrix from its
+coefficients.  One row is its raw normal tail.  Two and three rows are
+exact in closed form, by inclusion-exclusion over the rows' tails:
+:func:`trendcomp.mvn.maxt_closed_form` gives the pair tails through
+Owen's T and the triple tail by one Plackett integral, within 1e-12 of
+nested ``quad`` oracles.  So every family of k <= 3, the paper's k=3
+examples included, and the closed test's segments {0, 1, 2} and
+{0, 1, 2, 3} need no quadrature and never look at their chains.  Larger
+families with chain structure (see :mod:`trendcomp.chains`), which
+covers many-to-one, Williams and so every closed-test segment, get the
+exact quadrature of :func:`trendcomp.chains.chain_maxt`, with error
+below 1e-9 (measured in :mod:`trendcomp.chains`).  None of these routes
+validates the correlation: it is built from group variances, so it is
+positive semidefinite by construction.  Any other family goes to the
+randomized quasi-Monte Carlo integrator of :mod:`trendcomp.mvn` at its
+default tolerance, after :class:`trendcomp.mvn.MvnSpec` validates the
+correlation.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import ndtr
 
-from .chains import _MARGIN, Chains, ContrastError, _equal_fields, chain_maxt, chain_structure
+from .chains import Chains, ContrastError, _equal_fields, chain_maxt, chain_structure
 from .model import ModelFit
 from .mvn import (
     MAX_DIMENSION,
@@ -72,6 +71,11 @@ __all__ = [
 ]
 
 _ROW_SUM_TOL = 1e-12
+# a bracket of :func:`trendcomp.mvn.maxt_bounds` settles a comparison only
+# this far clear of it, ten times the quadrature's error, so it is the
+# comparison the exact value makes; an exact p this far outside its
+# bracket raises ContrastError
+_MARGIN = 1e-7
 
 
 @dataclass(frozen=True)
@@ -245,15 +249,15 @@ def _maxt_p(
        family of three or more rows and settles those it puts more than
        ``_MARGIN`` outside the window.  Two rows skip this step: their
        bracket is their closed form.
-    4. What is still open takes its exact value.  Two or three rows take
-       :func:`maxt_closed_form`, clipped into [p_raw, min(1, m p_raw)].
-       A larger family is integrated, which reads
-       :attr:`~ContrastMatrix.chains`: by one :func:`chain_maxt` call
-       over all tables, or, for a family without chains, by
+    4. What is still open takes its bare exact tail from one of three
+       evaluators: two or three rows from :func:`maxt_closed_form`; a
+       larger family with :attr:`~ContrastMatrix.chains` from one
+       :func:`chain_maxt` call over all tables; any other from
        :func:`adjust_maxt`, which takes each table's whole family of
        statistics and validates the correlation with :class:`MvnSpec`.
-       A closed-form or :func:`chain_maxt` p more than ``_MARGIN``
-       outside its step-3 bracket raises :class:`ContrastError`.
+    5. A tail more than ``_MARGIN`` outside its step-3 bracket raises
+       :class:`ContrastError`, which names the route.  Every tail is
+       then clipped into [p_raw, min(1, m p_raw)].
 
     ``routes``, if given, gains the number of bounds settled by steps
     1-2, by step 3 or the closed form, and integrated.
@@ -277,17 +281,18 @@ def _maxt_p(
         keep = ~below & (lower <= hi + _MARGIN)
         p[r, b] = np.where(below, upper, lower)
         r, b, lower, upper = r[keep], b[keep], lower[keep], upper[keep]
-    if r.size and m > 3 and contrasts.chains is None:
-        whole = [adjust_maxt(row, MvnSpec(R)) for row, R in zip(t, correlation)]
-        p[r, b] = np.reshape(whole, t.shape)[r, b]
-    elif r.size:
+    if r.size:
         bound = t[r, b]
         if m <= 3:
             route = "closed-form"
             q = maxt_closed_form(bound[:, None], correlation[r])[:, 0]
-        else:
+        elif contrasts.chains is not None:
             route = "quadrature"
             q = chain_maxt(contrasts.chains, bound, std_err, var_eta, r)
+        else:
+            route = "QMC"
+            whole = [adjust_maxt(row, MvnSpec(R)) for row, R in zip(t, correlation)]
+            q = np.reshape(whole, t.shape)[r, b]
         if lower is not None:
             inside = (lower - _MARGIN <= q) & (q <= upper + _MARGIN)
             if not inside.all():
@@ -296,9 +301,7 @@ def _maxt_p(
                     f"{route} p-value {q[i]!r} at t = {bound[i]!r} lies outside "
                     f"its second-order bracket [{lower[i]!r}, {upper[i]!r}]"
                 )
-        if m <= 3:
-            q = np.minimum(np.maximum(q, p_raw[r, b]), np.minimum(1.0, m * p_raw[r, b]))
-        p[r, b] = q
+        p[r, b] = np.minimum(np.maximum(q, p_raw[r, b]), np.minimum(1.0, m * p_raw[r, b]))
     if routes is not None:
         integrated = r.size if m > 3 else 0
         routes += [t.size - sandwich_open, sandwich_open - integrated, integrated]

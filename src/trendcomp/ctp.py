@@ -18,19 +18,14 @@ both variants.
 the many-to-one (Dunnett) family and variant C's k segment families, the
 top one being the global Williams family.  Each is a plain
 :class:`ContrastMatrix` that carries its chains.  Every adjusted p-value
-comes from :func:`trendcomp.contrasts._maxt_p`: a family of one to
-three rows (so every family of a k <= 3 table and the segments {0, 1},
-{0, 1, 2} and {0, 1, 2, 3}) is exact in closed form, and a larger one,
-which has chain structure, comes from the exact quadrature of
-:mod:`trendcomp.chains`, with error below 1e-9 (measured there) and no
-random numbers.  The closure of
+comes from :func:`trendcomp.contrasts._maxt_p`, whose docstring states
+its routes: exact in closed form or by quadrature for every stock
+family, with no random numbers.  The closure of
 :func:`closed_analysis`, :func:`_williams_closure`, asks for each lower
-segment's p only above the running maximum, so a segment that the
-sandwich or the second-order bracket proves cannot raise it is neither
-integrated nor, with three rows, given its closed form, and the
-reported p is the same float.  The simulator shares
-the family table and the closure, which there settles each segment
-against alpha instead.
+segment's p only above the running maximum, so a segment that cannot
+raise it gets no exact value, and the reported p is the same float.
+The simulator shares the family table and the closure, which there
+settles each segment against alpha instead.
 :func:`raw_pairwise_pvalues`, :func:`ctp_pairwise` and the variant C
 closure also take a fit with a leading replicate axis and then run over
 its rows, so the simulator decides a chunk of replicates in one call of

@@ -1,20 +1,16 @@
 """Multivariate normal rectangle probabilities and maxT-adjusted p-values.
 
-This is the general route, for any correlation matrix: custom contrast
-families in :func:`trendcomp.contrasts.contrast_test`.  The stock families
-(many-to-one, Williams and the closed-test segments), in analysis and in
-simulation alike, have chain structure and are integrated exactly by
-:mod:`trendcomp.chains` instead; ``seed``, ``abs_tol`` and ``max_points``
-below act only on this route.  :func:`maxt_bounds` brackets maxT-adjusted
-p-values in closed form, for any correlation and many tables at once,
-from the rows' pair tails by Owen's T.  :func:`maxt_closed_form` gives
-the exact p-value of a family of two or three rows from the same pair
-tails, and for three rows one Plackett integral on 64 nodes
-(:func:`_triple_tail`), held to ``quad`` oracles within 1e-12 and to the
-arcsine formula at t = 0 within 1e-15, at correlations of +-1 too, by
-``tests/test_mvn.py``.  With two rows the bracket is that exact value;
-with three it is the cheaper second-order bracket, which a caller with
-a window tries before the Plackett integral.
+Which family takes which of the functions here, and who checks and
+clips their values, is the policy of ``trendcomp.contrasts._maxt_p``.
+:func:`adjust_maxt` serves any correlation matrix, and its ``seed``,
+``abs_tol`` and ``max_points`` act only on this quasi-Monte Carlo route.
+:func:`maxt_bounds` brackets maxT-adjusted p-values in closed form, for
+any correlation and many tables at once, from the rows' pair tails by
+Owen's T.  :func:`maxt_closed_form` gives the exact p-value of a family
+of two or three rows from the same pair tails, and for three rows one
+Plackett integral on 64 nodes (:func:`_triple_tail`), held to ``quad``
+oracles within 1e-12 and to the arcsine formula at t = 0 within 1e-15,
+at correlations of +-1 too, by ``tests/test_mvn.py``.
 
 The tail probability P(max_j T_j >= b) for T ~ N(0, R) is summed over
 first passages, P(T_i >= b, T_j < b for j < i), so the rare event leads
@@ -445,17 +441,13 @@ def maxt_bounds(t, correlation) -> tuple:
     heavier of two: the star about the best centre and the path through
     the rows in order.  The lower bound is the larger of p and that of
     Dawson & Sankoff (1967, JASA 62:823), 2 S1 / (k + 1) - 2 S2 / (k (k +
-    1)) with k = 1 + floor(2 S2 / S1).  With one or two rows S1 - S2 is
-    exact, and both bounds are that value.  Three rows get the bracket
-    too: it is what a caller with a window asks for, and the exact value
+    1)) with k = 1 + floor(2 S2 / S1).  With two rows the upper bound
+    is the exact S1 - S2; the exact value of a family of up to three rows
     is :func:`maxt_closed_form`.
     """
     t, m, p_raw, rho, pair = _pair_tails(t, correlation)
     s1 = m * p_raw
     s2 = pair.sum(axis=-1)
-    if m <= 2:
-        exact = s1 - s2
-        return exact, exact
     _, _, star_masks, path_mask = _pairs(m)
     star = np.max([pair[..., mask].sum(axis=-1) for mask in star_masks], axis=0)
     path = pair[..., path_mask].sum(axis=-1)

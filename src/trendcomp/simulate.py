@@ -11,21 +11,11 @@ of :mod:`trendcomp.model`, the many-to-one and segment families of
 maxT function of both, ``trendcomp.contrasts._maxt_p``.  Decisions, not
 p-values, are accumulated: every maxT p is asked for in the window
 [alpha, alpha], so each value is below alpha exactly when the p-value of
-``closed_analysis`` on the same table is.  A bound passes up to three
-stages over the whole chunk at once.  The exact sandwich p_raw <= p_adj
-<= m * p_raw settles most bounds.  In a family of three or more rows
-the second-order bounds of :func:`trendcomp.mvn.maxt_bounds` settle
-most of the rest, a bound only when its bracket lies more than
-``trendcomp.chains._MARGIN`` (1e-7, ten times the quadrature's error)
-clear of alpha.  What is still open takes its exact value: a family of
-two or three rows its closed form,
-:func:`trendcomp.mvn.maxt_closed_form`, so a k = 3 design integrates
-nothing and pays for a Plackett integral only on what the bracket
-leaves open.  :func:`trendcomp.chains.chain_maxt` integrates what is
-still open in families of four or more rows, in one call per family
-over all of the chunk's tables, one bound per table for each lower
-segment, and each table's p-values are the ones a call on that table
-alone returns.
+``closed_analysis`` on the same table is.  Each family is decided over
+the whole chunk by one call, one bound per table for each lower segment,
+and its stages (sandwich, second-order bracket, exact value) are those
+of ``_maxt_p``, whose docstring states them; each table's p-values are
+the ones a call on that table alone returns.
 How many bounds each stage settled is counted per scenario and reported
 on stderr ("by closed form or second-order bounds" for the second), not
 in :meth:`ScenarioResult.to_dict`.

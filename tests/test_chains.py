@@ -30,6 +30,7 @@ from trendcomp.mvn import (
     MvnSpec,
     adjust_maxt,
     maxt_bounds,
+    maxt_closed_form,
     mvn_upper_orthant_complement,
 )
 
@@ -151,19 +152,26 @@ def no_exact(monkeypatch):
 class TestChainStructure:
     def test_dunnett_is_one_level_chains(self):
         found = chain_structure(dunnett_matrix([10] * 5).coefficients)
-        assert len(found.rows) == 4
-        assert all(len(levels) == 1 for levels in found.levels)
+        assert found.first == (0, 1, 2, 3, 4)
+        assert found.level_rows.tolist() == [0, 1, 2, 3]
 
     def test_williams_is_one_chain(self):
+        # levels from the smallest support up: dose 3 alone, then 2-3, then 1-3
         found = chain_structure(williams_matrix([12, 30, 25, 18]).coefficients)
-        assert len(found.rows) == 1
-        assert found.levels[0] == ((2,), (1, 2), (0, 1, 2))
-        assert found.rows[0] == (2, 1, 0)
+        assert found.first == (0, 3)
+        assert found.level_rows.tolist() == [0, 1, 2]
+        assert (found.increments > 0.0).tolist() == [
+            [False, False, True],
+            [False, True, False],
+            [True, False, False],
+        ]
 
     def test_equal_supports_share_a_level(self):
         C = [[-1.0, 1.0, 0.0], [-2.0, 2.0, 0.0], [-1.0, 0.0, 1.0]]
         found = chain_structure(C)
-        assert sorted(len(levels) for levels in found.levels) == [1, 1]
+        assert found.first == (0, 1, 2)
+        assert found.level_rows.tolist() == [0, 2]
+        np.testing.assert_array_equal(found.control, [1.0, 1.0])
 
     def test_increments_hold_the_squared_weights_each_level_adds(self):
         found = chain_structure(williams_matrix([12, 30, 25, 18]).coefficients)
@@ -174,36 +182,36 @@ class TestChainStructure:
         )
 
     def test_the_record_rebuilds_its_matrix(self):
-        # every coefficient from the record alone: -control in column 0, and
-        # scale times the chain's widest row on the row's support; each
-        # increment row the squared widest weights of the doses its level adds
+        # the first row of each level column from the record alone: -control
+        # in column 0, and scale times the chain's widest weights on the
+        # level's support, the square roots of the increments up to the level;
+        # every other row is a multiple of the first row of its level
         rng = np.random.default_rng(8)
         shared = several = rejected = controls = 0
         for _ in range(200):
             C = random_chain_family(rng)
             found = chain_structure(C)
-            rebuilt, increments = np.zeros_like(C), np.zeros_like(found.increments)
-            for rows, levels, f in zip(found.rows, found.levels, found.first):
-                widest = C[rows[0], 1:]
-                for r in rows:
-                    support = list(levels[found.col[r] - f])
-                    rebuilt[r, 0] = -found.control[r]
-                    rebuilt[r, 1:][support] = found.scale[r] * widest[support]
-                for lvl, (below, level) in enumerate(zip([(), *levels], levels)):
-                    added = sorted(set(level) - set(below))
-                    increments[f + lvl, added] = widest[added] ** 2
-            np.testing.assert_allclose(rebuilt, C, rtol=1e-12, atol=0)
-            np.testing.assert_array_equal(found.increments, increments)
-            assert found.first[-1] == sum(map(len, found.levels))
-            # each level column's first row, of which its other rows are multiples
-            heads = [int(np.flatnonzero(found.col == lvl)[0]) for lvl in range(found.first[-1])]
+            n_levels = found.first[-1]
+            assert found.increments.shape[0] == len(found.level_rows) == n_levels
+            weights = np.zeros((n_levels, C.shape[1] - 1))
+            for f, e in zip(found.first, found.first[1:]):
+                weights[f:e] = np.sqrt(np.cumsum(found.increments[f:e], axis=0))
+            rebuilt = np.column_stack([-found.control, found.scale[:, None] * weights])
+            np.testing.assert_allclose(rebuilt, C[found.level_rows], rtol=1e-12, atol=0)
+            # each row's level column, found from its support
+            same_support = ((C[:, None, 1:] != 0.0) == (weights[None] != 0.0)).all(axis=-1)
+            col = np.argmax(same_support, axis=1)
+            assert same_support[np.arange(len(C)), col].all()
+            heads = [int(np.flatnonzero(col == lvl)[0]) for lvl in range(n_levels)]
             assert found.level_rows.tolist() == heads
-            for r, head in enumerate(found.level_rows[found.col]):
+            for r, head in enumerate(found.level_rows[col]):
                 np.testing.assert_allclose(C[r], C[r, 0] / C[head, 0] * C[head], rtol=1e-12)
-            shared += len(C) > found.first[-1]
-            several += len(found.rows) > 1
-            # a row of two or more doses bent off proportional to its widest row
-            bend = [r for rows in found.rows for r in rows[1:] if np.count_nonzero(C[r, 1:]) > 1]
+            shared += len(C) > n_levels
+            several += len(found.first) > 2
+            # a row of two or more doses bent off proportional to its chain's
+            # widest row, the first row of the chain's top level column
+            widest = found.level_rows[np.array(found.first[1:]) - 1]
+            bend = [r for r in range(len(C)) if r not in widest and np.count_nonzero(C[r, 1:]) > 1]
             if bend:
                 bent = C.copy()
                 bent[bend[0], 1 + np.flatnonzero(C[bend[0], 1:])[0]] *= 1.5
@@ -211,7 +219,7 @@ class TestChainStructure:
                 assert chain_structure(bent) is None
                 rejected += 1
             # a row sharing a level, its control bent off proportional to the level's first row
-            follow = [r for r, head in enumerate(found.level_rows[found.col]) if head != r]
+            follow = [r for r, head in enumerate(found.level_rows[col]) if head != r]
             if follow:
                 bent = C.copy()
                 bent[follow[0], 0] *= 1.5
@@ -387,14 +395,15 @@ def test_two_row_bounds_are_the_bivariate_tail(family):
     cm = family(n)
     _, _, _, R = contrast_moments(cm.coefficients, np.zeros(3), var)
     t = np.array([[-0.5, 0.0, 1.0, 1.9, 2.4, 3.3, 4.2]] * 4)
+    p = maxt_closed_form(t, R)
     lower, upper = maxt_bounds(t, R)
+    assert np.all(lower - 1e-12 <= p) and np.all(p <= upper + 1e-12)
     for r in range(4):
         for q, b in enumerate(t[r]):
             below = multivariate_normal.cdf(
                 [b, b], mean=[0.0, 0.0], cov=R[r], abseps=1e-14, releps=1e-12
             )
-            assert lower[r, q] == pytest.approx(1.0 - below, rel=0, abs=1e-9)
-            assert upper[r, q] == pytest.approx(1.0 - below, rel=0, abs=1e-9)
+            assert p[r, q] == pytest.approx(1.0 - below, rel=0, abs=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -409,15 +418,16 @@ def test_two_row_bounds_are_the_bivariate_tail(family):
     ],
 )
 def test_two_row_williams_is_the_owens_t_tail(n, y, no_qmc):
-    # with two rows maxt_bounds is exact, Owen's T against one walk of two levels
+    # the two-row closed form, Owen's T, against one walk of two levels
     fit = fit_saturated_logit(DoseGroupData(labels=("0", "1", "2"), n=n, y=y))
     cm = williams_matrix(n)
     _, se, t, R = contrast_moments(cm.coefficients, fit.eta, fit.var_eta)
     bounds = np.concatenate([t, [-0.5, 0.0, 0.7, 1.5, 2.2, 3.1, 4.4]])
+    exact = maxt_closed_form(bounds[None], R[None])
     lower, upper = maxt_bounds(bounds[None], R[None])
-    np.testing.assert_array_equal(lower, upper)
+    assert np.all(lower - 1e-12 <= exact) and np.all(exact <= upper + 1e-12)
     p = one_table(cm, bounds, se[None], fit.var_eta[None])
-    np.testing.assert_allclose(p, lower[0], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(p, exact[0], rtol=0, atol=1e-10)
 
 
 def test_rows_sharing_a_level_out_of_proportion_have_no_chains():
@@ -436,6 +446,16 @@ def test_rows_sharing_a_level_out_of_proportion_have_no_chains():
         p = mvn_upper_orthant_complement(MvnSpec(R), b, abs_tol=1e-6).value
         expected = multivariate_normal.cdf(np.full(4, b), mean=np.zeros(4), cov=R, abseps=1e-8)
         assert abs(p - (1.0 - expected)) <= 5e-6
+
+
+def test_one_row_is_its_raw_normal_tail():
+    # chain_maxt returns the bare tail, so one contrast integrates to Phi(-t)
+    cm = dunnett_matrix([20, 30])
+    var = np.array([[0.1, 0.2], [0.05, 0.6], [0.4, 0.01]])
+    _, se, _, _ = contrast_moments(cm.coefficients, np.zeros((3, 2)), var)
+    bounds = np.tile([-3.0, -1.0, 0.0, 0.7, 1.9, 3.2, 4.5, 6.0], 3)
+    p = chains.chain_maxt(cm.chains, bounds, se, var, np.repeat(np.arange(3), 8))
+    np.testing.assert_allclose(p, ndtr(-bounds), rtol=0, atol=2e-12)
 
 
 @pytest.mark.parametrize("ratio", [0.01, 0.1, 1.0, 10.0, 100.0])

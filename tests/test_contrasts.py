@@ -223,6 +223,25 @@ def test_two_rows_are_the_bivariate_normal_tail(cm, var, rho, monkeypatch):
     assert "chains" not in vars(cm)  # the route never looked at them
 
 
+@pytest.mark.parametrize(
+    "tail, end",
+    [
+        (lambda p_raw: p_raw - 1e-9, lambda p_raw: p_raw),  # inside _MARGIN of the sandwich
+        (lambda p_raw: 4.0 * p_raw + 1e-9, lambda p_raw: np.minimum(1.0, 4.0 * p_raw)),
+    ],
+    ids=["below-p-raw", "above-bonferroni"],
+)
+def test_maxt_p_clips_a_bare_tail_into_the_sandwich(tail, end, monkeypatch):
+    # chain_maxt returns bare tails; _maxt_p alone clips every route's value
+    cm = dunnett_matrix([20] * 5)
+    var = np.array([0.1, 0.2, 0.15, 0.3, 0.25])
+    _, se, _, R = contrast_moments(cm.coefficients, np.zeros(5), var)
+    bounds = np.array([[0.4, 1.0, 1.6, 2.9]])  # 4 Phi(-0.4) > 1
+    monkeypatch.setattr(contrasts, "chain_maxt", lambda chains, t, *args: tail(ndtr(-t)))
+    p = contrasts._maxt_p(cm, bounds, se[None], var[None], R[None])
+    np.testing.assert_array_equal(p, end(ndtr(-bounds)))
+
+
 def random_tables(rng, k, count):
     """Log-odds and their variances of ``count`` random 2 x (k + 1) tables, one per row."""
     n = rng.integers(5, 61, size=k + 1)

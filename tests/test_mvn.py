@@ -234,10 +234,12 @@ class TestMaxtBounds:
     def test_opposite_rows_have_the_exact_tail(self):
         # rho = -1: T_2 = -T_1, so P(max >= t) is 2 Phi(-t) for t > 0 and 1 for t <= 0
         t = np.array([[-1.3, -0.2, 0.0, 0.4, 2.5]])
-        lower, upper = maxt_bounds(t, np.array([[[1.0, -1.0], [-1.0, 1.0]]]))
+        R = np.array([[[1.0, -1.0], [-1.0, 1.0]]])
+        p = maxt_closed_form(t, R)
         want = np.where(t > 0.0, 2.0 * ndtr(-t), 1.0)
-        np.testing.assert_allclose(lower, want, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(upper, want, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(p, want, rtol=0, atol=1e-15)
+        lower, upper = maxt_bounds(t, R)
+        assert np.all(lower - 1e-15 <= p) and np.all(p <= upper + 1e-15)
 
 
 def near_copy(rng, row, sign):

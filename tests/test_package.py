@@ -1,6 +1,8 @@
 """Every name a module exports resolves, so ``from ... import *`` works,
 no module imports a name it never uses, no private definition goes
-unread, and every source file parses as the oldest supported Python.
+unread, the chain record holds only what its quadrature reads, every
+source file parses as the oldest supported Python, and CI runs the
+tier-1 suite on that Python.
 
 Deleting a function without dropping it from ``__all__`` fails here
 instead of breaking the star import, and deleting its last caller
@@ -9,9 +11,11 @@ without its import or its private helpers fails here too.
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
+import yaml
 
 import trendcomp
 
@@ -130,3 +134,47 @@ def test_every_file_parses_as_the_oldest_supported_python():
     assert len(paths) > 20
     for path in paths:
         ast.parse(path.read_text(), filename=str(path), feature_version=FLOOR)
+
+
+def fields_not_read(source: str, record: str, function: str) -> list:
+    """The fields of dataclass ``record`` that ``function`` never reads as ``chains.<field>``.
+
+    Both are top-level definitions of ``source``.
+    """
+    top = {node.name: node for node in ast.parse(source).body if hasattr(node, "name")}
+    fields = [node.target.id for node in top[record].body if isinstance(node, ast.AnnAssign)]
+    read = {
+        node.attr
+        for node in ast.walk(top[function])
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "chains"
+    }
+    return [name for name in fields if name not in read]
+
+
+def test_the_unread_field_check_finds_one():
+    source = (
+        "class Chains:\n    __eq__ = None\n    first: tuple\n    spare: tuple\n"
+        "def chain_maxt(chains):\n    return chains.first\n"
+        "def test_spare(chains):\n    return chains.spare\n"
+    )
+    assert fields_not_read(source, "Chains", "chain_maxt") == ["spare"]
+
+
+def test_the_chain_record_holds_only_what_its_quadrature_reads():
+    source = Path(importlib.import_module("trendcomp.chains").__file__).read_text()
+    assert fields_not_read(source, "Chains", "chain_maxt") == []
+
+
+def test_ci_runs_tier_one_weekly_on_the_oldest_python():
+    # dependencies are unpinned, so a weekly run shows an upstream release
+    # that breaks the suite; YAML 1.1 reads the key ``on`` as True
+    workflow = yaml.safe_load((ROOT / ".github/workflows/tests.yml").read_text())
+    assert {"push", "pull_request", "schedule", "workflow_dispatch"} <= set(workflow[True])
+    assert workflow[True]["schedule"][0]["cron"]
+    roadmap = (ROOT / "ROADMAP.md").read_text()
+    command = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", roadmap).group(1)
+    job = workflow["jobs"]["tier1"]
+    assert any(step.get("run", "").startswith(command) for step in job["steps"])
+    assert "%d.%d" % FLOOR in job["strategy"]["matrix"]["python-version"]
