@@ -15,17 +15,22 @@ the comparisons.
 Every maxT p-value of the package, in :func:`contrast_test`, in the
 closed test of :mod:`trendcomp.ctp` and in every decision of
 :mod:`trendcomp.simulate`, comes from one function, :func:`_maxt_p`,
-over a table axis.  It is the only place that picks a family's route,
-settles bounds against the caller's window, checks an exact value
-against its bracket and clips it into the sandwich [p_raw, min(1, m
-p_raw)]; its docstring lists the steps.  The exact evaluators it calls
-return bare tails, and :func:`trendcomp.mvn.maxt_bounds` only brackets.
+over a table axis and a list of families.  It is the only place that
+picks a family's route, settles bounds against the caller's window,
+checks an exact value against its bracket and clips it into the
+sandwich [p_raw, min(1, m p_raw)]; its docstring lists the steps.  The
+sandwich runs per family; the open bounds of all families of one row
+count share one set of pair tails, one bracket and one closed form, so
+a call on the Dunnett and the global Williams family of k = 3 pays for
+one Plackett integral, and every p is bitwise that of a call on its
+family alone.  The exact evaluators return bare tails, and the bracket
+only brackets.
 
 The route comes from the number of rows and then from
 :attr:`ContrastMatrix.chains`, found once per matrix from its
 coefficients.  One row is its raw normal tail.  Two and three rows are
-exact in closed form, by inclusion-exclusion over the rows' tails:
-:func:`trendcomp.mvn.maxt_closed_form` gives the pair tails through
+exact in closed form, by inclusion-exclusion over the rows' tails
+(:func:`trendcomp.mvn.maxt_closed_form`): the pair tails through
 Owen's T and the triple tail by one Plackett integral, within 1e-12 of
 nested ``quad`` oracles.  So every family of k <= 3, the paper's k=3
 examples included, and the closed test's segments {0, 1, 2} and
@@ -45,6 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import ndtr
@@ -55,9 +61,10 @@ from .mvn import (
     MAX_DIMENSION,
     CorrelationError,
     MvnSpec,
+    _bracket,
+    _inclusion_exclusion,
+    _pair_tails,
     adjust_maxt,
-    maxt_bounds,
-    maxt_closed_form,
 )
 
 __all__ = [
@@ -229,83 +236,159 @@ class TestReport:
         return float(self.p_adjusted.min())
 
 
-def _maxt_p(
-    contrasts: ContrastMatrix, t, std_err, var_eta, correlation, lo=-np.inf, hi=np.inf, routes=None
-) -> np.ndarray:
-    """maxT-adjusted p-values at the bounds ``t``, exact wherever they may lie in [lo, hi].
+def _maxt_p(families, lo=-np.inf, hi=np.inf, routes=None) -> list:
+    """maxT-adjusted p-values of several families, exact wherever they may lie in their window.
 
-    Row r of ``t`` holds bounds of table r, whose contrast standard
-    errors, group variances and correlation are row r of ``std_err``,
-    ``var_eta`` and ``correlation``; ``lo`` and ``hi`` are numbers or
-    arrays shaped like ``t``.  Where p is proven below ``lo``, the value is an upper bound
-    on p still below it; where p is proven at or above ``hi``, a lower
-    bound on p at or above it.  Elsewhere the value is p, bitwise that of
-    a call without a window.  The steps:
+    Each family is a tuple ``(contrasts, t, std_err, var_eta,
+    correlation)``, or the same with its own ``lo, hi`` appended in place
+    of the call's; one p array per family is returned, shaped like its
+    ``t``.  Row r of ``t`` holds bounds of table r, whose contrast
+    standard errors, group variances and correlation are row r of
+    ``std_err``, ``var_eta`` and ``correlation``; ``lo`` and ``hi`` are
+    numbers or arrays shaped like ``t``.  Where p is proven below ``lo``,
+    the value is an upper bound on p still below it; where p is proven at
+    or above ``hi``, a lower bound on p at or above it.  Elsewhere the
+    value is p, bitwise that of a call without a window.  The steps:
 
     1. One row is its raw normal tail.
-    2. The sandwich p_raw <= p <= m p_raw settles a bound with
-       m p_raw < lo or p_raw >= hi.
-    3. Given a window, :func:`maxt_bounds` brackets the open bounds of a
+    2. Given a window, the sandwich p_raw <= p <= m p_raw settles a
+       bound with m p_raw < lo or p_raw >= hi.  Without one nothing can
+       settle, so every bound of two or more rows is open.
+    3. Given a window, :func:`_bracket` brackets the open bounds of a
        family of three or more rows and settles those it puts more than
        ``_MARGIN`` outside the window.  Two rows skip this step: their
        bracket is their closed form.
     4. What is still open takes its bare exact tail from one of three
-       evaluators: two or three rows from :func:`maxt_closed_form`; a
-       larger family with :attr:`~ContrastMatrix.chains` from one
-       :func:`chain_maxt` call over all tables; any other from
+       evaluators: two or three rows from :func:`_inclusion_exclusion`;
+       a larger family with :attr:`~ContrastMatrix.chains` from one
+       :func:`chain_maxt` call over all its tables; any other from
        :func:`adjust_maxt`, which takes each table's whole family of
        statistics and validates the correlation with :class:`MvnSpec`.
     5. A tail more than ``_MARGIN`` outside its step-3 bracket raises
        :class:`ContrastError`, which names the route.  Every tail is
        then clipped into [p_raw, min(1, m p_raw)].
 
-    ``routes``, if given, gains the number of bounds settled by steps
-    1-2, by step 3 or the closed form, and integrated.
+    Steps 3 and 4 run once per row count, not per family: the open
+    bounds of all its families of two or three rows, and of its larger
+    families with a window, are concatenated; one :func:`_pair_tails`
+    call gives the pair tails that both the bracket and the closed form
+    read, one :func:`_bracket` call brackets them, and for two or three
+    rows one :func:`_inclusion_exclusion` call, with one Plackett
+    integral for three, takes what is left.  Each evaluator
+    computes a bound's floats apart from the bounds batched with it, so
+    every p is bitwise that of a call on its family alone.  ``routes``,
+    if given, gains the number of bounds settled by steps 1-2, by step 3
+    or the closed form, and integrated.
     """
-    m = contrasts.n_rows
-    p_raw = ndtr(-t)
-    p = np.where(p_raw >= hi, p_raw, m * p_raw)
-    # one row is exact; the sandwich leaves open what it cannot put outside [lo, hi]
-    r, b = ((p_raw < hi) & (p >= lo) & (m > 1)).nonzero()
-    sandwich_open = r.size
-    lower = None
-    # Without a window the bracket could settle nothing and would only check
-    # the exact value: bracketing contrast_test's Dunnett and global Williams
-    # families made closed_analysis 7% slower over the benchmark's analyze
-    # tables on a 2-vCPU host.  Two rows' bracket is their closed form.
-    if m >= 3 and r.size and (np.ndim(lo) or np.ndim(hi) or lo > -np.inf or hi < np.inf):
-        lo, hi = (w[r, b] if np.ndim(w) else w for w in (lo, hi))
-        lower, upper = maxt_bounds(t[r, b, None], correlation[r])
-        lower, upper = lower[:, 0], upper[:, 0]
-        below = upper < lo - _MARGIN
-        keep = ~below & (lower <= hi + _MARGIN)
-        p[r, b] = np.where(below, upper, lower)
-        r, b, lower, upper = r[keep], b[keep], lower[keep], upper[keep]
-    if r.size:
-        bound = t[r, b]
-        if m <= 3:
-            route = "closed-form"
-            q = maxt_closed_form(bound[:, None], correlation[r])[:, 0]
-        elif contrasts.chains is not None:
-            route = "quadrature"
-            q = chain_maxt(contrasts.chains, bound, std_err, var_eta, r)
+    sizes = [family[1].size for family in families]
+    flat = np.empty(sum(sizes))  # the families' p back to back, each returned as a view
+    ps, groups = [], {}
+    counts = [0, 0, 0]  # bounds settled by steps 1-2, by step 3 or the closed form, integrated
+    end = 0
+    for (contrasts, t, std_err, var_eta, correlation, *window), size in zip(families, sizes):
+        f_lo, f_hi = window or (lo, hi)
+        m = contrasts.n_rows
+        start, end = end, end + size
+        p = flat[start:end].reshape(t.shape)
+        p_raw = ndtr(-t)
+        windowed = bool(np.ndim(f_lo) or np.ndim(f_hi) or f_lo > -np.inf or f_hi < np.inf)
+        if windowed:
+            high = p_raw >= f_hi
+            np.multiply(p_raw, m, out=p)
+            np.copyto(p, p_raw, where=high)
+            # one row is exact; the sandwich leaves open what it cannot put outside [lo, hi]
+            i = np.flatnonzero(~high & (p >= f_lo)) if m > 1 else np.arange(0)
+        elif m == 1:
+            p[...] = p_raw
+            i = np.arange(0)
         else:
-            route = "QMC"
-            whole = [adjust_maxt(row, MvnSpec(R)) for row, R in zip(t, correlation)]
-            q = np.reshape(whole, t.shape)[r, b]
+            i = np.arange(size)
+        ps.append(p)
+        counts[0] += size - i.size
+        counts[1] += i.size
+        if i.size:
+            # the open bounds by flat index i: table r, bound, and place in flat
+            f = SimpleNamespace(contrasts=contrasts, t=t, std_err=std_err, var_eta=var_eta)
+            f.correlation, f.i, f.pos = correlation, i, start + i
+            f.r, f.bound = i // t.shape[1], t.take(i)
+            # their window, if a bracket may settle them
+            f.window = None
+            if windowed and m >= 3:
+                f.window = [
+                    np.take(w, i) if np.ndim(w) else np.full(i.size, w) for w in (f_lo, f_hi)
+                ]
+            groups.setdefault(m, []).append(f)
+    jobs = []  # exact tails to check against their brackets, clip and store
+    for m, group in sorted(groups.items()):
+        # Without a window the bracket could settle nothing and would only
+        # check the exact value: bracketing contrast_test's Dunnett and global
+        # Williams families made closed_analysis 7% slower over the
+        # benchmark's analyze tables on a 2-vCPU host.  The bracketed
+        # families lead, so that their bounds are a prefix of the pass.
+        group.sort(key=lambda f: f.window is None)
+        bracketed = [f for f in group if f.window is not None]
+        # the closed form reads the pair tails of every bound, the bracket those it brackets
+        tailed = group if m <= 3 else bracketed
+        lower = upper = None
+        if tailed:
+            t, _, p_raw, rho, pair = _pair_tails(
+                np.concatenate([f.bound for f in tailed])[:, None],
+                np.concatenate([f.correlation[f.r] for f in tailed]),
+            )
+            pos = np.concatenate([f.pos for f in tailed])
+        if bracketed:
+            n = sum(f.i.size for f in bracketed)
+            lower, upper = (x[:, 0] for x in _bracket(m, p_raw[:n], pair[:n]))
+            w_lo, w_hi = (np.concatenate([f.window[k] for f in bracketed]) for k in (0, 1))
+            below = upper < w_lo - _MARGIN
+            kept = ~below & (lower <= w_hi + _MARGIN)
+            flat[pos[:n]] = np.where(below, upper, lower)
+            if m <= 3:
+                keep = np.concatenate([kept, np.ones(pos.size - n, dtype=bool)])
+                t, p_raw, rho, pair, pos = (x[keep] for x in (t, p_raw, rho, pair, pos))
+                lower, upper = lower[kept], upper[kept]
+            else:
+                start = 0
+                for f in bracketed:
+                    cut = slice(start, start + f.i.size)
+                    f.kept, f.lower, f.upper = kept[cut], lower[cut], upper[cut]
+                    start = cut.stop
+        if m <= 3:
+            q = _inclusion_exclusion(m, t, p_raw, rho, pair)[:, 0]
+            jobs.append(("closed-form", q, t[:, 0], p_raw[:, 0], lower, upper, pos, m))
+            continue
+        for f in group:
+            bound, r, i, pos = f.bound, f.r, f.i, f.pos
+            lower = upper = None
+            if f.window is not None:
+                bound, r, i, pos = (x[f.kept] for x in (bound, r, i, pos))
+                lower, upper = f.lower[f.kept], f.upper[f.kept]
+            if not i.size:
+                continue
+            if f.contrasts.chains is not None:
+                route = "quadrature"
+                q = chain_maxt(f.contrasts.chains, bound, f.std_err, f.var_eta, r)
+            else:
+                route = "QMC"
+                whole = [adjust_maxt(row, MvnSpec(R)) for row, R in zip(f.t, f.correlation)]
+                q = np.take(whole, i)
+            jobs.append((route, q, bound, ndtr(-bound), lower, upper, pos, m))
+            counts[1] -= i.size
+            counts[2] += i.size
+    for route, q, bound, p_raw, lower, upper, pos, m in jobs:
         if lower is not None:
-            inside = (lower - _MARGIN <= q) & (q <= upper + _MARGIN)
+            checked = q[: lower.size]  # the bracketed bounds lead
+            inside = (lower - _MARGIN <= checked) & (checked <= upper + _MARGIN)
             if not inside.all():
                 i = np.argmin(inside)
                 raise ContrastError(
                     f"{route} p-value {q[i]!r} at t = {bound[i]!r} lies outside "
                     f"its second-order bracket [{lower[i]!r}, {upper[i]!r}]"
                 )
-        p[r, b] = np.minimum(np.maximum(q, p_raw[r, b]), np.minimum(1.0, m * p_raw[r, b]))
+        flat[pos] = np.minimum(np.maximum(q, p_raw), np.minimum(1.0, m * p_raw))
     if routes is not None:
-        integrated = r.size if m > 3 else 0
-        routes += [t.size - sandwich_open, sandwich_open - integrated, integrated]
-    return p
+        routes += counts
+    return ps
 
 
 def contrast_test(fit: ModelFit, contrasts: ContrastMatrix) -> TestReport:
@@ -321,25 +404,41 @@ def contrast_test(fit: ModelFit, contrasts: ContrastMatrix) -> TestReport:
     ``MAX_DIMENSION`` contrasts raise :class:`CorrelationError` on every
     route.
     """
-    if contrasts.n_groups != fit.eta.size:
-        raise ContrastError(
-            f"contrast matrix has {contrasts.n_groups} columns "
-            f"but the fit has {fit.eta.size} groups"
-        )
-    if contrasts.n_rows > MAX_DIMENSION:
-        raise CorrelationError(f"dimension {contrasts.n_rows} exceeds supported {MAX_DIMENSION}")
-    est, se, t, R = contrast_moments(contrasts.coefficients, fit.eta, fit.var_eta)
-    p_adj = _maxt_p(contrasts, t[None], se[None], fit.var_eta[None], R[None])[0]
-    for arr in (est, se, t, R, p_adj):
-        arr.setflags(write=False)
-    p_raw = ndtr(-t)
-    p_raw.setflags(write=False)
-    return TestReport(
-        contrasts=contrasts,
-        estimate=est,
-        std_err=se,
-        statistic=t,
-        correlation=R,
-        p_raw=p_raw,
-        p_adjusted=p_adj,
+    return _contrast_tests(fit, (contrasts,))[0]
+
+
+def _contrast_tests(fit: ModelFit, families) -> list:
+    """:func:`contrast_test` of each of ``families`` on ``fit``, by one :func:`_maxt_p` call."""
+    for contrasts in families:
+        if contrasts.n_groups != fit.eta.size:
+            raise ContrastError(
+                f"contrast matrix has {contrasts.n_groups} columns "
+                f"but the fit has {fit.eta.size} groups"
+            )
+        if contrasts.n_rows > MAX_DIMENSION:
+            raise CorrelationError(
+                f"dimension {contrasts.n_rows} exceeds supported {MAX_DIMENSION}"
+            )
+    moments = [contrast_moments(c.coefficients, fit.eta, fit.var_eta) for c in families]
+    var_eta = fit.var_eta[None]
+    p_adjusted = _maxt_p(
+        [(c, t[None], se[None], var_eta, R[None]) for c, (_, se, t, R) in zip(families, moments)]
     )
+    reports = []
+    for contrasts, (est, se, t, R), p_adj in zip(families, moments, p_adjusted):
+        p_adj = p_adj[0]
+        p_raw = ndtr(-t)
+        for arr in (est, se, t, R, p_adj, p_raw):
+            arr.setflags(write=False)
+        reports.append(
+            TestReport(
+                contrasts=contrasts,
+                estimate=est,
+                std_err=se,
+                statistic=t,
+                correlation=R,
+                p_raw=p_raw,
+                p_adjusted=p_adj,
+            )
+        )
+    return reports

@@ -12,7 +12,8 @@ tests segment {0..j} with the single pairwise contrast of its highest
 dose against control.  Variant C tests it with the global Williams trend
 test on the segment's own groups, read from the one saturated fit of the
 whole table.  The bottom segment {0, 1} is the single contrast D1 vs C in
-both variants.
+both variants, so variant C reads its p, bitwise the same float, from
+the raw pairwise p of dose 1 and makes no maxT call for it.
 
 :func:`_stock_families` is the one place the stock families are defined:
 the many-to-one (Dunnett) family and variant C's k segment families, the
@@ -20,7 +21,9 @@ top one being the global Williams family.  Each is a plain
 :class:`ContrastMatrix` that carries its chains.  Every adjusted p-value
 comes from :func:`trendcomp.contrasts._maxt_p`, whose docstring states
 its routes: exact in closed form or by quadrature for every stock
-family, with no random numbers.  The closure of
+family, with no random numbers.  :func:`closed_analysis` tests the
+Dunnett and the global Williams family of a table in one call of it,
+and each segment of the closure is a one-family call.  The closure of
 :func:`closed_analysis`, :func:`_williams_closure`, asks for each lower
 segment's p only above the running maximum, so a segment that cannot
 raise it gets no exact value, and the reported p is the same float.
@@ -44,9 +47,9 @@ from scipy.special import ndtr
 from .chains import _equal_fields
 from .contrasts import (
     TestReport,
+    _contrast_tests,
     _maxt_p,
     contrast_moments,
-    contrast_test,
     dunnett_matrix,
     williams_matrix,
 )
@@ -112,10 +115,13 @@ def _williams_closure(fit: ModelFit, segments, top, alpha=None, routes=None) -> 
     [running maximum, inf), so a segment that cannot raise the running
     maximum gets no exact value and every p is the exact float.  With
     ``alpha`` the window is [alpha, alpha], so each p is below alpha
-    exactly when the exact one is.  ``routes`` collects the route counts
-    of ``_maxt_p``.  The segment sees the first j + 1 groups of the fit
-    as they are: a prefix is never refitted, so groups at a boundary keep
-    the corrected values of the whole table.
+    exactly when the exact one is.  Segment 1, the single contrast D1 vs
+    C, is the raw pairwise p of dose 1, which is exact, and counts as
+    settled by the sandwich, as its one row would be in ``_maxt_p``.
+    ``routes`` collects the route counts of ``_maxt_p``.  The segment sees
+    the first j + 1 groups of the fit as they are: a prefix is never
+    refitted, so groups at a boundary keep the corrected values of the
+    whole table.
     """
     k = len(segments)
     eta = fit.eta.reshape(-1, fit.n_groups)
@@ -128,12 +134,20 @@ def _williams_closure(fit: ModelFit, segments, top, alpha=None, routes=None) -> 
     for j in range(k - 1, 0, -1):
         if rows.size == 0:
             break
-        segment = segments[j]
-        var_j = var[rows, : j + 1]
-        _, se, t, R = contrast_moments(segment.coefficients, eta[rows, : j + 1], var_j)
-        lo, hi = (running[rows, None], np.inf) if alpha is None else (alpha, alpha)
-        s_j = _maxt_p(segment, t.max(axis=-1, keepdims=True), se, var_j, R, lo, hi, routes)
-        running[rows] = np.maximum(running[rows], s_j[:, 0])
+        if j == 1:
+            # the single contrast D1 vs C: its one row is its raw p, the
+            # raw pairwise p of dose 1 bitwise, and the sandwich settles it
+            s_j = raw_pairwise_pvalues(fit).reshape(-1, k)[rows, 0]
+            if routes is not None:
+                routes[0] += rows.size
+        else:
+            segment = segments[j]
+            var_j = var[rows, : j + 1]
+            _, se, t, R = contrast_moments(segment.coefficients, eta[rows, : j + 1], var_j)
+            lo, hi = (running[rows, None], np.inf) if alpha is None else (alpha, alpha)
+            t = t.max(axis=-1, keepdims=True)
+            s_j = _maxt_p([(segment, t, se, var_j, R)], lo, hi, routes)[0][:, 0]
+        running[rows] = np.maximum(running[rows], s_j)
         p[rows, j - 1] = running[rows]
         rows = rows[running[rows] < stop]
     return p.reshape(fit.eta.shape[:-1] + (k,))
@@ -187,8 +201,7 @@ def closed_analysis(data: DoseGroupData, *, boundary_policy: str = "haldane") ->
     """
     fit = fit_saturated_logit(data, boundary_policy=boundary_policy)
     dunnett, segments = _stock_families(data.n)
-    dunnett_report = contrast_test(fit, dunnett)
-    williams_report = contrast_test(fit, segments[data.k])
+    dunnett_report, williams_report = _contrast_tests(fit, (dunnett, segments[data.k]))
     williams_global = williams_report.min_adjusted
     p_c = _williams_closure(fit, segments, williams_global)
     p_c.setflags(write=False)

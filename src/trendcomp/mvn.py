@@ -10,7 +10,12 @@ Owen's T.  :func:`maxt_closed_form` gives the exact p-value of a family
 of two or three rows from the same pair tails, and for three rows one
 Plackett integral on 64 nodes (:func:`_triple_tail`), held to ``quad``
 oracles within 1e-12 and to the arcsine formula at t = 0 within 1e-15,
-at correlations of +-1 too, by ``tests/test_mvn.py``.
+at correlations of +-1 too, by ``tests/test_mvn.py``.  Both are thin
+wrappers over three private pieces: :func:`_pair_tails`,
+:func:`_bracket` and :func:`_inclusion_exclusion`.  ``_maxt_p`` calls
+the pieces itself, once per row count over the open bounds of all the
+families of a call, so that the bracket and the closed form read one
+set of pair tails.
 
 The tail probability P(max_j T_j >= b) for T ~ N(0, R) is summed over
 first passages, P(T_i >= b, T_j < b for j < i), so the rare event leads
@@ -313,12 +318,13 @@ def _pairs(m: int) -> tuple:
     """The row pairs of :func:`maxt_bounds` for m rows, read-only.
 
     Returns ``(i, j, stars, path)``: the pairs i < j in ``np.triu_indices``
-    order, one mask over the pairs for the star about each row, and the
-    mask of the path through the rows in order.
+    order, the m - 1 pairs of the star about each row, one row of
+    ``stars`` per row in ascending order, and the mask of the path
+    through the rows in order.
     """
     i, j = np.triu_indices(m, 1)
     rows = np.arange(m)[:, None]
-    stars = (i == rows) | (j == rows)
+    stars = ((i == rows) | (j == rows)).nonzero()[1].reshape(m, m - 1)
     path = j == i + 1
     for a in (i, j, stars, path):
         a.setflags(write=False)
@@ -367,15 +373,18 @@ def _triple_tail(t, rho, p_raw, pair) -> np.ndarray:
     # both terms at once, along a leading axis: (a, b) and (b, a)
     a, b = cab[1:], cab[:0:-1]
     x, w = _gauss_legendre(64)
+    one_minus_x = 1.0 - x
     # theta = top - d; its sine and cosine, 1 + sin(theta) and 1 - s are
     # formed from d, free of cancellation where |a| is near 1
     top = np.arcsin(a)
-    d = top * (1.0 - x) ** 2
-    sin_half, cos_half = np.sin(0.5 * d), np.cos(0.5 * d)
+    d = top * one_minus_x**2
+    half = 0.5 * d
+    sin_half, cos_half = np.sin(half), np.cos(half)
     sin_d = 2.0 * sin_half * cos_half
+    sin_half_sq = sin_half**2
     cos_top = np.sqrt((1.0 - a) * (1.0 + a))
-    cos_theta = cos_top * (1.0 - 2.0 * sin_half**2) + a * sin_d
-    one_plus = (1.0 + a) - 2.0 * a * sin_half**2 - cos_top * sin_d
+    cos_theta = cos_top * (1.0 - 2.0 * sin_half_sq) + a * sin_d
+    one_plus = (1.0 + a) - 2.0 * a * sin_half_sq - cos_top * sin_d
     sine_gap = 2.0 * (cos_top * cos_half + a * sin_half) * sin_half  # a - sin(theta)
     gap = np.divide(sine_gap, a, out=np.zeros_like(d), where=a != 0.0)
     s = 1.0 - gap
@@ -384,7 +393,7 @@ def _triple_tail(t, rho, p_raw, pair) -> np.ndarray:
     num = h * ((1.0 - c) + s * (a - b)) * (cos_theta / one_plus)
     u = np.where(num == 0.0, 0.0, np.copysign(np.inf, num))
     np.divide(num, root, out=u, where=root > 0.0)
-    weight = top * ((1.0 - x) * w / math.pi)
+    weight = top * (one_minus_x * w / math.pi)
     # each term summed over its own nodes, the last axis, so a table's
     # floats do not depend on the tables it is batched with
     first, second = np.sum(np.exp(-h * h / one_plus) * ndtr(u) * weight, axis=-1)
@@ -393,7 +402,7 @@ def _triple_tail(t, rho, p_raw, pair) -> np.ndarray:
 
 
 def _pair_tails(t, correlation) -> tuple:
-    """``(t, m, p_raw, rho, pair)`` for :func:`maxt_bounds` and :func:`maxt_closed_form`.
+    """``(t, m, p_raw, rho, pair)``, which :func:`_bracket` and :func:`_inclusion_exclusion` read.
 
     At a common bound t every row has the tail p_raw = Phi(-t), and rows
     i, j with correlation rho have the pair tail P(T_i > t, T_j > t) =
@@ -413,6 +422,24 @@ def _pair_tails(t, correlation) -> tuple:
     return t, m, p_raw, rho, pair
 
 
+def _inclusion_exclusion(m, t, p_raw, rho, pair) -> np.ndarray:
+    """The exact p of one to three rows from the output of :func:`_pair_tails`."""
+    return m * p_raw - pair.sum(axis=-1) + (_triple_tail(t, rho, p_raw, pair) if m == 3 else 0.0)
+
+
+def _bracket(m, p_raw, pair) -> tuple:
+    """The ``(lower, upper)`` of :func:`maxt_bounds` from the output of :func:`_pair_tails`."""
+    s1 = m * p_raw
+    s2 = pair.sum(axis=-1)
+    _, _, stars, path = _pairs(m)
+    star = pair[..., stars].sum(axis=-1).max(axis=-1)
+    path = pair[..., path].sum(axis=-1)
+    upper = s1 - np.maximum(star, path)
+    k = 1.0 + np.floor(np.divide(2.0 * s2, s1, out=np.zeros_like(s1), where=s1 > 0.0))
+    lower = np.maximum(p_raw, 2.0 * s1 / (k + 1.0) - 2.0 * s2 / (k * (k + 1.0)))
+    return lower, upper
+
+
 def maxt_closed_form(t, correlation) -> np.ndarray:
     """Exact maxT-adjusted p-values of a family of one to three rows, shaped like ``t``.
 
@@ -425,7 +452,7 @@ def maxt_closed_form(t, correlation) -> np.ndarray:
     t, m, p_raw, rho, pair = _pair_tails(t, correlation)
     if m > 3:
         raise ValueError(f"the closed form covers one to three rows, not {m}")
-    return m * p_raw - pair.sum(axis=-1) + (_triple_tail(t, rho, p_raw, pair) if m == 3 else 0.0)
+    return _inclusion_exclusion(m, t, p_raw, rho, pair)
 
 
 def maxt_bounds(t, correlation) -> tuple:
@@ -445,16 +472,8 @@ def maxt_bounds(t, correlation) -> tuple:
     is the exact S1 - S2; the exact value of a family of up to three rows
     is :func:`maxt_closed_form`.
     """
-    t, m, p_raw, rho, pair = _pair_tails(t, correlation)
-    s1 = m * p_raw
-    s2 = pair.sum(axis=-1)
-    _, _, star_masks, path_mask = _pairs(m)
-    star = np.max([pair[..., mask].sum(axis=-1) for mask in star_masks], axis=0)
-    path = pair[..., path_mask].sum(axis=-1)
-    upper = s1 - np.maximum(star, path)
-    k = 1.0 + np.floor(np.divide(2.0 * s2, s1, out=np.zeros_like(s1), where=s1 > 0.0))
-    lower = np.maximum(p_raw, 2.0 * s1 / (k + 1.0) - 2.0 * s2 / (k * (k + 1.0)))
-    return lower, upper
+    _, m, p_raw, _, pair = _pair_tails(t, correlation)
+    return _bracket(m, p_raw, pair)
 
 
 def adjusted_p_below(

@@ -11,11 +11,14 @@ of :mod:`trendcomp.model`, the many-to-one and segment families of
 maxT function of both, ``trendcomp.contrasts._maxt_p``.  Decisions, not
 p-values, are accumulated: every maxT p is asked for in the window
 [alpha, alpha], so each value is below alpha exactly when the p-value of
-``closed_analysis`` on the same table is.  Each family is decided over
-the whole chunk by one call, one bound per table for each lower segment,
-and its stages (sandwich, second-order bracket, exact value) are those
-of ``_maxt_p``, whose docstring states them; each table's p-values are
-the ones a call on that table alone returns.
+``closed_analysis`` on the same table is.  The Dunnett and global
+Williams families are decided over the whole chunk by one call, so at
+k = 3 their three-row bounds share one set of pair tails, one bracket
+and one Plackett integral; each lower segment takes one call with one
+bound per table, but for segment {0, 1}, read from the pairwise p of
+dose 1.  The stages (sandwich, second-order bracket, exact value) are
+those of ``_maxt_p``, whose docstring states them; each table's
+p-values are the ones a call on that table and family alone returns.
 How many bounds each stage settled is counted per scenario and reported
 on stderr ("by closed form or second-order bounds" for the second), not
 in :meth:`ScenarioResult.to_dict`.
@@ -445,7 +448,8 @@ def _decide(sc: Scenario, y: np.ndarray) -> np.ndarray:
 
     ``y`` holds one table of counts per row.  The fit, the contrast
     moments, the sandwich and second-order decisions and the closure each
-    take all rows at once.
+    take all rows at once, and the Dunnett and global Williams families
+    share one ``_maxt_p`` call.
 
     Layout: [D_1..D_k, D_any, W_top, W_any, P_1..P_k, P_any,
     C_1..C_k, C_any, n_boundary, n_degenerate, n_sandwich,
@@ -465,12 +469,18 @@ def _decide(sc: Scenario, y: np.ndarray) -> np.ndarray:
     fit = ModelFit(eta[fitted], var_eta[fitted], correction_applied=at_boundary[fitted])
 
     _, se_d, t_d, R_d = contrast_moments(dunnett.coefficients, fit.eta, fit.var_eta)
-    dunnett_claims = _maxt_p(dunnett, t_d, se_d, fit.var_eta, R_d, alpha, alpha, routes) < alpha
-    pairwise = ctp_pairwise(fit) < alpha
-    # a family rejects iff its largest statistic's adjusted p is below alpha
     _, se_w, t_w, R_w = contrast_moments(top.coefficients, fit.eta, fit.var_eta)
+    # a family rejects iff its largest statistic's adjusted p is below alpha
     top_and_max = np.stack([t_w[:, 0], t_w.max(axis=1)], axis=1)
-    p_top, p_any = _maxt_p(top, top_and_max, se_w, fit.var_eta, R_w, alpha, alpha, routes).T
+    p_d, p_w = _maxt_p(
+        [(dunnett, t_d, se_d, fit.var_eta, R_d), (top, top_and_max, se_w, fit.var_eta, R_w)],
+        alpha,
+        alpha,
+        routes,
+    )
+    dunnett_claims = p_d < alpha
+    p_top, p_any = p_w.T
+    pairwise = ctp_pairwise(fit) < alpha
     claims = _williams_closure(fit, segments, p_any, alpha, routes) < alpha
 
     def tally(claimed):

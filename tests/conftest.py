@@ -30,14 +30,14 @@ def widen_brackets(patch, rows=None):
     takes its exact value: the closed form of three rows or the
     quadrature of four or more.
     """
-    bounds = contrasts.maxt_bounds
+    bracket = contrasts._bracket
 
-    def wide(t, correlation):
-        if rows is not None and correlation.shape[-1] != rows:
-            return bounds(t, correlation)
-        return np.zeros_like(t), np.ones_like(t)
+    def wide(m, p_raw, pair):
+        if rows is not None and m != rows:
+            return bracket(m, p_raw, pair)
+        return np.zeros_like(p_raw), np.ones_like(p_raw)
 
-    patch.setattr(contrasts, "maxt_bounds", wide)
+    patch.setattr(contrasts, "_bracket", wide)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 from scipy.stats import multivariate_normal
 
-from trendcomp import contrasts
+from trendcomp import contrasts, mvn
 from trendcomp.contrasts import (
     ContrastError,
     ContrastMatrix,
@@ -205,7 +205,7 @@ def test_two_rows_are_the_bivariate_normal_tail(cm, var, rho, monkeypatch):
     bounds = np.array([-3.0, -1.0, 0.0, 0.4, 1.0, 1.9, 2.7, 3.5, 4.4, 5.5, 6.5, 9.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        (p,) = contrasts._maxt_p(cm, bounds[None], se[None], var[None], R[None])
+        ((p,),) = contrasts._maxt_p([(cm, bounds[None], se[None], var[None], R[None])])
         eta = np.array([0.0, 0.9, -0.4]) * np.sqrt(var)
         report = contrast_test(ModelFit(eta, var, np.zeros(3, dtype=bool)), cm)
     both = [
@@ -217,7 +217,7 @@ def test_two_rows_are_the_bivariate_normal_tail(cm, var, rho, monkeypatch):
     np.testing.assert_allclose(p, 2.0 * ndtr(-bounds) - both, rtol=0, atol=1e-13)
     args = report.statistic, report.std_err, var, report.correlation
     np.testing.assert_array_equal(
-        report.p_adjusted, contrasts._maxt_p(cm, *(a[None] for a in args))[0]
+        report.p_adjusted, contrasts._maxt_p([(cm, *(a[None] for a in args))])[0][0]
     )
     assert R[0, 1] == pytest.approx(rho, abs=1e-4)
     assert "chains" not in vars(cm)  # the route never looked at them
@@ -238,7 +238,7 @@ def test_maxt_p_clips_a_bare_tail_into_the_sandwich(tail, end, monkeypatch):
     _, se, _, R = contrast_moments(cm.coefficients, np.zeros(5), var)
     bounds = np.array([[0.4, 1.0, 1.6, 2.9]])  # 4 Phi(-0.4) > 1
     monkeypatch.setattr(contrasts, "chain_maxt", lambda chains, t, *args: tail(ndtr(-t)))
-    p = contrasts._maxt_p(cm, bounds, se[None], var[None], R[None])
+    (p,) = contrasts._maxt_p([(cm, bounds, se[None], var[None], R[None])])
     np.testing.assert_array_equal(p, end(ndtr(-bounds)))
 
 
@@ -261,19 +261,20 @@ def test_a_window_changes_no_p_that_may_lie_in_it(seed):
     for family in (dunnett_matrix(n), williams_matrix(n)):
         _, se, t, R = contrast_moments(family.coefficients, eta, var)
         bounds = np.take_along_axis(t, rng.integers(0, k, size=(6, 1)), axis=1)
-        exact = contrasts._maxt_p(family, bounds, se, var, R)
+        (exact,) = contrasts._maxt_p([(family, bounds, se, var, R)])
         running = np.minimum(exact * rng.uniform(0.3, 3.0, size=exact.shape), 0.999)
         for lo, hi in [(alpha, alpha), (running, np.inf), (-np.inf, np.inf)]:
             routes = np.zeros(3, dtype=np.int64)
-            got = contrasts._maxt_p(family, bounds, se, var, R, lo, hi, routes)
+            (got,) = contrasts._maxt_p([(family, bounds, se, var, R)], lo, hi, routes)
             inside = (got >= lo) & (got <= hi)
             assert got[inside].tobytes() == exact[inside].tobytes()
             np.testing.assert_array_equal(got < lo, exact < lo)
             np.testing.assert_array_equal(got > hi, exact > hi)
             assert routes.sum() == bounds.size
         # the whole family at alpha, as the simulator asks
-        decided = contrasts._maxt_p(family, t, se, var, R, alpha, alpha)
-        np.testing.assert_array_equal(decided < alpha, contrasts._maxt_p(family, t, se, var, R) < alpha)
+        (decided,) = contrasts._maxt_p([(family, t, se, var, R)], alpha, alpha)
+        (windowless,) = contrasts._maxt_p([(family, t, se, var, R)])
+        np.testing.assert_array_equal(decided < alpha, windowless < alpha)
 
 
 @pytest.mark.parametrize("k", [1, 2, 5])
@@ -282,5 +283,92 @@ def test_a_call_without_tables_returns_no_p_and_counts_no_route(k):
     family = williams_matrix(n)
     _, se, t, R = contrast_moments(family.coefficients, eta, var)
     routes = np.zeros(3, dtype=np.int64)
-    p = contrasts._maxt_p(family, t, se, var, R, 0.05, 0.05, routes)
+    (p,) = contrasts._maxt_p([(family, t, se, var, R)], 0.05, 0.05, routes)
     assert p.shape == (0, k) and routes.tolist() == [0, 0, 0]
+
+
+# four rows over overlapping, not nested, dose sets: no chains, so the QMC route
+QMC_FAMILY = ContrastMatrix(
+    names=tuple("abcd"),
+    coefficients=[[-1, 0.5, 0.5, 0], [-1, 0, 0.5, 0.5], [-1, 0, 0, 1], [-1, 1, 0, 0]],
+)
+
+
+def mixed_families(rng, tables):
+    """Families of two, three (two of them), five and four rows over shared random tables.
+
+    Each family reads the first groups of the tables; the five-row family
+    has chains and the four-row one does not.  Every family is tested at
+    all its statistics or, but for the four-row one, whose QMC route
+    takes each table's whole family, at each table's largest, at random.
+    """
+    n, eta, var = random_tables(rng, 5, tables)
+    out = []
+    for family in (
+        williams_matrix(n[:3]),
+        dunnett_matrix(n[:4]),
+        williams_matrix(n[:4]),
+        williams_matrix(n),
+        QMC_FAMILY,
+    ):
+        g = family.n_groups
+        _, se, t, R = contrast_moments(family.coefficients, eta[:, :g], var[:, :g])
+        if family.chains is not None and rng.random() < 0.5:
+            t = t.max(axis=1, keepdims=True)
+        out.append((family, t, se, var[:, :g], R))
+    return out
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_one_call_over_several_families_is_one_call_per_family(seed):
+    # bitwise the same p arrays and route counts, in either order of the
+    # families, whether a family takes the call's window or its own, as a
+    # call on each family alone with that window as the call's
+    rng = np.random.default_rng(seed)
+    families = mixed_families(rng, 3)
+    alpha = float(rng.choice([0.01, 0.05, 0.2]))
+    lo, hi = [(alpha, alpha), (-np.inf, np.inf)][rng.integers(2)]
+    for i, family in enumerate(families):
+        t = family[1]
+        own = rng.integers(3)
+        if own == 1:  # a scalar window of its own
+            families[i] = (*family, alpha / 2, alpha / 2)
+        elif own == 2:  # an array window, the running maximum of a closure
+            families[i] = (*family, rng.uniform(0.0, 0.3, size=t.shape), np.inf)
+    for order in (families, families[::-1]):
+        routes = np.zeros(3, dtype=np.int64)
+        joint = contrasts._maxt_p(order, lo, hi, routes)
+        alone_routes = np.zeros(3, dtype=np.int64)
+        alone = [
+            contrasts._maxt_p([family[:5]], *(family[5:] or (lo, hi)), alone_routes)[0]
+            for family in order
+        ]
+        for a, b in zip(joint, alone):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert routes.tolist() == alone_routes.tolist()
+        assert routes.sum() == sum(family[1].size for family in order)
+
+
+@pytest.mark.parametrize("windowed", [False, True])
+def test_pair_tails_run_once_per_row_count(windowed, monkeypatch):
+    # the bracket and the closed form of every family of a row count read one
+    # set of pair tails, and three rows take one Plackett integral
+    calls = {"_pair_tails": [], "_bracket": [], "_inclusion_exclusion": []}
+    for name, rows in calls.items():
+        fn = getattr(contrasts, name)
+        monkeypatch.setattr(contrasts, name, lambda *a, fn=fn, rows=rows: rows.append(a) or fn(*a))
+    plackett = []
+    triple_tail = mvn._triple_tail
+    monkeypatch.setattr(mvn, "_triple_tail", lambda *a: plackett.append(a) or triple_tail(*a))
+    rng = np.random.default_rng(4)
+    families = mixed_families(rng, 40) + mixed_families(rng, 40)[:4]
+    window = (0.05, 0.05) if windowed else ()
+    contrasts._maxt_p(families, *window)
+    rows = [R.shape[-1] for _, R in calls["_pair_tails"]]
+    assert len(rows) == len(set(rows))
+    # the chain family of five rows and the QMC family of four take pair tails for the bracket only
+    assert set(rows) == ({2, 3, 4, 5} if windowed else {2, 3})
+    assert sorted(m for m, *_ in calls["_bracket"]) == ([3, 4, 5] if windowed else [])
+    assert sorted(m for m, *_ in calls["_inclusion_exclusion"]) == [2, 3]
+    assert len(plackett) == 1

@@ -221,14 +221,17 @@ def record_segments(patch, record):
     """Has each segment of a closure pass ``record`` its exact p and its rows, then return 0.
 
     A returned 0 keeps the running maximum at 0, so the closure visits
-    every segment and each is integrated in full.
+    every segment and each is integrated in full.  Segment {0, 1} makes
+    no maxT call, so it is not recorded: its p, the raw pairwise p of
+    dose 1, is then the closure's p of dose 1.
     """
     maxt_p = ctp._maxt_p
 
-    def recorded(segment, *args):
-        p = maxt_p(segment, *args)
-        record(p[0, 0], segment.n_rows)
-        return np.zeros_like(p)
+    def recorded(families, *args):
+        ps = maxt_p(families, *args)
+        for (segment, *_), p in zip(families, ps):
+            record(p[0, 0], segment.n_rows)
+        return [np.zeros_like(p) for p in ps]
 
     patch.setattr(ctp, "_maxt_p", recorded)
 
@@ -250,7 +253,7 @@ def test_segment_test_is_the_family_minimum(seed, prefix_fit):
     segment_p = []
     with pytest.MonkeyPatch.context() as patch:
         record_segments(patch, lambda p, rows: segment_p.append(p))
-        _williams_closure(fit, _stock_families(n)[1], 0.0)
+        segment_p.append(_williams_closure(fit, _stock_families(n)[1], 0.0)[0])
     family_min = [
         contrast_test(prefix_fit(fit, j + 1), williams_matrix(n[: j + 1])).min_adjusted
         for j in range(k - 1, 0, -1)
@@ -268,11 +271,11 @@ def test_a_segment_reads_the_corrected_fit_of_the_whole_table(prefix_fit, monkey
     assert fit.correction_applied[:2].all()
     segment_p = {}
     record_segments(monkeypatch, lambda p, rows: segment_p.__setitem__(rows, p))
-    _williams_closure(fit, _stock_families(n)[1], 0.0)
+    segment_p[1] = _williams_closure(fit, _stock_families(n)[1], 0.0)[0]
     for j in (1, 2):
         report = contrast_test(prefix_fit(fit, j + 1), williams_matrix(n[: j + 1]))
         assert segment_p[j] == report.min_adjusted
-    assert segment_p[1] == pytest.approx(raw_pairwise_pvalues(fit)[0], rel=1e-14)
+    assert segment_p[1] == raw_pairwise_pvalues(fit)[0]
 
 
 def test_closed_analysis_finds_each_family_s_chains_once(monkeypatch):
@@ -291,13 +294,13 @@ def test_bracket_settled_closure_is_the_integrated_closure(monkeypatch):
     # integrated nor given its closed form; every closed-test p must be the
     # float that the exact values give
     three_rows = [0]  # bounds given the closed form of three rows
-    closed_form = contrasts.maxt_closed_form
+    closed_form = contrasts._inclusion_exclusion
 
-    def counted(t, correlation):
-        three_rows[0] += t.size if correlation.shape[-1] == 3 else 0
-        return closed_form(t, correlation)
+    def counted(m, t, *tails):
+        three_rows[0] += t.size if m == 3 else 0
+        return closed_form(m, t, *tails)
 
-    monkeypatch.setattr(contrasts, "maxt_closed_form", counted)
+    monkeypatch.setattr(contrasts, "_inclusion_exclusion", counted)
     rng = np.random.default_rng(20)
     settled = integrated = closed = exact = 0
     for k in [2, 3, 4, 5, 6, 7, 8] * 4:
@@ -373,17 +376,17 @@ def test_new_sizes_of_a_seen_k_find_no_new_layout(monkeypatch):
 def test_an_integrated_segment_outside_its_bracket_raises(shift, raises, monkeypatch):
     # only a p more than the margin (1e-7) outside the second-order bracket is refused
     brackets = []
-    bounds = contrasts.maxt_bounds
+    bracket = contrasts._bracket
 
-    def recorded(t, correlation):
-        brackets.append(bounds(t, correlation))
+    def recorded(m, p_raw, pair):
+        brackets.append(bracket(m, p_raw, pair))
         return brackets[-1]
 
     def off(chains, t, std_err, var_eta, table):
         lower, upper = brackets[-1]  # the bracket of the bounds integrated now
         return (upper if shift > 0 else lower)[:, 0] + shift
 
-    monkeypatch.setattr(contrasts, "maxt_bounds", recorded)
+    monkeypatch.setattr(contrasts, "_bracket", recorded)
     monkeypatch.setattr(contrasts, "chain_maxt", off)
     # five doses, so that segment {0, .., 4} has four rows and is integrated
     n = np.array([30, 25, 40, 35, 33, 31])

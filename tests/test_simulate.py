@@ -597,17 +597,17 @@ class TestDecisionRoutes:
         # three doses: Dunnett and Williams have three rows and are bracketed
         # before the closed form, whose triple tail is one Plackett integral
         bracketed, plackett = [0], [0]
-        bounds, triple_tail = contrasts.maxt_bounds, mvn._triple_tail
+        bracket, triple_tail = contrasts._bracket, mvn._triple_tail
 
-        def counted_bounds(t, correlation):
-            bracketed[0] += t.size
-            return bounds(t, correlation)
+        def counted_bracket(m, p_raw, pair):
+            bracketed[0] += p_raw.size
+            return bracket(m, p_raw, pair)
 
         def counted_tail(t, *args):
             plackett[0] += t.size
             return triple_tail(t, *args)
 
-        monkeypatch.setattr(contrasts, "maxt_bounds", counted_bounds)
+        monkeypatch.setattr(contrasts, "_bracket", counted_bracket)
         monkeypatch.setattr(mvn, "_triple_tail", counted_tail)
         res = run_scenario(Scenario(pi=(0.05, 0.1, 0.2, 0.3), n=(50,) * 4, replicates=1000, seed=3))
         assert res.n_integrated == 0
@@ -640,12 +640,36 @@ class TestDecisionRoutes:
             np.testing.assert_array_equal(counts[1], counts[0])
         assert 0 < plackett[0] < plackett[1]
 
+    def test_a_k3_chunk_takes_one_pass_per_row_count(self, monkeypatch):
+        # Dunnett and global Williams, three rows each, share one pass: one set
+        # of pair tails, one bracket and one Plackett integral; segment
+        # {0, 1, 2} takes a pass of two rows, and segment {0, 1}, the raw
+        # pairwise p of dose 1, none
+        calls = {"_pair_tails": [], "_bracket": []}
+        for name, rows in calls.items():
+            fn = getattr(contrasts, name)
+            monkeypatch.setattr(
+                contrasts, name, lambda *a, fn=fn, rows=rows: rows.append(a) or fn(*a)
+            )
+        plackett = []
+        triple_tail = mvn._triple_tail
+        monkeypatch.setattr(mvn, "_triple_tail", lambda *a: plackett.append(a) or triple_tail(*a))
+        maxt_calls = []
+        maxt_p = simulate._maxt_p
+        monkeypatch.setattr(simulate, "_maxt_p", lambda *a: maxt_calls.append(a) or maxt_p(*a))
+        counts = _count_chunk(Scenario(pi=(0.05, 0.1, 0.2, 0.3), n=(50,) * 4, seed=22), 0, 300)
+        assert len(maxt_calls) == 1 and len(maxt_calls[0][0]) == 2
+        assert [R.shape[-1] for _, R in calls["_pair_tails"]] == [3, 2]
+        assert [m for m, *_ in calls["_bracket"]] == [3]
+        assert len(plackett) == 1
+        assert counts[-1] == 0  # nothing integrated
+
     @pytest.mark.parametrize("p", [0.0, 1.0])
     def test_closed_form_outside_its_bracket_raises(self, monkeypatch, p):
         # three doses, so that Dunnett and Williams take the closed form of three rows
         sc = Scenario(pi=(0.05, 0.1, 0.2, 0.3), n=(50,) * 4, seed=22)
         monkeypatch.setattr(
-            contrasts, "maxt_closed_form", lambda t, correlation: np.full(t.shape, p)
+            contrasts, "_inclusion_exclusion", lambda m, t, *tails: np.full(t.shape, p)
         )
         with pytest.raises(ContrastError, match="closed-form p-value .* outside its second-order"):
             _count_chunk(sc, 10, 200)
