@@ -50,7 +50,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from types import SimpleNamespace
 
 import numpy as np
 from scipy.special import ndtr
@@ -237,18 +236,18 @@ class TestReport:
 
 
 def _maxt_p(families, lo=-np.inf, hi=np.inf, routes=None) -> list:
-    """maxT-adjusted p-values of several families, exact wherever they may lie in their window.
+    """maxT-adjusted p-values of several families, exact wherever they may lie in [lo, hi].
 
     Each family is a tuple ``(contrasts, t, std_err, var_eta,
-    correlation)``, or the same with its own ``lo, hi`` appended in place
-    of the call's; one p array per family is returned, shaped like its
+    correlation)``; one p array per family is returned, shaped like its
     ``t``.  Row r of ``t`` holds bounds of table r, whose contrast
     standard errors, group variances and correlation are row r of
     ``std_err``, ``var_eta`` and ``correlation``; ``lo`` and ``hi`` are
-    numbers or arrays shaped like ``t``.  Where p is proven below ``lo``,
-    the value is an upper bound on p still below it; where p is proven at
-    or above ``hi``, a lower bound on p at or above it.  Elsewhere the
-    value is p, bitwise that of a call without a window.  The steps:
+    numbers or arrays shaped like every family's ``t``.  Where p is
+    proven below ``lo``, the value is an upper bound on p still below it;
+    where p is proven at or above ``hi``, a lower bound on p at or above
+    it.  Elsewhere the value is p, bitwise that of a call without a
+    window.  The steps:
 
     1. One row is its raw normal tail.
     2. Given a window, the sandwich p_raw <= p <= m p_raw settles a
@@ -269,35 +268,33 @@ def _maxt_p(families, lo=-np.inf, hi=np.inf, routes=None) -> list:
        then clipped into [p_raw, min(1, m p_raw)].
 
     Steps 3 and 4 run once per row count, not per family: the open
-    bounds of all its families of two or three rows, and of its larger
-    families with a window, are concatenated; one :func:`_pair_tails`
-    call gives the pair tails that both the bracket and the closed form
-    read, one :func:`_bracket` call brackets them, and for two or three
-    rows one :func:`_inclusion_exclusion` call, with one Plackett
-    integral for three, takes what is left.  Each evaluator
+    bounds of all families of that many rows are concatenated, one
+    :func:`_pair_tails` call gives the pair tails that both the bracket
+    and the closed form read, one :func:`_bracket` call brackets them,
+    and for two or three rows one :func:`_inclusion_exclusion` call, with
+    one Plackett integral for three, takes what is left.  Each evaluator
     computes a bound's floats apart from the bounds batched with it, so
     every p is bitwise that of a call on its family alone.  ``routes``,
     if given, gains the number of bounds settled by steps 1-2, by step 3
     or the closed form, and integrated.
     """
+    windowed = bool(np.ndim(lo) or np.ndim(hi) or lo > -np.inf or hi < np.inf)
     sizes = [family[1].size for family in families]
     flat = np.empty(sum(sizes))  # the families' p back to back, each returned as a view
     ps, groups = [], {}
     counts = [0, 0, 0]  # bounds settled by steps 1-2, by step 3 or the closed form, integrated
     end = 0
-    for (contrasts, t, std_err, var_eta, correlation, *window), size in zip(families, sizes):
-        f_lo, f_hi = window or (lo, hi)
-        m = contrasts.n_rows
+    for family, size in zip(families, sizes):
+        t, m = family[1], family[0].n_rows
         start, end = end, end + size
         p = flat[start:end].reshape(t.shape)
         p_raw = ndtr(-t)
-        windowed = bool(np.ndim(f_lo) or np.ndim(f_hi) or f_lo > -np.inf or f_hi < np.inf)
         if windowed:
-            high = p_raw >= f_hi
+            high = p_raw >= hi
             np.multiply(p_raw, m, out=p)
             np.copyto(p, p_raw, where=high)
             # one row is exact; the sandwich leaves open what it cannot put outside [lo, hi]
-            i = np.flatnonzero(~high & (p >= f_lo)) if m > 1 else np.arange(0)
+            i = np.flatnonzero(~high & (p >= lo)) if m > 1 else np.arange(0)
         elif m == 1:
             p[...] = p_raw
             i = np.arange(0)
@@ -307,85 +304,73 @@ def _maxt_p(families, lo=-np.inf, hi=np.inf, routes=None) -> list:
         counts[0] += size - i.size
         counts[1] += i.size
         if i.size:
-            # the open bounds by flat index i: table r, bound, and place in flat
-            f = SimpleNamespace(contrasts=contrasts, t=t, std_err=std_err, var_eta=var_eta)
-            f.correlation, f.i, f.pos = correlation, i, start + i
-            f.r, f.bound = i // t.shape[1], t.take(i)
-            # their window, if a bracket may settle them
-            f.window = None
-            if windowed and m >= 3:
-                f.window = [
-                    np.take(w, i) if np.ndim(w) else np.full(i.size, w) for w in (f_lo, f_hi)
-                ]
-            groups.setdefault(m, []).append(f)
-    jobs = []  # exact tails to check against their brackets, clip and store
-    for m, group in sorted(groups.items()):
-        # Without a window the bracket could settle nothing and would only
-        # check the exact value: bracketing contrast_test's Dunnett and global
-        # Williams families made closed_analysis 7% slower over the
-        # benchmark's analyze tables on a 2-vCPU host.  The bracketed
-        # families lead, so that their bounds are a prefix of the pass.
-        group.sort(key=lambda f: f.window is None)
-        bracketed = [f for f in group if f.window is not None]
-        # the closed form reads the pair tails of every bound, the bracket those it brackets
-        tailed = group if m <= 3 else bracketed
-        lower = upper = None
-        if tailed:
-            t, _, p_raw, rho, pair = _pair_tails(
-                np.concatenate([f.bound for f in tailed])[:, None],
-                np.concatenate([f.correlation[f.r] for f in tailed]),
-            )
-            pos = np.concatenate([f.pos for f in tailed])
-        if bracketed:
-            n = sum(f.i.size for f in bracketed)
-            lower, upper = (x[:, 0] for x in _bracket(m, p_raw[:n], pair[:n]))
-            w_lo, w_hi = (np.concatenate([f.window[k] for f in bracketed]) for k in (0, 1))
-            below = upper < w_lo - _MARGIN
-            kept = ~below & (lower <= w_hi + _MARGIN)
-            flat[pos[:n]] = np.where(below, upper, lower)
-            if m <= 3:
-                keep = np.concatenate([kept, np.ones(pos.size - n, dtype=bool)])
-                t, p_raw, rho, pair, pos = (x[keep] for x in (t, p_raw, rho, pair, pos))
-                lower, upper = lower[kept], upper[kept]
-            else:
-                start = 0
-                for f in bracketed:
-                    cut = slice(start, start + f.i.size)
-                    f.kept, f.lower, f.upper = kept[cut], lower[cut], upper[cut]
-                    start = cut.stop
-        if m <= 3:
-            q = _inclusion_exclusion(m, t, p_raw, rho, pair)[:, 0]
-            jobs.append(("closed-form", q, t[:, 0], p_raw[:, 0], lower, upper, pos, m))
-            continue
-        for f in group:
-            bound, r, i, pos = f.bound, f.r, f.i, f.pos
-            lower = upper = None
-            if f.window is not None:
-                bound, r, i, pos = (x[f.kept] for x in (bound, r, i, pos))
-                lower, upper = f.lower[f.kept], f.upper[f.kept]
-            if not i.size:
-                continue
-            if f.contrasts.chains is not None:
-                route = "quadrature"
-                q = chain_maxt(f.contrasts.chains, bound, f.std_err, f.var_eta, r)
-            else:
-                route = "QMC"
-                whole = [adjust_maxt(row, MvnSpec(R)) for row, R in zip(f.t, f.correlation)]
-                q = np.take(whole, i)
-            jobs.append((route, q, bound, ndtr(-bound), lower, upper, pos, m))
-            counts[1] -= i.size
-            counts[2] += i.size
-    for route, q, bound, p_raw, lower, upper, pos, m in jobs:
+            # the open bounds by flat index i into t, and their places in flat
+            groups.setdefault(m, []).append((family, i, start + i))
+
+    def settle(route, q, bound, pos, m, lower, upper):
+        # step 5 for the exact tails q at the bounds stored at pos
         if lower is not None:
-            checked = q[: lower.size]  # the bracketed bounds lead
-            inside = (lower - _MARGIN <= checked) & (checked <= upper + _MARGIN)
+            inside = (lower - _MARGIN <= q) & (q <= upper + _MARGIN)
             if not inside.all():
                 i = np.argmin(inside)
                 raise ContrastError(
                     f"{route} p-value {q[i]!r} at t = {bound[i]!r} lies outside "
                     f"its second-order bracket [{lower[i]!r}, {upper[i]!r}]"
                 )
+        p_raw = ndtr(-bound)
         flat[pos] = np.minimum(np.maximum(q, p_raw), np.minimum(1.0, m * p_raw))
+
+    for m, group in sorted(groups.items()):
+        bound = np.concatenate([family[1].take(i) for family, i, _ in group])
+        pos = np.concatenate([at for *_, at in group])
+        # Without a window the bracket could settle nothing and would only
+        # check the exact value: bracketing contrast_test's Dunnett and global
+        # Williams families made closed_analysis 7% slower over the
+        # benchmark's analyze tables on a 2-vCPU host.
+        bracketed = windowed and m >= 3
+        lower = upper = None
+        if m <= 3 or bracketed:
+            # the bracket and the closed form read one set of pair tails
+            R = np.concatenate([family[4][i // family[1].shape[1]] for family, i, _ in group])
+            t, _, p_raw, rho, pair = _pair_tails(bound[:, None], R)
+        if bracketed:
+            lower, upper = (x[:, 0] for x in _bracket(m, p_raw, pair))
+            w_lo, w_hi = (
+                np.concatenate([np.take(w, i) for _, i, _ in group]) if np.ndim(w) else w
+                for w in (lo, hi)
+            )
+            below = upper < w_lo - _MARGIN
+            kept = ~below & (lower <= w_hi + _MARGIN)
+            flat[pos] = np.where(below, upper, lower)
+        if m <= 3:
+            if bracketed:
+                t, p_raw, rho, pair, bound, pos, lower, upper = (
+                    x[kept] for x in (t, p_raw, rho, pair, bound, pos, lower, upper)
+                )
+            q = _inclusion_exclusion(m, t, p_raw, rho, pair)[:, 0]
+            settle("closed-form", q, bound, pos, m, lower, upper)
+            continue
+        start = 0
+        for (contrasts, t, std_err, var_eta, correlation), i, _ in group:
+            cut = slice(start, start + i.size)
+            start = cut.stop
+            f_bound, f_pos, f_lower, f_upper = bound[cut], pos[cut], None, None
+            if bracketed:
+                keep = kept[cut]
+                i, f_bound, f_pos = i[keep], f_bound[keep], f_pos[keep]
+                f_lower, f_upper = lower[cut][keep], upper[cut][keep]
+            if not i.size:
+                continue
+            if contrasts.chains is not None:
+                route = "quadrature"
+                q = chain_maxt(contrasts.chains, f_bound, std_err, var_eta, i // t.shape[1])
+            else:
+                route = "QMC"
+                whole = [adjust_maxt(row, MvnSpec(R)) for row, R in zip(t, correlation)]
+                q = np.take(whole, i)
+            settle(route, q, f_bound, f_pos, m, f_lower, f_upper)
+            counts[1] -= i.size
+            counts[2] += i.size
     if routes is not None:
         routes += counts
     return ps

@@ -373,18 +373,15 @@ def _triple_tail(t, rho, p_raw, pair) -> np.ndarray:
     # both terms at once, along a leading axis: (a, b) and (b, a)
     a, b = cab[1:], cab[:0:-1]
     x, w = _gauss_legendre(64)
-    one_minus_x = 1.0 - x
     # theta = top - d; its sine and cosine, 1 + sin(theta) and 1 - s are
     # formed from d, free of cancellation where |a| is near 1
     top = np.arcsin(a)
-    d = top * one_minus_x**2
-    half = 0.5 * d
-    sin_half, cos_half = np.sin(half), np.cos(half)
+    d = top * (1.0 - x) ** 2
+    sin_half, cos_half = np.sin(0.5 * d), np.cos(0.5 * d)
     sin_d = 2.0 * sin_half * cos_half
-    sin_half_sq = sin_half**2
     cos_top = np.sqrt((1.0 - a) * (1.0 + a))
-    cos_theta = cos_top * (1.0 - 2.0 * sin_half_sq) + a * sin_d
-    one_plus = (1.0 + a) - 2.0 * a * sin_half_sq - cos_top * sin_d
+    cos_theta = cos_top * (1.0 - 2.0 * sin_half**2) + a * sin_d
+    one_plus = (1.0 + a) - 2.0 * a * sin_half**2 - cos_top * sin_d
     sine_gap = 2.0 * (cos_top * cos_half + a * sin_half) * sin_half  # a - sin(theta)
     gap = np.divide(sine_gap, a, out=np.zeros_like(d), where=a != 0.0)
     s = 1.0 - gap
@@ -393,7 +390,7 @@ def _triple_tail(t, rho, p_raw, pair) -> np.ndarray:
     num = h * ((1.0 - c) + s * (a - b)) * (cos_theta / one_plus)
     u = np.where(num == 0.0, 0.0, np.copysign(np.inf, num))
     np.divide(num, root, out=u, where=root > 0.0)
-    weight = top * (one_minus_x * w / math.pi)
+    weight = top * ((1.0 - x) * w / math.pi)
     # each term summed over its own nodes, the last axis, so a table's
     # floats do not depend on the tables it is batched with
     first, second = np.sum(np.exp(-h * h / one_plus) * ndtr(u) * weight, axis=-1)

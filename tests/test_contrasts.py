@@ -323,27 +323,27 @@ def mixed_families(rng, tables):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_one_call_over_several_families_is_one_call_per_family(seed):
     # bitwise the same p arrays and route counts, in either order of the
-    # families, whether a family takes the call's window or its own, as a
-    # call on each family alone with that window as the call's
+    # families, as a call on each family alone with the same window
     rng = np.random.default_rng(seed)
-    families = mixed_families(rng, 3)
     alpha = float(rng.choice([0.01, 0.05, 0.2]))
-    lo, hi = [(alpha, alpha), (-np.inf, np.inf)][rng.integers(2)]
-    for i, family in enumerate(families):
-        t = family[1]
-        own = rng.integers(3)
-        if own == 1:  # a scalar window of its own
-            families[i] = (*family, alpha / 2, alpha / 2)
-        elif own == 2:  # an array window, the running maximum of a closure
-            families[i] = (*family, rng.uniform(0.0, 0.3, size=t.shape), np.inf)
+    kind = rng.integers(3)
+    if kind < 2:
+        families = mixed_families(rng, 3)
+        lo, hi = [(-np.inf, np.inf), (alpha, alpha)][kind]
+    else:
+        # an array window, as a closure's running maximum or a level per
+        # table: every family at each table's largest statistic, so the QMC
+        # family, which takes whole families, stays out
+        families = [
+            (f[0], f[1].max(axis=1, keepdims=True), *f[2:]) for f in mixed_families(rng, 8)[:4]
+        ]
+        lo = 10.0 ** rng.uniform(-3.0, -0.5, size=(8, 1))
+        hi = [np.inf, lo][rng.integers(2)]
     for order in (families, families[::-1]):
         routes = np.zeros(3, dtype=np.int64)
         joint = contrasts._maxt_p(order, lo, hi, routes)
         alone_routes = np.zeros(3, dtype=np.int64)
-        alone = [
-            contrasts._maxt_p([family[:5]], *(family[5:] or (lo, hi)), alone_routes)[0]
-            for family in order
-        ]
+        alone = [contrasts._maxt_p([family], lo, hi, alone_routes)[0] for family in order]
         for a, b in zip(joint, alone):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
         assert routes.tolist() == alone_routes.tolist()
