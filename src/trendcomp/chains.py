@@ -62,7 +62,7 @@ any array is built, and rules above 256 nodes are rounded up to powers
 of sqrt(2), so a table near the cap builds a few large rules.
 
 A family of one to three rows does not need the quadrature: it has a
-closed form, :func:`trendcomp.mvn.maxt_closed_form`, which agrees with
+closed form, :func:`trendcomp.mvn._inclusion_exclusion`, which agrees with
 :func:`chain_maxt` within 5.3e-12 on 9,000 bounds of three-row stock
 families, some of tables near the node cap.  So this module integrates
 only families of four or more rows: Dunnett and Williams at k >= 4 and

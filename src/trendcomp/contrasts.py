@@ -16,7 +16,9 @@ Every maxT p-value of the package, in :func:`contrast_test`, in the
 closed test of :mod:`trendcomp.ctp` and in every decision of
 :mod:`trendcomp.simulate`, comes from one function, :func:`_maxt_p`,
 over a table axis and a list of families.  It is the only place that
-picks a family's route, settles bounds against the caller's window,
+composes the evaluators of :mod:`trendcomp.mvn` and
+:mod:`trendcomp.chains`: it picks a family's route, evaluates exactly
+the bounds it leaves open, settles bounds against the caller's window,
 checks an exact value against its bracket and clips it into the
 sandwich [p_raw, min(1, m p_raw)]; its docstring lists the steps.  The
 sandwich runs per family; the open bounds of all families of one row
@@ -30,7 +32,7 @@ The route comes from the number of rows and then from
 :attr:`ContrastMatrix.chains`, found once per matrix from its
 coefficients.  One row is its raw normal tail.  Two and three rows are
 exact in closed form, by inclusion-exclusion over the rows' tails
-(:func:`trendcomp.mvn.maxt_closed_form`): the pair tails through
+(:func:`trendcomp.mvn._inclusion_exclusion`): the pair tails through
 Owen's T and the triple tail by one Plackett integral, within 1e-12 of
 nested ``quad`` oracles.  So every family of k <= 3, the paper's k=3
 examples included, and the closed test's segments {0, 1, 2} and
@@ -42,8 +44,8 @@ below 1e-9 (measured in :mod:`trendcomp.chains`).  None of these routes
 validates the correlation: it is built from group variances, so it is
 positive semidefinite by construction.  Any other family goes to the
 randomized quasi-Monte Carlo integrator of :mod:`trendcomp.mvn` at its
-default tolerance, after :class:`trendcomp.mvn.MvnSpec` validates the
-correlation.
+default tolerance, one call per open bound, after
+:class:`trendcomp.mvn.MvnSpec` validates the table's correlation.
 """
 
 from __future__ import annotations
@@ -61,9 +63,10 @@ from .mvn import (
     CorrelationError,
     MvnSpec,
     _bracket,
+    _child_seed,
     _inclusion_exclusion,
     _pair_tails,
-    adjust_maxt,
+    mvn_upper_orthant_complement,
 )
 
 __all__ = [
@@ -77,7 +80,7 @@ __all__ = [
 ]
 
 _ROW_SUM_TOL = 1e-12
-# a bracket of :func:`trendcomp.mvn.maxt_bounds` settles a comparison only
+# a bracket of :func:`trendcomp.mvn._bracket` settles a comparison only
 # this far clear of it, ten times the quadrature's error, so it is the
 # comparison the exact value makes; an exact p this far outside its
 # bracket raises ContrastError
@@ -260,9 +263,11 @@ def _maxt_p(families, lo=-np.inf, hi=np.inf, routes=None) -> list:
     4. What is still open takes its bare exact tail from one of three
        evaluators: two or three rows from :func:`_inclusion_exclusion`;
        a larger family with :attr:`~ContrastMatrix.chains` from one
-       :func:`chain_maxt` call over all its tables; any other from
-       :func:`adjust_maxt`, which takes each table's whole family of
-       statistics and validates the correlation with :class:`MvnSpec`.
+       :func:`chain_maxt` call over all its tables; any other from one
+       :func:`mvn_upper_orthant_complement` call per open bound, on its
+       table's correlation, validated by :class:`MvnSpec`, and seeded
+       with child c of seed 0 for a bound in column c of ``t``, as
+       :func:`trendcomp.mvn.adjust_maxt` seeds statistic c.
     5. A tail more than ``_MARGIN`` outside its step-3 bracket raises
        :class:`ContrastError`, which names the route.  Every tail is
        then clipped into [p_raw, min(1, m p_raw)].
@@ -366,8 +371,11 @@ def _maxt_p(families, lo=-np.inf, hi=np.inf, routes=None) -> list:
                 q = chain_maxt(contrasts.chains, f_bound, std_err, var_eta, i // t.shape[1])
             else:
                 route = "QMC"
-                whole = [adjust_maxt(row, MvnSpec(R)) for row, R in zip(t, correlation)]
-                q = np.take(whole, i)
+                tails = [
+                    mvn_upper_orthant_complement(MvnSpec(R), b, seed=_child_seed(0, c))
+                    for R, c, b in zip(correlation[i // t.shape[1]], i % t.shape[1], f_bound)
+                ]
+                q = np.array([tail.value for tail in tails])
             settle(route, q, f_bound, f_pos, m, f_lower, f_upper)
             counts[1] -= i.size
             counts[2] += i.size
@@ -384,10 +392,11 @@ def contrast_test(fit: ModelFit, contrasts: ContrastMatrix) -> TestReport:
     structure (every stock family of four or more rows) is integrated
     exactly, with error below 1e-9 (see :mod:`trendcomp.chains`) and no
     random numbers.  Any other family is integrated by quasi-Monte Carlo
-    at the defaults of :func:`trendcomp.mvn.adjust_maxt`, and only that
-    route validates the correlation with :class:`MvnSpec`.  More than
-    ``MAX_DIMENSION`` contrasts raise :class:`CorrelationError` on every
-    route.
+    at the defaults of :func:`trendcomp.mvn.mvn_upper_orthant_complement`;
+    its p-values are bitwise those of :func:`trendcomp.mvn.adjust_maxt`
+    at its default seed.  Only that route validates the correlation with
+    :class:`MvnSpec`.  More than ``MAX_DIMENSION`` contrasts raise
+    :class:`CorrelationError` on every route.
     """
     return _contrast_tests(fit, (contrasts,))[0]
 

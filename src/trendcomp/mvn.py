@@ -1,21 +1,21 @@
 """Multivariate normal rectangle probabilities and maxT-adjusted p-values.
 
-Which family takes which of the functions here, and who checks and
-clips their values, is the policy of ``trendcomp.contrasts._maxt_p``.
-:func:`adjust_maxt` serves any correlation matrix, and its ``seed``,
-``abs_tol`` and ``max_points`` act only on this quasi-Monte Carlo route.
-:func:`maxt_bounds` brackets maxT-adjusted p-values in closed form, for
-any correlation and many tables at once, from the rows' pair tails by
-Owen's T.  :func:`maxt_closed_form` gives the exact p-value of a family
-of two or three rows from the same pair tails, and for three rows one
-Plackett integral on 64 nodes (:func:`_triple_tail`), held to ``quad``
-oracles within 1e-12 and to the arcsine formula at t = 0 within 1e-15,
-at correlations of +-1 too, by ``tests/test_mvn.py``.  Both are thin
-wrappers over three private pieces: :func:`_pair_tails`,
-:func:`_bracket` and :func:`_inclusion_exclusion`.  ``_maxt_p`` calls
-the pieces itself, once per row count over the open bounds of all the
-families of a call, so that the bracket and the closed form read one
-set of pair tails.
+This module only evaluates.  ``trendcomp.contrasts._maxt_p`` is the one
+place that composes its pieces: it picks each family's route, and it
+checks and clips every value.  Three private pieces give closed forms
+at a common bound t, for many tables at once.  :func:`_pair_tails`
+computes the rows' tails and pair tails, the pair tails by Owen's T.
+From them :func:`_bracket` brackets the maxT-adjusted p-value of any
+correlation, and :func:`_inclusion_exclusion` gives the exact p-value
+of one to three rows, for three rows with one Plackett integral on 64
+nodes (:func:`_triple_tail`).
+
+Any other correlation is integrated by quasi-Monte Carlo.
+:func:`mvn_upper_orthant_complement` gives one tail and
+:func:`adjust_maxt` a family's p-values, statistic q with child q of
+``seed`` (:func:`_child_seed`).  ``_maxt_p`` seeds each bound it
+integrates by the same rule, from seed 0.  ``seed``, ``abs_tol`` and
+``max_points`` act only on this route.
 
 The tail probability P(max_j T_j >= b) for T ~ N(0, R) is summed over
 first passages, P(T_i >= b, T_j < b for j < i), so the rare event leads
@@ -52,8 +52,6 @@ __all__ = [
     "TailProbability",
     "mvn_upper_orthant_complement",
     "adjust_maxt",
-    "maxt_bounds",
-    "maxt_closed_form",
     "adjusted_p_below",
 ]
 
@@ -138,6 +136,21 @@ def _as_seed_seq(seed) -> np.random.SeedSequence:
     if isinstance(seed, np.random.SeedSequence):
         return seed
     return np.random.SeedSequence(seed)
+
+
+def _child_seed(seed, q: int) -> np.random.SeedSequence:
+    """Child q of ``seed``: the seed of statistic q in :func:`adjust_maxt`.
+
+    ``contrasts._maxt_p`` seeds a bound in column q of a table's
+    statistics with child q of seed 0.  The child is the q-th that
+    ``spawn`` gives a fresh ``SeedSequence(seed)``, derived without
+    spawning, so ``seed`` is left as it was and a repeated call repeats
+    its result.
+    """
+    seed = _as_seed_seq(seed)
+    return np.random.SeedSequence(
+        seed.entropy, spawn_key=seed.spawn_key + (q,), pool_size=seed.pool_size
+    )
 
 
 def _clip_to_psd(R: np.ndarray) -> np.ndarray:
@@ -291,31 +304,29 @@ def adjust_maxt(
 ) -> np.ndarray:
     """maxT-adjusted one-sided p-values: p_q = 1 - P(all T_j < t_q).
 
-    Each adjusted value is clipped into its exact sandwich
+    Statistic q is integrated by :func:`mvn_upper_orthant_complement` with
+    child q of ``seed`` (:func:`_child_seed`), so equal seeds give equal
+    p-values.  That function clips each value into its exact sandwich
     [p_raw_q, min(1, m * p_raw_q)], which guards the integration noise and
     makes the single-statistic case collapse to the raw normal tail.
-    Statistic q is integrated by :func:`mvn_upper_orthant_complement` with
-    the q-th child of ``seed``.
     """
     t = np.asarray(t_values, dtype=np.float64)
     if t.ndim != 1 or t.size != spec.dimension:
         raise ValueError("t_values length must equal the correlation dimension")
     if not np.all(np.isfinite(t)):
         raise ValueError("t_values must be finite")
-    m = spec.dimension
-    if m == 1:
-        return ndtr(-t)
-    children = _as_seed_seq(seed).spawn(m)
     tails = [
-        mvn_upper_orthant_complement(spec, b, seed=c, abs_tol=abs_tol, max_points=max_points)
-        for b, c in zip(t, children)
+        mvn_upper_orthant_complement(
+            spec, b, seed=_child_seed(seed, q), abs_tol=abs_tol, max_points=max_points
+        )
+        for q, b in enumerate(t)
     ]
     return np.array([tail.value for tail in tails])
 
 
 @lru_cache(maxsize=MAX_DIMENSION)
 def _pairs(m: int) -> tuple:
-    """The row pairs of :func:`maxt_bounds` for m rows, read-only.
+    """The row pairs of :func:`_pair_tails` and :func:`_bracket` for m rows, read-only.
 
     Returns ``(i, j, stars, path)``: the pairs i < j in ``np.triu_indices``
     order, the m - 1 pairs of the star about each row, one row of
@@ -420,12 +431,32 @@ def _pair_tails(t, correlation) -> tuple:
 
 
 def _inclusion_exclusion(m, t, p_raw, rho, pair) -> np.ndarray:
-    """The exact p of one to three rows from the output of :func:`_pair_tails`."""
+    """Exact maxT-adjusted p-values of one to three rows, from the output of :func:`_pair_tails`.
+
+    By inclusion-exclusion the value is S1 - S2 with two rows and S1 -
+    S2 + S3 with three, S1 summing the rows' tails, S2 their pair tails
+    and S3 the triple tail of :func:`_triple_tail`.  ``tests/test_mvn.py``
+    holds three rows to nested ``quad`` oracles within 1e-12 and to the
+    arcsine formula at t = 0 within 1e-15, at correlations of +-1 too.
+    ``contrasts._maxt_p``, the one caller, sends no family of more than
+    three rows here.
+    """
     return m * p_raw - pair.sum(axis=-1) + (_triple_tail(t, rho, p_raw, pair) if m == 3 else 0.0)
 
 
 def _bracket(m, p_raw, pair) -> tuple:
-    """The ``(lower, upper)`` of :func:`maxt_bounds` from the output of :func:`_pair_tails`."""
+    """Lower and upper bounds on maxT-adjusted p-values, from the output of :func:`_pair_tails`.
+
+    Returns ``(lower, upper)``, each shaped like ``p_raw``, with lower <=
+    P(max_j T_j >= t) <= upper exactly, for any correlation.  S1 sums the
+    rows' tails and S2 their pair tails.  The upper bound is S1 minus the
+    pair tails along a spanning tree (Hunter 1976, J. Appl. Prob.
+    13:597), the heavier of two: the star about the best centre and the
+    path through the rows in order.  The lower bound is the larger of
+    p_raw and that of Dawson & Sankoff (1967, JASA 62:823), 2 S1 / (k +
+    1) - 2 S2 / (k (k + 1)) with k = 1 + floor(2 S2 / S1).  With two rows
+    the upper bound is the exact S1 - S2.
+    """
     s1 = m * p_raw
     s2 = pair.sum(axis=-1)
     _, _, stars, path = _pairs(m)
@@ -435,42 +466,6 @@ def _bracket(m, p_raw, pair) -> tuple:
     k = 1.0 + np.floor(np.divide(2.0 * s2, s1, out=np.zeros_like(s1), where=s1 > 0.0))
     lower = np.maximum(p_raw, 2.0 * s1 / (k + 1.0) - 2.0 * s2 / (k * (k + 1.0)))
     return lower, upper
-
-
-def maxt_closed_form(t, correlation) -> np.ndarray:
-    """Exact maxT-adjusted p-values of a family of one to three rows, shaped like ``t``.
-
-    Row r of ``t`` holds bounds of table r, whose statistics have the
-    correlation ``correlation[r]``.  By inclusion-exclusion the value is
-    S1 - S2 with two rows and S1 - S2 + S3 with three, S1 summing the
-    rows' tails, S2 the pair tails of :func:`_pair_tails` and S3 the
-    triple tail of :func:`_triple_tail`.
-    """
-    t, m, p_raw, rho, pair = _pair_tails(t, correlation)
-    if m > 3:
-        raise ValueError(f"the closed form covers one to three rows, not {m}")
-    return _inclusion_exclusion(m, t, p_raw, rho, pair)
-
-
-def maxt_bounds(t, correlation) -> tuple:
-    """Lower and upper bounds on maxT-adjusted p-values, for many tables at once.
-
-    Row r of ``t`` holds bounds of table r, whose statistics have the
-    correlation ``correlation[r]``.  Returns ``(lower, upper)``, each
-    shaped like ``t``, with lower <= P(max_j T_j >= t) <= upper exactly.
-
-    S1 sums the rows' tails and S2 the pair tails of
-    :func:`_pair_tails`.  The upper bound is S1 minus the pair tails
-    along a spanning tree (Hunter 1976, J. Appl. Prob. 13:597), the
-    heavier of two: the star about the best centre and the path through
-    the rows in order.  The lower bound is the larger of p and that of
-    Dawson & Sankoff (1967, JASA 62:823), 2 S1 / (k + 1) - 2 S2 / (k (k +
-    1)) with k = 1 + floor(2 S2 / S1).  With two rows the upper bound
-    is the exact S1 - S2; the exact value of a family of up to three rows
-    is :func:`maxt_closed_form`.
-    """
-    _, m, p_raw, _, pair = _pair_tails(t, correlation)
-    return _bracket(m, p_raw, pair)
 
 
 def adjusted_p_below(

@@ -7,7 +7,7 @@ from hypothesis import settings
 from scipy.integrate import quad
 from scipy.special import ndtr
 
-from trendcomp import contrasts
+from trendcomp import contrasts, mvn
 from trendcomp.data import DoseGroupData
 from trendcomp.model import ModelFit
 
@@ -38,6 +38,22 @@ def widen_brackets(patch, rows=None):
         return np.zeros_like(p_raw), np.ones_like(p_raw)
 
     patch.setattr(contrasts, "_bracket", wide)
+
+
+def closed_form(t, R):
+    """The exact p of one to three rows, from the pieces ``contrasts._maxt_p`` runs.
+
+    Row r of ``t`` holds bounds of table r, whose statistics have the
+    correlation ``R[r]``; the result is shaped like ``t``.
+    """
+    t, m, p_raw, rho, pair = mvn._pair_tails(t, R)
+    return mvn._inclusion_exclusion(m, t, p_raw, rho, pair)
+
+
+def bracket(t, R):
+    """The second-order ``(lower, upper)`` of ``contrasts._maxt_p``, each shaped like ``t``."""
+    _, m, p_raw, _, pair = mvn._pair_tails(t, R)
+    return mvn._bracket(m, p_raw, pair)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -99,7 +115,7 @@ def three_row_quad():
     of largest |rho|, which leaves the innermost normal CDF least steep.
     Both integrals run over [-9, 9] sds at ``epsabs`` 1e-13.  On 48 random
     correlations, some within 1e-4 of +-1, it agreed with the closed form
-    of :func:`trendcomp.mvn.maxt_closed_form` to 7e-13 at four bounds.  Where
+    of :func:`trendcomp.mvn._inclusion_exclusion` to 7e-13 at four bounds.  Where
     all three rows lie within about 1e-4 of one another, up to sign, it
     was off by up to 1.6e-10, so it is not used there.
     """

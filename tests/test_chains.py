@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import normal_density
+from conftest import bracket, closed_form, normal_density
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -29,8 +29,6 @@ from trendcomp.mvn import (
     CorrelationError,
     MvnSpec,
     adjust_maxt,
-    maxt_bounds,
-    maxt_closed_form,
     mvn_upper_orthant_complement,
 )
 
@@ -138,7 +136,7 @@ def no_qmc(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("QMC route taken")
 
-    monkeypatch.setattr(contrasts, "adjust_maxt", refuse)
+    monkeypatch.setattr(contrasts, "mvn_upper_orthant_complement", refuse)
 
 
 @pytest.fixture
@@ -380,7 +378,7 @@ def test_second_order_bounds_bracket_the_exact_p(seed, prefix_fit):
     fit, cm = stock_family(rng, fit_saturated_logit(data), data.n, prefix_fit)
     _, se, t, R = contrast_moments(cm.coefficients, fit.eta, fit.var_eta)
     bounds = np.concatenate([t, rng.uniform(0.0, 4.5, size=4)])
-    lower, upper = maxt_bounds(bounds[None], R[None])
+    lower, upper = bracket(bounds[None], R[None])
     p = one_table(cm, bounds, se[None], fit.var_eta[None])
     assert np.all(lower[0] <= upper[0])
     assert np.all(lower[0] - 1e-9 <= p)
@@ -395,8 +393,8 @@ def test_two_row_bounds_are_the_bivariate_tail(family):
     cm = family(n)
     _, _, _, R = contrast_moments(cm.coefficients, np.zeros(3), var)
     t = np.array([[-0.5, 0.0, 1.0, 1.9, 2.4, 3.3, 4.2]] * 4)
-    p = maxt_closed_form(t, R)
-    lower, upper = maxt_bounds(t, R)
+    p = closed_form(t, R)
+    lower, upper = bracket(t, R)
     assert np.all(lower - 1e-12 <= p) and np.all(p <= upper + 1e-12)
     for r in range(4):
         for q, b in enumerate(t[r]):
@@ -423,8 +421,8 @@ def test_two_row_williams_is_the_owens_t_tail(n, y, no_qmc):
     cm = williams_matrix(n)
     _, se, t, R = contrast_moments(cm.coefficients, fit.eta, fit.var_eta)
     bounds = np.concatenate([t, [-0.5, 0.0, 0.7, 1.5, 2.2, 3.1, 4.4]])
-    exact = maxt_closed_form(bounds[None], R[None])
-    lower, upper = maxt_bounds(bounds[None], R[None])
+    exact = closed_form(bounds[None], R[None])
+    lower, upper = bracket(bounds[None], R[None])
     assert np.all(lower - 1e-12 <= exact) and np.all(exact <= upper + 1e-12)
     p = one_table(cm, bounds, se[None], fit.var_eta[None])
     np.testing.assert_allclose(p, exact[0], rtol=0, atol=1e-10)
@@ -771,7 +769,7 @@ class TestNodeCap:
 class TestNearCap:
     """Tables whose variances take rules just below the node cap.
 
-    Three rows take the closed form of ``maxt_closed_form``, so the k=3
+    Three rows take the closed form of ``mvn._inclusion_exclusion``, so the k=3
     tables build no rule and check that closed form; their p-values were
     recorded from the quadrature.  The k=4 table integrates Dunnett and
     Williams on a rule of 4096 nodes.
@@ -819,7 +817,7 @@ class TestNearCap:
         assert time.perf_counter() - start < 1.0
         assert max(built) > chains._LADDER_FROM
         for report in (result.dunnett_report, result.williams_report):
-            lower, upper = maxt_bounds(report.statistic[None], report.correlation[None])
+            lower, upper = bracket(report.statistic[None], report.correlation[None])
             assert np.all(lower[0] - 1e-9 <= report.p_adjusted)
             assert np.all(report.p_adjusted <= upper[0] + 1e-9)
 

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import bracket
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
@@ -198,7 +199,7 @@ class TestContrastTest:
 )
 def test_two_rows_are_the_bivariate_normal_tail(cm, var, rho, monkeypatch):
     # P(max >= b) = 2 P(T > b) - P(T_1 < -b, T_2 < -b), with no quadrature and no warning
-    for name in ("chain_maxt", "adjust_maxt"):
+    for name in ("chain_maxt", "mvn_upper_orthant_complement"):
         monkeypatch.setattr(contrasts, name, None)
     var = np.array(var)
     _, se, _, R = contrast_moments(cm.coefficients, np.zeros(3), var)
@@ -299,8 +300,8 @@ def mixed_families(rng, tables):
 
     Each family reads the first groups of the tables; the five-row family
     has chains and the four-row one does not.  Every family is tested at
-    all its statistics or, but for the four-row one, whose QMC route
-    takes each table's whole family, at each table's largest, at random.
+    all its statistics or, as the closure asks, at each table's largest,
+    at random.
     """
     n, eta, var = random_tables(rng, 5, tables)
     out = []
@@ -313,7 +314,7 @@ def mixed_families(rng, tables):
     ):
         g = family.n_groups
         _, se, t, R = contrast_moments(family.coefficients, eta[:, :g], var[:, :g])
-        if family.chains is not None and rng.random() < 0.5:
+        if rng.random() < 0.5:
             t = t.max(axis=1, keepdims=True)
         out.append((family, t, se, var[:, :g], R))
     return out
@@ -332,10 +333,9 @@ def test_one_call_over_several_families_is_one_call_per_family(seed):
         lo, hi = [(-np.inf, np.inf), (alpha, alpha)][kind]
     else:
         # an array window, as a closure's running maximum or a level per
-        # table: every family at each table's largest statistic, so the QMC
-        # family, which takes whole families, stays out
+        # table: every family at each table's largest statistic
         families = [
-            (f[0], f[1].max(axis=1, keepdims=True), *f[2:]) for f in mixed_families(rng, 8)[:4]
+            (f[0], f[1].max(axis=1, keepdims=True), *f[2:]) for f in mixed_families(rng, 8)
         ]
         lo = 10.0 ** rng.uniform(-3.0, -0.5, size=(8, 1))
         hi = [np.inf, lo][rng.integers(2)]
@@ -348,6 +348,45 @@ def test_one_call_over_several_families_is_one_call_per_family(seed):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
         assert routes.tolist() == alone_routes.tolist()
         assert routes.sum() == sum(family[1].size for family in order)
+
+
+def test_qmc_route_integrates_each_open_bound_once(monkeypatch):
+    # without a window, bitwise adjust_maxt per table; with one, one QMC call
+    # per bound counted as integrated, seeded by its column, and none for a
+    # bound that the sandwich or the bracket settled
+    calls = []
+    tail = contrasts.mvn_upper_orthant_complement
+
+    def spy(spec, bound, seed):
+        calls.append((bound, seed.spawn_key))
+        return tail(spec, bound, seed=seed)
+
+    monkeypatch.setattr(contrasts, "mvn_upper_orthant_complement", spy)
+    _, eta, var = random_tables(np.random.default_rng(3), 3, 6)
+    _, se, t, R = contrast_moments(QMC_FAMILY.coefficients, eta, var)
+    family = (QMC_FAMILY, t, se, var, R)
+    (exact,) = contrasts._maxt_p([family])
+    whole = [mvn.adjust_maxt(row, mvn.MvnSpec(r)) for row, r in zip(t, R)]
+    assert exact.tobytes() == np.array(whole).tobytes()
+    assert len(calls) == t.size
+    p_raw = ndtr(-t)
+    lower, upper = bracket(t, R)
+    column = np.broadcast_to(np.arange(4), t.shape)
+    margin = contrasts._MARGIN
+    settled = [0, 0]
+    for lo, hi in [(0.05, 0.05), (0.2, 0.2), (0.01, np.inf)]:
+        calls.clear()
+        routes = np.zeros(3, dtype=np.int64)
+        (got,) = contrasts._maxt_p([family], lo, hi, routes)
+        sandwich = (4.0 * p_raw < lo) | (p_raw >= hi)
+        bracketed = ~sandwich & ((upper < lo - margin) | (lower > hi + margin))
+        open_ = ~sandwich & ~bracketed
+        assert sorted(calls) == sorted(zip(t[open_], ((int(c),) for c in column[open_])))
+        assert routes.tolist() == [sandwich.sum(), bracketed.sum(), open_.sum()]
+        assert got[open_].tobytes() == exact[open_].tobytes()
+        settled[0] += sandwich.sum()
+        settled[1] += bracketed.sum()
+    assert min(settled) > 0
 
 
 @pytest.mark.parametrize("windowed", [False, True])

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import normal_density
+from conftest import bracket, closed_form, normal_density
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -19,8 +19,6 @@ from trendcomp.mvn import (
     TailProbability,
     adjust_maxt,
     adjusted_p_below,
-    maxt_bounds,
-    maxt_closed_form,
     mvn_upper_orthant_complement,
 )
 
@@ -207,6 +205,17 @@ class TestAdjustMaxt:
         p = adjust_maxt([0.0, 0.0, 0.0], spec, seed=4, abs_tol=2e-5)
         np.testing.assert_allclose(p, 0.75, atol=2e-4)
 
+    def test_a_seed_sequence_gives_the_same_p_every_call(self):
+        # statistic q takes child q of the seed, derived without spawning,
+        # so the caller's SeedSequence is left as it was
+        spec = MvnSpec(random_correlation(np.random.default_rng(1), 4))
+        t = np.array([0.3, 1.1, 2.2, 3.0])
+        seed = np.random.SeedSequence(7)
+        first = adjust_maxt(t, spec, seed=seed)
+        assert adjust_maxt(t, spec, seed=seed).tobytes() == first.tobytes()
+        assert adjust_maxt(t, spec, seed=7).tobytes() == first.tobytes()
+        assert seed.n_children_spawned == 0
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
             adjust_maxt([1.0, 2.0], equicorr(3, 0.2))
@@ -226,7 +235,7 @@ class TestMaxtBounds:
         sign = rng.choice([-1.0, 1.0], size=m)
         R = random_correlation(rng, m) * np.outer(sign, sign)
         bound = rng.uniform(0.5, 3.5)
-        (lower,), (upper,) = maxt_bounds([[bound]], R[None])
+        (lower,), (upper,) = bracket([[bound]], R[None])
         tail = mvn_upper_orthant_complement(MvnSpec(R), bound, seed=seed, abs_tol=1e-6)
         slack = tail.error + 1e-6
         assert lower[0] - slack <= tail.value <= upper[0] + slack
@@ -235,10 +244,10 @@ class TestMaxtBounds:
         # rho = -1: T_2 = -T_1, so P(max >= t) is 2 Phi(-t) for t > 0 and 1 for t <= 0
         t = np.array([[-1.3, -0.2, 0.0, 0.4, 2.5]])
         R = np.array([[[1.0, -1.0], [-1.0, 1.0]]])
-        p = maxt_closed_form(t, R)
+        p = closed_form(t, R)
         want = np.where(t > 0.0, 2.0 * ndtr(-t), 1.0)
         np.testing.assert_allclose(p, want, rtol=0, atol=1e-15)
-        lower, upper = maxt_bounds(t, R)
+        lower, upper = bracket(t, R)
         assert np.all(lower - 1e-15 <= p) and np.all(p <= upper + 1e-15)
 
 
@@ -267,13 +276,13 @@ class TestThreeRowClosedForm:
             order = rng.permutation(3)
             R = R[np.ix_(order, order)]
             near.update(np.sign(R[np.abs(R) > 1.0 - 1e-4]).tolist())
-            p = maxt_closed_form(t[None], R[None])
+            p = closed_form(t[None], R[None])
             want = [three_row_quad(b, R) for b in t]
             np.testing.assert_allclose(p[0], want, rtol=0, atol=1e-12)
             # at t = 0: P(all T < 0) = 1/8 + (sum of asin rho) / (4 pi)
             orthant = 0.125 + np.arcsin(R[np.triu_indices(3, 1)]).sum() / (4.0 * math.pi)
             assert p[0, 1] == pytest.approx(1.0 - orthant, rel=0, abs=1e-15)
-            lower, upper = maxt_bounds(t[None], R[None])
+            lower, upper = bracket(t[None], R[None])
             assert np.all(lower - 1e-12 <= p) and np.all(p <= upper + 1e-12)
         assert near == {-1.0, 1.0}
 
@@ -292,12 +301,12 @@ class TestThreeRowClosedForm:
             np.fill_diagonal(R, 1.0)
             rho = R[np.triu_indices(3, 1)]
             assert np.all(np.abs(rho) > 1.0 - 5e-4)
-            p = maxt_closed_form(t[None], R[None])
+            p = closed_form(t[None], R[None])
             orthant = 0.125 + np.arcsin(rho).sum() / (4.0 * math.pi)
             assert p[0, 1] == pytest.approx(1.0 - orthant, rel=0, abs=1e-15)
             with monkeypatch.context() as patch:
                 patch.setattr(mvn, "_gauss_legendre", lambda n: _gauss_legendre(8 * n))
-                fine = maxt_closed_form(t[None], R[None])
+                fine = closed_form(t[None], R[None])
             np.testing.assert_allclose(p, fine, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["duplicated", "negated"])
@@ -307,7 +316,7 @@ class TestThreeRowClosedForm:
         R = np.array([[1.0, rho, sign], [rho, 1.0, sign * rho], [sign, sign * rho, 1.0]])
         t = np.array([-1.2, 0.0, 0.7, 2.5])
         for order in ([0, 1, 2], [2, 0, 1], [1, 2, 0]):
-            p = maxt_closed_form(t[None], R[np.ix_(order, order)][None])
+            p = closed_form(t[None], R[np.ix_(order, order)][None])
             for b, got in zip(t, p[0]):
                 start = -9.0 if sign > 0 else -b
                 if b <= start:
@@ -324,9 +333,9 @@ class TestThreeRowClosedForm:
         rng = np.random.default_rng(8)
         R = np.array([random_correlation(rng, 3) for _ in range(40)])
         t = rng.uniform(-1.0, 4.0, size=(40, 3))
-        whole = maxt_closed_form(t, R)
+        whole = closed_form(t, R)
         single = [
-            maxt_closed_form(t[i : i + 1, j : j + 1], R[i : i + 1])
+            closed_form(t[i : i + 1, j : j + 1], R[i : i + 1])
             for i in range(40)
             for j in range(3)
         ]
@@ -334,7 +343,7 @@ class TestThreeRowClosedForm:
 
     @pytest.mark.parametrize("b", [-1.0, 0.0, 1.5])
     def test_three_copies_of_one_row(self, b):
-        (p,) = maxt_closed_form([[b]], np.ones((1, 3, 3)))
+        (p,) = closed_form([[b]], np.ones((1, 3, 3)))
         assert p[0] == pytest.approx(ndtr(-b), rel=0, abs=1e-15)
 
 
