@@ -17,41 +17,31 @@ closed test of :mod:`trendcomp.ctp` and in every decision of
 :mod:`trendcomp.simulate`, comes from one function, :func:`_maxt_p`,
 over a table axis and a list of families.  It is the only place that
 composes the evaluators of :mod:`trendcomp.mvn` and
-:mod:`trendcomp.chains`: it picks a family's route, evaluates exactly
-the bounds it leaves open, settles bounds against the caller's window,
-checks an exact value against its bracket and clips it into the
-sandwich [p_raw, min(1, m p_raw)]; its docstring lists the steps.  The
-sandwich runs per family; the open bounds of all families of one row
-count share one set of pair tails, one bracket and one closed form, so
-a call on the Dunnett and the global Williams family of k = 3 pays for
-one Plackett integral, and every p is bitwise that of a call on its
-family alone.  The exact evaluators return bare tails, and the bracket
-only brackets.
+:mod:`trendcomp.chains`, and its docstring states once how a bound is
+settled, evaluated, checked and clipped.
 
-The route comes from the number of rows and then from
+The route of a family comes from its number of rows and then from
 :attr:`ContrastMatrix.chains`, found once per matrix from its
-coefficients.  One row is its raw normal tail.  Two and three rows are
-exact in closed form, by inclusion-exclusion over the rows' tails
-(:func:`trendcomp.mvn._inclusion_exclusion`): the pair tails through
-Owen's T and the triple tail by one Plackett integral, within 1e-12 of
-nested ``quad`` oracles.  So every family of k <= 3, the paper's k=3
-examples included, and the closed test's segments {0, 1, 2} and
-{0, 1, 2, 3} need no quadrature and never look at their chains.  Larger
-families with chain structure (see :mod:`trendcomp.chains`), which
-covers many-to-one, Williams and so every closed-test segment, get the
-exact quadrature of :func:`trendcomp.chains.chain_maxt`, with error
-below 1e-9 (measured in :mod:`trendcomp.chains`).  None of these routes
-validates the correlation: it is built from group variances, so it is
-positive semidefinite by construction.  Any other family goes to the
-randomized quasi-Monte Carlo integrator of :mod:`trendcomp.mvn` at its
-default tolerance, one call per open bound, after
-:class:`trendcomp.mvn.MvnSpec` validates the table's correlation.
+coefficients.  One row is its raw normal tail, and two or three rows
+have a closed form, within 1e-12 of nested ``quad`` oracles
+(:func:`trendcomp.mvn._inclusion_exclusion`).  So every family of k <=
+3, the paper's k=3 examples included, and the closed test's segments
+{0, 1, 2} and {0, 1, 2, 3} need no quadrature and never look at their
+chains.  A larger family with chain structure (see
+:mod:`trendcomp.chains`), which covers many-to-one, Williams and so
+every closed-test segment, gets the exact quadrature of
+:func:`trendcomp.chains.chain_maxt`, with error below 1e-9.  Only the
+route of any other family, randomized quasi-Monte Carlo at the default
+tolerance of :mod:`trendcomp.mvn`, validates the correlation, through
+:class:`trendcomp.mvn.MvnSpec`; the others take it as built from group
+variances, positive semidefinite by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 from scipy.special import ndtr
@@ -252,46 +242,44 @@ def _maxt_p(families, lo=-np.inf, hi=np.inf, routes=None) -> list:
     it.  Elsewhere the value is p, bitwise that of a call without a
     window.  The steps:
 
-    1. One row is its raw normal tail.
-    2. Given a window, the sandwich p_raw <= p <= m p_raw settles a
-       bound with m p_raw < lo or p_raw >= hi.  Without one nothing can
-       settle, so every bound of two or more rows is open.
-    3. Given a window, :func:`_bracket` brackets the open bounds of a
-       family of three or more rows and settles those it puts more than
-       ``_MARGIN`` outside the window.  Two rows skip this step: their
-       bracket is their closed form.
-    4. What is still open takes its bare exact tail from one of three
-       evaluators: two or three rows from :func:`_inclusion_exclusion`;
-       a larger family with :attr:`~ContrastMatrix.chains` from one
-       :func:`chain_maxt` call over all its tables; any other from one
-       :func:`mvn_upper_orthant_complement` call per open bound, on its
+    1. Per family, one row is its raw normal tail, and, given a window,
+       the sandwich p_raw <= p <= m p_raw settles a bound with m p_raw <
+       lo or p_raw >= hi.  A call without a window runs neither this
+       sandwich nor the bracket of step 2: they could settle nothing, so
+       every bound of two or more rows is open.
+    2. The open bounds of all families of m rows form one set, family by
+       family.  Given a window and m >= 3, one :func:`_bracket` call
+       brackets the whole set, and the set keeps only the bounds whose
+       bracket is not more than ``_MARGIN`` outside the window; each
+       other bound is settled at its bracket's end on its side.  Two rows
+       skip this step: their bracket is their closed form.
+    3. Every bound left in the set takes its bare exact tail.  Two or
+       three rows take it from one :func:`_inclusion_exclusion` call over
+       the set, with one Plackett integral for three; the bracket and the
+       closed form read the pair tails of one :func:`_pair_tails` call.
+       With more rows, each family's run of the set takes it from one
+       :func:`chain_maxt` call over all its tables if the family has
+       :attr:`~ContrastMatrix.chains`, and otherwise from one
+       :func:`mvn_upper_orthant_complement` call per bound, on its
        table's correlation, validated by :class:`MvnSpec`, and seeded
        with child c of seed 0 for a bound in column c of ``t``, as
        :func:`trendcomp.mvn.adjust_maxt` seeds statistic c.
-    5. A tail more than ``_MARGIN`` outside its step-3 bracket raises
-       :class:`ContrastError`, which names the route.  Every tail is
-       then clipped into [p_raw, min(1, m p_raw)].
+    4. One check over the set: a tail more than ``_MARGIN`` outside its
+       step-2 bracket raises :class:`ContrastError`, which names the
+       route of that bound.  One clip then puts every tail into [p_raw,
+       min(1, m p_raw)].
 
-    Steps 3 and 4 run once per row count, not per family: the open
-    bounds of all families of that many rows are concatenated, one
-    :func:`_pair_tails` call gives the pair tails that both the bracket
-    and the closed form read, one :func:`_bracket` call brackets them,
-    and for two or three rows one :func:`_inclusion_exclusion` call, with
-    one Plackett integral for three, takes what is left.  Each evaluator
-    computes a bound's floats apart from the bounds batched with it, so
-    every p is bitwise that of a call on its family alone.  ``routes``,
-    if given, gains the number of bounds settled by steps 1-2, by step 3
-    or the closed form, and integrated.
+    Each evaluator computes a bound's floats apart from the other
+    families' bounds in its set, so every p is bitwise that of a call on
+    its family alone.  ``routes``, if given, gains the number of bounds
+    settled by step 1, by step 2 or the closed form, and integrated.
     """
     windowed = bool(np.ndim(lo) or np.ndim(hi) or lo > -np.inf or hi < np.inf)
-    sizes = [family[1].size for family in families]
-    flat = np.empty(sum(sizes))  # the families' p back to back, each returned as a view
+    ends = list(accumulate((family[1].size for family in families), initial=0))
+    flat = np.empty(ends[-1])  # the families' p back to back, each returned as a view
     ps, groups = [], {}
-    counts = [0, 0, 0]  # bounds settled by steps 1-2, by step 3 or the closed form, integrated
-    end = 0
-    for family, size in zip(families, sizes):
+    for family, start, end in zip(families, ends, ends[1:]):
         t, m = family[1], family[0].n_rows
-        start, end = end, end + size
         p = flat[start:end].reshape(t.shape)
         p_raw = ndtr(-t)
         if windowed:
@@ -300,42 +288,25 @@ def _maxt_p(families, lo=-np.inf, hi=np.inf, routes=None) -> list:
             np.copyto(p, p_raw, where=high)
             # one row is exact; the sandwich leaves open what it cannot put outside [lo, hi]
             i = np.flatnonzero(~high & (p >= lo)) if m > 1 else np.arange(0)
-        elif m == 1:
-            p[...] = p_raw
-            i = np.arange(0)
         else:
-            i = np.arange(size)
+            p[...] = p_raw  # exact for one row; every bound of more rows is open
+            i = np.arange(t.size if m > 1 else 0)
         ps.append(p)
-        counts[0] += size - i.size
-        counts[1] += i.size
         if i.size:
-            # the open bounds by flat index i into t, and their places in flat
-            groups.setdefault(m, []).append((family, i, start + i))
-
-    def settle(route, q, bound, pos, m, lower, upper):
-        # step 5 for the exact tails q at the bounds stored at pos
-        if lower is not None:
-            inside = (lower - _MARGIN <= q) & (q <= upper + _MARGIN)
-            if not inside.all():
-                i = np.argmin(inside)
-                raise ContrastError(
-                    f"{route} p-value {q[i]!r} at t = {bound[i]!r} lies outside "
-                    f"its second-order bracket [{lower[i]!r}, {upper[i]!r}]"
-                )
-        p_raw = ndtr(-bound)
-        flat[pos] = np.minimum(np.maximum(q, p_raw), np.minimum(1.0, m * p_raw))
-
+            # the open bounds by flat index i into t, and where the family starts in flat
+            groups.setdefault(m, []).append((family, i, start))
+    n_open = n_integrated = 0
     for m, group in sorted(groups.items()):
+        # the set of open bounds and their places in flat, which rise family by family
         bound = np.concatenate([family[1].take(i) for family, i, _ in group])
-        pos = np.concatenate([at for *_, at in group])
+        pos = np.concatenate([start + i for _, i, start in group])
+        n_open += bound.size
         # Without a window the bracket could settle nothing and would only
         # check the exact value: bracketing contrast_test's Dunnett and global
         # Williams families made closed_analysis 7% slower over the
         # benchmark's analyze tables on a 2-vCPU host.
         bracketed = windowed and m >= 3
-        lower = upper = None
         if m <= 3 or bracketed:
-            # the bracket and the closed form read one set of pair tails
             R = np.concatenate([family[4][i // family[1].shape[1]] for family, i, _ in group])
             t, _, p_raw, rho, pair = _pair_tails(bound[:, None], R)
         if bracketed:
@@ -347,40 +318,43 @@ def _maxt_p(families, lo=-np.inf, hi=np.inf, routes=None) -> list:
             below = upper < w_lo - _MARGIN
             kept = ~below & (lower <= w_hi + _MARGIN)
             flat[pos] = np.where(below, upper, lower)
+            bound, pos, lower, upper = bound[kept], pos[kept], lower[kept], upper[kept]
         if m <= 3:
             if bracketed:
-                t, p_raw, rho, pair, bound, pos, lower, upper = (
-                    x[kept] for x in (t, p_raw, rho, pair, bound, pos, lower, upper)
-                )
+                t, p_raw, rho, pair = t[kept], p_raw[kept], rho[kept], pair[kept]
             q = _inclusion_exclusion(m, t, p_raw, rho, pair)[:, 0]
-            settle("closed-form", q, bound, pos, m, lower, upper)
-            continue
-        start = 0
-        for (contrasts, t, std_err, var_eta, correlation), i, _ in group:
-            cut = slice(start, start + i.size)
-            start = cut.stop
-            f_bound, f_pos, f_lower, f_upper = bound[cut], pos[cut], None, None
-            if bracketed:
-                keep = kept[cut]
-                i, f_bound, f_pos = i[keep], f_bound[keep], f_pos[keep]
-                f_lower, f_upper = lower[cut][keep], upper[cut][keep]
-            if not i.size:
-                continue
-            if contrasts.chains is not None:
-                route = "quadrature"
-                q = chain_maxt(contrasts.chains, f_bound, std_err, var_eta, i // t.shape[1])
-            else:
-                route = "QMC"
-                tails = [
-                    mvn_upper_orthant_complement(MvnSpec(R), b, seed=_child_seed(0, c))
-                    for R, c, b in zip(correlation[i // t.shape[1]], i % t.shape[1], f_bound)
-                ]
-                q = np.array([tail.value for tail in tails])
-            settle(route, q, f_bound, f_pos, m, f_lower, f_upper)
-            counts[1] -= i.size
-            counts[2] += i.size
+        elif not bound.size:
+            continue  # the bracket settled the whole set
+        else:
+            q = np.empty(bound.size)
+            for (contrasts, t, std_err, var_eta, correlation), _, start in group:
+                # the family's run of the set: the bounds placed in its block of flat
+                run = slice(pos.searchsorted(start), pos.searchsorted(start + t.size))
+                index = pos[run] - start
+                if contrasts.chains is None:
+                    table, column = np.divmod(index, t.shape[1])
+                    q[run] = [
+                        mvn_upper_orthant_complement(MvnSpec(R), b, seed=_child_seed(0, c)).value
+                        for R, c, b in zip(correlation[table], column, bound[run])
+                    ]
+                elif index.size:
+                    table = index // t.shape[1]
+                    q[run] = chain_maxt(contrasts.chains, bound[run], std_err, var_eta, table)
+            n_integrated += bound.size
+        if bracketed:
+            inside = (lower - _MARGIN <= q) & (q <= upper + _MARGIN)
+            if not inside.all():
+                b = np.argmin(inside)
+                owner = [family[0] for family, _, start in group if start <= pos[b]][-1]
+                route = "closed-form" if m <= 3 else "QMC" if owner.chains is None else "quadrature"
+                raise ContrastError(
+                    f"{route} p-value {q[b]!r} at t = {bound[b]!r} lies outside "
+                    f"its second-order bracket [{lower[b]!r}, {upper[b]!r}]"
+                )
+        p_raw = ndtr(-bound)
+        flat[pos] = np.minimum(np.maximum(q, p_raw), np.minimum(1.0, m * p_raw))
     if routes is not None:
-        routes += counts
+        routes += (flat.size - n_open, n_open - n_integrated, n_integrated)
     return ps
 
 

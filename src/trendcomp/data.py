@@ -91,7 +91,9 @@ def read_counts_csv(path: str | Path) -> DoseGroupData:
 
     Rows are taken in file order as the dose order (control first) unless an
     optional numeric ``order`` column is present, in which case rows are
-    stably sorted by it; its values must be finite.  Dose labels are opaque
+    stably sorted by it; its values must be finite numbers written in ASCII,
+    without underscores.  ``n`` and ``responders`` must be written in the
+    digits 0-9 alone; surrounding whitespace is ignored.  Dose labels are opaque
     strings and are never sorted lexically.  Every row must have as many
     fields as the header, and no column may be named twice.  A row whose
     fields are all blank, such as ``,,``, is skipped like an empty line.
@@ -129,23 +131,30 @@ def read_counts_csv(path: str | Path) -> DoseGroupData:
             dose = record["dose"].strip()
             if not dose:
                 raise DataFormatError("empty dose label", line=line)
-            try:
-                n_i = int(record["n"])
-                y_i = int(record["responders"])
-            except ValueError:
+            n_text, y_text = record["n"].strip(), record["responders"].strip()
+            # int() alone would also read a sign, underscores between digits and
+            # non-ASCII digits, such as Arabic-Indic ones
+            if not all(s.isascii() and s.isdigit() for s in (n_text, y_text)):
                 raise DataFormatError(
-                    f"non-integer n or responders in row for dose {dose!r}", line=line
-                ) from None
+                    f"n and responders must be written in the digits 0-9, got {n_text!r} "
+                    f"and {y_text!r} in row for dose {dose!r}",
+                    line=line,
+                )
+            n_i, y_i = int(n_text), int(y_text)
             if n_i < 1:
                 raise DataFormatError(f"group size must be >= 1, got {n_i}", line=line)
-            if not 0 <= y_i <= n_i:
+            if y_i > n_i:
                 raise DataFormatError(
                     f"responders must be between 0 and n, got {y_i} of {n_i}", line=line
                 )
             order_val = 0.0
             if has_order:
+                text = record["order"]
                 try:
-                    order_val = float(record["order"])
+                    # float() alone would also read underscores and non-ASCII digits
+                    if not text.isascii() or "_" in text:
+                        raise ValueError(text)
+                    order_val = float(text)
                 except ValueError:
                     raise DataFormatError("non-numeric order value", line=line) from None
                 if not math.isfinite(order_val):

@@ -114,6 +114,15 @@ class TestAnalyzeErrors:
         assert code == EXIT_PARSE
         assert "error:" in err
 
+    def test_counts_outside_ascii_digits_are_parse_error(self, capsys, tmp_path):
+        # int() read these rows as n = (12, 10), and analyze exited 0
+        p = tmp_path / "digits.csv"
+        p.write_text("dose,n,responders\n0,\u0661\u0662,3\n1,1_0,2\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "analyze", "--input", str(p))
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert "line 2" in err
+
     def test_repeated_dose_label_is_parse_error(self, capsys, tmp_path):
         p = tmp_path / "twice.csv"
         p.write_text("dose,n,responders\n0,34,2\n50,35,6\n50,36,4\n150,34,13\n")

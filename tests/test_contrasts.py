@@ -1,4 +1,5 @@
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -387,6 +388,31 @@ def test_qmc_route_integrates_each_open_bound_once(monkeypatch):
         settled[0] += sandwich.sum()
         settled[1] += bracketed.sum()
     assert min(settled) > 0
+
+
+@pytest.mark.parametrize(
+    "name, outside, route",
+    [
+        ("chain_maxt", lambda chains, t, *args: np.full(t.shape, 2.0), "quadrature"),
+        ("mvn_upper_orthant_complement", lambda *args, seed: SimpleNamespace(value=2.0), "QMC"),
+    ],
+    ids=["quadrature", "QMC"],
+)
+def test_a_tail_outside_its_bracket_names_its_own_route(name, outside, route, monkeypatch):
+    # a chain family and a family without chains of four rows share one set of
+    # open bounds; whichever family comes last, the error names the faulty route
+    monkeypatch.setattr(contrasts, name, outside)
+    n, eta, var = random_tables(np.random.default_rng(6), 4, 3)
+    families = []
+    for family in (williams_matrix(n), QMC_FAMILY):
+        g = family.n_groups
+        _, se, t, R = contrast_moments(family.coefficients, eta[:, :g], var[:, :g])
+        families.append((family, t.max(axis=1, keepdims=True), se, var[:, :g], R))
+    assert families[0][0].chains is not None and QMC_FAMILY.chains is None
+    for order in (families, families[::-1]):
+        # [0, 1] leaves every bound open, so each one is evaluated and checked
+        with pytest.raises(ContrastError, match=f"^{route} p-value "):
+            contrasts._maxt_p(order, 0.0, 1.0)
 
 
 @pytest.mark.parametrize("windowed", [False, True])

@@ -156,6 +156,38 @@ class TestReadCountsCsv:
         assert err.value.line == 3
         assert "line 3" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "row",
+        ["50,\u0661\u0662,3", "50,1_0,2", "50,+10,2", "50,10,-0"],
+        ids=["arabic-indic-digits", "underscore", "plus-sign", "minus-sign"],
+    )
+    def test_counts_must_be_ascii_digits(self, tmp_path, row):
+        # int() read these as n = 12, 10, 10 and y = 0, and the table was analyzed
+        path = write(tmp_path, f"dose,n,responders\n0,12,3\n{row}\n")
+        with pytest.raises(DataFormatError, match="digits 0-9") as err:
+            read_counts_csv(path)
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize(
+        "value", ["1_0", "\u0662", "\uff12"], ids=["underscore", "arabic-indic-digit", "fullwidth"]
+    )
+    def test_order_must_be_a_plain_decimal(self, tmp_path, value):
+        # float() read these as 10.0, 2.0 and 2.0
+        path = write(tmp_path, f"dose,n,responders,order\n0,34,2,1\n50,35,6,{value}\n")
+        with pytest.raises(DataFormatError, match="non-numeric order value") as err:
+            read_counts_csv(path)
+        assert err.value.line == 3
+
+    def test_plain_numbers_keep_reading_with_surrounding_whitespace(self, tmp_path):
+        path = write(
+            tmp_path,
+            "dose,n,responders,order\nhigh, 10 ,6 ,3e1\ncontrol,10,\t1,-1\nlow,010,2, .5 \n",
+        )
+        data = read_counts_csv(path)
+        assert data.labels == ("control", "low", "high")
+        assert data.n.tolist() == [10, 10, 10]
+        assert data.y.tolist() == [1, 2, 6]
+
     def test_y_above_n_rejected_with_line(self, tmp_path):
         path = write(tmp_path, "dose,n,responders\nctrl,20,3\nlow,20,21\n")
         with pytest.raises(DataFormatError, match="line 3"):

@@ -564,6 +564,15 @@ class TestDecisionRoutes:
         assert sandwich_open > 0
         assert res.n_integrated <= 0.2 * sandwich_open
 
+    def test_second_order_bounds_settle_most_open_bounds_at_four_doses(self):
+        # four doses: families and segments of four rows are bracketed before
+        # the quadrature, which takes what their brackets leave open
+        sc = Scenario(pi=(0.05, 0.1, 0.2, 0.25, 0.3), n=(50,) * 5, replicates=2000, seed=3)
+        res = run_scenario(sc)
+        sandwich_open = res.n_second_order + res.n_integrated
+        assert res.n_integrated > 0
+        assert res.n_integrated <= 0.2 * sandwich_open
+
     def test_routes_do_not_depend_on_parallelism_or_chunking(self, monkeypatch):
         # four doses, so that Dunnett and Williams are integrated
         sc = Scenario(pi=(0.05, 0.1, 0.2, 0.25, 0.3), n=(50,) * 5, replicates=600, seed=13)
