@@ -18,7 +18,12 @@ closed test of :mod:`trendcomp.ctp` and in every decision of
 over a table axis and a list of families.  It is the only place that
 composes the evaluators of :mod:`trendcomp.mvn` and
 :mod:`trendcomp.chains`, and its docstring states once how a bound is
-settled, evaluated, checked and clipped.
+settled, evaluated, checked and clipped.  A family reaches it as its
+statistics, standard errors and group variances.  The correlation, which
+only the pair tails and quasi-Monte Carlo read, is formed there for just
+the bounds that the sandwich leaves open, by the helper
+:func:`contrast_moments` uses, so it is the same float; no other module
+forms one for a maxT call.
 
 The route of a family comes from its number of rows and then from
 :attr:`ContrastMatrix.chains`, found once per matrix from its
@@ -186,26 +191,39 @@ def contrast_moments(coefficients: np.ndarray, eta: np.ndarray, var_eta: np.ndar
     std_err, statistic, correlation).
 
     Estimates and variances are elementwise products summed over the
-    group axis, which gives every table the same floats whatever the
-    number of tables it is batched with.
+    group axis, and each table's correlation is one matrix product of
+    its own rows, so every table gets the same floats whatever the
+    number of tables it is batched with; ``tests/test_contrasts.py``
+    checks this bitwise.  :func:`_maxt_p` relies on it when it forms
+    the correlation of only the tables whose bounds it leaves open.
     """
     C = np.asarray(coefficients, dtype=np.float64)
-    eta = np.asarray(eta, dtype=np.float64)[..., None, :]
-    var_eta = np.asarray(var_eta, dtype=np.float64)[..., None, :]
-    est = np.sum(C * eta, axis=-1)
-    var = np.sum((C * C) * var_eta, axis=-1)
+    eta = np.asarray(eta, dtype=np.float64)
+    var_eta = np.asarray(var_eta, dtype=np.float64)
+    est, se, t = _statistics(C, eta, var_eta)
+    return est, se, t, _correlation(C, var_eta, se)
+
+
+def _statistics(C, eta, var_eta) -> tuple:
+    """The (estimate, std_err, statistic) of :func:`contrast_moments`, with no correlation."""
+    est = np.sum(C * eta[..., None, :], axis=-1)
+    var = np.sum((C * C) * var_eta[..., None, :], axis=-1)
     if np.any(var <= 0.0):
         bad = int(np.argmin(var)) % C.shape[0]
         raise ContrastError(f"contrast row {bad} has zero variance")
     se = np.sqrt(var)
-    t = est / se
-    cov = (C * var_eta) @ C.T
-    R = cov / (se[..., :, None] * se[..., None, :])
+    return est, se, est / se
+
+
+def _correlation(C, var_eta, std_err) -> np.ndarray:
+    """The correlation of :func:`contrast_moments`, for each table of ``var_eta`` and ``std_err``."""
+    cov = (C * var_eta[..., None, :]) @ C.T
+    R = cov / (std_err[..., :, None] * std_err[..., None, :])
     R = 0.5 * (R + np.swapaxes(R, -1, -2))
     np.clip(R, -1.0, 1.0, out=R)
     diag = np.arange(C.shape[0])
     R[..., diag, diag] = 1.0
-    return est, se, t, R
+    return R
 
 
 @dataclass(frozen=True)
@@ -231,28 +249,32 @@ class TestReport:
 def _maxt_p(families, lo=-np.inf, hi=np.inf, routes=None) -> list:
     """maxT-adjusted p-values of several families, exact wherever they may lie in [lo, hi].
 
-    Each family is a tuple ``(contrasts, t, std_err, var_eta,
-    correlation)``; one p array per family is returned, shaped like its
-    ``t``.  Row r of ``t`` holds bounds of table r, whose contrast
-    standard errors, group variances and correlation are row r of
-    ``std_err``, ``var_eta`` and ``correlation``; ``lo`` and ``hi`` are
-    numbers or arrays shaped like every family's ``t``.  Where p is
+    Each family is a tuple ``(contrasts, t, std_err, var_eta)``; one p
+    array per family is returned, shaped like its ``t``.  Row r of ``t``
+    holds bounds of table r, whose contrast standard errors and group
+    variances are row r of ``std_err`` and ``var_eta``; ``lo`` and ``hi``
+    are numbers or arrays shaped like every family's ``t``.  Where p is
     proven below ``lo``, the value is an upper bound on p still below it;
     where p is proven at or above ``hi``, a lower bound on p at or above
     it.  Elsewhere the value is p, bitwise that of a call without a
     window.  The steps:
 
-    1. Per family, one row is its raw normal tail, and, given a window,
-       the sandwich p_raw <= p <= m p_raw settles a bound with m p_raw <
-       lo or p_raw >= hi.  A call without a window runs neither this
-       sandwich nor the bracket of step 2: they could settle nothing, so
-       every bound of two or more rows is open.
+    1. Per family, the sandwich p_raw <= p <= m p_raw settles a bound
+       with m p_raw < lo or p_raw >= hi.  One row is its raw normal tail,
+       1 p_raw.  Without a window the sandwich settles nothing, so every
+       bound of two or more rows is open.
     2. The open bounds of all families of m rows form one set, family by
-       family.  Given a window and m >= 3, one :func:`_bracket` call
-       brackets the whole set, and the set keeps only the bounds whose
-       bracket is not more than ``_MARGIN`` outside the window; each
-       other bound is settled at its bracket's end on its side.  Two rows
-       skip this step: their bracket is their closed form.
+       family.  Where the set's pair tails are read, with two or three
+       rows or with a window, each bound's correlation is formed here
+       from its table's ``std_err`` and ``var_eta``, by the helper of
+       :func:`contrast_moments`, so it is bitwise that function's; no
+       other bound's is.  Given a window and m >= 3, one :func:`_bracket`
+       call brackets the whole set, and the set keeps only the bounds
+       whose bracket is not more than ``_MARGIN`` outside the window;
+       each other bound is settled at its bracket's end on its side, and
+       a set so settled whole ends here.  Without a window no bracket
+       runs: it could settle nothing.  Two rows skip this step: their
+       bracket is their closed form.
     3. Every bound left in the set takes its bare exact tail.  Two or
        three rows take it from one :func:`_inclusion_exclusion` call over
        the set, with one Plackett integral for three; the bracket and the
@@ -261,9 +283,10 @@ def _maxt_p(families, lo=-np.inf, hi=np.inf, routes=None) -> list:
        :func:`chain_maxt` call over all its tables if the family has
        :attr:`~ContrastMatrix.chains`, and otherwise from one
        :func:`mvn_upper_orthant_complement` call per bound, on its
-       table's correlation, validated by :class:`MvnSpec`, and seeded
-       with child c of seed 0 for a bound in column c of ``t``, as
-       :func:`trendcomp.mvn.adjust_maxt` seeds statistic c.
+       table's correlation, formed for the run, validated by
+       :class:`MvnSpec`, and seeded with child c of seed 0 for a bound in
+       column c of ``t``, as :func:`trendcomp.mvn.adjust_maxt` seeds
+       statistic c.
     4. One check over the set: a tail more than ``_MARGIN`` outside its
        step-2 bracket raises :class:`ContrastError`, which names the
        route of that bound.  One clip then puts every tail into [p_raw,
@@ -282,19 +305,16 @@ def _maxt_p(families, lo=-np.inf, hi=np.inf, routes=None) -> list:
         t, m = family[1], family[0].n_rows
         p = flat[start:end].reshape(t.shape)
         p_raw = ndtr(-t)
-        if windowed:
-            high = p_raw >= hi
-            np.multiply(p_raw, m, out=p)
-            np.copyto(p, p_raw, where=high)
-            # one row is exact; the sandwich leaves open what it cannot put outside [lo, hi]
-            i = np.flatnonzero(~high & (p >= lo)) if m > 1 else np.arange(0)
-        else:
-            p[...] = p_raw  # exact for one row; every bound of more rows is open
-            i = np.arange(t.size if m > 1 else 0)
+        high = p_raw >= hi
+        np.multiply(p_raw, m, out=p)
+        np.copyto(p, p_raw, where=high)
         ps.append(p)
-        if i.size:
-            # the open bounds by flat index i into t, and where the family starts in flat
-            groups.setdefault(m, []).append((family, i, start))
+        if m > 1:  # one row is exact
+            # the sandwich leaves open what it cannot put outside [lo, hi]: the
+            # open bounds by flat index i into t, and where the family starts in flat
+            i = np.flatnonzero(~high & (p >= lo))
+            if i.size:
+                groups.setdefault(m, []).append((family, i, start))
     n_open = n_integrated = 0
     for m, group in sorted(groups.items()):
         # the set of open bounds and their places in flat, which rise family by family
@@ -307,7 +327,11 @@ def _maxt_p(families, lo=-np.inf, hi=np.inf, routes=None) -> list:
         # benchmark's analyze tables on a 2-vCPU host.
         bracketed = windowed and m >= 3
         if m <= 3 or bracketed:
-            R = np.concatenate([family[4][i // family[1].shape[1]] for family, i, _ in group])
+            # the correlation of each open bound's table, and of no other
+            R = np.concatenate(
+                [_correlation(c.coefficients, v[i // t.shape[1]], se[i // t.shape[1]])
+                 for (c, t, se, v), i, _ in group]
+            )
             t, _, p_raw, rho, pair = _pair_tails(bound[:, None], R)
         if bracketed:
             lower, upper = (x[:, 0] for x in _bracket(m, p_raw, pair))
@@ -319,23 +343,24 @@ def _maxt_p(families, lo=-np.inf, hi=np.inf, routes=None) -> list:
             kept = ~below & (lower <= w_hi + _MARGIN)
             flat[pos] = np.where(below, upper, lower)
             bound, pos, lower, upper = bound[kept], pos[kept], lower[kept], upper[kept]
-        if m <= 3:
-            if bracketed:
+            if m <= 3:
                 t, p_raw, rho, pair = t[kept], p_raw[kept], rho[kept], pair[kept]
-            q = _inclusion_exclusion(m, t, p_raw, rho, pair)[:, 0]
-        elif not bound.size:
+        if not bound.size:
             continue  # the bracket settled the whole set
+        if m <= 3:
+            q = _inclusion_exclusion(m, t, p_raw, rho, pair)[:, 0]
         else:
             q = np.empty(bound.size)
-            for (contrasts, t, std_err, var_eta, correlation), _, start in group:
+            for (contrasts, t, std_err, var_eta), _, start in group:
                 # the family's run of the set: the bounds placed in its block of flat
                 run = slice(pos.searchsorted(start), pos.searchsorted(start + t.size))
                 index = pos[run] - start
                 if contrasts.chains is None:
                     table, column = np.divmod(index, t.shape[1])
+                    R = _correlation(contrasts.coefficients, var_eta[table], std_err[table])
                     q[run] = [
-                        mvn_upper_orthant_complement(MvnSpec(R), b, seed=_child_seed(0, c)).value
-                        for R, c, b in zip(correlation[table], column, bound[run])
+                        mvn_upper_orthant_complement(MvnSpec(r), b, seed=_child_seed(0, c)).value
+                        for r, c, b in zip(R, column, bound[run])
                     ]
                 elif index.size:
                     table = index // t.shape[1]
@@ -348,8 +373,8 @@ def _maxt_p(families, lo=-np.inf, hi=np.inf, routes=None) -> list:
                 owner = [family[0] for family, _, start in group if start <= pos[b]][-1]
                 route = "closed-form" if m <= 3 else "QMC" if owner.chains is None else "quadrature"
                 raise ContrastError(
-                    f"{route} p-value {q[b]!r} at t = {bound[b]!r} lies outside "
-                    f"its second-order bracket [{lower[b]!r}, {upper[b]!r}]"
+                    f"{route} p-value {float(q[b])} at t = {float(bound[b])} lies outside "
+                    f"its second-order bracket [{float(lower[b])}, {float(upper[b])}]"
                 )
         p_raw = ndtr(-bound)
         flat[pos] = np.minimum(np.maximum(q, p_raw), np.minimum(1.0, m * p_raw))
@@ -390,7 +415,7 @@ def _contrast_tests(fit: ModelFit, families) -> list:
     moments = [contrast_moments(c.coefficients, fit.eta, fit.var_eta) for c in families]
     var_eta = fit.var_eta[None]
     p_adjusted = _maxt_p(
-        [(c, t[None], se[None], var_eta, R[None]) for c, (_, se, t, R) in zip(families, moments)]
+        [(c, t[None], se[None], var_eta) for c, (_, se, t, _) in zip(families, moments)]
     )
     reports = []
     for contrasts, (est, se, t, R), p_adj in zip(families, moments, p_adjusted):

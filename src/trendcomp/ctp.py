@@ -16,17 +16,21 @@ both variants, so variant C reads its p, bitwise the same float, from
 the raw pairwise p of dose 1 and makes no maxT call for it.
 
 :func:`_stock_families` is the one place the stock families are defined:
-the many-to-one (Dunnett) family and variant C's k segment families, the
-top one being the global Williams family.  Each is a plain
+the many-to-one (Dunnett) family and variant C's segment families, the
+top one being the global Williams family; segment {0, 1} has a family
+only as the global one of k = 1.  Each is a plain
 :class:`ContrastMatrix` that carries its chains.  Every adjusted p-value
 comes from :func:`trendcomp.contrasts._maxt_p`, whose docstring states
 its routes: exact in closed form or by quadrature for every stock
 family, with no random numbers.  :func:`closed_analysis` tests the
 Dunnett and the global Williams family of a table in one call of it,
-and each segment of the closure is a one-family call.  The closure of
-:func:`closed_analysis`, :func:`_williams_closure`, asks for each lower
-segment's p only above the running maximum, so a segment that cannot
-raise it gets no exact value, and the reported p is the same float.
+and each segment of the closure is a one-family call.  A segment's call
+passes its statistics, standard errors and group variances, and no
+correlation: ``_maxt_p`` forms that of just the bounds it leaves open.
+The closure of :func:`closed_analysis`, :func:`_williams_closure`, asks
+for each lower segment's p only above the running maximum, so a segment
+that cannot raise it gets no exact value, and the reported p is the same
+float.
 The simulator shares the family table and the closure, which there
 settles each segment against alpha instead.
 :func:`raw_pairwise_pvalues`, :func:`ctp_pairwise` and the variant C
@@ -49,7 +53,7 @@ from .contrasts import (
     TestReport,
     _contrast_tests,
     _maxt_p,
-    contrast_moments,
+    _statistics,
     dunnett_matrix,
     williams_matrix,
 )
@@ -85,10 +89,13 @@ def ctp_pairwise(fit: ModelFit) -> np.ndarray:
 def _stock_families(n) -> tuple:
     """The many-to-one family and variant C's segment families for sizes ``n``.
 
-    Returns ``(dunnett, segments)``.  ``segments[j]`` for j = 1..k is the
-    Williams family on groups {0..j}, over those j + 1 groups only: the
-    global family for j = k, the contrast D1 vs C for j = 1.  Built once
-    per process for each tuple of sizes; ``segments`` is a read-only
+    Returns ``(dunnett, segments)``.  ``segments[j]`` is the Williams
+    family on groups {0..j}, over those j + 1 groups only, for j = 2..k,
+    the global family being j = k.  Segment {0, 1}, the contrast D1 vs C,
+    is built only when k = 1, as the global family: the closure reads it
+    from the raw pairwise p.  The segments are built once per process for
+    each tuple of sizes, and Dunnett, which depends on k alone, once per
+    k, so its chains are found once per k; ``segments`` is a read-only
     mapping and every family is frozen, so all callers share them.
     """
     return _families_of_sizes(tuple(int(v) for v in n))
@@ -96,8 +103,14 @@ def _stock_families(n) -> tuple:
 
 @lru_cache(maxsize=64)
 def _families_of_sizes(n: tuple) -> tuple:
-    segments = {j: williams_matrix(n[: j + 1]) for j in range(1, len(n))}
-    return dunnett_matrix(n), MappingProxyType(segments)
+    k = len(n) - 1
+    segments = {j: williams_matrix(n[: j + 1]) for j in range(min(k, 2), k + 1)}
+    return _dunnett_of(k), MappingProxyType(segments)
+
+
+@lru_cache(maxsize=64)
+def _dunnett_of(k: int):
+    return dunnett_matrix(range(k + 1))
 
 
 def _williams_closure(fit: ModelFit, segments, top, alpha=None, routes=None) -> np.ndarray:
@@ -123,7 +136,7 @@ def _williams_closure(fit: ModelFit, segments, top, alpha=None, routes=None) -> 
     refitted, so groups at a boundary keep the corrected values of the
     whole table.
     """
-    k = len(segments)
+    k = fit.n_groups - 1
     eta = fit.eta.reshape(-1, fit.n_groups)
     var = fit.var_eta.reshape(-1, fit.n_groups)
     running = np.array(top, dtype=np.float64).reshape(-1)
@@ -143,10 +156,10 @@ def _williams_closure(fit: ModelFit, segments, top, alpha=None, routes=None) -> 
         else:
             segment = segments[j]
             var_j = var[rows, : j + 1]
-            _, se, t, R = contrast_moments(segment.coefficients, eta[rows, : j + 1], var_j)
+            _, se, t = _statistics(segment.coefficients, eta[rows, : j + 1], var_j)
             lo, hi = (running[rows, None], np.inf) if alpha is None else (alpha, alpha)
             t = t.max(axis=-1, keepdims=True)
-            s_j = _maxt_p([(segment, t, se, var_j, R)], lo, hi, routes)[0][:, 0]
+            s_j = _maxt_p([(segment, t, se, var_j)], lo, hi, routes)[0][:, 0]
         running[rows] = np.maximum(running[rows], s_j)
         p[rows, j - 1] = running[rows]
         rows = rows[running[rows] < stop]

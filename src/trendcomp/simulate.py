@@ -5,23 +5,25 @@ generator (:func:`_draw`).  A chunk of replicates is then decided at once
 by :func:`_decide`, one row per replicate, with the same definitions
 :func:`trendcomp.ctp.closed_analysis` uses on one table: the closed form
 of :mod:`trendcomp.model`, the many-to-one and segment families of
-``trendcomp.ctp._stock_families``, each carrying its chains,
+``trendcomp.ctp._stock_families``, each carrying its chains, the
+statistics and standard errors of
 :func:`trendcomp.contrasts.contrast_moments`,
-:func:`trendcomp.ctp.ctp_pairwise`, variant C's closure and the one
-maxT function of both, ``trendcomp.contrasts._maxt_p``.  Decisions, not
-p-values, are accumulated: every maxT p is asked for in the window
-[alpha, alpha], so each value is below alpha exactly when the p-value of
-``closed_analysis`` on the same table is.  The Dunnett and global
-Williams families are decided over the whole chunk by one call, so at
-k = 3 their three-row bounds share one set of pair tails, one bracket
-and one Plackett integral; each lower segment takes one call with one
-bound per table, but for segment {0, 1}, read from the pairwise p of
-dose 1.  The stages (sandwich, second-order bracket, exact value) are
-those of ``_maxt_p``, whose docstring states them; each table's
-p-values are the ones a call on that table and family alone returns.
-How many bounds each stage settled is counted per scenario and reported
-on stderr ("by closed form or second-order bounds" for the second), not
-in :meth:`ScenarioResult.to_dict`.
+:func:`trendcomp.ctp.ctp_pairwise`, variant C's closure and the one maxT
+function of both, ``trendcomp.contrasts._maxt_p``.  No correlation is
+formed here: ``_maxt_p`` forms that of each bound its sandwich leaves
+open.  Decisions, not p-values, are accumulated: every maxT p is asked
+for in the window [alpha, alpha], so each value is below alpha exactly
+when the p-value of ``closed_analysis`` on the same table is.  The
+Dunnett and global Williams families are decided over the whole chunk by
+one call, so at k = 3 their three-row bounds share one set of pair
+tails, one bracket and one Plackett integral; each lower segment takes
+one call with one bound per table, but for segment {0, 1}, read from the
+pairwise p of dose 1.  The stages (sandwich, second-order bracket, exact
+value) are those of ``_maxt_p``, whose docstring states them; each
+table's p-values are the ones a call on that table and family alone
+returns.  How many bounds each stage settled is counted per scenario and
+reported on stderr ("by closed form or second-order bounds" for the
+second), not in :meth:`ScenarioResult.to_dict`.
 
 The default boundary policy here is ``smooth`` (one pseudo-responder
 and one pseudo-non-responder added to every group), not the analysis
@@ -63,7 +65,7 @@ import yaml
 from numpy.random.bit_generator import ISeedSequence
 
 from .chains import _equal_fields
-from .contrasts import _maxt_p, contrast_moments
+from .contrasts import _maxt_p, _statistics
 from .ctp import _stock_families, _williams_closure, ctp_pairwise
 from .model import BOUNDARY_POLICIES, ModelFit, _saturated_logit
 from .mvn import MAX_DIMENSION
@@ -447,9 +449,9 @@ def _decide(sc: Scenario, y: np.ndarray) -> np.ndarray:
     """Integer decision counts over the tables ``y``, then how they were decided.
 
     ``y`` holds one table of counts per row.  The fit, the contrast
-    moments, the sandwich and second-order decisions and the closure each
-    take all rows at once, and the Dunnett and global Williams families
-    share one ``_maxt_p`` call.
+    statistics, the sandwich and second-order decisions and the closure
+    each take all rows at once, and the Dunnett and global Williams
+    families share one ``_maxt_p`` call.
 
     Layout: [D_1..D_k, D_any, W_top, W_any, P_1..P_k, P_any,
     C_1..C_k, C_any, n_boundary, n_degenerate, n_sandwich,
@@ -468,12 +470,12 @@ def _decide(sc: Scenario, y: np.ndarray) -> np.ndarray:
     fitted = ~(no_info | refused)
     fit = ModelFit(eta[fitted], var_eta[fitted], correction_applied=at_boundary[fitted])
 
-    _, se_d, t_d, R_d = contrast_moments(dunnett.coefficients, fit.eta, fit.var_eta)
-    _, se_w, t_w, R_w = contrast_moments(top.coefficients, fit.eta, fit.var_eta)
+    _, se_d, t_d = _statistics(dunnett.coefficients, fit.eta, fit.var_eta)
+    _, se_w, t_w = _statistics(top.coefficients, fit.eta, fit.var_eta)
     # a family rejects iff its largest statistic's adjusted p is below alpha
     top_and_max = np.stack([t_w[:, 0], t_w.max(axis=1)], axis=1)
     p_d, p_w = _maxt_p(
-        [(dunnett, t_d, se_d, fit.var_eta, R_d), (top, top_and_max, se_w, fit.var_eta, R_w)],
+        [(dunnett, t_d, se_d, fit.var_eta), (top, top_and_max, se_w, fit.var_eta)],
         alpha,
         alpha,
         routes,

@@ -1,4 +1,7 @@
+import ast
+import io
 import math
+import tokenize
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +15,7 @@ from trendcomp.data import DoseGroupData
 from trendcomp.model import ModelFit
 
 DATA_DIR = Path(__file__).parent / "data"
+SRC_DIR = Path(__file__).parent.parent / "src" / "trendcomp"
 
 # Every run draws the same examples, so the suite's wall time and outcome
 # are the same from run to run; @example cases and max_examples stay as set.
@@ -56,11 +60,34 @@ def bracket(t, R):
     return mvn._bracket(m, p_raw, pair)
 
 
+def code_lines(source: str) -> int:
+    """Lines of ``source`` that hold code: no blank, comment-only or docstring line."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                if isinstance(first.value.value, str):
+                    docstrings.update(range(first.lineno, first.end_lineno + 1))
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+              tokenize.ENCODING, tokenize.ENDMARKER}
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in layout:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines - docstrings)
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if ACCEPTANCE_LINES:
         terminalreporter.section("acceptance summary")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+    # the net code lines that ROADMAP aim 2 reports, by one definition
+    counts = {path.name: code_lines(path.read_text()) for path in sorted(SRC_DIR.glob("*.py"))}
+    terminalreporter.section("src code lines")
+    terminalreporter.write_line(", ".join(f"{name} {n}" for name, n in counts.items()))
+    terminalreporter.write_line(f"total {sum(counts.values())}")
 
 
 @pytest.fixture

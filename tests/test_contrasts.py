@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import bracket
+from conftest import bracket, closed_form
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
@@ -124,6 +124,21 @@ class TestContrastMoments:
         with pytest.raises(ContrastError, match="zero variance"):
             contrast_moments(cm.coefficients, np.zeros(2), np.zeros(2))
 
+    def test_a_table_gets_the_same_floats_in_any_batch(self):
+        # _maxt_p forms the correlation of only the tables it leaves open, so
+        # a table's moments may not depend on the tables batched with it
+        rng = np.random.default_rng(8)
+        for k in range(1, 9):
+            n, eta, var = random_tables(rng, k, 64)
+            for family in (dunnett_matrix(n), williams_matrix(n)):
+                whole = contrast_moments(family.coefficients, eta, var)
+                for rows in (rng.choice(64, size=5), slice(3, 4), 7):
+                    part = contrast_moments(family.coefficients, eta[rows], var[rows])
+                    for a, b in zip(whole, part):
+                        assert a[rows].tobytes() == b.tobytes()
+                    R = contrasts._correlation(family.coefficients, var[rows], whole[1][rows])
+                    assert R.tobytes() == whole[3][rows].tobytes()
+
     def test_correlation_formula_liarozole(self, liarozole):
         fit = fit_saturated_logit(liarozole)
         cm = dunnett_matrix(liarozole.n)
@@ -207,7 +222,7 @@ def test_two_rows_are_the_bivariate_normal_tail(cm, var, rho, monkeypatch):
     bounds = np.array([-3.0, -1.0, 0.0, 0.4, 1.0, 1.9, 2.7, 3.5, 4.4, 5.5, 6.5, 9.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ((p,),) = contrasts._maxt_p([(cm, bounds[None], se[None], var[None], R[None])])
+        ((p,),) = contrasts._maxt_p([(cm, bounds[None], se[None], var[None])])
         eta = np.array([0.0, 0.9, -0.4]) * np.sqrt(var)
         report = contrast_test(ModelFit(eta, var, np.zeros(3, dtype=bool)), cm)
     both = [
@@ -217,7 +232,7 @@ def test_two_rows_are_the_bivariate_normal_tail(cm, var, rho, monkeypatch):
         for b in bounds
     ]
     np.testing.assert_allclose(p, 2.0 * ndtr(-bounds) - both, rtol=0, atol=1e-13)
-    args = report.statistic, report.std_err, var, report.correlation
+    args = report.statistic, report.std_err, var
     np.testing.assert_array_equal(
         report.p_adjusted, contrasts._maxt_p([(cm, *(a[None] for a in args))])[0][0]
     )
@@ -237,10 +252,10 @@ def test_maxt_p_clips_a_bare_tail_into_the_sandwich(tail, end, monkeypatch):
     # chain_maxt returns bare tails; _maxt_p alone clips every route's value
     cm = dunnett_matrix([20] * 5)
     var = np.array([0.1, 0.2, 0.15, 0.3, 0.25])
-    _, se, _, R = contrast_moments(cm.coefficients, np.zeros(5), var)
+    _, se, _, _ = contrast_moments(cm.coefficients, np.zeros(5), var)
     bounds = np.array([[0.4, 1.0, 1.6, 2.9]])  # 4 Phi(-0.4) > 1
     monkeypatch.setattr(contrasts, "chain_maxt", lambda chains, t, *args: tail(ndtr(-t)))
-    (p,) = contrasts._maxt_p([(cm, bounds, se[None], var[None], R[None])])
+    (p,) = contrasts._maxt_p([(cm, bounds, se[None], var[None])])
     np.testing.assert_array_equal(p, end(ndtr(-bounds)))
 
 
@@ -261,21 +276,21 @@ def test_a_window_changes_no_p_that_may_lie_in_it(seed):
     n, eta, var = random_tables(rng, k, 6)
     alpha = float(rng.choice([0.01, 0.05, 0.1]))
     for family in (dunnett_matrix(n), williams_matrix(n)):
-        _, se, t, R = contrast_moments(family.coefficients, eta, var)
+        _, se, t, _ = contrast_moments(family.coefficients, eta, var)
         bounds = np.take_along_axis(t, rng.integers(0, k, size=(6, 1)), axis=1)
-        (exact,) = contrasts._maxt_p([(family, bounds, se, var, R)])
+        (exact,) = contrasts._maxt_p([(family, bounds, se, var)])
         running = np.minimum(exact * rng.uniform(0.3, 3.0, size=exact.shape), 0.999)
         for lo, hi in [(alpha, alpha), (running, np.inf), (-np.inf, np.inf)]:
             routes = np.zeros(3, dtype=np.int64)
-            (got,) = contrasts._maxt_p([(family, bounds, se, var, R)], lo, hi, routes)
+            (got,) = contrasts._maxt_p([(family, bounds, se, var)], lo, hi, routes)
             inside = (got >= lo) & (got <= hi)
             assert got[inside].tobytes() == exact[inside].tobytes()
             np.testing.assert_array_equal(got < lo, exact < lo)
             np.testing.assert_array_equal(got > hi, exact > hi)
             assert routes.sum() == bounds.size
         # the whole family at alpha, as the simulator asks
-        (decided,) = contrasts._maxt_p([(family, t, se, var, R)], alpha, alpha)
-        (windowless,) = contrasts._maxt_p([(family, t, se, var, R)])
+        (decided,) = contrasts._maxt_p([(family, t, se, var)], alpha, alpha)
+        (windowless,) = contrasts._maxt_p([(family, t, se, var)])
         np.testing.assert_array_equal(decided < alpha, windowless < alpha)
 
 
@@ -283,9 +298,9 @@ def test_a_window_changes_no_p_that_may_lie_in_it(seed):
 def test_a_call_without_tables_returns_no_p_and_counts_no_route(k):
     n, eta, var = random_tables(np.random.default_rng(k), k, 0)
     family = williams_matrix(n)
-    _, se, t, R = contrast_moments(family.coefficients, eta, var)
+    _, se, t, _ = contrast_moments(family.coefficients, eta, var)
     routes = np.zeros(3, dtype=np.int64)
-    (p,) = contrasts._maxt_p([(family, t, se, var, R)], 0.05, 0.05, routes)
+    (p,) = contrasts._maxt_p([(family, t, se, var)], 0.05, 0.05, routes)
     assert p.shape == (0, k) and routes.tolist() == [0, 0, 0]
 
 
@@ -314,10 +329,10 @@ def mixed_families(rng, tables):
         QMC_FAMILY,
     ):
         g = family.n_groups
-        _, se, t, R = contrast_moments(family.coefficients, eta[:, :g], var[:, :g])
+        _, se, t, _ = contrast_moments(family.coefficients, eta[:, :g], var[:, :g])
         if rng.random() < 0.5:
             t = t.max(axis=1, keepdims=True)
-        out.append((family, t, se, var[:, :g], R))
+        out.append((family, t, se, var[:, :g]))
     return out
 
 
@@ -365,7 +380,7 @@ def test_qmc_route_integrates_each_open_bound_once(monkeypatch):
     monkeypatch.setattr(contrasts, "mvn_upper_orthant_complement", spy)
     _, eta, var = random_tables(np.random.default_rng(3), 3, 6)
     _, se, t, R = contrast_moments(QMC_FAMILY.coefficients, eta, var)
-    family = (QMC_FAMILY, t, se, var, R)
+    family = (QMC_FAMILY, t, se, var)
     (exact,) = contrasts._maxt_p([family])
     whole = [mvn.adjust_maxt(row, mvn.MvnSpec(r)) for row, r in zip(t, R)]
     assert exact.tobytes() == np.array(whole).tobytes()
@@ -406,23 +421,31 @@ def test_a_tail_outside_its_bracket_names_its_own_route(name, outside, route, mo
     families = []
     for family in (williams_matrix(n), QMC_FAMILY):
         g = family.n_groups
-        _, se, t, R = contrast_moments(family.coefficients, eta[:, :g], var[:, :g])
-        families.append((family, t.max(axis=1, keepdims=True), se, var[:, :g], R))
+        _, se, t, _ = contrast_moments(family.coefficients, eta[:, :g], var[:, :g])
+        families.append((family, t.max(axis=1, keepdims=True), se, var[:, :g]))
     assert families[0][0].chains is not None and QMC_FAMILY.chains is None
     for order in (families, families[::-1]):
         # [0, 1] leaves every bound open, so each one is evaluated and checked
-        with pytest.raises(ContrastError, match=f"^{route} p-value "):
+        with pytest.raises(ContrastError, match=f"^{route} p-value ") as error:
             contrasts._maxt_p(order, 0.0, 1.0)
+        # plain floats, not their NumPy reprs
+        assert "np.float64" not in str(error.value)
 
 
 @pytest.mark.parametrize("windowed", [False, True])
 def test_pair_tails_run_once_per_row_count(windowed, monkeypatch):
     # the bracket and the closed form of every family of a row count read one
-    # set of pair tails, and three rows take one Plackett integral
-    calls = {"_pair_tails": [], "_bracket": [], "_inclusion_exclusion": []}
+    # set of pair tails, and three rows take one Plackett integral unless the
+    # bracket settled every bound of the set
+    calls = {"_pair_tails": [], "_inclusion_exclusion": []}
     for name, rows in calls.items():
         fn = getattr(contrasts, name)
         monkeypatch.setattr(contrasts, name, lambda *a, fn=fn, rows=rows: rows.append(a) or fn(*a))
+    brackets = []
+    bracket = contrasts._bracket
+    monkeypatch.setattr(
+        contrasts, "_bracket", lambda m, *a: brackets.append((m, *bracket(m, *a))) or brackets[-1][1:]
+    )
     plackett = []
     triple_tail = mvn._triple_tail
     monkeypatch.setattr(mvn, "_triple_tail", lambda *a: plackett.append(a) or triple_tail(*a))
@@ -434,6 +457,31 @@ def test_pair_tails_run_once_per_row_count(windowed, monkeypatch):
     assert len(rows) == len(set(rows))
     # the chain family of five rows and the QMC family of four take pair tails for the bracket only
     assert set(rows) == ({2, 3, 4, 5} if windowed else {2, 3})
-    assert sorted(m for m, *_ in calls["_bracket"]) == ([3, 4, 5] if windowed else [])
-    assert sorted(m for m, *_ in calls["_inclusion_exclusion"]) == [2, 3]
-    assert len(plackett) == 1
+    assert sorted(m for m, *_ in brackets) == ([3, 4, 5] if windowed else [])
+    margin = contrasts._MARGIN
+    settled = {
+        m
+        for m, lower, upper in brackets
+        if not np.any((upper >= 0.05 - margin) & (lower <= 0.05 + margin))
+    }
+    closed = [m for m in (2, 3) if m not in settled]
+    assert sorted(m for m, *_ in calls["_inclusion_exclusion"]) == closed
+    assert len(plackett) == (3 in closed)
+
+
+def test_a_set_the_bracket_settles_whole_takes_no_closed_form(monkeypatch):
+    # three-row bounds that the sandwich leaves open and the bracket settles
+    # every one of take no closed form, so no Plackett integral either
+    n, eta, var = random_tables(np.random.default_rng(5), 3, 200)
+    family = dunnett_matrix(n)
+    _, se, t, R = contrast_moments(family.coefficients, eta, var)
+    lower, upper = bracket(t, R)
+    p_raw, margin = ndtr(-t), contrasts._MARGIN
+    sandwich = (3.0 * p_raw < 0.05) | (p_raw >= 0.05)
+    bracketed = ~sandwich & ((upper < 0.05 - margin) | (lower > 0.05 + margin))
+    tables = (sandwich | bracketed).all(axis=1) & bracketed.any(axis=1)
+    monkeypatch.setattr(contrasts, "_inclusion_exclusion", lambda *a: pytest.fail("closed form"))
+    routes = np.zeros(3, dtype=np.int64)
+    (p,) = contrasts._maxt_p([(family, t[tables], se[tables], var[tables])], 0.05, 0.05, routes)
+    assert routes.tolist() == [sandwich[tables].sum(), bracketed[tables].sum(), 0]
+    np.testing.assert_array_equal(p < 0.05, closed_form(t[tables], R[tables]) < 0.05)

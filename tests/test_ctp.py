@@ -341,7 +341,8 @@ def test_a_k3_analysis_integrates_nothing(monkeypatch):
 
 
 def test_a_k4_analysis_integrates_only_dunnett_and_williams(monkeypatch):
-    # segment {0, 1} is its raw p, and {0, 1, 2} and {0, .., 3} closed forms
+    # segment {0, 1} is its raw p, so no family is built for it, and {0, 1, 2}
+    # and {0, .., 3} take closed forms
     integrated = []
     integrate = contrasts.chain_maxt
 
@@ -356,7 +357,101 @@ def test_a_k4_analysis_integrates_only_dunnett_and_williams(monkeypatch):
     assert np.all(result.p_ctp_williams < 1.0)  # the closure visited every segment
     assert integrated == [4, 4]  # each with the family's four statistics
     segments = _stock_families(n)[1]
-    assert not any("chains" in vars(segments[j]) for j in (1, 2, 3))
+    assert sorted(segments) == [2, 3, 4]
+    assert not any("chains" in vars(segments[j]) for j in (2, 3))
+
+
+def test_sizes_of_one_k_share_one_dunnett_family():
+    # Dunnett depends on k alone, so its chains are found once per k; segment
+    # {0, 1} is built only as the global family of k = 1
+    assert _stock_families([30, 31, 32, 33, 34])[0] is _stock_families([52, 21, 40, 28, 35])[0]
+    dunnett, segments = _stock_families([12, 20])
+    assert dunnett is _stock_families([40, 7])[0] and list(segments) == [1]
+    assert segments[1] == williams_matrix([12, 20])
+
+
+@pytest.mark.parametrize(
+    "n, y, routes, closed, expected",
+    [
+        pytest.param(
+            [34, 35, 36, 34],
+            [2, 6, 4, 13],
+            [1, 1, 0],
+            [3, 2],
+            {
+                "p_dunnett": [0.15352031905698948, 0.36232041813643234, 0.005645815352342815],
+                "p_williams_rows": [0.003928647581085454, 0.04866741009982774, 0.0555868391281191],
+                "p_ctp_pairwise": [0.22095325840772978, 0.22095325840772978, 0.0023161644461163608],
+                "p_ctp_williams": [0.1529403872090792, 0.1529403872090792, 0.003928647581085454],
+            },
+            id="closed-form",
+        ),
+        pytest.param(
+            [35, 41, 31, 29, 21],
+            [2, 6, 10, 8, 5],
+            [2, 1, 0],
+            [],
+            {
+                "p_dunnett": [
+                    0.2286890103532251, 0.01732876846503839, 0.037414842052311714, 0.07958416191077833
+                ],
+                "p_williams_rows": [
+                    0.05511893341722873, 0.024671700177241962, 0.013855002956873141, 0.03198249234479089
+                ],
+                "p_ctp_pairwise": [
+                    0.11110084225344624, 0.03272917992058838, 0.03272917992058838, 0.03272917992058838
+                ],
+                "p_ctp_williams": [
+                    0.11110084225344624, 0.013855002956873141, 0.013855002956873141, 0.013855002956873141
+                ],
+            },
+            id="bracket",
+        ),
+        pytest.param(
+            [30, 25, 40, 35, 33, 31],
+            [3, 4, 6, 9, 14, 15],
+            [1, 2, 1],
+            [3, 2],
+            {
+                "p_dunnett": [
+                    0.49771682149564755, 0.5174560219497134, 0.155369887281272,
+                    0.012980678538120682, 0.004943539656010576,
+                ],
+                "p_williams_rows": [
+                    0.0026068931923362015, 0.002352465933090686, 0.008036936245319648,
+                    0.0313903792183412, 0.04692756036572343,
+                ],
+                "p_ctp_pairwise": [
+                    0.2693838313882489, 0.2693838313882489, 0.057521671873034384,
+                    0.00356728859920662, 0.0012744677910043458,
+                ],
+                "p_ctp_williams": [
+                    0.2862678395955216, 0.2862678395955216, 0.08523318583361783,
+                    0.006621546339694806, 0.002352465933090686,
+                ],
+            },
+            id="chain",
+        ),
+    ],
+)
+def test_full_precision_p_values(n, y, routes, closed, expected, monkeypatch):
+    # every p of three tables, to the last bit, and the row counts that take
+    # closed forms: the first table takes closed forms only; in the second,
+    # the bracket settles segment {0, .., 3} and the sandwich {0, 1, 2}; in the
+    # third, segment {0, .., 4} is integrated on its chains
+    counted = np.zeros(3, dtype=np.int64)
+    closure = ctp._williams_closure
+    monkeypatch.setattr(ctp, "_williams_closure", lambda *a: closure(*a, routes=counted))
+    rows = []
+    closed_form = contrasts._inclusion_exclusion
+    monkeypatch.setattr(
+        contrasts, "_inclusion_exclusion", lambda m, *a: rows.append(m) or closed_form(m, *a)
+    )
+    result = closed_analysis(DoseGroupData(labels=tuple(map(str, range(len(n)))), n=n, y=y))
+    assert counted.tolist() == routes and rows == closed
+    for name, values in expected.items():
+        assert getattr(result, name).tolist() == values
+    assert result.p_williams_global == min(expected["p_williams_rows"])
 
 
 def test_new_sizes_of_a_seen_k_find_no_new_layout(monkeypatch):

@@ -573,6 +573,20 @@ class TestDecisionRoutes:
         assert res.n_integrated > 0
         assert res.n_integrated <= 0.2 * sandwich_open
 
+    def test_correlations_are_formed_only_for_open_bounds(self, monkeypatch):
+        # _decide and the closure pass no correlation to _maxt_p, which forms
+        # one for each bound that the sandwich left open and for no other
+        formed = []
+        correlation = contrasts._correlation
+        monkeypatch.setattr(
+            contrasts, "_correlation", lambda C, v, se: formed.append(len(se)) or correlation(C, v, se)
+        )
+        sc = Scenario(pi=(0.05, 0.1, 0.2, 0.25, 0.3), n=(50,) * 5, seed=3)
+        n_sandwich, n_second_order, n_integrated = _decide(sc, _draw(sc, 0, 400))[-3:]
+        assert n_integrated > 0
+        assert sum(formed) == n_second_order + n_integrated < n_sandwich
+        assert not hasattr(simulate, "contrast_moments")
+
     def test_routes_do_not_depend_on_parallelism_or_chunking(self, monkeypatch):
         # four doses, so that Dunnett and Williams are integrated
         sc = Scenario(pi=(0.05, 0.1, 0.2, 0.25, 0.3), n=(50,) * 5, replicates=600, seed=13)
