@@ -9,12 +9,13 @@ byte-identical.  Exit codes: 0 success, 2 input that cannot be parsed,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
 from .contrasts import ContrastError
 from .ctp import CtpResult, closed_analysis
-from .data import DataFormatError, read_counts_csv
+from .data import read_counts_csv
 from .model import BoundaryCountError, NoInformationError
 from .mvn import CorrelationError
 from .simulate import SCHEMA_VERSION, load_study, run_study
@@ -32,7 +33,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_NUMERIC = 3
 
-_PARSE_ERRORS = (DataFormatError,)
 _NUMERIC_ERRORS = (BoundaryCountError, NoInformationError, CorrelationError, ContrastError)
 
 _NO_ENTRY = "..."
@@ -60,21 +60,25 @@ def _analysis_rows(result: CtpResult) -> list:
     return rows
 
 
+def _aligned(rows, text_columns: int, floor: int = 0) -> list:
+    """``rows`` of cells as lines, each column as wide as its widest cell.
+
+    The first ``text_columns`` columns are left-aligned; the others are
+    right-aligned and at least ``floor`` wide.
+    """
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    widths[text_columns:] = [max(floor, w) for w in widths[text_columns:]]
+    justify = [str.ljust] * text_columns + [str.rjust] * (len(widths) - text_columns)
+    return ["  ".join(j(c, w) for j, c, w in zip(justify, cells, widths)) for cells in rows]
+
+
 def _render_analysis_table(result: CtpResult) -> str:
-    rows = _analysis_rows(result)
-    labels = [f"{r['dose']} - {result.control_label}" for r in rows]
-    label_w = max(len("comparison"), *(len(lab) for lab in labels))
-    head_cols = ("dunnett", "williams", "ctp_pairwise", "ctp_williams")
-    lines = ["  ".join(["comparison".ljust(label_w)] + [c.rjust(12) for c in head_cols])]
-    for lab, row in zip(labels, rows):
-        cells = [
-            f"{row['dunnett']:.4f}",
-            _NO_ENTRY if row["williams"] is None else f"{row['williams']:.4f}",
-            f"{row['ctp_pairwise']:.4f}",
-            f"{row['ctp_williams']:.4f}",
-        ]
-        lines.append("  ".join([lab.ljust(label_w)] + [c.rjust(12) for c in cells]))
-    return "\n".join(lines) + "\n"
+    columns = ("dunnett", "williams", "ctp_pairwise", "ctp_williams")
+    rows = [("comparison", *columns)]
+    for row in _analysis_rows(result):
+        ps = (_NO_ENTRY if row[c] is None else f"{row[c]:.4f}" for c in columns)
+        rows.append((f"{row['dose']} - {result.control_label}", *ps))
+    return "\n".join(_aligned(rows, 1, floor=12)) + "\n"
 
 
 def _render_analysis_json(result: CtpResult) -> str:
@@ -102,53 +106,30 @@ def cmd_analyze(
 
 
 def _render_study_table(results) -> str:
-    lines = []
-    header_k = None
-    widths = None
+    """One header per run of scenarios with equal k, then a row per scenario.
+
+    Every table of one k is aligned alike, over all its scenarios, even
+    when runs of another k come between them.
+    """
+    tables = {}
     for res in results:
-        sc = res.scenario
-        k = sc.k
-        if k != header_k:
-            head = (
-                ["scenario", "n", "pi"]
-                + [f"D{i}" for i in range(1, k + 1)]
-                + ["Da", f"W{k}", "Wa"]
-                + [f"P{i}" for i in range(1, k + 1)]
-                + ["Pa"]
-                + [f"C{i}" for i in range(1, k + 1)]
-                + ["Ca"]
-            )
-            block = [res2 for res2 in results if res2.scenario.k == k]
-            widths = [
-                max(
-                    len(head[0]),
-                    *(len(r.scenario.name) for r in block),
-                ),
-                max(len(head[1]), *(len(_join_num(r.scenario.n)) for r in block)),
-                max(len(head[2]), *(len(_join_num(r.scenario.pi)) for r in block)),
-            ] + [5] * (3 * k + 5)
-            lines.append(
-                "  ".join(
-                    h.ljust(w) if i < 3 else h.rjust(w)
-                    for i, (h, w) in enumerate(zip(head, widths))
-                )
-            )
-            header_k = k
-        rates = (
-            [float(v) for v in res.rate_dunnett]
-            + [res.rate_dunnett_any, res.rate_williams_top, res.rate_williams_any]
-            + [float(v) for v in res.rate_ctp_pairwise]
-            + [res.rate_ctp_pairwise_any]
-            + [float(v) for v in res.rate_ctp_williams]
-            + [res.rate_ctp_williams_any]
-        )
-        cells = [sc.name, _join_num(sc.n), _join_num(sc.pi)] + [f"{v:.3f}" for v in rates]
-        lines.append(
-            "  ".join(
-                c.ljust(w) if i < 3 else c.rjust(w)
-                for i, (c, w) in enumerate(zip(cells, widths))
-            )
-        )
+        sc, k = res.scenario, res.scenario.k
+        if k not in tables:
+            doses = range(1, k + 1)
+            head = ["scenario", "n", "pi", *(f"D{i}" for i in doses), "Da", f"W{k}", "Wa"]
+            tables[k] = [head + [*(f"P{i}" for i in doses), "Pa", *(f"C{i}" for i in doses), "Ca"]]
+        rates = [
+            *res.rate_dunnett, res.rate_dunnett_any, res.rate_williams_top, res.rate_williams_any,
+            *res.rate_ctp_pairwise, res.rate_ctp_pairwise_any,
+            *res.rate_ctp_williams, res.rate_ctp_williams_any,
+        ]
+        tables[k].append([sc.name, _join_num(sc.n), _join_num(sc.pi), *(f"{v:.3f}" for v in rates)])
+    # the lines of each k's table in order: its header, then its rows
+    aligned = {k: iter(_aligned(rows, 3)) for k, rows in tables.items()}
+    heads = {k: next(lines) for k, lines in aligned.items()}
+    lines = []
+    for k, run in itertools.groupby(results, key=lambda res: res.scenario.k):
+        lines += [heads[k], *(next(aligned[k]) for _ in run)]
     return "\n".join(lines) + "\n"
 
 
@@ -219,9 +200,6 @@ def main(argv=None) -> int:
             report = cmd_simulate(
                 args.config, parallelism=args.parallelism, output_format=args.format
             )
-    except _PARSE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except _NUMERIC_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -6,8 +6,8 @@ by :func:`_decide`, one row per replicate, with the same definitions
 :func:`trendcomp.ctp.closed_analysis` uses on one table: the closed form
 of :mod:`trendcomp.model`, the many-to-one and segment families of
 ``trendcomp.ctp._stock_families``, each carrying its chains, the
-statistics and standard errors of
-:func:`trendcomp.contrasts.contrast_moments`,
+statistics and standard errors of ``trendcomp.contrasts._statistics``
+(those of :func:`trendcomp.contrasts.contrast_moments`),
 :func:`trendcomp.ctp.ctp_pairwise`, variant C's closure and the one maxT
 function of both, ``trendcomp.contrasts._maxt_p``.  No correlation is
 formed here: ``_maxt_p`` forms that of each bound its sandwich leaves
@@ -279,31 +279,21 @@ def _states(seed: int, reps: np.ndarray) -> np.ndarray:
     """``SeedSequence(seed, spawn_key=(rep, 0)).generate_state(4, np.uint64)``, row by rep.
 
     ``reps`` is a uint64 array of replicate indices below 2**32, each one
-    word of spawn key.  The words are Python ints where they depend on the
-    seed alone.  From the spawn key on, the pool is a (4, n) uint64 array,
-    one column per replicate: the replicate word is mixed into all four
-    pool words in one pass, the padding 0 in a second, and the eight
-    output words are hashed from the pool in a third.  Masking to 32 bits
-    after every product and difference keeps both exact.
+    word of spawn key.  The pool of the seed's own words is NumPy's pool
+    of ``SeedSequence(seed)``: a spawn key pads the seed's words with
+    zeros to the pool size, and with no spawn key NumPy hashes a 0 into
+    each pool word the seed leaves empty, which is the same.  Then the
+    spawn words are hashed in, the pool a (4, n) uint64 array with one
+    column per replicate: the replicate word is mixed into all four pool
+    words in one pass, the padding 0 in a second, and the eight output
+    words are hashed from the pool in a third.  Masking to 32 bits after
+    every product and difference keeps both exact.
     """
-    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    # a spawn key pads the seed's words to the pool size
-    words += [0] * (_POOL_SIZE - len(words))
-    const = _INIT_A
-    pool = []
-    for word in words[:_POOL_SIZE]:
-        value, const = _hashmix(word, const, _MULT_A)
-        pool.append(value)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                value, const = _hashmix(pool[src], const, _MULT_A)
-                pool[dst] = _mix(pool[dst], value)
-    for word in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            value, const = _hashmix(word, const, _MULT_A)
-            pool[dst] = _mix(pool[dst], value)
-    pool = np.array(pool, dtype=np.uint64)[:, None]
+    words = max(1, -(-seed.bit_length() // 32))
+    pool = np.random.SeedSequence(seed).pool.astype(np.uint64)[:, None]
+    # the seed took one hash constant per pool word, one per ordered pair of
+    # pool words, and one per pool word for each word past the pool size
+    const = _INIT_A * pow(_MULT_A, _POOL_SIZE * max(_POOL_SIZE, words), 2**32) & _MASK32
     for word in (reps, 0):
         consts, const = _hash_consts(const, _MULT_A, _POOL_SIZE)
         pool = _mix(pool, _hashmix(word, consts, _MULT_A)[0])
@@ -451,7 +441,9 @@ def _decide(sc: Scenario, y: np.ndarray) -> np.ndarray:
     ``y`` holds one table of counts per row.  The fit, the contrast
     statistics, the sandwich and second-order decisions and the closure
     each take all rows at once, and the Dunnett and global Williams
-    families share one ``_maxt_p`` call.
+    families share one ``_maxt_p`` call.  The claims of each table form
+    one boolean row with one column per rate; the counts are its column
+    sums.
 
     Layout: [D_1..D_k, D_any, W_top, W_any, P_1..P_k, P_any,
     C_1..C_k, C_any, n_boundary, n_degenerate, n_sandwich,
@@ -472,7 +464,8 @@ def _decide(sc: Scenario, y: np.ndarray) -> np.ndarray:
 
     _, se_d, t_d = _statistics(dunnett.coefficients, fit.eta, fit.var_eta)
     _, se_w, t_w = _statistics(top.coefficients, fit.eta, fit.var_eta)
-    # a family rejects iff its largest statistic's adjusted p is below alpha
+    # a family rejects iff its largest statistic's adjusted p is below alpha,
+    # so the Williams p pair, below alpha, is the (W_top, W_any) claim pair
     top_and_max = np.stack([t_w[:, 0], t_w.max(axis=1)], axis=1)
     p_d, p_w = _maxt_p(
         [(dunnett, t_d, se_d, fit.var_eta), (top, top_and_max, se_w, fit.var_eta)],
@@ -480,21 +473,15 @@ def _decide(sc: Scenario, y: np.ndarray) -> np.ndarray:
         alpha,
         routes,
     )
-    dunnett_claims = p_d < alpha
-    p_top, p_any = p_w.T
-    pairwise = ctp_pairwise(fit) < alpha
-    claims = _williams_closure(fit, segments, p_any, alpha, routes) < alpha
-
-    def tally(claimed):
-        # per-dose counts, then the count of tables with any claim
-        return [*claimed.sum(axis=0), claimed.any(axis=1).sum()]
-
-    n_boundary = np.sum(at_boundary.any(axis=1) & ~no_info)
-    return np.array(
-        [*tally(dunnett_claims), (p_top < alpha).sum(), (p_any < alpha).sum(), *tally(pairwise), *tally(claims),
-         n_boundary, no_info.sum(), *routes],
-        dtype=np.int64,
+    per_dose = (
+        p_d < alpha,
+        ctp_pairwise(fit) < alpha,
+        _williams_closure(fit, segments, p_w[:, 1], alpha, routes) < alpha,
     )
+    (d, d_any), (p, p_any), (c, c_any) = ((x, x.any(axis=1, keepdims=True)) for x in per_dose)
+    claims = np.hstack([d, d_any, p_w < alpha, p, p_any, c, c_any])
+    n_boundary = np.sum(at_boundary.any(axis=1) & ~no_info)
+    return np.array([*claims.sum(axis=0), n_boundary, no_info.sum(), *routes], dtype=np.int64)
 
 
 def _count_chunk(sc: Scenario, start: int, count: int) -> np.ndarray:
@@ -510,21 +497,20 @@ def _estimate(sc: Scenario, pool: ProcessPoolExecutor | None = None) -> Scenario
     chunks = ([sc] * len(starts), starts, [min(_CHUNK, sc.replicates - s) for s in starts])
     chunk_map = pool.map if pool is not None and len(starts) > 1 else map
     counts = sum(chunk_map(_count_chunk, *chunks))
-    # _decide's layout: one width per rate, k for per-dose ones, then five counters
-    widths = [k, 1, 1, 1, k, 1, k, 1]
-    d, d_any, w_top, w_any, p, p_any, c, c_any, counters = np.split(counts, np.cumsum(widths))
-    reps = float(sc.replicates)
-    n_boundary, n_degenerate, n_sandwich, n_second_order, n_integrated = counters.tolist()
+    # _decide's layout: the rates, k for each per-dose one, then five counters
+    rates = counts[:-5] / sc.replicates
+    d, d_any, w_top, w_any, p, p_any, c, c_any = np.split(rates, np.cumsum([k, 1, 1, 1, k, 1, k]))
+    n_boundary, n_degenerate, n_sandwich, n_second_order, n_integrated = counts[-5:].tolist()
     return ScenarioResult(
         scenario=sc,
-        rate_dunnett=d / reps,
-        rate_dunnett_any=float(d_any[0] / reps),
-        rate_williams_top=float(w_top[0] / reps),
-        rate_williams_any=float(w_any[0] / reps),
-        rate_ctp_pairwise=p / reps,
-        rate_ctp_pairwise_any=float(p_any[0] / reps),
-        rate_ctp_williams=c / reps,
-        rate_ctp_williams_any=float(c_any[0] / reps),
+        rate_dunnett=d,
+        rate_dunnett_any=float(d_any[0]),
+        rate_williams_top=float(w_top[0]),
+        rate_williams_any=float(w_any[0]),
+        rate_ctp_pairwise=p,
+        rate_ctp_pairwise_any=float(p_any[0]),
+        rate_ctp_williams=c,
+        rate_ctp_williams_any=float(c_any[0]),
         n_boundary=n_boundary,
         n_degenerate=n_degenerate,
         elapsed=time.perf_counter() - t0,

@@ -64,6 +64,17 @@ class TestAnalyzeTable:
         assert code == EXIT_OK
         assert marked == plain
 
+    def test_long_dose_label_widens_only_the_label_column(self, capsys, tmp_path):
+        p = tmp_path / "long.csv"
+        p.write_text("dose,n,responders\nplacebo,30,4\n1,30,6\nhigh-dose-long-label,30,14\n")
+        code, out, _ = run_cli(capsys, "analyze", "--input", str(p))
+        assert code == EXIT_OK
+        assert out == (
+            "comparison                           dunnett      williams  ctp_pairwise  ctp_williams\n"
+            "1 - placebo                           0.3553           ...        0.2455        0.2455\n"
+            "high-dose-long-label - placebo        0.0069        0.0057        0.0037        0.0057\n"
+        )
+
 
 class TestAnalyzeJson:
     def test_json_matches_table_numbers(self, capsys, liarozole_csv):
@@ -238,6 +249,47 @@ class TestSimulateCommand:
             r"maxT bounds settled by the sandwich \d+, by closed form or second-order bounds \d+, "
             r"integrated \d+\)",
             err,
+        )
+
+    def test_table_of_interleaved_k_aligns_each_k_over_all_its_scenarios(self, capsys, tmp_path):
+        p = tmp_path / "interleaved.yaml"
+        p.write_text(
+            textwrap.dedent(
+                """
+                schema_version: 1
+                master_seed: 7
+                defaults:
+                  replicates: 60
+                scenarios:
+                  - name: tiny
+                    pi: [0.1, 0.3, 0.5, 0.6]
+                    n: [15, 15, 15, 15]
+                  - name: one-dose
+                    pi: [0.2, 0.5]
+                    n: [12, 12]
+                  - name: a-longer-name
+                    pi: [0.05, 0.1, 0.2, 0.25]
+                    n: [100, 20, 20, 20]
+                """
+            )
+        )
+        code, out, _ = run_cli(capsys, "simulate", "--config", str(p))
+        assert code == EXIT_OK
+        # a header opens each run of equal k, and the k = 3 columns are as
+        # wide as the widest k = 3 cell, though the k = 1 run comes between
+        head3 = (
+            "scenario       n             pi                    D1     D2     D3     Da     W3     Wa"
+            "     P1     P2     P3     Pa     C1     C2     C3     Ca\n"
+        )
+        assert out == (
+            head3
+            + "tiny           15,15,15,15   0.1,0.3,0.5,0.6    0.117  0.567  0.750  0.850  0.800  0.883"
+            "  0.233  0.617  0.867  0.867  0.250  0.667  0.883  0.883\n"
+            "scenario  n      pi          D1     Da     W1     Wa     P1     Pa     C1     Ca\n"
+            "one-dose  12,12  0.2,0.5  0.283  0.283  0.283  0.283  0.283  0.283  0.283  0.283\n"
+            + head3
+            + "a-longer-name  100,20,20,20  0.05,0.1,0.2,0.25  0.133  0.600  0.850  0.983  0.883  0.983"
+            "  0.200  0.650  0.950  0.950  0.267  0.750  0.983  0.983\n"
         )
 
     def test_json_output(self, capsys, study_config):

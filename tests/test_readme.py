@@ -1,10 +1,13 @@
 """The README's examples run, and print what the README shows."""
 
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
-from trendcomp.cli import EXIT_OK, main
+from trendcomp.cli import EXIT_OK, EXIT_PARSE, main
 
 ROOT = Path(__file__).resolve().parents[1]
 BLOCKS = re.findall(r"```(\w*)\n(.*?)```", (ROOT / "README.md").read_text(), flags=re.DOTALL)
@@ -35,6 +38,28 @@ def test_analyze_example_prints_the_shown_report(capsys, monkeypatch):
     monkeypatch.chdir(ROOT)
     assert main(argv) == EXIT_OK
     assert capsys.readouterr().out == shown
+
+
+def test_module_entry_point_prints_the_shown_report(tmp_path):
+    argv, shown = session("$ trendcomp analyze")
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "trendcomp", *args],
+            cwd=ROOT,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+
+    done = run(*argv)
+    assert (done.returncode, done.stdout, done.stderr) == (EXIT_OK, shown, "")
+    bad = tmp_path / "bad.csv"
+    bad.write_text("dose,n,responders\n0,34,2\n50,35,six\n")
+    done = run("analyze", "--input", str(bad))
+    assert (done.returncode, done.stdout) == (EXIT_PARSE, "")
+    assert done.stderr.startswith("error: line 3: ")
 
 
 def test_simulate_example_prints_the_shown_table(capsys, tmp_path):

@@ -256,8 +256,8 @@ def contract_table(sc: Scenario, rep: int) -> np.ndarray:
 
 @pytest.mark.parametrize(
     "seed",
-    [0, 2**32 - 1, 2**32 + 5, 2**63 - 1, 2**70 + 12345, 2**200 + 7],
-    ids=["1-word-0", "1-word-max", "2-words", "2-words-max", "3-words", "7-words"],
+    [0, 2**32 - 1, 2**32 + 5, 2**63 - 1, 2**70 + 12345, 2**96 + 5, 2**128 + 9, 2**200 + 7],
+    ids=["1-word-0", "1-word-max", "2-words", "2-words-max", "3-words", "4-words", "5-words", "7-words"],
 )
 def test_states_are_the_seed_sequence_states(seed):
     reps = [0, 1, 2**31, 2**32 - 1]
