@@ -80,6 +80,15 @@ _ROW_SUM_TOL = 1e-12
 # comparison the exact value makes; an exact p this far outside its
 # bracket raises ContrastError
 _MARGIN = 1e-7
+# Under a window with a finite upper end, a three-row bound first takes
+# its Plackett integral on _COARSE_NODES nodes, and only a coarse value
+# within _COARSE_MARGIN of the window takes the 64-node value.  Against
+# 64 nodes, 24 were off by at most 1.5e-8 on the 60,000 stock bounds of
+# the sweep in mvn._triple_tail, 1.1e-7 with its wider variances, and
+# 2.7e-7 at worst in a local search over stock families: the margin holds
+# 180 times that.  16 nodes reached 9.5e-7 in that search, 32 nodes 7.4e-8.
+_COARSE_NODES = 24
+_COARSE_MARGIN = 5e-5
 
 
 @dataclass(frozen=True)
@@ -277,25 +286,34 @@ def _maxt_p(families, lo=-np.inf, hi=np.inf, routes=None) -> list:
        bracket is their closed form.
     3. Every bound left in the set takes its bare exact tail.  Two or
        three rows take it from one :func:`_inclusion_exclusion` call over
-       the set, with one Plackett integral for three; the bracket and the
-       closed form read the pair tails of one :func:`_pair_tails` call.
-       With more rows, each family's run of the set takes it from one
-       :func:`chain_maxt` call over all its tables if the family has
-       :attr:`~ContrastMatrix.chains`, and otherwise from one
-       :func:`mvn_upper_orthant_complement` call per bound, on its
+       the set, with one Plackett integral on 64 nodes for three; the
+       bracket and the closed form read the pair tails of one
+       :func:`_pair_tails` call.  Under a window with a finite upper end,
+       three rows first take a coarse value q, the same call on
+       ``_COARSE_NODES`` nodes: a bound with q + ``_COARSE_MARGIN`` <
+       ``lo`` is settled at that upper bound on p, one with q -
+       ``_COARSE_MARGIN`` >= ``hi`` at that lower bound, and only the
+       rest take the 64-node call.  Without a window, or under [lo, inf),
+       three rows take the 64-node call alone, as a coarse value could
+       settle little there.  With more rows, each family's run of the set
+       takes it from one :func:`chain_maxt` call over all its tables if
+       the family has :attr:`~ContrastMatrix.chains`, and otherwise from
+       one :func:`mvn_upper_orthant_complement` call per bound, on its
        table's correlation, formed for the run, validated by
        :class:`MvnSpec`, and seeded with child c of seed 0 for a bound in
        column c of ``t``, as :func:`trendcomp.mvn.adjust_maxt` seeds
        statistic c.
-    4. One check over the set: a tail more than ``_MARGIN`` outside its
-       step-2 bracket raises :class:`ContrastError`, which names the
-       route of that bound.  One clip then puts every tail into [p_raw,
-       min(1, m p_raw)].
+    4. One check over the set: a tail more than ``_MARGIN``, or a coarse
+       value that settled its bound more than ``_MARGIN +
+       _COARSE_MARGIN``, outside its step-2 bracket raises
+       :class:`ContrastError`, which names the route of that bound.  One
+       clip then puts every tail into [p_raw, min(1, m p_raw)].
 
     Each evaluator computes a bound's floats apart from the other
     families' bounds in its set, so every p is bitwise that of a call on
     its family alone.  ``routes``, if given, gains the number of bounds
-    settled by step 1, by step 2 or the closed form, and integrated.
+    settled by step 1, by step 2, a coarse value or the closed form, and
+    integrated.
     """
     windowed = bool(np.ndim(lo) or np.ndim(hi) or lo > -np.inf or hi < np.inf)
     ends = list(accumulate((family[1].size for family in families), initial=0))
@@ -347,7 +365,18 @@ def _maxt_p(families, lo=-np.inf, hi=np.inf, routes=None) -> list:
                 t, p_raw, rho, pair = t[kept], p_raw[kept], rho[kept], pair[kept]
         if not bound.size:
             continue  # the bracket settled the whole set
-        if m <= 3:
+        shift = 0.0  # takes a coarse value that settles its bound to a bound on p
+        if m == 3 and bracketed and np.all(hi < np.inf):  # a decision, where coarse values pay
+            w_lo, w_hi = (w[kept] if np.ndim(w) else w for w in (w_lo, w_hi))
+            q = _inclusion_exclusion(m, t, p_raw, rho, pair, _COARSE_NODES)[:, 0]
+            shift = np.where(q + _COARSE_MARGIN < w_lo, _COARSE_MARGIN, 0.0)
+            shift[q - _COARSE_MARGIN >= w_hi] = -_COARSE_MARGIN
+            fine = np.flatnonzero(shift == 0.0)
+            if fine.size:
+                q[fine] = _inclusion_exclusion(
+                    m, t[fine], p_raw[fine], rho[fine], pair[fine]
+                )[:, 0]
+        elif m <= 3:
             q = _inclusion_exclusion(m, t, p_raw, rho, pair)[:, 0]
         else:
             q = np.empty(bound.size)
@@ -367,7 +396,8 @@ def _maxt_p(families, lo=-np.inf, hi=np.inf, routes=None) -> list:
                     q[run] = chain_maxt(contrasts.chains, bound[run], std_err, var_eta, table)
             n_integrated += bound.size
         if bracketed:
-            inside = (lower - _MARGIN <= q) & (q <= upper + _MARGIN)
+            slack = _MARGIN + abs(shift)  # a coarse value is only that close
+            inside = (lower - slack <= q) & (q <= upper + slack)
             if not inside.all():
                 b = np.argmin(inside)
                 owner = [family[0] for family, _, start in group if start <= pos[b]][-1]
@@ -377,7 +407,7 @@ def _maxt_p(families, lo=-np.inf, hi=np.inf, routes=None) -> list:
                     f"its second-order bracket [{float(lower[b])}, {float(upper[b])}]"
                 )
         p_raw = ndtr(-bound)
-        flat[pos] = np.minimum(np.maximum(q, p_raw), np.minimum(1.0, m * p_raw))
+        flat[pos] = np.minimum(np.maximum(q + shift, p_raw), np.minimum(1.0, m * p_raw))
     if routes is not None:
         routes += (flat.size - n_open, n_open - n_integrated, n_integrated)
     return ps
@@ -387,11 +417,15 @@ def contrast_test(fit: ModelFit, contrasts: ContrastMatrix) -> TestReport:
     """Run a one-sided maxT test of the given contrasts on a fitted model.
 
     The route is :func:`_maxt_p`'s.  A family of one to three rows takes
-    a closed form, exact to rounding.  A larger family with chain
-    structure (every stock family of four or more rows) is integrated
-    exactly, with error below 1e-9 (see :mod:`trendcomp.chains`) and no
-    random numbers.  Any other family is integrated by quasi-Monte Carlo
-    at the defaults of :func:`trendcomp.mvn.mvn_upper_orthant_complement`;
+    a closed form, exact for one or two rows.  For three, its Plackett
+    integral was within 4.4e-13 of a finer rule on stock families of
+    binomial tables, and up to 1e-9 off at near-singular Williams
+    correlations (see :func:`trendcomp.mvn._triple_tail`).  A larger
+    family with chain structure (every stock family of four or more
+    rows) is integrated exactly, with error below 1e-9 (see
+    :mod:`trendcomp.chains`) and no random numbers.  Any other family is
+    integrated by quasi-Monte Carlo at the defaults of
+    :func:`trendcomp.mvn.mvn_upper_orthant_complement`;
     its p-values are bitwise those of :func:`trendcomp.mvn.adjust_maxt`
     at its default seed.  Only that route validates the correlation with
     :class:`MvnSpec`.  More than ``MAX_DIMENSION`` contrasts raise

@@ -8,7 +8,8 @@ computes the rows' tails and pair tails, the pair tails by Owen's T.
 From them :func:`_bracket` brackets the maxT-adjusted p-value of any
 correlation, and :func:`_inclusion_exclusion` gives the exact p-value
 of one to three rows, for three rows with one Plackett integral on 64
-nodes (:func:`_triple_tail`).
+nodes (:func:`_triple_tail`).  ``_maxt_p`` also asks it for a coarse
+value, on fewer nodes, where only a decision is asked.
 
 Any other correlation is integrated by quasi-Monte Carlo.
 :func:`mvn_upper_orthant_complement` gives one tail and
@@ -347,7 +348,7 @@ _ROTATIONS = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
 _ROTATIONS.setflags(write=False)
 
 
-def _triple_tail(t, rho, p_raw, pair) -> np.ndarray:
+def _triple_tail(t, rho, p_raw, pair, nodes=64) -> np.ndarray:
     """P(T_1 >= t, T_2 >= t, T_3 >= t) for three rows, shaped like ``t``.
 
     ``rho`` holds each table's three correlations in :func:`_pairs`
@@ -371,8 +372,16 @@ def _triple_tail(t, rho, p_raw, pair) -> np.ndarray:
     varies on the scale of 1 - |a| and det R.  A rule over s itself,
     s = 1 - (1 - x)^2, misses that scale: at 64 nodes it was off by 2e-9
     once two correlations came within 1e-3 of 1, and by 1.5e-5 within
-    1e-7.  Over the angles, 64 nodes and 128 differ by at most 2.2e-16
-    on 36,000 stock-family bounds with correlations up to 1 - 2.3e-9.
+    1e-7.  The rule has ``nodes`` nodes over the angles, 64 for every
+    exact value.  Against 512 nodes, 64 are within 2.2e-16 on 30,000
+    Dunnett bounds and within 4.4e-13 on 30,000 Williams ones, with group
+    variances 1 / (n p (1 - p)), n in 2-5000, each times e^Z for a normal
+    Z of sd 2, and det R down to 6e-19.  Steep spots remain near det R =
+    0: with group variances e^Z for Z of sd 4, Williams bounds were up to
+    1e-9 off, Dunnett bounds within 2.2e-16.  At correlations
+    (0.99958813, 0.99926813, 0.99995402) and t = 1.532 (det R = 6.4e-10),
+    64 nodes are 1.4e-13 off and 128 nodes 2.8e-17.  ``contrasts._maxt_p``
+    asks for fewer nodes for a coarse value, and states their error.
     """
     tables = np.arange(rho.shape[0])
     q = np.argmax(np.abs(rho), axis=-1)
@@ -383,7 +392,7 @@ def _triple_tail(t, rho, p_raw, pair) -> np.ndarray:
     det = np.maximum((1.0 - c) * (1.0 + c - 2.0 * a * b) - (a - b) ** 2, 0.0)
     # both terms at once, along a leading axis: (a, b) and (b, a)
     a, b = cab[1:], cab[:0:-1]
-    x, w = _gauss_legendre(64)
+    x, w = _gauss_legendre(nodes)
     # theta = top - d; its sine and cosine, 1 + sin(theta) and 1 - s are
     # formed from d, free of cancellation where |a| is near 1
     top = np.arcsin(a)
@@ -430,18 +439,19 @@ def _pair_tails(t, correlation) -> tuple:
     return t, m, p_raw, rho, pair
 
 
-def _inclusion_exclusion(m, t, p_raw, rho, pair) -> np.ndarray:
+def _inclusion_exclusion(m, t, p_raw, rho, pair, nodes=64) -> np.ndarray:
     """Exact maxT-adjusted p-values of one to three rows, from the output of :func:`_pair_tails`.
 
     By inclusion-exclusion the value is S1 - S2 with two rows and S1 -
     S2 + S3 with three, S1 summing the rows' tails, S2 their pair tails
-    and S3 the triple tail of :func:`_triple_tail`.  ``tests/test_mvn.py``
+    and S3 the triple tail of :func:`_triple_tail` on ``nodes`` nodes.  ``tests/test_mvn.py``
     holds three rows to nested ``quad`` oracles within 1e-12 and to the
     arcsine formula at t = 0 within 1e-15, at correlations of +-1 too.
     ``contrasts._maxt_p``, the one caller, sends no family of more than
     three rows here.
     """
-    return m * p_raw - pair.sum(axis=-1) + (_triple_tail(t, rho, p_raw, pair) if m == 3 else 0.0)
+    triple = _triple_tail(t, rho, p_raw, pair, nodes) if m == 3 else 0.0
+    return m * p_raw - pair.sum(axis=-1) + triple
 
 
 def _bracket(m, p_raw, pair) -> tuple:

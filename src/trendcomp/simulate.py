@@ -13,17 +13,21 @@ function of both, ``trendcomp.contrasts._maxt_p``.  No correlation is
 formed here: ``_maxt_p`` forms that of each bound its sandwich leaves
 open.  Decisions, not p-values, are accumulated: every maxT p is asked
 for in the window [alpha, alpha], so each value is below alpha exactly
-when the p-value of ``closed_analysis`` on the same table is.  The
-Dunnett and global Williams families are decided over the whole chunk by
-one call, so at k = 3 their three-row bounds share one set of pair
-tails, one bracket and one Plackett integral; each lower segment takes
-one call with one bound per table, but for segment {0, 1}, read from the
-pairwise p of dose 1.  The stages (sandwich, second-order bracket, exact
-value) are those of ``_maxt_p``, whose docstring states them; each
-table's p-values are the ones a call on that table and family alone
-returns.  How many bounds each stage settled is counted per scenario and
-reported on stderr ("by closed form or second-order bounds" for the
-second), not in :meth:`ScenarioResult.to_dict`.
+when the p-value of ``closed_analysis`` on the same table is, a coarse
+value settling a bound only as far from alpha as ``_maxt_p`` requires.
+The Dunnett and global Williams families are decided over the whole
+chunk by one call, so at k = 3 their three-row bounds share one set of
+pair tails, one bracket and one coarse Plackett integral, and the few
+whose coarse value lies near alpha share one 64-node integral; each
+lower segment takes one call with one bound per table, but for segment
+{0, 1}, read from the pairwise p of dose 1.  The stages (sandwich,
+second-order bracket, coarse value, exact value) are those of
+``_maxt_p``, whose docstring states them; each table's p-values are the
+ones a call on that table and family alone returns.  How many bounds
+the sandwich settled, how many the bracket, a coarse value or a closed
+form ("by closed form or second-order bounds"), and how many were
+integrated is counted per scenario and reported on stderr, not in
+:meth:`ScenarioResult.to_dict`.
 
 The default boundary policy here is ``smooth`` (one pseudo-responder
 and one pseudo-non-responder added to every group), not the analysis
@@ -41,13 +45,13 @@ by integer count accumulation.  So output is bit-identical for any
 parallelism level and any chunking of the replicate range.  A chunk is
 drawn in whole-array passes that reproduce NumPy's arithmetic exactly:
 :func:`_states` runs the ``SeedSequence`` hash over all its replicate
-indices in three passes, :func:`_pcg64_doubles` steps every replicate's
-``PCG64`` as uint64 words, and each group's count is NumPy's inversion
-of one double, read off thresholds that :func:`_inversion` computes once
-per (n, p).  Only a design with a group NumPy draws by BTPE (n * min(p,
-1 - p) > 30), and a replicate whose inversion would restart, build
-NumPy's generator replicate by replicate.  On a 2-vCPU host the draw of
-four groups of 50 (a chunk of 250) fell from 9.3 to 1.9 us per replicate.
+indices in three passes, :func:`_pcg64_doubles` jumps every replicate's
+``PCG64`` from its seed to each state it draws from in one pass of
+128-bit products held as uint64 words, and each group's count is
+NumPy's inversion of one double, read off thresholds that
+:func:`_inversion` computes once per (n, p).  Only a design with a group
+NumPy draws by BTPE (n * min(p, 1 - p) > 30), and a replicate whose
+inversion would restart, build NumPy's generator replicate by replicate.
 """
 
 from __future__ import annotations
@@ -198,9 +202,10 @@ class ScenarioResult:
             any_rate = getattr(self, any_name)
             if per_dose.shape != (k,):
                 raise ValueError(f"{name} must have one entry per dose")
-            if np.any(per_dose < 0.0) or np.any(per_dose > 1.0) or not 0.0 <= any_rate <= 1.0:
+            lowest, highest = per_dose.min(), per_dose.max()
+            if not (0.0 <= lowest and highest <= 1.0 and 0.0 <= any_rate <= 1.0):
                 raise ValueError(f"{name} rates must lie in [0, 1]")
-            if np.any(per_dose > any_rate):
+            if highest > any_rate:
                 raise ValueError(f"{any_name} cannot be below a per-dose rate")
         if not 0.0 <= self.rate_williams_top <= self.rate_williams_any <= 1.0:
             raise ValueError("williams any-pair rate cannot be below the top-row rate")
@@ -267,12 +272,15 @@ def _mix(x, y):
     return result ^ result >> 16
 
 
+@lru_cache(maxsize=64)
 def _hash_consts(const: int, mult: int, count: int):
-    """The ``count`` hash constants from ``const`` on, as a uint64 column, and the next one."""
+    """The ``count`` hash constants from ``const`` on, as a read-only uint64 column, and the next one."""
     consts = [const]
     for _ in range(count):
         consts.append(consts[-1] * mult & _MASK32)
-    return np.array(consts[:-1], dtype=np.uint64)[:, None], consts[-1]
+    column = np.array(consts[:-1], dtype=np.uint64)[:, None]
+    column.setflags(write=False)
+    return column, consts[-1]
 
 
 def _states(seed: int, reps: np.ndarray) -> np.ndarray:
@@ -317,46 +325,63 @@ class _State(ISeedSequence):
         return self.state
 
 
-# NumPy's PCG64 (numpy/random/src/pcg64): a 128-bit LCG, held here as
-# high and low uint64 words, with the XSL-RR output
-_PCG_MULT_HI, _PCG_MULT_LO = 2549297995355413924, 4865540595714422341
+# NumPy's PCG64 (numpy/random/src/pcg64): the 128-bit LCG s -> a s + inc,
+# held here as high and low uint64 words, with the XSL-RR output
+_PCG_MULT = 2549297995355413924 << 64 | 4865540595714422341
 
 
-def _pcg_step(hi, lo, inc_hi, inc_lo):
-    """The state (hi, lo) times the multiplier plus (inc_hi, inc_lo), mod 2**128.
+@lru_cache(maxsize=MAX_DIMENSION + 1)
+def _pcg_jumps(count: int) -> np.ndarray:
+    """a^(i+2) and 1 + a + ... + a^(i+2) mod 2**128, for i < ``count``, as read-only uint64 rows.
 
-    Every product wraps mod 2**64 except the carry of ``lo * _PCG_MULT_LO``
-    into the high word, which is summed from 32-bit halves.
+    Of each, the rows hold the high words, the low words and the low
+    words' low and high 32-bit halves.
     """
-    a0, a1 = lo & _MASK32, lo >> 32
-    b0, b1 = _PCG_MULT_LO & _MASK32, _PCG_MULT_LO >> 32
-    p01, p10 = a0 * b1, a1 * b0
-    cross = (a0 * b0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-    carried = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (cross >> 32)
-    new_lo = lo * _PCG_MULT_LO + inc_lo
-    new_hi = carried + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO + inc_hi + (new_lo < inc_lo)
-    return new_hi, new_lo
+    jumps = np.empty((2, 4, count), dtype=np.uint64)
+    power, total = _PCG_MULT, 1 + _PCG_MULT
+    for i in range(count):
+        power = power * _PCG_MULT % 2**128
+        total = (total + power) % 2**128
+        for rows, value in zip(jumps, (power, total)):
+            rows[:, i] = value >> 64, value & 2**64 - 1, value & _MASK32, value >> 32 & _MASK32
+    jumps.setflags(write=False)
+    return jumps
+
+
+def _mulhi(x, y0, y1):
+    """The high word of the 128-bit product of the uint64 ``x`` and y = y1 2**32 + y0.
+
+    Summed from 32-bit halves, no partial sum reaching 2**64.
+    """
+    x0, x1 = x & _MASK32, x >> 32
+    mid = x1 * y0 + (x0 * y0 >> 32)
+    return x1 * y1 + (mid >> 32) + (x0 * y1 + (mid & _MASK32) >> 32)
 
 
 def _pcg64_doubles(states: np.ndarray, count: int) -> np.ndarray:
     """The first ``count`` ``random()`` of ``PCG64(_State(row))``, a row per row of ``states``.
 
     The seed is the first two words of a row and the stream the last two,
-    high word first; seeding steps from state 0, adds the seed and steps
-    again.  Each double steps, then takes the top 53 bits of the output.
+    high word first, and inc = 2 stream + 1.  Seeding steps from state 0,
+    adds the seed and steps again, to a (seed + inc) + inc; each double
+    steps, then takes the top 53 bits of the output.  So double i reads
+    the state a^(i+2) seed + (1 + a + ... + a^(i+2)) inc mod 2**128: two
+    128-bit products with the constant rows of :func:`_pcg_jumps`,
+    for every double of every row in one pass.
     """
-    seed_hi, seed_lo, seq_hi, seq_lo = states.T
+    seed_hi, seed_lo, seq_hi, seq_lo = states.T[:, :, None]
     inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
-    lo = inc_lo + seed_lo
-    hi, lo = _pcg_step(inc_hi + seed_hi + (lo < seed_lo), lo, inc_hi, inc_lo)
-    doubles = np.empty((len(states), count))
-    for i in range(count):
-        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-        rot = hi >> 58
-        out = hi ^ lo
-        out = out >> rot | out << (64 - rot & 63)
-        doubles[:, i] = (out >> 11) * 2.0**-53
-    return doubles
+    (a_hi, a_lo, a0, a1), (b_hi, b_lo, b0, b1) = _pcg_jumps(count)
+    first = seed_lo * a_lo
+    lo = first + inc_lo * b_lo
+    hi = (
+        _mulhi(seed_lo, a0, a1) + _mulhi(inc_lo, b0, b1) + (lo < first)
+        + seed_lo * a_hi + seed_hi * a_lo + inc_lo * b_hi + inc_hi * b_lo
+    )
+    rot = hi >> 58
+    out = hi ^ lo
+    out = out >> rot | out << (64 - rot & 63)
+    return (out >> 11) * 2.0**-53
 
 
 @lru_cache(maxsize=1024)
@@ -497,20 +522,21 @@ def _estimate(sc: Scenario, pool: ProcessPoolExecutor | None = None) -> Scenario
     chunks = ([sc] * len(starts), starts, [min(_CHUNK, sc.replicates - s) for s in starts])
     chunk_map = pool.map if pool is not None and len(starts) > 1 else map
     counts = sum(chunk_map(_count_chunk, *chunks))
-    # _decide's layout: the rates, k for each per-dose one, then five counters
+    # _decide's layout: D_1..D_k, D_any, W_top, W_any, P_1..P_k, P_any,
+    # C_1..C_k, C_any, then five counters
     rates = counts[:-5] / sc.replicates
-    d, d_any, w_top, w_any, p, p_any, c, c_any = np.split(rates, np.cumsum([k, 1, 1, 1, k, 1, k]))
+    r = rates.tolist()
     n_boundary, n_degenerate, n_sandwich, n_second_order, n_integrated = counts[-5:].tolist()
     return ScenarioResult(
         scenario=sc,
-        rate_dunnett=d,
-        rate_dunnett_any=float(d_any[0]),
-        rate_williams_top=float(w_top[0]),
-        rate_williams_any=float(w_any[0]),
-        rate_ctp_pairwise=p,
-        rate_ctp_pairwise_any=float(p_any[0]),
-        rate_ctp_williams=c,
-        rate_ctp_williams_any=float(c_any[0]),
+        rate_dunnett=rates[:k],
+        rate_dunnett_any=r[k],
+        rate_williams_top=r[k + 1],
+        rate_williams_any=r[k + 2],
+        rate_ctp_pairwise=rates[k + 3 : 2 * k + 3],
+        rate_ctp_pairwise_any=r[2 * k + 3],
+        rate_ctp_williams=rates[2 * k + 4 : 3 * k + 4],
+        rate_ctp_williams_any=r[3 * k + 4],
         n_boundary=n_boundary,
         n_degenerate=n_degenerate,
         elapsed=time.perf_counter() - t0,
@@ -523,9 +549,10 @@ def _estimate(sc: Scenario, pool: ProcessPoolExecutor | None = None) -> Scenario
 def run_scenario(sc: Scenario, parallelism: int = 1) -> ScenarioResult:
     """Estimate all rates for one scenario.
 
-    ``parallelism`` sets the worker process count; the result is
-    bit-identical for every value because replicate seeds depend only on
-    the replicate index and integer counts commute under addition.
+    ``parallelism`` caps the worker process count, as in
+    :func:`run_study`; the result is bit-identical for every value
+    because replicate seeds depend only on the replicate index and
+    integer counts commute under addition.
     """
     return run_study([sc], parallelism)[0]
 
@@ -535,7 +562,10 @@ def run_study(scenarios, parallelism: int = 1):
 
     With ``parallelism`` > 1 one pool of worker processes serves the whole
     study, so what the workers cache for one scenario (contrast families,
-    quadrature rules, inversion thresholds) serves the next.
+    quadrature rules, inversion thresholds) serves the next.  A scenario's
+    chunks of ``_CHUNK`` replicates are counted together, one scenario at
+    a time, so the pool has at most as many workers as the largest
+    scenario has chunks, and none for a study of one-chunk scenarios.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
@@ -543,9 +573,11 @@ def run_study(scenarios, parallelism: int = 1):
     for sc in scenarios:
         if not isinstance(sc, Scenario):
             raise TypeError(f"expected Scenario, got {type(sc).__name__}")
-    if parallelism == 1 or all(sc.replicates <= _CHUNK for sc in scenarios):
+    chunks = max((-(-sc.replicates // _CHUNK) for sc in scenarios), default=1)
+    workers = min(parallelism, chunks)
+    if workers == 1:
         return [_estimate(sc) for sc in scenarios]
-    with ProcessPoolExecutor(max_workers=parallelism) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return [_estimate(sc, pool) for sc in scenarios]
 
 

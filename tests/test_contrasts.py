@@ -436,24 +436,30 @@ def test_a_tail_outside_its_bracket_names_its_own_route(name, outside, route, mo
 def test_pair_tails_run_once_per_row_count(windowed, monkeypatch):
     # the bracket and the closed form of every family of a row count read one
     # set of pair tails, and three rows take one Plackett integral unless the
-    # bracket settled every bound of the set
+    # bracket settled every bound of the set: on 64 nodes without a window;
+    # under [alpha, alpha] on the coarse rule, then a second, on 64 nodes, of
+    # just the bounds whose coarse value lies within its margin of alpha
     calls = {"_pair_tails": [], "_inclusion_exclusion": []}
     for name, rows in calls.items():
         fn = getattr(contrasts, name)
-        monkeypatch.setattr(contrasts, name, lambda *a, fn=fn, rows=rows: rows.append(a) or fn(*a))
+        monkeypatch.setattr(
+            contrasts, name, lambda *a, fn=fn, rows=rows: rows.append((a, fn(*a))) or rows[-1][1]
+        )
     brackets = []
     bracket = contrasts._bracket
     monkeypatch.setattr(
         contrasts, "_bracket", lambda m, *a: brackets.append((m, *bracket(m, *a))) or brackets[-1][1:]
     )
-    plackett = []
+    plackett = []  # the nodes and bound count of each Plackett integral
     triple_tail = mvn._triple_tail
-    monkeypatch.setattr(mvn, "_triple_tail", lambda *a: plackett.append(a) or triple_tail(*a))
+    monkeypatch.setattr(
+        mvn, "_triple_tail", lambda t, *a: plackett.append((a[-1], t.size)) or triple_tail(t, *a)
+    )
     rng = np.random.default_rng(4)
     families = mixed_families(rng, 40) + mixed_families(rng, 40)[:4]
     window = (0.05, 0.05) if windowed else ()
     contrasts._maxt_p(families, *window)
-    rows = [R.shape[-1] for _, R in calls["_pair_tails"]]
+    rows = [a[1].shape[-1] for a, _ in calls["_pair_tails"]]
     assert len(rows) == len(set(rows))
     # the chain family of five rows and the QMC family of four take pair tails for the bracket only
     assert set(rows) == ({2, 3, 4, 5} if windowed else {2, 3})
@@ -465,8 +471,73 @@ def test_pair_tails_run_once_per_row_count(windowed, monkeypatch):
         if not np.any((upper >= 0.05 - margin) & (lower <= 0.05 + margin))
     }
     closed = [m for m in (2, 3) if m not in settled]
-    assert sorted(m for m, *_ in calls["_inclusion_exclusion"]) == closed
-    assert len(plackett) == (3 in closed)
+    first = {}  # the first closed-form call of each row count: its bounds and values
+    for (m, *_), q in calls["_inclusion_exclusion"]:
+        first.setdefault(m, q[:, 0])
+    assert sorted(first) == closed
+    if 3 not in closed:
+        assert plackett == []
+    elif windowed:
+        q, coarse = first[3], contrasts._COARSE_MARGIN
+        near = int(np.sum((q + coarse >= 0.05) & (q - coarse < 0.05)))
+        assert plackett == [(contrasts._COARSE_NODES, q.size)] + [(64, near)] * (near > 0)
+    else:
+        assert plackett == [(64, first[3].size)]
+    assert len(calls["_inclusion_exclusion"]) == len(closed) + (len(plackett) == 2)
+
+
+def test_a_coarse_value_within_its_margin_leaves_the_decision_to_64_nodes(monkeypatch):
+    # every coarse Plackett value is put on the wrong side of alpha, but
+    # within its margin of it, so it settles nothing: the 64-node pass takes
+    # every bound the coarse pass saw, and decides each as without a window
+    rng = np.random.default_rng(9)
+    families = [f for f in mixed_families(rng, 300) if f[0].n_rows == 3]
+    exact = contrasts._maxt_p(families)
+    routes = np.zeros(3, dtype=np.int64)
+    contrasts._maxt_p(families, 0.05, 0.05, routes)
+    passes = []  # the nodes and bound count of each closed form of three rows
+    closed_form = contrasts._inclusion_exclusion
+
+    def wrong(m, t, p_raw, rho, pair, nodes=64):
+        q = closed_form(m, t, p_raw, rho, pair, nodes)
+        passes.append((nodes, t.size))
+        if nodes == 64:
+            return q
+        return 0.05 + 0.5 * contrasts._COARSE_MARGIN * np.sign(0.05 - q)
+
+    monkeypatch.setattr(contrasts, "_inclusion_exclusion", wrong)
+    forced = np.zeros(3, dtype=np.int64)
+    decided = contrasts._maxt_p(families, 0.05, 0.05, forced)
+    (coarse, open_bounds), fine = passes
+    assert coarse == contrasts._COARSE_NODES and fine == (64, open_bounds) and open_bounds > 0
+    assert forced.tolist() == routes.tolist()
+    for p, q in zip(decided, exact):
+        np.testing.assert_array_equal(p < 0.05, q < 0.05)
+
+
+@pytest.mark.parametrize("window", ["none", "running", "alpha"])
+def test_a_window_without_an_upper_end_takes_one_64_node_pass(window, monkeypatch):
+    # the coarse pass runs only under a finite upper end: without a window,
+    # and under [lo, inf) as the analysis closure asks, the open three-row
+    # bounds take one Plackett integral, on 64 nodes
+    rng = np.random.default_rng(12)
+    families = [
+        (family, t.max(axis=1, keepdims=True), se, var)
+        for family, t, se, var in mixed_families(rng, 60)
+        if family.n_rows == 3
+    ]
+    exact = contrasts._maxt_p(families)
+    lo = {"none": -np.inf, "running": exact[0] * rng.uniform(0.3, 3.0, size=(60, 1)), "alpha": 0.05}
+    plackett = []
+    triple_tail = mvn._triple_tail
+    monkeypatch.setattr(
+        mvn, "_triple_tail", lambda t, *a: plackett.append(a[-1]) or triple_tail(t, *a)
+    )
+    got = contrasts._maxt_p(families, lo[window], np.inf)
+    assert plackett == [64]
+    for p, q in zip(got, exact):
+        kept = q >= lo[window]
+        assert p[kept].tobytes() == q[kept].tobytes()
 
 
 def test_a_set_the_bracket_settles_whole_takes_no_closed_form(monkeypatch):

@@ -11,6 +11,7 @@ from scipy.stats import multivariate_normal
 
 from trendcomp import mvn
 from trendcomp.chains import _gauss_legendre
+from trendcomp.contrasts import contrast_moments, dunnett_matrix
 from trendcomp.mvn import (
     BACKEND,
     MAX_DIMENSION,
@@ -340,6 +341,30 @@ class TestThreeRowClosedForm:
             for j in range(3)
         ]
         assert whole.tobytes() == np.reshape(single, whole.shape).tobytes()
+
+    def test_64_nodes_hold_near_singular_families_to_512(self):
+        # near det R = 0 the Plackett path meets R where its slope is
+        # steepest; 64 nodes, the rule of every exact p, against 512 on the
+        # family of det R = 6.4e-10 below, 1.4e-13 off, and on Dunnett
+        # families whose control variance is 1e3 to 1e9 times a dose's
+        rng = np.random.default_rng(13)
+        rho = (0.99958813, 0.99926813, 0.99995402)
+        R = [np.array([[1.0, rho[0], rho[1]], [rho[0], 1.0, rho[2]], [rho[1], rho[2], 1.0]])]
+        C = dunnett_matrix((1,) * 4).coefficients
+        for _ in range(300):
+            var = np.exp(rng.uniform(-2.0, 2.0, size=4))
+            var[0] *= 10.0 ** rng.uniform(3.0, 9.0)
+            R.append(contrast_moments(C, np.zeros(4), var)[3])
+        R = np.array(R)
+        t = np.concatenate([[1.5321690764180145], rng.uniform(-1.0, 4.0, size=300)])[:, None]
+        assert np.linalg.det(R).max() < 1e-2
+        t, _, p_raw, rho, pair = mvn._pair_tails(t, R)
+        np.testing.assert_allclose(
+            mvn._triple_tail(t, rho, p_raw, pair),
+            mvn._triple_tail(t, rho, p_raw, pair, 512),
+            rtol=0,
+            atol=1e-12,
+        )
 
     @pytest.mark.parametrize("b", [-1.0, 0.0, 1.5])
     def test_three_copies_of_one_row(self, b):

@@ -23,6 +23,8 @@ from trendcomp.simulate import (
     _decide,
     _draw,
     _inversion,
+    _pcg64_doubles,
+    _State,
     _states,
     load_study,
     run_scenario,
@@ -247,6 +249,36 @@ class TestRunScenario:
         run_study([replace(sc, replicates=100) for sc in study], parallelism=2)
         assert len(opened) == 1
 
+    def test_the_pool_has_no_more_workers_than_a_scenario_has_chunks(self, monkeypatch):
+        # a scenario's chunks are counted together, one scenario at a time, so
+        # a worker past the largest chunk count would only start and idle
+        workers = []
+
+        class Serial:
+            """A stand-in pool that maps in this process and starts none."""
+
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", Serial)
+        study = [
+            Scenario(pi=(0.1, 0.2, 0.4), n=(20, 20, 20), replicates=r, seed=s)
+            for s, r in enumerate((600, 1200, 100))
+        ]
+        assert run_study(study, parallelism=64) == run_study(study)
+        assert workers == [3]  # 1,200 replicates are three chunks of 512
+        run_study(study[::2], parallelism=64)
+        run_study(study, parallelism=2)
+        assert workers == [3, 2, 2]
+
 
 def contract_table(sc: Scenario, rep: int) -> np.ndarray:
     """The counts of replicate ``rep``, redrawn from the seed contract."""
@@ -270,6 +302,16 @@ def test_states_are_the_seed_sequence_states(seed):
     # _State hands PCG64 a row, which must be the row's own four words
     assert states.flags.c_contiguous
     np.testing.assert_array_equal(states, expected)
+
+
+@pytest.mark.parametrize("seed", [5, 2**63 - 1, 2**200 + 7], ids=["1-word", "2-words", "7-words"])
+@pytest.mark.parametrize("rows", [1, 100, 512])
+def test_doubles_are_the_generator_doubles(seed, rows):
+    # each output state is one jump from the seed, for every count of doubles
+    states = _states(seed, np.arange(1000, 1000 + rows, dtype=np.uint64))
+    expected = [np.random.Generator(np.random.PCG64(_State(s))).random(9) for s in states]
+    for count in range(1, 10):
+        np.testing.assert_array_equal(_pcg64_doubles(states, count), np.array(expected)[:, :count])
 
 
 @pytest.mark.parametrize(
@@ -619,7 +661,7 @@ class TestDecisionRoutes:
     def test_three_row_brackets_spare_most_plackett_integrals(self, monkeypatch):
         # three doses: Dunnett and Williams have three rows and are bracketed
         # before the closed form, whose triple tail is one Plackett integral
-        bracketed, plackett = [0], [0]
+        bracketed = [0]
         bracket, triple_tail = contrasts._bracket, mvn._triple_tail
 
         def counted_bracket(m, p_raw, pair):
@@ -627,14 +669,17 @@ class TestDecisionRoutes:
             return bracket(m, p_raw, pair)
 
         def counted_tail(t, *args):
-            plackett[0] += t.size
+            plackett[args[-1] == 64] += t.size
             return triple_tail(t, *args)
 
         monkeypatch.setattr(contrasts, "_bracket", counted_bracket)
         monkeypatch.setattr(mvn, "_triple_tail", counted_tail)
+        plackett = [0, 0]  # bounds on the coarse rule and on 64 nodes
         res = run_scenario(Scenario(pi=(0.05, 0.1, 0.2, 0.3), n=(50,) * 4, replicates=1000, seed=3))
         assert res.n_integrated == 0
         assert 0 < plackett[0] < 0.5 * bracketed[0] <= 0.5 * res.n_second_order
+        # only a coarse value within its margin of alpha takes 64 nodes too
+        assert plackett[1] <= 0.02 * plackett[0]
 
     def test_widened_three_row_brackets_decide_the_same(self, monkeypatch):
         # a three-row bound that its bracket settles gets the decision and the
@@ -663,11 +708,55 @@ class TestDecisionRoutes:
             np.testing.assert_array_equal(counts[1], counts[0])
         assert 0 < plackett[0] < plackett[1]
 
+    def test_the_coarse_pass_decides_as_64_nodes_alone(self, monkeypatch):
+        # with an infinite margin every open three-row bound takes its 64-node
+        # value; the coarse pass must give every decision and route count of
+        # that, on random and on extreme-variance three-dose designs
+        tally = {False: {}, True: {}}  # bounds per Plackett rule, by whether the margin is infinite
+        infinite = [False]
+        triple_tail = mvn._triple_tail
+
+        def counted(t, *args):
+            bounds = tally[infinite[0]]
+            bounds[args[-1]] = bounds.get(args[-1], 0) + t.size
+            return triple_tail(t, *args)
+
+        monkeypatch.setattr(mvn, "_triple_tail", counted)
+        rng = np.random.default_rng(35)
+        designs = []
+        for i in range(16):
+            extreme = i % 2
+            pi = np.sort(rng.uniform(0.01, 0.1 if extreme else 0.5, size=4))
+            n = np.exp(rng.uniform(np.log(3), np.log(2000), size=4)) if extreme else rng.integers(15, 80, 4)
+            designs.append(
+                Scenario(
+                    pi=tuple(pi),
+                    n=tuple(np.round(n).astype(int)),
+                    alpha=float(rng.choice([0.01, 0.05, 0.1, 0.3])),
+                    boundary_policy=("smooth", "haldane")[i // 2 % 2],
+                    seed=int(rng.integers(2**31)),
+                )
+            )
+        for sc in designs:
+            y = _draw(sc, 0, 512)
+            counts = _decide(sc, y)
+            with monkeypatch.context() as patch:
+                patch.setattr(contrasts, "_COARSE_MARGIN", np.inf)
+                infinite[0] = True
+                np.testing.assert_array_equal(_decide(sc, y), counts)
+                infinite[0] = False
+        coarse, reference = tally[False], tally[True]
+        nodes = contrasts._COARSE_NODES
+        # the reference gave every bound that the coarse pass saw its 64-node value
+        assert reference[64] == reference[nodes] == coarse[nodes] > 0
+        assert coarse.get(64, 0) < 0.02 * coarse[nodes]
+
     def test_a_k3_chunk_takes_one_pass_per_row_count(self, monkeypatch):
         # Dunnett and global Williams, three rows each, share one pass: one set
-        # of pair tails, one bracket and one Plackett integral; segment
-        # {0, 1, 2} takes a pass of two rows, and segment {0, 1}, the raw
-        # pairwise p of dose 1, none
+        # of pair tails, one bracket and one Plackett integral, on the coarse
+        # rule, no coarse value of this chunk lying within its margin of
+        # alpha; segment {0, 1, 2} takes a pass of two rows, and segment
+        # {0, 1}, the raw pairwise p of dose 1, none
         calls = {"_pair_tails": [], "_bracket": []}
         for name, rows in calls.items():
             fn = getattr(contrasts, name)
@@ -684,7 +773,7 @@ class TestDecisionRoutes:
         assert len(maxt_calls) == 1 and len(maxt_calls[0][0]) == 2
         assert [R.shape[-1] for _, R in calls["_pair_tails"]] == [3, 2]
         assert [m for m, *_ in calls["_bracket"]] == [3]
-        assert len(plackett) == 1
+        assert [nodes for *_, nodes in plackett] == [contrasts._COARSE_NODES]
         assert counts[-1] == 0  # nothing integrated
 
     @pytest.mark.parametrize("p", [0.0, 1.0])
