@@ -12,10 +12,14 @@ multivariate normal law of the standardized contrasts with the correlation
 implied by the fit, so adjusted p-values account for the dependence among
 the comparisons.
 
-Every maxT p-value of the package, in :func:`contrast_test`, in the
-closed test of :mod:`trendcomp.ctp` and in every decision of
-:mod:`trendcomp.simulate`, comes from one function, :func:`_maxt_p`,
-over a table axis and a list of families.  It is the only place that
+Every maxT p-value of the package comes from one function,
+:func:`_maxt_p`, over a table axis and a list of families.  Its callers
+are :func:`contrast_test` and ``trendcomp.ctp._procedures``, the one
+composition of Dunnett, Williams and the two closed tests, which
+:func:`trendcomp.ctp.closed_analysis` and every decision of
+:mod:`trendcomp.simulate` run.  ``contrast_test`` and
+``closed_analysis`` build their :class:`TestReport` by one helper,
+:func:`_report`.  ``_maxt_p`` is the only place that
 composes the evaluators of :mod:`trendcomp.mvn` and
 :mod:`trendcomp.chains`, and its docstring states once how a bound is
 settled, evaluated, checked and clipped.  A family reaches it as its
@@ -431,41 +435,26 @@ def contrast_test(fit: ModelFit, contrasts: ContrastMatrix) -> TestReport:
     :class:`MvnSpec`.  More than ``MAX_DIMENSION`` contrasts raise
     :class:`CorrelationError` on every route.
     """
-    return _contrast_tests(fit, (contrasts,))[0]
-
-
-def _contrast_tests(fit: ModelFit, families) -> list:
-    """:func:`contrast_test` of each of ``families`` on ``fit``, by one :func:`_maxt_p` call."""
-    for contrasts in families:
-        if contrasts.n_groups != fit.eta.size:
-            raise ContrastError(
-                f"contrast matrix has {contrasts.n_groups} columns "
-                f"but the fit has {fit.eta.size} groups"
-            )
-        if contrasts.n_rows > MAX_DIMENSION:
-            raise CorrelationError(
-                f"dimension {contrasts.n_rows} exceeds supported {MAX_DIMENSION}"
-            )
-    moments = [contrast_moments(c.coefficients, fit.eta, fit.var_eta) for c in families]
-    var_eta = fit.var_eta[None]
-    p_adjusted = _maxt_p(
-        [(c, t[None], se[None], var_eta) for c, (_, se, t, _) in zip(families, moments)]
-    )
-    reports = []
-    for contrasts, (est, se, t, R), p_adj in zip(families, moments, p_adjusted):
-        p_adj = p_adj[0]
-        p_raw = ndtr(-t)
-        for arr in (est, se, t, R, p_adj, p_raw):
-            arr.setflags(write=False)
-        reports.append(
-            TestReport(
-                contrasts=contrasts,
-                estimate=est,
-                std_err=se,
-                statistic=t,
-                correlation=R,
-                p_raw=p_raw,
-                p_adjusted=p_adj,
-            )
+    if contrasts.n_groups != fit.eta.size:
+        raise ContrastError(
+            f"contrast matrix has {contrasts.n_groups} columns "
+            f"but the fit has {fit.eta.size} groups"
         )
-    return reports
+    if contrasts.n_rows > MAX_DIMENSION:
+        raise CorrelationError(f"dimension {contrasts.n_rows} exceeds supported {MAX_DIMENSION}")
+    est, se, t = _statistics(contrasts.coefficients, fit.eta, fit.var_eta)
+    p_adjusted = _maxt_p([(contrasts, t[None], se[None], fit.var_eta[None])])[0][0]
+    return _report(contrasts, est, se, t, fit.var_eta, p_adjusted)
+
+
+def _report(contrasts, estimate, std_err, statistic, var_eta, p_adjusted) -> TestReport:
+    """The read-only :class:`TestReport` of one table's statistics and adjusted p.
+
+    The correlation is :func:`contrast_moments`'s, formed from the group
+    variances ``var_eta`` and ``std_err``.
+    """
+    R = _correlation(contrasts.coefficients, var_eta, std_err)
+    p_raw = ndtr(-statistic)
+    for arr in (estimate, std_err, statistic, R, p_raw, p_adjusted):
+        arr.setflags(write=False)
+    return TestReport(contrasts, estimate, std_err, statistic, R, p_raw, p_adjusted)

@@ -22,21 +22,21 @@ only as the global one of k = 1.  Each is a plain
 :class:`ContrastMatrix` that carries its chains.  Every adjusted p-value
 comes from :func:`trendcomp.contrasts._maxt_p`, whose docstring states
 its routes: exact in closed form or by quadrature for every stock
-family, with no random numbers.  :func:`closed_analysis` tests the
-Dunnett and the global Williams family of a table in one call of it,
-and each segment of the closure is a one-family call.  A segment's call
-passes its statistics, standard errors and group variances, and no
-correlation: ``_maxt_p`` forms that of just the bounds it leaves open.
-The closure of :func:`closed_analysis`, :func:`_williams_closure`, asks
-for each lower segment's p only above the running maximum, so a segment
-that cannot raise it gets no exact value, and the reported p is the same
-float.
-The simulator shares the family table and the closure, which there
-settles each segment against alpha instead.
-:func:`raw_pairwise_pvalues`, :func:`ctp_pairwise` and the variant C
-closure also take a fit with a leading replicate axis and then run over
-its rows, so the simulator decides a chunk of replicates in one call of
-the code that analyzes one table.
+family, with no random numbers.  A call passes statistics, standard
+errors and group variances, and no correlation: ``_maxt_p`` forms that
+of just the bounds it leaves open.
+
+:func:`_procedures` is the one place the four procedures are composed,
+over a leading axis of tables.  It tests the Dunnett and the global
+Williams family in one ``_maxt_p`` call, computes the raw pairwise p
+once for variant P and for segment {0, 1}, and runs the variant C
+closure, :func:`_williams_closure`, in which each lower segment is a
+one-family call.  :func:`closed_analysis` calls it on one table, with
+no significance level: the closure asks for each lower segment's p only
+above the running maximum, so a segment that cannot raise it gets no
+exact value, and the reported p is the same float.  The simulator calls
+it on a chunk of replicates with alpha, which settles every maxT p
+against alpha instead.
 """
 
 from __future__ import annotations
@@ -51,14 +51,15 @@ from scipy.special import ndtr
 from .chains import _equal_fields
 from .contrasts import (
     TestReport,
-    _contrast_tests,
     _maxt_p,
+    _report,
     _statistics,
     dunnett_matrix,
     williams_matrix,
 )
 from .data import DoseGroupData
 from .model import ModelFit, fit_saturated_logit
+from .mvn import MAX_DIMENSION, CorrelationError
 
 __all__ = [
     "CtpResult",
@@ -82,7 +83,11 @@ def ctp_pairwise(fit: ModelFit) -> np.ndarray:
     top dose downward.  Exact given the fit; no integration involved.
     A fit with a leading replicate axis gets one row per replicate.
     """
-    raw = raw_pairwise_pvalues(fit)
+    return _running_max(raw_pairwise_pvalues(fit))
+
+
+def _running_max(raw: np.ndarray) -> np.ndarray:
+    """Variant P from the raw pairwise p: their running maximum from the top dose down."""
     return np.maximum.accumulate(raw[..., ::-1], axis=-1)[..., ::-1]
 
 
@@ -96,8 +101,12 @@ def _stock_families(n) -> tuple:
     from the raw pairwise p.  The segments are built once per process for
     each tuple of sizes, and Dunnett, which depends on k alone, once per
     k, so its chains are found once per k; ``segments`` is a read-only
-    mapping and every family is frozen, so all callers share them.
+    mapping and every family is frozen, so all callers share them.  More
+    than ``MAX_DIMENSION`` doses raise :class:`CorrelationError` before
+    any family is built.
     """
+    if len(n) - 1 > MAX_DIMENSION:
+        raise CorrelationError(f"dimension {len(n) - 1} exceeds supported {MAX_DIMENSION}")
     return _families_of_sizes(tuple(int(v) for v in n))
 
 
@@ -113,12 +122,13 @@ def _dunnett_of(k: int):
     return dunnett_matrix(range(k + 1))
 
 
-def _williams_closure(fit: ModelFit, segments, top, alpha=None, routes=None) -> np.ndarray:
+def _williams_closure(fit: ModelFit, segments, top, raw, alpha=None, routes=None) -> np.ndarray:
     """Variant C: per-dose closed-test p-values p_i = max(S_i, ..., S_k).
 
     ``fit`` holds one table or a leading axis of them, ``segments`` comes
-    from :func:`_stock_families`, and ``top`` holds S_k, the value of the
-    global family, for each table.  The lower segments are visited from
+    from :func:`_stock_families`, ``top`` holds S_k, the value of the
+    global family, for each table, and ``raw`` the fit's
+    :func:`raw_pairwise_pvalues`.  The lower segments are visited from
     the top down, each only for the tables whose running maximum is still
     below the stop, 1 or else ``alpha``; once it reaches the stop, the
     lower doses of that table get 1.  Segment j gives S_j by
@@ -129,8 +139,9 @@ def _williams_closure(fit: ModelFit, segments, top, alpha=None, routes=None) -> 
     maximum gets no exact value and every p is the exact float.  With
     ``alpha`` the window is [alpha, alpha], so each p is below alpha
     exactly when the exact one is.  Segment 1, the single contrast D1 vs
-    C, is the raw pairwise p of dose 1, which is exact, and counts as
-    settled by the sandwich, as its one row would be in ``_maxt_p``.
+    C, is the raw pairwise p of dose 1, read from ``raw``, which is
+    exact, and counts as settled by the sandwich, as its one row would
+    be in ``_maxt_p``.
     ``routes`` collects the route counts of ``_maxt_p``.  The segment sees
     the first j + 1 groups of the fit as they are: a prefix is never
     refitted, so groups at a boundary keep the corrected values of the
@@ -150,7 +161,7 @@ def _williams_closure(fit: ModelFit, segments, top, alpha=None, routes=None) -> 
         if j == 1:
             # the single contrast D1 vs C: its one row is its raw p, the
             # raw pairwise p of dose 1 bitwise, and the sandwich settles it
-            s_j = raw_pairwise_pvalues(fit).reshape(-1, k)[rows, 0]
+            s_j = raw.reshape(-1, k)[rows, 0]
             if routes is not None:
                 routes[0] += rows.size
         else:
@@ -164,6 +175,46 @@ def _williams_closure(fit: ModelFit, segments, top, alpha=None, routes=None) -> 
         p[rows, j - 1] = running[rows]
         rows = rows[running[rows] < stop]
     return p.reshape(fit.eta.shape[:-1] + (k,))
+
+
+def _procedures(fit: ModelFit, n, alpha=None, routes=None) -> tuple:
+    """Dunnett, Williams and both closed-test variants on every table of ``fit``.
+
+    The one composition of the four procedures.  ``fit`` has a leading
+    table axis and ``n`` holds the group sizes.  The Dunnett and global
+    Williams families of :func:`_stock_families` take their statistics
+    from :func:`~trendcomp.contrasts._statistics` and their adjusted p
+    from one :func:`~trendcomp.contrasts._maxt_p` call.  The raw pairwise
+    p is computed once: variant P is its running maximum, and variant C,
+    :func:`_williams_closure`, reads dose 1's value from it and starts
+    from the global Williams p, the minimum over the Williams bounds.
+    Without ``alpha`` every p is exact and Williams is asked for at every
+    row, as a report shows them.  With ``alpha`` every maxT p is asked
+    for in [alpha, alpha], so it is below alpha exactly when the exact p
+    is, and Williams only at its top row and its largest statistic: a
+    family rejects iff its largest statistic's adjusted p is below alpha,
+    so those two are the (W_top, W_any) claims.  ``routes`` collects the
+    route counts of ``_maxt_p``.
+
+    Returns ``(tests, (p_d, p_w, p_pairwise, p_c))``.  ``tests`` holds
+    ``(contrasts, estimate, std_err, statistic)`` of the Dunnett and the
+    global Williams family; each array has one row per table.
+    """
+    dunnett, segments = _stock_families(n)
+    top = segments[len(n) - 1]
+    tests = [(c, *_statistics(c.coefficients, fit.eta, fit.var_eta)) for c in (dunnett, top)]
+    (_, _, se_d, t_d), (_, _, se_w, t_w) = tests
+    if alpha is None:
+        lo, hi = -np.inf, np.inf
+    else:
+        lo = hi = alpha
+        t_w = np.stack([t_w[:, 0], t_w.max(axis=1)], axis=1)
+    p_d, p_w = _maxt_p(
+        [(dunnett, t_d, se_d, fit.var_eta), (top, t_w, se_w, fit.var_eta)], lo, hi, routes
+    )
+    raw = raw_pairwise_pvalues(fit)
+    p_c = _williams_closure(fit, segments, p_w.min(axis=1), raw, alpha, routes)
+    return tests, (p_d, p_w, _running_max(raw), p_c)
 
 
 @dataclass(frozen=True)
@@ -186,7 +237,7 @@ class CtpResult:
 
     def __post_init__(self):
         k = len(self.dose_labels)
-        for name in ("p_dunnett", "p_ctp_pairwise", "p_ctp_williams"):
+        for name in ("p_dunnett", "p_williams_rows", "p_ctp_pairwise", "p_ctp_williams"):
             p = getattr(self, name)
             if p.shape != (k,):
                 raise ValueError(f"{name} must have one entry per dose")
@@ -195,6 +246,8 @@ class CtpResult:
         for name in ("p_ctp_pairwise", "p_ctp_williams"):
             if np.any(np.diff(getattr(self, name)) > 0.0):
                 raise ValueError(f"{name} must be non-increasing in dose")
+        if self.p_williams_global != self.p_williams_rows.min():
+            raise ValueError("p_williams_global must be the minimum of p_williams_rows")
 
     @property
     def k(self) -> int:
@@ -213,19 +266,22 @@ def closed_analysis(data: DoseGroupData, *, boundary_policy: str = "haldane") ->
     is taken: a claim at any level is a p-value below it.
     """
     fit = fit_saturated_logit(data, boundary_policy=boundary_policy)
-    dunnett, segments = _stock_families(data.n)
-    dunnett_report, williams_report = _contrast_tests(fit, (dunnett, segments[data.k]))
-    williams_global = williams_report.min_adjusted
-    p_c = _williams_closure(fit, segments, williams_global)
-    p_c.setflags(write=False)
+    one = ModelFit(fit.eta[None], fit.var_eta[None], fit.correction_applied[None])
+    tests, (p_d, p_w, p_p, p_c) = _procedures(one, data.n)
+    dunnett_report, williams_report = (
+        _report(c, est[0], se[0], t[0], fit.var_eta, p[0])
+        for (c, est, se, t), p in zip(tests, (p_d, p_w))
+    )
+    for p in (p_p, p_c):
+        p.setflags(write=False)
     return CtpResult(
         control_label=data.labels[0],
         dose_labels=data.labels[1:],
         p_dunnett=dunnett_report.p_adjusted,
         p_williams_rows=williams_report.p_adjusted,
-        p_williams_global=williams_global,
-        p_ctp_pairwise=ctp_pairwise(fit),
-        p_ctp_williams=p_c,
+        p_williams_global=williams_report.min_adjusted,
+        p_ctp_pairwise=p_p[0],
+        p_ctp_williams=p_c[0],
         boundary_policy=boundary_policy,
         correction_applied=fit.correction_applied,
         dunnett_report=dunnett_report,

@@ -1,20 +1,17 @@
 """Monte Carlo estimation of per-pair power, any-pair power and FWER.
 
 Each replicate draws independent binomial counts from its own seeded
-generator (:func:`_draw`).  A chunk of replicates is then decided at once
-by :func:`_decide`, one row per replicate, with the same definitions
-:func:`trendcomp.ctp.closed_analysis` uses on one table: the closed form
-of :mod:`trendcomp.model`, the many-to-one and segment families of
-``trendcomp.ctp._stock_families``, each carrying its chains, the
-statistics and standard errors of ``trendcomp.contrasts._statistics``
-(those of :func:`trendcomp.contrasts.contrast_moments`),
-:func:`trendcomp.ctp.ctp_pairwise`, variant C's closure and the one maxT
-function of both, ``trendcomp.contrasts._maxt_p``.  No correlation is
-formed here: ``_maxt_p`` forms that of each bound its sandwich leaves
-open.  Decisions, not p-values, are accumulated: every maxT p is asked
-for in the window [alpha, alpha], so each value is below alpha exactly
-when the p-value of ``closed_analysis`` on the same table is, a coarse
-value settling a bound only as far from alpha as ``_maxt_p`` requires.
+generator (:func:`_draw`).  A chunk of replicates is then fitted by the
+closed form of :mod:`trendcomp.model` and decided at once by
+:func:`_decide`, one row per replicate, through
+``trendcomp.ctp._procedures``, the one composition of the four
+procedures, which :func:`trendcomp.ctp.closed_analysis` calls on one
+table.  No correlation is formed here: ``_maxt_p`` forms that of each
+bound its sandwich leaves open.  Decisions, not p-values, are
+accumulated: every maxT p is asked for in the window [alpha, alpha], so
+each value is below alpha exactly when the p-value of
+``closed_analysis`` on the same table is, a coarse value settling a
+bound only as far from alpha as ``_maxt_p`` requires.
 The Dunnett and global Williams families are decided over the whole
 chunk by one call, so at k = 3 their three-row bounds share one set of
 pair tails, one bracket and one coarse Plackett integral, and the few
@@ -69,8 +66,7 @@ import yaml
 from numpy.random.bit_generator import ISeedSequence
 
 from .chains import _equal_fields
-from .contrasts import _maxt_p, _statistics
-from .ctp import _stock_families, _williams_closure, ctp_pairwise
+from .ctp import _procedures
 from .model import BOUNDARY_POLICIES, ModelFit, _saturated_logit
 from .mvn import MAX_DIMENSION
 
@@ -463,46 +459,27 @@ def _draw(sc: Scenario, start: int, count: int) -> np.ndarray:
 def _decide(sc: Scenario, y: np.ndarray) -> np.ndarray:
     """Integer decision counts over the tables ``y``, then how they were decided.
 
-    ``y`` holds one table of counts per row.  The fit, the contrast
-    statistics, the sandwich and second-order decisions and the closure
-    each take all rows at once, and the Dunnett and global Williams
-    families share one ``_maxt_p`` call.  The claims of each table form
-    one boolean row with one column per rate; the counts are its column
-    sums.
+    ``y`` holds one table of counts per row.  The fit takes all rows at
+    once, and so does ``trendcomp.ctp._procedures`` under the window
+    [alpha, alpha].  The claims of each table form one boolean row with
+    one column per rate; the counts are its column sums.
 
     Layout: [D_1..D_k, D_any, W_top, W_any, P_1..P_k, P_any,
     C_1..C_k, C_any, n_boundary, n_degenerate, n_sandwich,
     n_second_order, n_integrated], the last three counting the maxT
     bounds each stage of ``trendcomp.contrasts._maxt_p`` decided.
     """
-    k = sc.k
     n = np.asarray(sc.n, dtype=np.int64)
     alpha = sc.alpha
-    dunnett, segments = _stock_families(n)
-    top = segments[k]
     routes = np.zeros(3, dtype=np.int64)
 
     # no_info tables are degenerate; refused ones ("reject") make no claims
     eta, var_eta, at_boundary, no_info, refused = _saturated_logit(y, n, sc.boundary_policy)
     fitted = ~(no_info | refused)
     fit = ModelFit(eta[fitted], var_eta[fitted], correction_applied=at_boundary[fitted])
-
-    _, se_d, t_d = _statistics(dunnett.coefficients, fit.eta, fit.var_eta)
-    _, se_w, t_w = _statistics(top.coefficients, fit.eta, fit.var_eta)
-    # a family rejects iff its largest statistic's adjusted p is below alpha,
-    # so the Williams p pair, below alpha, is the (W_top, W_any) claim pair
-    top_and_max = np.stack([t_w[:, 0], t_w.max(axis=1)], axis=1)
-    p_d, p_w = _maxt_p(
-        [(dunnett, t_d, se_d, fit.var_eta), (top, top_and_max, se_w, fit.var_eta)],
-        alpha,
-        alpha,
-        routes,
-    )
-    per_dose = (
-        p_d < alpha,
-        ctp_pairwise(fit) < alpha,
-        _williams_closure(fit, segments, p_w[:, 1], alpha, routes) < alpha,
-    )
+    # the Williams p pair, below alpha, is the (W_top, W_any) claim pair
+    _, (p_d, p_w, p_p, p_c) = _procedures(fit, n, alpha, routes)
+    per_dose = (p_d < alpha, p_p < alpha, p_c < alpha)
     (d, d_any), (p, p_any), (c, c_any) = ((x, x.any(axis=1, keepdims=True)) for x in per_dose)
     claims = np.hstack([d, d_any, p_w < alpha, p, p_any, c, c_any])
     n_boundary = np.sum(at_boundary.any(axis=1) & ~no_info)

@@ -181,16 +181,25 @@ class TestCtpResultValidation:
             CtpResult(**kw)
 
     def test_rejects_out_of_range_p(self, liarozole):
-        kw = self._kwargs(liarozole)
-        kw["p_dunnett"] = np.array([0.5, 0.2, 1.5])
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            CtpResult(**kw)
+        for name, p in (("p_dunnett", [0.5, 0.2, 1.5]), ("p_williams_rows", [0.5, -0.2, 0.9])):
+            kw = self._kwargs(liarozole)
+            kw[name] = np.array(p)
+            with pytest.raises(ValueError, match=rf"{name} entries must lie in \[0, 1\]"):
+                CtpResult(**kw)
 
     def test_rejects_wrong_length(self, liarozole):
+        for name in ("p_dunnett", "p_williams_rows"):
+            kw = self._kwargs(liarozole)
+            kw[name] = np.array([0.5, 0.2])
+            with pytest.raises(ValueError, match=f"{name} must have one entry per dose"):
+                CtpResult(**kw)
+
+    def test_rejects_a_global_williams_p_other_than_the_row_minimum(self, liarozole):
         kw = self._kwargs(liarozole)
-        kw["p_dunnett"] = np.array([0.5, 0.2])
-        with pytest.raises(ValueError, match="one entry per dose"):
-            CtpResult(**kw)
+        for global_p in (kw["p_williams_rows"][1], np.nextafter(kw["p_williams_global"], 1.0)):
+            kw["p_williams_global"] = global_p
+            with pytest.raises(ValueError, match="minimum of p_williams_rows"):
+                CtpResult(**kw)
 
 
 @settings(max_examples=25, deadline=None)
@@ -251,9 +260,10 @@ def test_segment_test_is_the_family_minimum(seed, prefix_fit):
     data = DoseGroupData(labels=tuple(str(i) for i in range(k + 1)), n=n, y=y)
     fit = fit_saturated_logit(data, boundary_policy="haldane")
     segment_p = []
+    raw = raw_pairwise_pvalues(fit)
     with pytest.MonkeyPatch.context() as patch:
         record_segments(patch, lambda p, rows: segment_p.append(p))
-        segment_p.append(_williams_closure(fit, _stock_families(n)[1], 0.0)[0])
+        segment_p.append(_williams_closure(fit, _stock_families(n)[1], 0.0, raw)[0])
     family_min = [
         contrast_test(prefix_fit(fit, j + 1), williams_matrix(n[: j + 1])).min_adjusted
         for j in range(k - 1, 0, -1)
@@ -271,7 +281,8 @@ def test_a_segment_reads_the_corrected_fit_of_the_whole_table(prefix_fit, monkey
     assert fit.correction_applied[:2].all()
     segment_p = {}
     record_segments(monkeypatch, lambda p, rows: segment_p.__setitem__(rows, p))
-    segment_p[1] = _williams_closure(fit, _stock_families(n)[1], 0.0)[0]
+    raw = raw_pairwise_pvalues(fit)
+    segment_p[1] = _williams_closure(fit, _stock_families(n)[1], 0.0, raw)[0]
     for j in (1, 2):
         report = contrast_test(prefix_fit(fit, j + 1), williams_matrix(n[: j + 1]))
         assert segment_p[j] == report.min_adjusted
@@ -313,12 +324,13 @@ def test_bracket_settled_closure_is_the_integrated_closure(monkeypatch):
         top = contrast_test(fit, segments[k]).min_adjusted
         bracketed, routes = np.zeros(3, dtype=np.int64), np.zeros(3, dtype=np.int64)
         three_rows[0] = 0
-        got = _williams_closure(fit, segments, top, routes=bracketed)
+        raw = raw_pairwise_pvalues(fit)
+        got = _williams_closure(fit, segments, top, raw, routes=bracketed)
         closed += three_rows[0]
         with pytest.MonkeyPatch.context() as patch:
             widen_brackets(patch)
             three_rows[0] = 0
-            expected = _williams_closure(fit, segments, top, routes=routes)
+            expected = _williams_closure(fit, segments, top, raw, routes=routes)
             exact += three_rows[0]
         assert got.tobytes() == expected.tobytes()
         # closed forms count as second-order in both runs
@@ -441,7 +453,8 @@ def test_full_precision_p_values(n, y, routes, closed, expected, monkeypatch):
     # third, segment {0, .., 4} is integrated on its chains
     counted = np.zeros(3, dtype=np.int64)
     closure = ctp._williams_closure
-    monkeypatch.setattr(ctp, "_williams_closure", lambda *a: closure(*a, routes=counted))
+    # the closure's last argument is its routes, None in an analysis
+    monkeypatch.setattr(ctp, "_williams_closure", lambda *a: closure(*a[:-1], counted))
     rows = []
     closed_form = contrasts._inclusion_exclusion
     monkeypatch.setattr(
@@ -487,7 +500,7 @@ def test_an_integrated_segment_outside_its_bracket_raises(shift, raises, monkeyp
     n = np.array([30, 25, 40, 35, 33, 31])
     fit = fit_saturated_logit(DoseGroupData(labels=tuple("012345"), n=n, y=[3, 4, 6, 9, 14, 15]))
     # a running maximum of 0 leaves the bracket nothing to settle
-    closure = lambda: _williams_closure(fit, _stock_families(n)[1], 0.0)
+    closure = lambda: _williams_closure(fit, _stock_families(n)[1], 0.0, raw_pairwise_pvalues(fit))
     if raises:
         with pytest.raises(ContrastError, match="outside its second-order bracket"):
             closure()

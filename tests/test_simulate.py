@@ -12,7 +12,7 @@ from trendcomp.contrasts import ContrastError
 from trendcomp.ctp import closed_analysis
 from trendcomp.data import DoseGroupData
 from trendcomp.model import BoundaryCountError, NoInformationError
-from trendcomp import contrasts, mvn, simulate
+from trendcomp import contrasts, ctp, mvn, simulate
 from trendcomp.mvn import MAX_DIMENSION
 from trendcomp.simulate import (
     SCHEMA_VERSION,
@@ -495,18 +495,22 @@ def analysis_counts(sc: Scenario, y) -> np.ndarray:
 
 
 @pytest.mark.parametrize(
-    "pi, policy",
+    "pi, n, policy",
     [
-        ((0.05, 0.10, 0.20, 0.30), "smooth"),
-        ((0.10, 0.10, 0.10, 0.10), "smooth"),
-        ((0.05, 0.10, 0.20, 0.30), "haldane"),
-        ((0.05, 0.10, 0.20, 0.30), "reject"),
-        ((0.02, 0.02, 0.02, 0.02), "haldane"),
+        ((0.05, 0.10, 0.20, 0.30), (50,) * 4, "smooth"),
+        ((0.10, 0.10, 0.10, 0.10), (50,) * 4, "smooth"),
+        ((0.05, 0.10, 0.20, 0.30), (50,) * 4, "haldane"),
+        ((0.05, 0.10, 0.20, 0.30), (50,) * 4, "reject"),
+        ((0.02, 0.02, 0.02, 0.02), (50,) * 4, "haldane"),
+        # windowed chains of four or more rows against windowless analysis
+        ((0.05, 0.08, 0.12, 0.18, 0.25, 0.3), (60, 25, 45, 30, 55, 20), "smooth"),
+        ((0.05, 0.05, 0.1, 0.12, 0.15, 0.2, 0.25, 0.3), (30,) * 8, "haldane"),
     ],
-    ids=["power", "null", "power-haldane", "power-reject", "degenerate-haldane"],
+    ids=["power", "null", "power-haldane", "power-reject", "degenerate-haldane", "k5-unequal",
+         "k7"],
 )
-def test_simulate_claims_what_analyze_claims(pi, policy):
-    sc = Scenario(pi=pi, n=(50,) * 4, replicates=250, seed=5, boundary_policy=policy)
+def test_simulate_claims_what_analyze_claims(pi, n, policy):
+    sc = Scenario(pi=pi, n=n, replicates=250, seed=5, boundary_policy=policy)
     disagree = [
         rep
         for rep in range(sc.replicates)
@@ -767,14 +771,30 @@ class TestDecisionRoutes:
         triple_tail = mvn._triple_tail
         monkeypatch.setattr(mvn, "_triple_tail", lambda *a: plackett.append(a) or triple_tail(*a))
         maxt_calls = []
-        maxt_p = simulate._maxt_p
-        monkeypatch.setattr(simulate, "_maxt_p", lambda *a: maxt_calls.append(a) or maxt_p(*a))
+        maxt_p = ctp._maxt_p
+        monkeypatch.setattr(ctp, "_maxt_p", lambda *a: maxt_calls.append(a) or maxt_p(*a))
         counts = _count_chunk(Scenario(pi=(0.05, 0.1, 0.2, 0.3), n=(50,) * 4, seed=22), 0, 300)
-        assert len(maxt_calls) == 1 and len(maxt_calls[0][0]) == 2
+        # one call for Dunnett and global Williams, one for segment {0, 1, 2}
+        assert [len(families) for families, *_ in maxt_calls] == [2, 1]
         assert [R.shape[-1] for _, R in calls["_pair_tails"]] == [3, 2]
         assert [m for m, *_ in calls["_bracket"]] == [3]
         assert [nodes for *_, nodes in plackett] == [contrasts._COARSE_NODES]
         assert counts[-1] == 0  # nothing integrated
+
+    def test_the_raw_pairwise_p_is_computed_once_per_fit(self, liarozole, monkeypatch):
+        # variant P and the closure's segment {0, 1} read the same raw pairwise p
+        tables = []
+        raw = ctp.raw_pairwise_pvalues
+        monkeypatch.setattr(
+            ctp, "raw_pairwise_pvalues", lambda fit: tables.append(len(fit.eta)) or raw(fit)
+        )
+        result = closed_analysis(liarozole)
+        assert result.p_ctp_williams[0] < 1.0  # the closure reached segment {0, 1}
+        assert tables == [1]
+        sc = Scenario(pi=(0.05, 0.1, 0.2, 0.3), n=(50,) * 4, seed=22)
+        counts = _count_chunk(sc, 0, 300)
+        assert counts[2 * sc.k + 4] > 0  # C_1 claims: some tables reached segment {0, 1}
+        assert tables == [1, 300]
 
     @pytest.mark.parametrize("p", [0.0, 1.0])
     def test_closed_form_outside_its_bracket_raises(self, monkeypatch, p):
