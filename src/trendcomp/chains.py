@@ -406,28 +406,12 @@ def _cdf(c, x, s):
     return ndtr(x, out=x)
 
 
-def _walk_probability(sigma, c, table) -> np.ndarray:
-    """P(W_l < c_l for every level l) for walks of two or more levels.
+def _table_walk(sigma, c) -> np.ndarray:
+    """P(W_l < c_l for every level l) for walks of two or more levels of one table.
 
     ``c`` has one row of thresholds per level and one column per batch
-    entry.  ``sigma`` holds one row of increment sds per table, and
-    ``table`` gives each entry's row; the entries of one table are
-    contiguous, and each table's are integrated alone
-    (:func:`_table_walk`), so no entry's value depends on the other
-    tables.
-    """
-    # the entries of table table[i] are [i, j) for consecutive cuts i, j
-    cuts = [0, *(np.flatnonzero(table[1:] != table[:-1]) + 1).tolist(), table.size]
-    out = np.empty(c.shape[1])
-    for i, j in zip(cuts[:-1], cuts[1:]):
-        out[i:j] = _table_walk(sigma[table[i]], c[:, i:j])
-    return out
-
-
-def _table_walk(sigma, c) -> np.ndarray:
-    """:func:`_walk_probability` for the entries of one table.
-
-    The first level is integrated in closed form (:func:`_level_one`).
+    entry, and ``sigma`` holds the table's increment sds.  The first
+    level is integrated in closed form (:func:`_level_one`).
     From level 1 on the density of the walk lives on Gauss-Legendre
     nodes on levels 1 .. max(1, L-2), enough of them to resolve that
     density and the increments into and out of the level: a Gaussian
@@ -517,10 +501,11 @@ def chain_maxt(chains, t_values, std_err, var_eta, table) -> np.ndarray:
     than ``_PASS_ENTRIES`` entries, one per bound and outer node, is cut
     into passes of whole tables, so its working set stays near one
     table's.  In a pass, the bounds that share an outer rule form one run
-    of equal node count.  The thresholds of every level column are built
-    at once, then each chain's factor in chain order: a
-    length-one chain is one normal CDF, a longer one a
-    :func:`_walk_probability`.  Each outer rule is summed over its run.
+    of equal node count, and each table's entries are contiguous.  The
+    thresholds of every level column are built at once, then each chain's
+    factor in chain order: a length-one chain is one normal CDF, a longer
+    one a :func:`_table_walk` per table of the pass.  Each outer rule is
+    summed over its run.
     """
     b = np.asarray(t_values, dtype=np.float64)
     se = np.asarray(std_err, dtype=np.float64)
@@ -588,14 +573,17 @@ def chain_maxt(chains, t_values, std_err, var_eta, table) -> np.ndarray:
             z.append(z_lo[sel[i:j], None] + sp * gz)
             zw.append(sp * gw * np.exp(-0.5 * z[-1] * z[-1]) * _INV_SQRT_2PI)
         tab = np.repeat(table[sel], nz)
+        # the entries of table tab[i] are [i, j) for consecutive cuts i, j
+        cuts = [0, *(np.flatnonzero(tab[1:] != tab[:-1]) + 1).tolist(), tab.size]
         x = sd0[tab] * np.concatenate([a.ravel() for a in z])
         c = (np.repeat((b[sel, None] * se[table[sel]]).T, nz, axis=1) + control * x) / scale
         inside = np.ones(x.size)
         for f, e in zip(first, first[1:]):
             if e - f == 1:
                 inside *= ndtr(c[f] / sigma[tab, f])
-            else:
-                inside *= _walk_probability(sigma[:, f:e], c[f:e], tab)
+            else:  # each table's entries are walked alone
+                for i, j in zip(cuts, cuts[1:]):
+                    inside[i:j] *= _table_walk(sigma[tab[i], f:e], c[f:e, i:j])
         end = 0
         for i, w in zip(starts, zw):
             w *= inside[end : end + w.size].reshape(w.shape)

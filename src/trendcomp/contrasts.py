@@ -12,7 +12,7 @@ multivariate normal law of the standardized contrasts with the correlation
 implied by the fit, so adjusted p-values account for the dependence among
 the comparisons.
 
-Every maxT p-value of the package comes from one function,
+Every exact maxT p-value of the package comes from one function,
 :func:`_maxt_p`, over a table axis and a list of families.  Its callers
 are :func:`contrast_test` and ``trendcomp.ctp._procedures``, the one
 composition of Dunnett, Williams and the two closed tests, which
@@ -20,14 +20,13 @@ composition of Dunnett, Williams and the two closed tests, which
 :mod:`trendcomp.simulate` run.  ``contrast_test`` and
 ``closed_analysis`` build their :class:`TestReport` by one helper,
 :func:`_report`.  ``_maxt_p`` is the only place that
-composes the evaluators of :mod:`trendcomp.mvn` and
+composes the exact evaluators of :mod:`trendcomp.mvn` and
 :mod:`trendcomp.chains`, and its docstring states once how a bound is
 settled, evaluated, checked and clipped.  A family reaches it as its
 statistics, standard errors and group variances.  The correlation, which
-only the pair tails and quasi-Monte Carlo read, is formed there for just
-the bounds that the sandwich leaves open, by the helper
-:func:`contrast_moments` uses, so it is the same float; no other module
-forms one for a maxT call.
+only the pair tails read, is formed there for just the bounds that the
+sandwich leaves open, by the helper :func:`contrast_moments` uses, so it
+is the same float; no other module forms one for a maxT call.
 
 The route of a family comes from its number of rows and then from
 :attr:`ContrastMatrix.chains`, found once per matrix from its
@@ -39,11 +38,14 @@ have a closed form, within 1e-12 of nested ``quad`` oracles
 chains.  A larger family with chain structure (see
 :mod:`trendcomp.chains`), which covers many-to-one, Williams and so
 every closed-test segment, gets the exact quadrature of
-:func:`trendcomp.chains.chain_maxt`, with error below 1e-9.  Only the
-route of any other family, randomized quasi-Monte Carlo at the default
-tolerance of :mod:`trendcomp.mvn`, validates the correlation, through
-:class:`trendcomp.mvn.MvnSpec`; the others take it as built from group
-variances, positive semidefinite by construction.
+:func:`trendcomp.chains.chain_maxt`, with error below 1e-9.  Those are
+the routes of ``_maxt_p``.  A family of four or more rows without
+chains can reach only :func:`contrast_test`, which sends it to
+:func:`trendcomp.mvn.adjust_maxt`: randomized quasi-Monte Carlo at the
+default tolerance of :mod:`trendcomp.mvn`.  Only that route validates
+the correlation, through :class:`trendcomp.mvn.MvnSpec`; the exact
+routes take it as built from group variances, positive semidefinite by
+construction.
 """
 
 from __future__ import annotations
@@ -62,10 +64,9 @@ from .mvn import (
     CorrelationError,
     MvnSpec,
     _bracket,
-    _child_seed,
     _inclusion_exclusion,
     _pair_tails,
-    mvn_upper_orthant_complement,
+    adjust_maxt,
 )
 
 __all__ = [
@@ -262,7 +263,8 @@ class TestReport:
 def _maxt_p(families, lo=-np.inf, hi=np.inf, routes=None) -> list:
     """maxT-adjusted p-values of several families, exact wherever they may lie in [lo, hi].
 
-    Each family is a tuple ``(contrasts, t, std_err, var_eta)``; one p
+    Each family is a tuple ``(contrasts, t, std_err, var_eta)``, and every
+    family of four or more rows has :attr:`~ContrastMatrix.chains`; one p
     array per family is returned, shaped like its ``t``.  Row r of ``t``
     holds bounds of table r, whose contrast standard errors and group
     variances are row r of ``std_err`` and ``var_eta``; ``lo`` and ``hi``
@@ -300,18 +302,13 @@ def _maxt_p(families, lo=-np.inf, hi=np.inf, routes=None) -> list:
        rest take the 64-node call.  Without a window, or under [lo, inf),
        three rows take the 64-node call alone, as a coarse value could
        settle little there.  With more rows, each family's run of the set
-       takes it from one :func:`chain_maxt` call over all its tables if
-       the family has :attr:`~ContrastMatrix.chains`, and otherwise from
-       one :func:`mvn_upper_orthant_complement` call per bound, on its
-       table's correlation, formed for the run, validated by
-       :class:`MvnSpec`, and seeded with child c of seed 0 for a bound in
-       column c of ``t``, as :func:`trendcomp.mvn.adjust_maxt` seeds
-       statistic c.
+       takes it from one :func:`chain_maxt` call over all its tables.
     4. One check over the set: a tail more than ``_MARGIN``, or a coarse
        value that settled its bound more than ``_MARGIN +
        _COARSE_MARGIN``, outside its step-2 bracket raises
-       :class:`ContrastError`, which names the route of that bound.  One
-       clip then puts every tail into [p_raw, min(1, m p_raw)].
+       :class:`ContrastError`, which names the set's route, closed form
+       or quadrature.  One clip then puts every tail into [p_raw, min(1,
+       m p_raw)].
 
     Each evaluator computes a bound's floats apart from the other
     families' bounds in its set, so every p is bitwise that of a call on
@@ -388,14 +385,7 @@ def _maxt_p(families, lo=-np.inf, hi=np.inf, routes=None) -> list:
                 # the family's run of the set: the bounds placed in its block of flat
                 run = slice(pos.searchsorted(start), pos.searchsorted(start + t.size))
                 index = pos[run] - start
-                if contrasts.chains is None:
-                    table, column = np.divmod(index, t.shape[1])
-                    R = _correlation(contrasts.coefficients, var_eta[table], std_err[table])
-                    q[run] = [
-                        mvn_upper_orthant_complement(MvnSpec(r), b, seed=_child_seed(0, c)).value
-                        for r, c, b in zip(R, column, bound[run])
-                    ]
-                elif index.size:
+                if index.size:
                     table = index // t.shape[1]
                     q[run] = chain_maxt(contrasts.chains, bound[run], std_err, var_eta, table)
             n_integrated += bound.size
@@ -404,8 +394,7 @@ def _maxt_p(families, lo=-np.inf, hi=np.inf, routes=None) -> list:
             inside = (lower - slack <= q) & (q <= upper + slack)
             if not inside.all():
                 b = np.argmin(inside)
-                owner = [family[0] for family, _, start in group if start <= pos[b]][-1]
-                route = "closed-form" if m <= 3 else "QMC" if owner.chains is None else "quadrature"
+                route = "closed-form" if m <= 3 else "quadrature"
                 raise ContrastError(
                     f"{route} p-value {float(q[b])} at t = {float(bound[b])} lies outside "
                     f"its second-order bracket [{float(lower[b])}, {float(upper[b])}]"
@@ -420,18 +409,17 @@ def _maxt_p(families, lo=-np.inf, hi=np.inf, routes=None) -> list:
 def contrast_test(fit: ModelFit, contrasts: ContrastMatrix) -> TestReport:
     """Run a one-sided maxT test of the given contrasts on a fitted model.
 
-    The route is :func:`_maxt_p`'s.  A family of one to three rows takes
-    a closed form, exact for one or two rows.  For three, its Plackett
-    integral was within 4.4e-13 of a finer rule on stock families of
-    binomial tables, and up to 1e-9 off at near-singular Williams
-    correlations (see :func:`trendcomp.mvn._triple_tail`).  A larger
+    A family of one to three rows takes a closed form, exact for one or
+    two rows.  For three, its Plackett integral was within 4.4e-13 of a
+    finer rule on stock families of binomial tables, and up to 1e-9 off
+    at near-singular Williams correlations (see
+    :func:`trendcomp.mvn._triple_tail`).  A larger
     family with chain structure (every stock family of four or more
     rows) is integrated exactly, with error below 1e-9 (see
-    :mod:`trendcomp.chains`) and no random numbers.  Any other family is
-    integrated by quasi-Monte Carlo at the defaults of
-    :func:`trendcomp.mvn.mvn_upper_orthant_complement`;
-    its p-values are bitwise those of :func:`trendcomp.mvn.adjust_maxt`
-    at its default seed.  Only that route validates the correlation with
+    :mod:`trendcomp.chains`) and no random numbers.  Those routes are
+    :func:`_maxt_p`'s.  Any other family, of four or more rows without
+    chains, goes to :func:`trendcomp.mvn.adjust_maxt` at its defaults:
+    quasi-Monte Carlo, which alone validates the correlation with
     :class:`MvnSpec`.  More than ``MAX_DIMENSION`` contrasts raise
     :class:`CorrelationError` on every route.
     """
@@ -443,7 +431,11 @@ def contrast_test(fit: ModelFit, contrasts: ContrastMatrix) -> TestReport:
     if contrasts.n_rows > MAX_DIMENSION:
         raise CorrelationError(f"dimension {contrasts.n_rows} exceeds supported {MAX_DIMENSION}")
     est, se, t = _statistics(contrasts.coefficients, fit.eta, fit.var_eta)
-    p_adjusted = _maxt_p([(contrasts, t[None], se[None], fit.var_eta[None])])[0][0]
+    if contrasts.n_rows > 3 and contrasts.chains is None:
+        R = _correlation(contrasts.coefficients, fit.var_eta, se)
+        p_adjusted = adjust_maxt(t, MvnSpec(R))
+    else:
+        p_adjusted = _maxt_p([(contrasts, t[None], se[None], fit.var_eta[None])])[0][0]
     return _report(contrasts, est, se, t, fit.var_eta, p_adjusted)
 
 

@@ -31,10 +31,10 @@ over a leading axis of tables.  It tests the Dunnett and the global
 Williams family in one ``_maxt_p`` call, computes the raw pairwise p
 once for variant P and for segment {0, 1}, and runs the variant C
 closure, :func:`_williams_closure`, in which each lower segment is a
-one-family call.  :func:`closed_analysis` calls it on one table, with
-no significance level: the closure asks for each lower segment's p only
-above the running maximum, so a segment that cannot raise it gets no
-exact value, and the reported p is the same float.  The simulator calls
+one-family call.  :func:`closed_analysis` calls it on the fit of its
+one table, with no significance level: the closure asks for each lower
+segment's p only above the running maximum, so a segment that cannot
+raise it gets no exact value, and the reported p is the same float.  The simulator calls
 it on a chunk of replicates with alpha, which settles every maxT p
 against alpha instead.
 """
@@ -180,11 +180,11 @@ def _williams_closure(fit: ModelFit, segments, top, raw, alpha=None, routes=None
 def _procedures(fit: ModelFit, n, alpha=None, routes=None) -> tuple:
     """Dunnett, Williams and both closed-test variants on every table of ``fit``.
 
-    The one composition of the four procedures.  ``fit`` has a leading
-    table axis and ``n`` holds the group sizes.  The Dunnett and global
-    Williams families of :func:`_stock_families` take their statistics
-    from :func:`~trendcomp.contrasts._statistics` and their adjusted p
-    from one :func:`~trendcomp.contrasts._maxt_p` call.  The raw pairwise
+    The one composition of the four procedures.  ``fit`` holds one table
+    or a leading axis of them, and ``n`` holds the group sizes.  The
+    Dunnett and global Williams families of :func:`_stock_families` take
+    their statistics from :func:`~trendcomp.contrasts._statistics` and
+    their adjusted p from one :func:`~trendcomp.contrasts._maxt_p` call.  The raw pairwise
     p is computed once: variant P is its running maximum, and variant C,
     :func:`_williams_closure`, reads dose 1's value from it and starts
     from the global Williams p, the minimum over the Williams bounds.
@@ -198,23 +198,23 @@ def _procedures(fit: ModelFit, n, alpha=None, routes=None) -> tuple:
 
     Returns ``(tests, (p_d, p_w, p_pairwise, p_c))``.  ``tests`` holds
     ``(contrasts, estimate, std_err, statistic)`` of the Dunnett and the
-    global Williams family; each array has one row per table.
+    global Williams family; each array has one row per table, a fit of
+    one table included.
     """
     dunnett, segments = _stock_families(n)
     top = segments[len(n) - 1]
-    tests = [(c, *_statistics(c.coefficients, fit.eta, fit.var_eta)) for c in (dunnett, top)]
+    eta, var = (a.reshape(-1, fit.n_groups) for a in (fit.eta, fit.var_eta))
+    tests = [(c, *_statistics(c.coefficients, eta, var)) for c in (dunnett, top)]
     (_, _, se_d, t_d), (_, _, se_w, t_w) = tests
     if alpha is None:
         lo, hi = -np.inf, np.inf
     else:
         lo = hi = alpha
         t_w = np.stack([t_w[:, 0], t_w.max(axis=1)], axis=1)
-    p_d, p_w = _maxt_p(
-        [(dunnett, t_d, se_d, fit.var_eta), (top, t_w, se_w, fit.var_eta)], lo, hi, routes
-    )
-    raw = raw_pairwise_pvalues(fit)
+    p_d, p_w = _maxt_p([(dunnett, t_d, se_d, var), (top, t_w, se_w, var)], lo, hi, routes)
+    raw = raw_pairwise_pvalues(fit).reshape(p_d.shape)
     p_c = _williams_closure(fit, segments, p_w.min(axis=1), raw, alpha, routes)
-    return tests, (p_d, p_w, _running_max(raw), p_c)
+    return tests, (p_d, p_w, _running_max(raw), p_c.reshape(p_d.shape))
 
 
 @dataclass(frozen=True)
@@ -266,8 +266,7 @@ def closed_analysis(data: DoseGroupData, *, boundary_policy: str = "haldane") ->
     is taken: a claim at any level is a p-value below it.
     """
     fit = fit_saturated_logit(data, boundary_policy=boundary_policy)
-    one = ModelFit(fit.eta[None], fit.var_eta[None], fit.correction_applied[None])
-    tests, (p_d, p_w, p_p, p_c) = _procedures(one, data.n)
+    tests, (p_d, p_w, p_p, p_c) = _procedures(fit, data.n)
     dunnett_report, williams_report = (
         _report(c, est[0], se[0], t[0], fit.var_eta, p[0])
         for (c, est, se, t), p in zip(tests, (p_d, p_w))

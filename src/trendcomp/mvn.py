@@ -1,9 +1,9 @@
 """Multivariate normal rectangle probabilities and maxT-adjusted p-values.
 
 This module only evaluates.  ``trendcomp.contrasts._maxt_p`` is the one
-place that composes its pieces: it picks each family's route, and it
-checks and clips every value.  Three private pieces give closed forms
-at a common bound t, for many tables at once.  :func:`_pair_tails`
+place that composes its closed forms: it picks each family's exact
+route, and it checks and clips every value.  Three private pieces give
+closed forms at a common bound t, for many tables at once.  :func:`_pair_tails`
 computes the rows' tails and pair tails, the pair tails by Owen's T.
 From them :func:`_bracket` brackets the maxT-adjusted p-value of any
 correlation, and :func:`_inclusion_exclusion` gives the exact p-value
@@ -14,9 +14,10 @@ value, on fewer nodes, where only a decision is asked.
 Any other correlation is integrated by quasi-Monte Carlo.
 :func:`mvn_upper_orthant_complement` gives one tail and
 :func:`adjust_maxt` a family's p-values, statistic q with child q of
-``seed`` (:func:`_child_seed`).  ``_maxt_p`` seeds each bound it
-integrates by the same rule, from seed 0.  ``seed``, ``abs_tol`` and
-``max_points`` act only on this route.
+``seed`` (:func:`_child_seed`).  In the package this route is taken
+only by ``trendcomp.contrasts.contrast_test``, for a family of four or
+more rows without chains, through ``adjust_maxt`` at its defaults.
+``seed``, ``abs_tol`` and ``max_points`` act only on this route.
 
 The tail probability P(max_j T_j >= b) for T ~ N(0, R) is summed over
 first passages, P(T_i >= b, T_j < b for j < i), so the rare event leads
@@ -142,11 +143,9 @@ def _as_seed_seq(seed) -> np.random.SeedSequence:
 def _child_seed(seed, q: int) -> np.random.SeedSequence:
     """Child q of ``seed``: the seed of statistic q in :func:`adjust_maxt`.
 
-    ``contrasts._maxt_p`` seeds a bound in column q of a table's
-    statistics with child q of seed 0.  The child is the q-th that
-    ``spawn`` gives a fresh ``SeedSequence(seed)``, derived without
-    spawning, so ``seed`` is left as it was and a repeated call repeats
-    its result.
+    The child is the q-th that ``spawn`` gives a fresh
+    ``SeedSequence(seed)``, derived without spawning, so ``seed`` is left
+    as it was and a repeated call repeats its result.
     """
     seed = _as_seed_seq(seed)
     return np.random.SeedSequence(
@@ -451,7 +450,21 @@ def _inclusion_exclusion(m, t, p_raw, rho, pair, nodes=64) -> np.ndarray:
     three rows here.
     """
     triple = _triple_tail(t, rho, p_raw, pair, nodes) if m == 3 else 0.0
-    return m * p_raw - pair.sum(axis=-1) + triple
+    return m * p_raw - _total(pair) + triple
+
+
+def _total(x) -> np.ndarray:
+    """The sum of ``x`` over its last axis, added left to right.
+
+    ``np.sum`` adds in an order set by the memory layout, pairwise along a
+    contiguous axis, and the pair tails of a single bound are laid out
+    unlike those of several; added in one order, a bound's sums do not
+    depend on the bounds beside it.
+    """
+    total = np.zeros(x.shape[:-1])
+    for q in range(x.shape[-1]):
+        total += x[..., q]
+    return total
 
 
 def _bracket(m, p_raw, pair) -> tuple:
@@ -468,10 +481,10 @@ def _bracket(m, p_raw, pair) -> tuple:
     the upper bound is the exact S1 - S2.
     """
     s1 = m * p_raw
-    s2 = pair.sum(axis=-1)
+    s2 = _total(pair)
     _, _, stars, path = _pairs(m)
-    star = pair[..., stars].sum(axis=-1).max(axis=-1)
-    path = pair[..., path].sum(axis=-1)
+    star = _total(pair[..., stars]).max(axis=-1)
+    path = _total(pair[..., path])
     upper = s1 - np.maximum(star, path)
     k = 1.0 + np.floor(np.divide(2.0 * s2, s1, out=np.zeros_like(s1), where=s1 > 0.0))
     lower = np.maximum(p_raw, 2.0 * s1 / (k + 1.0) - 2.0 * s2 / (k * (k + 1.0)))

@@ -136,7 +136,7 @@ def no_qmc(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("QMC route taken")
 
-    monkeypatch.setattr(contrasts, "mvn_upper_orthant_complement", refuse)
+    monkeypatch.setattr(contrasts, "adjust_maxt", refuse)
 
 
 @pytest.fixture
@@ -464,7 +464,7 @@ def test_two_level_walk_is_the_bivariate_normal(ratio):
     cov = [[sd[0] ** 2, sd[0] ** 2], [sd[0] ** 2, sd[1] ** 2]]
     grid = [-7.5, -1.0, 0.0, 0.5, 3.0, np.inf]
     c = np.array([[a, b] for a in grid for b in grid]).T * sd[:, None]
-    p = chains._walk_probability(sigma[None], c, np.zeros(c.shape[1], dtype=np.intp))
+    p = chains._table_walk(sigma, c)
     expected = [
         multivariate_normal.cdf(pair, mean=[0.0, 0.0], cov=cov, abseps=1e-15, releps=1e-13)
         for pair in c.T
@@ -492,7 +492,7 @@ def test_walk_with_two_finite_levels_is_the_bivariate_normal(levels, finite, rat
             yield run
 
     monkeypatch.setattr(chains, "_chunks", recorded)
-    p = chains._walk_probability(sigma[None], c, np.zeros(c.shape[1], dtype=np.intp))
+    p = chains._table_walk(sigma, c)
     # more runs than the size cap alone makes: some ended on the exponent bound
     assert len(runs) > math.ceil(c.shape[1] / caps[0])
     cov = [[var[i], var[i]], [var[i], var[j]]]
@@ -536,7 +536,7 @@ def test_three_level_walk_in_several_chunks_is_the_bivariate_normal(ratio, monke
 
     monkeypatch.setattr(chains, "_KERNEL_CHUNK_ENTRIES", 1)
     monkeypatch.setattr(chains, "_chunks", recorded)
-    p = chains._walk_probability(sigma[None], c, np.zeros(c.shape[1], dtype=np.intp))
+    p = chains._table_walk(sigma, c)
     assert runs == [32, 32, 32, 12]
     expected = [
         multivariate_normal.cdf(
@@ -632,7 +632,7 @@ class TestTableAxis:
 
     def test_a_large_call_is_cut_into_passes(self, monkeypatch):
         # at the default cap, 64 tables of six bounds take several passes;
-        # a k=3 Williams family is one walk, integrated once per pass
+        # a k=3 Williams family is one walk, integrated once per table
         rng = np.random.default_rng(64)
         n = rng.integers(20, 61, size=4)
         y = rng.binomial(n, rng.uniform(0.05, 0.6, size=(64, 4)))
@@ -643,15 +643,15 @@ class TestTableAxis:
         table = np.repeat(rng.permutation(64), 6)
         bounds = stats[table, np.tile(range(6), 64)]
         walks = []
-        walk = chains._walk_probability
+        walk = chains._table_walk
 
-        def recorded(sigma, c, tab):
+        def recorded(sigma, c):
             walks.append(c.shape[1])
-            return walk(sigma, c, tab)
+            return walk(sigma, c)
 
-        monkeypatch.setattr(chains, "_walk_probability", recorded)
+        monkeypatch.setattr(chains, "_table_walk", recorded)
         p = chains.chain_maxt(cm.chains, bounds, se, var, table)
-        assert len(walks) > 1
+        assert len(walks) == 64  # each table walked once, in the pass that holds it
         for r in range(64):
             alone = one_table(cm, bounds[table == r], se[r : r + 1], var[r : r + 1])
             np.testing.assert_array_equal(p[table == r], alone)
@@ -844,14 +844,18 @@ class TestRouteSelection:
         ],
         ids=["negative-dose-weight", "overlap-not-nested", "nested-not-proportional"],
     )
-    def test_custom_families_keep_qmc(self, C, liarozole, no_exact):
+    def test_custom_families_keep_qmc(self, C, liarozole, no_exact, monkeypatch):
         # four rows each: a family of three takes the closed form whatever its structure
         fit = fit_saturated_logit(liarozole)
         cm = ContrastMatrix(names=("a", "b", "c", "d"), coefficients=C)
         assert cm.chains is None
         _, _, t, R = contrast_moments(cm.coefficients, fit.eta, fit.var_eta)
+        composed = []
+        maxt_p = contrasts._maxt_p
+        monkeypatch.setattr(contrasts, "_maxt_p", lambda *a: composed.append(a) or maxt_p(*a))
         report = contrast_test(fit, cm)
         np.testing.assert_array_equal(report.p_adjusted, adjust_maxt(t, MvnSpec(R)))
+        assert composed == []  # the exact composer is not reached
 
     def test_padded_segment_is_exact(self, liarozole, no_qmc):
         fit = fit_saturated_logit(liarozole)

@@ -1,5 +1,4 @@
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -215,7 +214,7 @@ class TestContrastTest:
 )
 def test_two_rows_are_the_bivariate_normal_tail(cm, var, rho, monkeypatch):
     # P(max >= b) = 2 P(T > b) - P(T_1 < -b, T_2 < -b), with no quadrature and no warning
-    for name in ("chain_maxt", "mvn_upper_orthant_complement"):
+    for name in ("chain_maxt", "adjust_maxt"):
         monkeypatch.setattr(contrasts, name, None)
     var = np.array(var)
     _, se, _, R = contrast_moments(cm.coefficients, np.zeros(3), var)
@@ -304,20 +303,13 @@ def test_a_call_without_tables_returns_no_p_and_counts_no_route(k):
     assert p.shape == (0, k) and routes.tolist() == [0, 0, 0]
 
 
-# four rows over overlapping, not nested, dose sets: no chains, so the QMC route
-QMC_FAMILY = ContrastMatrix(
-    names=tuple("abcd"),
-    coefficients=[[-1, 0.5, 0.5, 0], [-1, 0, 0.5, 0.5], [-1, 0, 0, 1], [-1, 1, 0, 0]],
-)
-
-
 def mixed_families(rng, tables):
-    """Families of two, three (two of them), five and four rows over shared random tables.
+    """Families of two, three (two of them) and five (two of them) rows over shared random tables.
 
-    Each family reads the first groups of the tables; the five-row family
-    has chains and the four-row one does not.  Every family is tested at
-    all its statistics or, as the closure asks, at each table's largest,
-    at random.
+    Each family reads the first groups of the tables; the two five-row
+    families share one set of open bounds, as Dunnett and Williams do in
+    ``_procedures`` at k >= 4.  Every family is tested at all its
+    statistics or, as the closure asks, at each table's largest, at random.
     """
     n, eta, var = random_tables(rng, 5, tables)
     out = []
@@ -326,7 +318,7 @@ def mixed_families(rng, tables):
         dunnett_matrix(n[:4]),
         williams_matrix(n[:4]),
         williams_matrix(n),
-        QMC_FAMILY,
+        dunnett_matrix(n),
     ):
         g = family.n_groups
         _, se, t, _ = contrast_moments(family.coefficients, eta[:, :g], var[:, :g])
@@ -366,64 +358,21 @@ def test_one_call_over_several_families_is_one_call_per_family(seed):
         assert routes.sum() == sum(family[1].size for family in order)
 
 
-def test_qmc_route_integrates_each_open_bound_once(monkeypatch):
-    # without a window, bitwise adjust_maxt per table; with one, one QMC call
-    # per bound counted as integrated, seeded by its column, and none for a
-    # bound that the sandwich or the bracket settled
-    calls = []
-    tail = contrasts.mvn_upper_orthant_complement
-
-    def spy(spec, bound, seed):
-        calls.append((bound, seed.spawn_key))
-        return tail(spec, bound, seed=seed)
-
-    monkeypatch.setattr(contrasts, "mvn_upper_orthant_complement", spy)
-    _, eta, var = random_tables(np.random.default_rng(3), 3, 6)
-    _, se, t, R = contrast_moments(QMC_FAMILY.coefficients, eta, var)
-    family = (QMC_FAMILY, t, se, var)
-    (exact,) = contrasts._maxt_p([family])
-    whole = [mvn.adjust_maxt(row, mvn.MvnSpec(r)) for row, r in zip(t, R)]
-    assert exact.tobytes() == np.array(whole).tobytes()
-    assert len(calls) == t.size
-    p_raw = ndtr(-t)
-    lower, upper = bracket(t, R)
-    column = np.broadcast_to(np.arange(4), t.shape)
-    margin = contrasts._MARGIN
-    settled = [0, 0]
-    for lo, hi in [(0.05, 0.05), (0.2, 0.2), (0.01, np.inf)]:
-        calls.clear()
-        routes = np.zeros(3, dtype=np.int64)
-        (got,) = contrasts._maxt_p([family], lo, hi, routes)
-        sandwich = (4.0 * p_raw < lo) | (p_raw >= hi)
-        bracketed = ~sandwich & ((upper < lo - margin) | (lower > hi + margin))
-        open_ = ~sandwich & ~bracketed
-        assert sorted(calls) == sorted(zip(t[open_], ((int(c),) for c in column[open_])))
-        assert routes.tolist() == [sandwich.sum(), bracketed.sum(), open_.sum()]
-        assert got[open_].tobytes() == exact[open_].tobytes()
-        settled[0] += sandwich.sum()
-        settled[1] += bracketed.sum()
-    assert min(settled) > 0
-
-
 @pytest.mark.parametrize(
     "name, outside, route",
-    [
-        ("chain_maxt", lambda chains, t, *args: np.full(t.shape, 2.0), "quadrature"),
-        ("mvn_upper_orthant_complement", lambda *args, seed: SimpleNamespace(value=2.0), "QMC"),
-    ],
-    ids=["quadrature", "QMC"],
+    [("chain_maxt", lambda chains, t, *args: np.full(t.shape, 2.0), "quadrature")],
+    ids=["quadrature"],
 )
 def test_a_tail_outside_its_bracket_names_its_own_route(name, outside, route, monkeypatch):
-    # a chain family and a family without chains of four rows share one set of
-    # open bounds; whichever family comes last, the error names the faulty route
+    # two chain families of four rows share one set of open bounds; whichever
+    # family comes last, the error names the faulty route
     monkeypatch.setattr(contrasts, name, outside)
     n, eta, var = random_tables(np.random.default_rng(6), 4, 3)
     families = []
-    for family in (williams_matrix(n), QMC_FAMILY):
-        g = family.n_groups
-        _, se, t, _ = contrast_moments(family.coefficients, eta[:, :g], var[:, :g])
-        families.append((family, t.max(axis=1, keepdims=True), se, var[:, :g]))
-    assert families[0][0].chains is not None and QMC_FAMILY.chains is None
+    for family in (williams_matrix(n), dunnett_matrix(n)):
+        _, se, t, _ = contrast_moments(family.coefficients, eta, var)
+        families.append((family, t.max(axis=1, keepdims=True), se, var))
+    assert all(family[0].chains is not None for family in families)
     for order in (families, families[::-1]):
         # [0, 1] leaves every bound open, so each one is evaluated and checked
         with pytest.raises(ContrastError, match=f"^{route} p-value ") as error:
@@ -461,9 +410,9 @@ def test_pair_tails_run_once_per_row_count(windowed, monkeypatch):
     contrasts._maxt_p(families, *window)
     rows = [a[1].shape[-1] for a, _ in calls["_pair_tails"]]
     assert len(rows) == len(set(rows))
-    # the chain family of five rows and the QMC family of four take pair tails for the bracket only
-    assert set(rows) == ({2, 3, 4, 5} if windowed else {2, 3})
-    assert sorted(m for m, *_ in brackets) == ([3, 4, 5] if windowed else [])
+    # the chain families of five rows take pair tails for the bracket only
+    assert set(rows) == ({2, 3, 5} if windowed else {2, 3})
+    assert sorted(m for m, *_ in brackets) == ([3, 5] if windowed else [])
     margin = contrasts._MARGIN
     settled = {
         m

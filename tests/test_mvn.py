@@ -241,6 +241,19 @@ class TestMaxtBounds:
         slack = tail.error + 1e-6
         assert lower[0] - slack <= tail.value <= upper[0] + slack
 
+    @pytest.mark.parametrize("m", [5, 8, 12])
+    def test_a_set_brackets_each_bound_as_alone(self, m):
+        # one bound's pair tails are laid out unlike those of a set, and their
+        # sums add in one order, so a bracket does not depend on the set
+        rng = np.random.default_rng(m)
+        R = np.array([random_correlation(rng, m) for _ in range(16)])
+        t = rng.uniform(0.5, 3.5, size=(16, 1))
+        lower, upper = bracket(t, R)
+        for r in range(16):
+            alone = bracket(t[r : r + 1], R[r : r + 1])
+            assert alone[0].tobytes() == lower[r : r + 1].tobytes()
+            assert alone[1].tobytes() == upper[r : r + 1].tobytes()
+
     def test_opposite_rows_have_the_exact_tail(self):
         # rho = -1: T_2 = -T_1, so P(max >= t) is 2 Phi(-t) for t > 0 and 1 for t <= 0
         t = np.array([[-1.3, -0.2, 0.0, 0.4, 2.5]])

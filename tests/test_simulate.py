@@ -786,7 +786,9 @@ class TestDecisionRoutes:
         tables = []
         raw = ctp.raw_pairwise_pvalues
         monkeypatch.setattr(
-            ctp, "raw_pairwise_pvalues", lambda fit: tables.append(len(fit.eta)) or raw(fit)
+            ctp,
+            "raw_pairwise_pvalues",
+            lambda fit: tables.append(fit.eta.size // fit.n_groups) or raw(fit),
         )
         result = closed_analysis(liarozole)
         assert result.p_ctp_williams[0] < 1.0  # the closure reached segment {0, 1}
