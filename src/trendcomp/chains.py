@@ -28,11 +28,14 @@ three levels, with one Gaussian kernel between consecutive noded levels,
 and a walk of three or more levels is closed with a normal CDF; so a walk
 of two or three levels builds no kernel.  Every walk is integrated for a
 chunk of batch entries at once: every entry's nodes on a level span the
-chunk's widest range, ending at the entry's own threshold, so the
-Gaussian kernel between two levels differs from entry to entry only by a
-shift.  Factoring that shift out of the exponent leaves one kernel
-matrix shared by the chunk and a vector of factors per entry on either
-side, and each step is one matrix product.  The outer integral runs only
+chunk's widest range, ending at the entry's own threshold.  So every
+exponent of the integrand splits into a term of the entry, terms linear
+in the nodes and a term of the nodes alone.  The chunk carries one
+array of entries by nodes: each level multiplies it by exp of its
+linear terms, one outer product, each kernel is one matrix product with
+a matrix of node terms that the chunk shares, and the entry terms are
+one log scale per entry, applied once to the entry's sum
+(:func:`_table_walk`).  The outer integral runs only
 over the control values where some row is neither almost sure to fail
 nor almost sure to hold; above that band the integrand is the normal
 density alone and is integrated in closed form.
@@ -118,9 +121,15 @@ _PASS_ENTRIES = 1 << 11
 # CPU busy, against 0.08 ms in blocks.
 _CHUNK_ENTRIES = 1 << 17
 # The largest exponent of a factored kernel's per-entry factors: e^400 is
-# far from overflow at e^709, and where the shared kernel matrix
-# underflows at e^-745 the true kernel is below e^-345.
+# far from overflow at e^709.
 _MAX_EXPONENT = 400.0
+# An entry of a shared kernel matrix below e^-500 is set to exactly 0,
+# where the true kernel is below e^(400 - 500).  NumPy's exp is 10-90
+# times slower on arguments that underflow, and a BLAS product over 100
+# times slower on subnormal numbers, than on normal ones.
+_KERNEL_FLOOR = 500.0
+# SciPy's ndtr returns exactly 1.0 from 8.2924 on
+_NDTR_ONE = 8.3
 _PROPORTIONAL_RTOL = 1e-9
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -187,8 +196,10 @@ def chain_structure(coefficients) -> Chains | None:
     for r, (top, cols) in enumerate(zip(widest, support)):
         w, v = W[r, cols], W[top, cols]
         scale[r] = w @ v / (v @ v)
-        if (np.abs(w - scale[r] * v) > _PROPORTIONAL_RTOL * w).any():
-            return None
+    # on its support, each row is its scale times its chain's widest row
+    off = np.abs(W - scale[:, None] * W[list(widest)]) > _PROPORTIONAL_RTOL * W
+    if (off & (W > 0.0)).any():
+        return None
     # rows sharing a level are multiples of its first row, control included
     ratio = -C[:, 0] / scale
     if (np.abs(ratio - ratio[level_rows[col]]) > _PROPORTIONAL_RTOL * ratio).any():
@@ -284,12 +295,6 @@ def _gauss_legendre(n: int):
     return x, w
 
 
-def _nodes(n: int, lo, width):
-    """Gauss-Legendre nodes and weights on [lo, lo + width], per batch entry or shared."""
-    x, w = _gauss_legendre(n)
-    return lo + width * x, width * w
-
-
 def _chunks(order, top, reach, sigma, size):
     """Runs of ``order``, at most ``size`` entries each, that can share kernels.
 
@@ -313,44 +318,6 @@ def _chunks(order, top, reach, sigma, size):
                 idx = idx[: max(1, int(np.argmin(fits)))]
         yield idx
         start += idx.size
-
-
-def _kernel_step(mass, sd, n_in, r_in, n_out, r_out, offset):
-    """Carry a chunk's ``mass`` through a Gaussian kernel of sd ``sd``.
-
-    Entry b has nodes lo_b + r_in x_j on the level below, the Gauss-Legendre
-    rule of ``n_in`` nodes, and lo_b + offset_b + r_out x_i on this level,
-    the rule of ``n_out`` nodes, so the kernel's argument is
-    offset_b + r_out x_i - r_in x_j.  Write offset_b = r + e_b and
-    D_ij = r + r_out x_i - r_in x_j: the kernel factors as
-
-        exp(-(e_b + D_ij)^2 / 2 sd^2) = exp(-D_ij^2 / 2 sd^2)
-            * exp(-e_b (r + e_b / 2 + r_out x_i) / sd^2)
-            * exp(e_b r_in x_j / sd^2),
-
-    one matrix shared by the chunk and a vector of factors per entry on
-    either side of it, so the step is one matrix product.  The reference
-    r is the point of the offsets nearest 0, which keeps the constant
-    factor exp((r^2 - offset_b^2) / 2 sd^2) at most 1; :func:`_chunks`
-    keeps the others within e^+-``_MAX_EXPONENT``.  The product runs in
-    blocks of rows that cover at most ``_CHUNK_ENTRIES`` kernel entries.
-    Scales ``mass`` in place and returns the mass on this level's nodes,
-    times their weights.
-    """
-    x_in = _gauss_legendre(n_in)[0]
-    x_out, w_out = _gauss_legendre(n_out)
-    ref = min(max(0.0, offset.min()), offset.max())
-    kernel = np.subtract.outer(r_in * x_in / sd, (ref + r_out * x_out) / sd)
-    kernel *= kernel
-    kernel *= -0.5
-    np.exp(kernel, out=kernel)
-    kernel *= _INV_SQRT_2PI / sd
-    e = (offset - ref)[:, None] / (sd * sd)
-    mass *= np.exp(e * (r_in * x_in))
-    rows = max(1, _CHUNK_ENTRIES // kernel.size)
-    mass = np.concatenate([mass[i : i + rows] @ kernel for i in range(0, mass.shape[0], rows)])
-    mass *= (r_out * w_out) * np.exp(-e * (0.5 * (ref + offset)[:, None] + r_out * x_out))
-    return mass
 
 
 def _level_rules(sigma):
@@ -379,31 +346,18 @@ def _level_rules(sigma):
     return var, _TAIL_SD * np.sqrt(var), per_unit
 
 
-def _level_one(u, w, c0, var, sigma):
-    """The mass of a walk on level-1 nodes ``u`` with weights ``w``.
+def _times_cdf(mass, alpha, beta, x):
+    """Scale ``mass`` in place by Phi(alpha_b - beta x_j), with ``beta`` >= 0.
 
-    Given W_1 = u, W_0 is normal with mean a u and sd s, so the mass is
-    the density of W_1 times P(W_0 < ``c0`` | W_1 = u), one normal CDF.
-    ``var`` and ``sigma`` hold the walk's level variances and increment
-    sds.
+    Along a row the arguments fall, and ``ndtr`` is exactly 1.0 from
+    ``_NDTR_ONE`` on, so it runs only from the first column where some
+    entry's argument is below that.
     """
-    a = var[0] / var[1]
-    s = sigma[0] * sigma[1] / np.sqrt(var[1])
-    mass = -0.5 * u
-    mass *= u
-    mass /= var[1]
-    np.exp(mass, out=mass)
-    mass *= w
-    mass *= _INV_SQRT_2PI / np.sqrt(var[1])
-    mass *= _cdf(c0, a * u, s)
-    return mass
-
-
-def _cdf(c, x, s):
-    """Phi((c - x) / s), computed in place in ``x``, which it overwrites."""
-    np.subtract(c, x, out=x)
-    x /= s
-    return ndtr(x, out=x)
+    fall = beta * x
+    start = np.searchsorted(fall, alpha.min() - _NDTR_ONE, side="right")
+    if start < x.size:
+        arg = np.subtract.outer(alpha, fall[start:])
+        mass[:, start:] *= ndtr(arg, out=arg)
 
 
 def _table_walk(sigma, c) -> np.ndarray:
@@ -411,22 +365,44 @@ def _table_walk(sigma, c) -> np.ndarray:
 
     ``c`` has one row of thresholds per level and one column per batch
     entry, and ``sigma`` holds the table's increment sds.  The first
-    level is integrated in closed form (:func:`_level_one`).
-    From level 1 on the density of the walk lives on Gauss-Legendre
-    nodes on levels 1 .. max(1, L-2), enough of them to resolve that
-    density and the increments into and out of the level: a Gaussian
-    kernel at ``_DENSITY_NODES_PER_SD`` per sd, a normal CDF factor at
-    ``_NODES_PER_SD``.  A Gaussian kernel carries the mass from one noded
-    level to the next, and a walk of three or more levels is closed with
-    a normal CDF on the last noded level's nodes; in a walk of two levels
-    level 1 is the last.
+    level is integrated in closed form: given W_1 = u, W_0 is normal
+    with mean a u and sd s, so level 1 carries the density of W_1 times
+    one normal CDF.  From level 1 on the density of the walk lives on
+    Gauss-Legendre nodes on levels 1 .. max(1, L-2), enough of them to
+    resolve that density and the increments into and out of the level:
+    a Gaussian kernel at ``_DENSITY_NODES_PER_SD`` per sd, a normal CDF
+    factor at ``_NODES_PER_SD``.  A Gaussian kernel carries the mass
+    from one noded level to the next, and a walk of three or more levels
+    is closed with a normal CDF on the last noded level's nodes; in a
+    walk of two levels level 1 is the last.
 
     The entries are taken in chunks of similar last thresholds.  Every
     entry of a chunk gets the chunk's widest range on each level, ending
-    at its own threshold, with the nodes that range needs, so a kernel
-    differs between entries only by a shift and the chunk shares one
-    kernel matrix (:func:`_kernel_step`).  :func:`_chunks` ends a chunk
-    before the shifts spread too far for that.
+    at its own threshold, with the nodes that range needs: entry b has
+    nodes lo_b + W x_j, with x_j the rule on [0, 1].  So every exponent
+    of the integrand, level 1's density -(lo_b + W x_j)^2 / 2 v_1 and
+    each kernel's -(offset_b + W' x_i - W x_j)^2 / 2 sd^2, splits into a
+    term of the entry alone, terms linear in each node and a term of the
+    nodes alone.  A kernel's offsets are written offset_b = r + e_b,
+    with r the point of the chunk's offsets nearest 0, so its entry term
+    -e_b (r + e_b / 2) / sd^2 is at most 0.  The node terms, the
+    weights and widths of the rules and the kernels' 1 / (sd sqrt(2 pi))
+    form one matrix per kernel, shared by the chunk; the linear terms of
+    a level sum to one slope s_b per entry, and the entry terms to one
+    log scale per entry.  The chunk carries one entries-by-nodes array:
+    level l's factor exp(s_b (x_j - 1/2)) is one outer product, a CDF
+    factor Phi(alpha_b - beta x_j) one outer subtraction
+    (:func:`_times_cdf`), and a kernel one matrix product, in blocks of
+    rows that cover at most ``_CHUNK_ENTRIES`` kernel entries.  Each
+    entry's sum over the last level's weights is scaled once by the exp
+    of its log scale, which holds the s_b / 2 the centred factors leave
+    out.  Level 1's own linear term -lo_b W x_j / v_1 is at most 294 in
+    size, as lo_b >= -21 and W <= 14 sds of W_1, and :func:`_chunks`
+    ends a chunk before a kernel's linear terms could leave
+    e^+-``_MAX_EXPONENT``; so every centred factor stays inside
+    e^+-``_MAX_EXPONENT``, and an entry of a shared kernel matrix below
+    e^-``_KERNEL_FLOOR``, set to 0, stands for a true kernel below
+    e^-100.
     """
     L = sigma.size
     var, spread, per_unit = _level_rules(sigma)
@@ -440,20 +416,59 @@ def _table_walk(sigma, c) -> np.ndarray:
     order = np.argsort(c[-1], kind="stable")
     out = np.empty(c.shape[1])
     size = max(_MIN_KERNEL_CHUNK, _KERNEL_CHUNK_ENTRIES // max(full))
+    # given W_1 = u, W_0 is normal with mean a u and sd s0
+    a = var[0] / var[1]
+    s0 = sigma[0] * sigma[1] / math.sqrt(var[1])
     for idx in _chunks(order, top, reach, sigma[2:-1], size):
         width = reach[:, idx].max(axis=1)
         n = [_node_count(width[i] * per_unit[i]) for i in range(last)]
         # the widest range of each level, shared by the chunk
         lo = top[:, idx] - width[:, None]
-        u, w = _nodes(n[0], lo[0][:, None], width[0])
-        mass = _level_one(u, w, c[0, idx][:, None], var, sigma)
-        for i in range(1, last):  # the kernel into level i + 1
-            offset = lo[i] - lo[i - 1]
-            mass = _kernel_step(mass, sigma[i + 1], n[i - 1], width[i - 1], n[i], width[i], offset)
-        if L > 2:  # the closing CDF, on the last noded level's nodes
-            u = _nodes(n[-1], lo[-1][:, None], width[-1])[0]
-            mass *= _cdf(c[L - 1, idx][:, None], u, sigma[L - 1])
-        out[idx] = np.sum(mass, axis=1)
+        x, w = _gauss_legendre(n[0])
+        # level 1's density exponent -(lo + W x)^2 / 2 v_1: the entry term in
+        # the log scale, the linear term in the slope, the node term in the weights
+        scale = lo[0] * lo[0] / (-2.0 * var[1])
+        slope = lo[0] * (-width[0] / var[1])
+        weight = w * np.exp((width[0] * x) ** 2 / (-2.0 * var[1]))
+        weight *= width[0] * _INV_SQRT_2PI / math.sqrt(var[1])
+        for i in range(last):  # noded level i + 1
+            if i + 1 < last:  # the kernel into level i + 2, of sd sigma[i + 2]
+                sd = sigma[i + 2]
+                offset = lo[i + 1] - lo[i]
+                ref = min(max(0.0, offset.min()), offset.max())
+                e = (offset - ref) / (sd * sd)
+                scale -= e * (ref + 0.5 * (offset - ref))
+                slope += e * width[i]  # the kernel's linear term in this level's nodes
+            factor = np.multiply.outer(slope, x - 0.5)
+            np.exp(factor, out=factor)
+            scale += 0.5 * slope
+            if i:
+                mass *= factor
+            else:  # level 1's normal CDF
+                mass = factor
+                _times_cdf(mass, (c[0, idx] - a * lo[0]) / s0, a * width[0] / s0, x)
+            if i + 1 == last:
+                if L > 2:  # the closing CDF, on the last noded level's nodes
+                    alpha = (c[L - 1, idx] - lo[i]) / sigma[L - 1]
+                    _times_cdf(mass, alpha, width[i] / sigma[L - 1], x)
+                break
+            x_out, w_out = _gauss_legendre(n[i + 1])
+            kernel = np.subtract.outer(width[i] * x / sd, (ref + width[i + 1] * x_out) / sd)
+            kernel *= kernel
+            kernel *= -0.5
+            # entries of e^-_KERNEL_FLOOR and below become exactly 0
+            np.maximum(kernel, -_KERNEL_FLOOR, out=kernel)
+            np.exp(kernel, out=kernel)
+            kernel -= math.exp(-_KERNEL_FLOOR)
+            kernel *= (weight * (_INV_SQRT_2PI / sd))[:, None]
+            rows = max(1, _CHUNK_ENTRIES // kernel.size)
+            carried = np.empty((mass.shape[0], x_out.size))
+            for r in range(0, mass.shape[0], rows):
+                np.matmul(mass[r : r + rows], kernel, out=carried[r : r + rows])
+            del kernel  # up to 128 MB near the node cap; freed before the next is built
+            mass, x, weight = carried, x_out, width[i + 1] * w_out
+            slope = e * -width[i + 1]  # and in the next level's
+        out[idx] = (mass @ weight) * np.exp(scale)
     return out
 
 
@@ -503,9 +518,9 @@ def chain_maxt(chains, t_values, std_err, var_eta, table) -> np.ndarray:
     table's.  In a pass, the bounds that share an outer rule form one run
     of equal node count, and each table's entries are contiguous.  The
     thresholds of every level column are built at once, then each chain's
-    factor in chain order: a length-one chain is one normal CDF, a longer
-    one a :func:`_table_walk` per table of the pass.  Each outer rule is
-    summed over its run.
+    factor in chain order: a length-one chain is one normal CDF, all of
+    them from one ``ndtr`` call, a longer one a :func:`_table_walk` per
+    table of the pass.  Each outer rule is summed over its run.
     """
     b = np.asarray(t_values, dtype=np.float64)
     se = np.asarray(std_err, dtype=np.float64)
@@ -521,9 +536,9 @@ def chain_maxt(chains, t_values, std_err, var_eta, table) -> np.ndarray:
         repeat = np.array([slot.setdefault(key, len(slot)) for key in keys])
         once = np.unique(repeat, return_index=True)[1]
         b, table = b[once], table[once]
-    # only the tables with a bound, renumbered in order
     present = np.bincount(table, minlength=len(se)) > 0
-    se, v, table = se[present], v[present], (np.cumsum(present) - 1)[table]
+    if not present.all():  # only the tables with a bound, renumbered in order
+        se, v, table = se[present], v[present], (np.cumsum(present) - 1)[table]
     sd0 = np.sqrt(v[:, 0])
     first, control, scale = chains.first, chains.control, chains.scale
     sigma = np.sqrt((chains.increments * v[:, None, 1:]).sum(axis=-1))
@@ -532,12 +547,13 @@ def chain_maxt(chains, t_values, std_err, var_eta, table) -> np.ndarray:
         if e - f > 1:
             level_var[:, f:e] = level_var[:, f:e].cumsum(axis=1)
     # z-scale over which level column l's constraint switches on
-    level_width = scale * np.sqrt(level_var) / (control * sd0[:, None])
+    control_sd = control * sd0[:, None]
+    level_width = scale * np.sqrt(level_var) / control_sd
 
     # Outer range: below z_lo some level holds with probability < _EPS, so the
     # integrand is negligible; above z_hi every row holds with probability
     # > 1 - _EPS / m, so the integrand is the normal density alone.
-    shift = b[:, None] * (se / (control * sd0[:, None]))[table]
+    shift = b[:, None] * (se / control_sd)[table]
     width = level_width[table]
     z_lo = (_Q_LO * width - shift).max(axis=1)
     z_hi = (-ndtri(_EPS / m) * width - shift).max(axis=1)
@@ -547,22 +563,28 @@ def chain_maxt(chains, t_values, std_err, var_eta, table) -> np.ndarray:
     widest = np.zeros(len(se))
     np.maximum.at(widest, table, span)
     unit = np.minimum(1.0, level_width.min(axis=1))
-    n_z = np.array([_node_count(_OUTER_NODES_PER_SD * s / u) for s, u in zip(widest, unit)])
+    n_z = np.array(
+        [_node_count(_OUTER_NODES_PER_SD * s / u) for s, u in zip(widest.tolist(), unit.tolist())]
+    )
 
     # Bounds sorted by outer rule, then by table, so a rule's bounds and a
     # table's are consecutive.  A call of more than _PASS_ENTRIES entries,
     # one per bound and outer node, is cut into passes of whole tables: with
     # e the entries before a table, the table goes to pass e // _PASS_ENTRIES.
     order = np.lexsort((table, n_z[table]))
-    nz = n_z[table[order]]
+    nz_all = n_z[table[order]]
     cuts = []
-    if nz.sum() > _PASS_ENTRIES:
+    if nz_all.sum() > _PASS_ENTRIES:
         heads = np.flatnonzero(np.r_[True, np.diff(table[order]) != 0])
-        filled = (np.cumsum(nz) - nz)[heads] // _PASS_ENTRIES
-        cuts = heads[1:][filled[1:] != filled[:-1]]
+        filled = (np.cumsum(nz_all) - nz_all)[heads] // _PASS_ENTRIES
+        cuts = heads[1:][filled[1:] != filled[:-1]].tolist()
+    # the level columns of the length-one chains, each one normal CDF
+    single = [f for f, e in zip(first, first[1:]) if e - f == 1]
     control, scale = control[:, None], scale[:, None]
     lower = ndtr(-z_hi)
-    for sel, nz in zip(np.split(order, cuts), np.split(nz, cuts)):
+    passes = [0, *cuts, order.size]
+    for lo, hi in zip(passes, passes[1:]):
+        sel, nz = order[lo:hi], nz_all[lo:hi]
         # the pass's runs of bounds that share an outer rule, each bound with
         # a row of entries, one per node
         starts = [0, *(np.flatnonzero(nz[1:] != nz[:-1]) + 1).tolist()]
@@ -573,16 +595,17 @@ def chain_maxt(chains, t_values, std_err, var_eta, table) -> np.ndarray:
             z.append(z_lo[sel[i:j], None] + sp * gz)
             zw.append(sp * gw * np.exp(-0.5 * z[-1] * z[-1]) * _INV_SQRT_2PI)
         tab = np.repeat(table[sel], nz)
-        # the entries of table tab[i] are [i, j) for consecutive cuts i, j
-        cuts = [0, *(np.flatnonzero(tab[1:] != tab[:-1]) + 1).tolist(), tab.size]
+        # the entries of table tab[i] are [i, j) for consecutive edges i, j
+        edges = [0, *(np.flatnonzero(tab[1:] != tab[:-1]) + 1).tolist(), tab.size]
         x = sd0[tab] * np.concatenate([a.ravel() for a in z])
         c = (np.repeat((b[sel, None] * se[table[sel]]).T, nz, axis=1) + control * x) / scale
+        cdf = iter(ndtr(c[single] / sigma[:, single][tab].T))
         inside = np.ones(x.size)
         for f, e in zip(first, first[1:]):
             if e - f == 1:
-                inside *= ndtr(c[f] / sigma[tab, f])
+                inside *= next(cdf)
             else:  # each table's entries are walked alone
-                for i, j in zip(cuts, cuts[1:]):
+                for i, j in zip(edges, edges[1:]):
                     inside[i:j] *= _table_walk(sigma[tab[i], f:e], c[f:e, i:j])
         end = 0
         for i, w in zip(starts, zw):

@@ -137,6 +137,15 @@ class ContrastMatrix:
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "coefficients", C)
 
+    @classmethod
+    def _built(cls, names: tuple, coefficients: np.ndarray) -> ContrastMatrix:
+        """A matrix of coefficients built here, made read-only, without the checks."""
+        cm = object.__new__(cls)
+        coefficients.setflags(write=False)
+        object.__setattr__(cm, "names", names)
+        object.__setattr__(cm, "coefficients", coefficients)
+        return cm
+
     @property
     def n_rows(self) -> int:
         return self.coefficients.shape[0]
@@ -179,20 +188,44 @@ def williams_matrix(n) -> ContrastMatrix:
     included groups.
     """
     n = np.asarray(n, dtype=np.float64)
+    return _williams_segments(n, n.size - 1)[n.size - 1]
+
+
+def _williams_segments(n, low: int) -> dict:
+    """The Williams families of groups {0..j}, by j, for j = ``low`` .. k.
+
+    Family j is :func:`williams_matrix` of ``n[: j + 1]``, all of them
+    built in one pass: the pooled totals of every segment's rows are
+    differences of one cumulative sum, exact for integer sizes, and each
+    weight n_i over its total is one division.  Sizes are checked here;
+    the coefficients built from them skip :class:`ContrastMatrix`'s
+    checks.
+    """
     k = n.size - 1
     if k < 1:
         raise ContrastError("need a control group and at least one dose group")
     if np.any(n <= 0):
         raise ContrastError("group sample sizes must be positive")
-    C = np.zeros((k, k + 1))
-    names = []
-    for q in range(1, k + 1):
-        lo = k - q + 1
-        total = n[lo:].sum()
-        C[q - 1, 0] = -1.0
-        C[q - 1, lo:] = n[lo:] / total
-        names.append(f"D{lo}:{k}-C" if lo < k else f"D{k}-C")
-    return ContrastMatrix(names=tuple(names), coefficients=C)
+    if not np.all(np.isfinite(n)):
+        raise ContrastError("group sample sizes must be finite")
+    total = np.cumsum(n)
+    # pooled[j - low, lo - 1, i - 1] = n_i / (n_lo + ... + n_j) for lo <= i <= j, else 0
+    dose = np.arange(1, k + 1)
+    top = np.arange(low, k + 1)[:, None, None]
+    pooled = np.divide(
+        n[1:],
+        (total[low:, None] - total[None, :-1])[:, :, None],
+        out=np.zeros((k - low + 1, k, k)),
+        where=(dose[:, None] <= dose) & (dose <= top),
+    )
+    families = {}
+    for j in range(low, k + 1):
+        C = np.empty((j, j + 1))
+        C[:, 0] = -1.0
+        C[:, 1:] = pooled[j - low, j - 1 :: -1, :j]
+        names = tuple(f"D{lo}:{j}-C" if lo < j else f"D{j}-C" for lo in range(j, 0, -1))
+        families[j] = ContrastMatrix._built(names, C)
+    return families
 
 
 def contrast_moments(coefficients: np.ndarray, eta: np.ndarray, var_eta: np.ndarray):
@@ -271,8 +304,13 @@ def _maxt_p(families, lo=-np.inf, hi=np.inf, routes=None) -> list:
     are numbers or arrays shaped like every family's ``t``.  Where p is
     proven below ``lo``, the value is an upper bound on p still below it;
     where p is proven at or above ``hi``, a lower bound on p at or above
-    it.  Elsewhere the value is p, bitwise that of a call without a
-    window.  The steps:
+    it.  Elsewhere the value is p.  It is bitwise that of a call without
+    a window for a family of up to three rows, and for one of four or
+    more with one bound per table.  With more, it is within 1e-12 of
+    that value and on the same side of ``lo`` and ``hi``:
+    :func:`chain_maxt` sizes a table's outer rule and walk chunks from
+    the bounds it is given, so a window that settles some of a table's
+    bounds can move the last bits of the others.  The steps:
 
     1. Per family, the sandwich p_raw <= p <= m p_raw settles a bound
        with m p_raw < lo or p_raw >= hi.  One row is its raw normal tail,
@@ -431,21 +469,25 @@ def contrast_test(fit: ModelFit, contrasts: ContrastMatrix) -> TestReport:
     if contrasts.n_rows > MAX_DIMENSION:
         raise CorrelationError(f"dimension {contrasts.n_rows} exceeds supported {MAX_DIMENSION}")
     est, se, t = _statistics(contrasts.coefficients, fit.eta, fit.var_eta)
+    R = None
     if contrasts.n_rows > 3 and contrasts.chains is None:
         R = _correlation(contrasts.coefficients, fit.var_eta, se)
         p_adjusted = adjust_maxt(t, MvnSpec(R))
     else:
         p_adjusted = _maxt_p([(contrasts, t[None], se[None], fit.var_eta[None])])[0][0]
-    return _report(contrasts, est, se, t, fit.var_eta, p_adjusted)
+    return _report(contrasts, est, se, t, fit.var_eta, p_adjusted, R)
 
 
-def _report(contrasts, estimate, std_err, statistic, var_eta, p_adjusted) -> TestReport:
+def _report(
+    contrasts, estimate, std_err, statistic, var_eta, p_adjusted, R=None
+) -> TestReport:
     """The read-only :class:`TestReport` of one table's statistics and adjusted p.
 
-    The correlation is :func:`contrast_moments`'s, formed from the group
-    variances ``var_eta`` and ``std_err``.
+    The correlation ``R`` is :func:`contrast_moments`'s; unless given, it
+    is formed here from the group variances ``var_eta`` and ``std_err``.
     """
-    R = _correlation(contrasts.coefficients, var_eta, std_err)
+    if R is None:
+        R = _correlation(contrasts.coefficients, var_eta, std_err)
     p_raw = ndtr(-statistic)
     for arr in (estimate, std_err, statistic, R, p_raw, p_adjusted):
         arr.setflags(write=False)

@@ -34,7 +34,8 @@ closure, :func:`_williams_closure`, in which each lower segment is a
 one-family call.  :func:`closed_analysis` calls it on the fit of its
 one table, with no significance level: the closure asks for each lower
 segment's p only above the running maximum, so a segment that cannot
-raise it gets no exact value, and the reported p is the same float.  The simulator calls
+raise it gets no exact value, and, as a segment is asked at one bound
+per table, the reported p is the same float.  The simulator calls
 it on a chunk of replicates with alpha, which settles every maxT p
 against alpha instead.
 """
@@ -54,8 +55,8 @@ from .contrasts import (
     _maxt_p,
     _report,
     _statistics,
+    _williams_segments,
     dunnett_matrix,
-    williams_matrix,
 )
 from .data import DoseGroupData
 from .model import ModelFit, fit_saturated_logit
@@ -113,7 +114,7 @@ def _stock_families(n) -> tuple:
 @lru_cache(maxsize=64)
 def _families_of_sizes(n: tuple) -> tuple:
     k = len(n) - 1
-    segments = {j: williams_matrix(n[: j + 1]) for j in range(min(k, 2), k + 1)}
+    segments = _williams_segments(np.array(n, dtype=np.float64), min(k, 2))
     return _dunnett_of(k), MappingProxyType(segments)
 
 
@@ -191,7 +192,9 @@ def _procedures(fit: ModelFit, n, alpha=None, routes=None) -> tuple:
     Without ``alpha`` every p is exact and Williams is asked for at every
     row, as a report shows them.  With ``alpha`` every maxT p is asked
     for in [alpha, alpha], so it is below alpha exactly when the exact p
-    is, and Williams only at its top row and its largest statistic: a
+    is, but for a p within 1e-12 of alpha in a family of four or more rows
+    (see ``_maxt_p``), and Williams only at its top row and its largest
+    statistic: a
     family rejects iff its largest statistic's adjusted p is below alpha,
     so those two are the (W_top, W_any) claims.  ``routes`` collects the
     route counts of ``_maxt_p``.

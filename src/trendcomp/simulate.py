@@ -11,7 +11,10 @@ bound its sandwich leaves open.  Decisions, not p-values, are
 accumulated: every maxT p is asked for in the window [alpha, alpha], so
 each value is below alpha exactly when the p-value of
 ``closed_analysis`` on the same table is, a coarse value settling a
-bound only as far from alpha as ``_maxt_p`` requires.
+bound only as far from alpha as ``_maxt_p`` requires.  The one
+exception is a p within 1e-12 of alpha in a family of four or more
+rows: a window that settles some of a table's bounds can move the last
+bits of the others (see ``_maxt_p``).
 The Dunnett and global Williams families are decided over the whole
 chunk by one call, so at k = 3 their three-row bounds share one set of
 pair tails, one bracket and one coarse Plackett integral, and the few

@@ -548,6 +548,15 @@ def test_three_level_walk_in_several_chunks_is_the_bivariate_normal(ratio, monke
     np.testing.assert_allclose(p, expected, rtol=0, atol=1e-10)
 
 
+def test_ndtr_is_one_from_the_skip_constant_on():
+    # a walk's normal CDF factors skip the columns whose every argument is at
+    # least _NDTR_ONE, which leaves its p-values bitwise only while SciPy's
+    # ndtr rounds to exactly 1.0 there
+    grid = np.linspace(chains._NDTR_ONE, 40.0, 400_001)
+    assert np.all(ndtr(grid) == 1.0)
+    assert ndtr(np.inf) == 1.0
+
+
 @pytest.mark.parametrize("n", [16, 24, 64, 256])
 def test_gauss_legendre_rule_is_numpys(n):
     x, w = chains._gauss_legendre(n)
@@ -850,12 +859,18 @@ class TestRouteSelection:
         cm = ContrastMatrix(names=("a", "b", "c", "d"), coefficients=C)
         assert cm.chains is None
         _, _, t, R = contrast_moments(cm.coefficients, fit.eta, fit.var_eta)
-        composed = []
-        maxt_p = contrasts._maxt_p
+        composed, formed = [], []
+        maxt_p, correlation = contrasts._maxt_p, contrasts._correlation
         monkeypatch.setattr(contrasts, "_maxt_p", lambda *a: composed.append(a) or maxt_p(*a))
+        monkeypatch.setattr(
+            contrasts, "_correlation", lambda *a: formed.append(a) or correlation(*a)
+        )
         report = contrast_test(fit, cm)
         np.testing.assert_array_equal(report.p_adjusted, adjust_maxt(t, MvnSpec(R)))
         assert composed == []  # the exact composer is not reached
+        # one correlation serves MvnSpec and the report
+        assert len(formed) == 1
+        np.testing.assert_array_equal(report.correlation, R)
 
     def test_padded_segment_is_exact(self, liarozole, no_qmc):
         fit = fit_saturated_logit(liarozole)

@@ -77,6 +77,11 @@ class TestWilliamsMatrix:
         with pytest.raises(ContrastError, match="positive"):
             williams_matrix([50, 0, 50])
 
+    @pytest.mark.parametrize("n", [[50, np.inf, 50], [50, np.nan, 50]])
+    def test_rejects_sizes_that_are_not_finite(self, n):
+        with pytest.raises(ContrastError, match="finite"):
+            williams_matrix(n)
+
 
 class TestContrastMatrixValidation:
     def test_rows_must_sum_to_zero(self):
@@ -291,6 +296,24 @@ def test_a_window_changes_no_p_that_may_lie_in_it(seed):
         (decided,) = contrasts._maxt_p([(family, t, se, var)], alpha, alpha)
         (windowless,) = contrasts._maxt_p([(family, t, se, var)])
         np.testing.assert_array_equal(decided < alpha, windowless < alpha)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_window_moves_a_table_s_other_open_bounds_by_under_1e_12(seed):
+    # every row at once: chain_maxt sizes a table's outer rule and walk chunks
+    # from the bounds the window leaves open, so at k >= 4 an open p may move
+    # in its last bits, never by 1e-12, and no p crosses lo
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(4, 7))
+    n, eta, var = random_tables(rng, k, 6)
+    for family in (dunnett_matrix(n), williams_matrix(n)):
+        _, se, t, _ = contrast_moments(family.coefficients, eta, var)
+        (exact,) = contrasts._maxt_p([(family, t, se, var)])
+        lo = float(np.median(exact))
+        (got,) = contrasts._maxt_p([(family, t, se, var)], lo, np.inf)
+        inside = got >= lo
+        np.testing.assert_allclose(got[inside], exact[inside], rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(inside, exact >= lo)
 
 
 @pytest.mark.parametrize("k", [1, 2, 5])

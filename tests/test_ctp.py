@@ -408,13 +408,13 @@ def test_sizes_of_one_k_share_one_dunnett_family():
                     0.2286890103532251, 0.01732876846503839, 0.037414842052311714, 0.07958416191077833
                 ],
                 "p_williams_rows": [
-                    0.05511893341722873, 0.024671700177241962, 0.013855002956873141, 0.03198249234479089
+                    0.05511893341722751, 0.02467170017724185, 0.01385500295687403, 0.031982492344791
                 ],
                 "p_ctp_pairwise": [
                     0.11110084225344624, 0.03272917992058838, 0.03272917992058838, 0.03272917992058838
                 ],
                 "p_ctp_williams": [
-                    0.11110084225344624, 0.013855002956873141, 0.013855002956873141, 0.013855002956873141
+                    0.11110084225344624, 0.01385500295687403, 0.01385500295687403, 0.01385500295687403
                 ],
             },
             id="bracket",
@@ -430,8 +430,8 @@ def test_sizes_of_one_k_share_one_dunnett_family():
                     0.012980678538120682, 0.004943539656010576,
                 ],
                 "p_williams_rows": [
-                    0.0026068931923362015, 0.002352465933090686, 0.008036936245319648,
-                    0.0313903792183412, 0.04692756036572343,
+                    0.0026068931923363126, 0.00235246593309002, 0.008036936245319981,
+                    0.03139037921834209, 0.04692756036572454,
                 ],
                 "p_ctp_pairwise": [
                     0.2693838313882489, 0.2693838313882489, 0.057521671873034384,
@@ -439,7 +439,7 @@ def test_sizes_of_one_k_share_one_dunnett_family():
                 ],
                 "p_ctp_williams": [
                     0.2862678395955216, 0.2862678395955216, 0.08523318583361783,
-                    0.006621546339694806, 0.002352465933090686,
+                    0.006621546339699025, 0.00235246593309002,
                 ],
             },
             id="chain",
